@@ -43,8 +43,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=int, default=None, help="override the horizon T")
     p.add_argument("--ensemble", type=int, default=None, help="override the ensemble size m")
     p.add_argument("--out-dir", default=None, help="directory for CSV/JSON artifacts")
-    p.add_argument("--threads", type=int, default=1,
-                   help="scheduling hint only; results never depend on it")
     p.add_argument("--tol", action="append", metavar="NAME.PARAM=VALUE",
                    help="override a check/analysis parameter, e.g. consensus_time.tol=1e-8")
 

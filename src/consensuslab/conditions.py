@@ -37,18 +37,26 @@ class ConditionReport:
     witness: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        def clean(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            return v
+        """Strict-JSON form: numpy values become Python ones, non-finite floats null."""
+        return _sanitize({"name": self.name, "satisfied": bool(self.satisfied), "witness": self.witness})
 
-        return {"name": self.name, "satisfied": bool(self.satisfied), "witness": clean(self.witness)}
+
+def _sanitize(obj):
+    """Make a JSON-safe copy: numpy to python, non-finite floats to None."""
+    if isinstance(obj, dict):
+        return {str(k): _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _sanitize(obj.tolist())
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        return x if np.isfinite(x) else None
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
 
 
 def check_base_rates(A, eps, beta=None, delta: Optional[float] = None) -> ConditionReport:
@@ -311,14 +319,16 @@ def check_nonlinear_bounds(f, schedule_A, T: int, grid=None) -> ConditionReport:
 def nonlinear_rho(f, A) -> float:
     """Worst-case contraction figure of a nonlinear step.
 
-    Evaluates ``|a_ii - d| + 1 - a_ii`` at both ends of the declared
-    derivative range (the expression is piecewise monotone in ``d``, so the
-    supremum over the range is attained at an endpoint) and maximizes over
-    agents.
+    ``f`` is one learning function shared by all agents or a sequence with
+    one per agent. Evaluates ``|a_ii - d| + 1 - a_ii`` at both ends of each
+    agent's declared derivative range (the expression is piecewise monotone
+    in ``d``, so the supremum over the range is attained at an endpoint)
+    and maximizes over agents.
     """
-    if not getattr(f, "has_declared_bounds", False):
-        raise InconsistentDeclarationError("learning function declares no derivative bounds")
     d = np.diagonal(entries_of(A))
-    lo = np.abs(d - f.deriv_inf) + 1.0 - d
-    hi = np.abs(d - f.deriv_sup) + 1.0 - d
+    fs = tuple(f) if isinstance(f, (list, tuple)) else (f,) * d.size
+    if not all(getattr(fi, "has_declared_bounds", False) for fi in fs):
+        raise InconsistentDeclarationError("learning function declares no derivative bounds")
+    lo = np.abs(d - np.array([fi.deriv_inf for fi in fs])) + 1.0 - d
+    hi = np.abs(d - np.array([fi.deriv_sup for fi in fs])) + 1.0 - d
     return float(np.maximum(lo, hi).max())

@@ -10,8 +10,11 @@ Five families share one engine:
 * ``AVERAGE``: feedback toward the current population mean, so the
   consensus value is endogenous.
 
-The step functions are pure and broadcast over a trailing run axis: the
-state may be shape ``(n,)`` or ``(n, m)``. Simulation is deterministic
+Every family advances by one update, ``X_t = M X_{t-1} + feedback``,
+written once in ``_step``; the engine and the public ``step_*`` functions
+are views of it. The step functions are pure and broadcast over a trailing
+run axis: the state may be shape ``(n,)`` or ``(n, m)``, and a disturbance
+of shape ``(n,)`` is shared by every run. Simulation is deterministic
 given ``(spec, T, seed)``; ensembles derive every run's randomness from
 ``(master_seed, run_index)`` only, so results never depend on execution
 order or batching.
@@ -25,7 +28,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ScheduleError
+from .conditions import nonlinear_rho
+from .errors import InconsistentDeclarationError, ScheduleError
 from .matrices import (
     StochasticMatrix,
     averaging_map,
@@ -282,41 +286,11 @@ class EnsembleSample:
         return EmpiricalSample(points=pts, t_final=tf, centered_scaled=centered_scaled)
 
 
-def _eps_col(eps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return eps[:, None] if x.ndim == 2 else eps
-
-
 def _state(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("state must be a vector or an (n, m) block")
     return x
-
-
-def step_base(A, eps, sigma_bar: float, x) -> np.ndarray:
-    """One deterministic feedback step: A x + E (target - x)."""
-    a = entries_of(A)
-    x = _state(x)
-    e = np.asarray(eps, dtype=float)
-    return a @ x + _eps_col(e, x) * (sigma_bar - x)
-
-
-def step_noisy(A, eps, sigma_bar: float, gamma, x) -> np.ndarray:
-    """Feedback step with a disturbed target: A x + E (target + gamma - x)."""
-    a = entries_of(A)
-    x = _state(x)
-    e = np.asarray(eps, dtype=float)
-    g = np.asarray(gamma, dtype=float)
-    return a @ x + _eps_col(e, x) * (sigma_bar + g - x)
-
-
-def step_pure_noise(A, eps, gamma, x) -> np.ndarray:
-    """Feedback step whose reference signal is the disturbance itself."""
-    a = entries_of(A)
-    x = _state(x)
-    e = np.asarray(eps, dtype=float)
-    g = np.asarray(gamma, dtype=float)
-    return a @ x + _eps_col(e, x) * (g - x)
 
 
 def _apply_learning(f: LearningFunctions, u: np.ndarray) -> np.ndarray:
@@ -328,26 +302,67 @@ def _apply_learning(f: LearningFunctions, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _step(M, X, e, f, sigma_bar, g, average: bool) -> np.ndarray:
+    """The one update of every family: ``X_t = M X_{t-1} + feedback``.
+
+    ``X`` is an (n, m) block, ``e`` the per-agent rates and ``g`` a
+    disturbance broadcastable against ``X`` (None when the family has
+    none). The reference is ``sigma_bar``, ``g`` or ``sigma_bar + g``; the
+    feedback is ``e (ref - X)``, ``f(ref - X)`` for a learning function
+    ``f``, or ``e g`` for the average family, whose ``M`` is the averaging
+    map of ``(A, e)``. The expressions are kept in this exact form (not
+    folded into ``(A - E) X``) so every family reproduces its bytes.
+    """
+    if average:
+        return M @ X + e[:, None] * g
+    ref = sigma_bar if g is None else g if sigma_bar is None else sigma_bar + g
+    if f is None:
+        return M @ X + e[:, None] * (ref - X)
+    return M @ X + _apply_learning(f, ref - X)
+
+
+def _view(M, eps, f, sigma_bar, gamma, x, average: bool = False) -> np.ndarray:
+    """Apply ``_step`` to a state vector or to an (n, m) block of runs.
+
+    A shared ``(n,)`` disturbance is lifted to a column so it applies to
+    every run, exactly as the engine applies a noise vector shared by runs.
+    """
+    x = _state(x)
+    e = None if eps is None else np.asarray(eps, dtype=float)
+    g = None if gamma is None else np.asarray(gamma, dtype=float)
+    if g is not None and g.ndim == 1:
+        g = g[:, None]
+    return _step(M, x.reshape(len(x), -1), e, f, sigma_bar, g, average).reshape(x.shape)
+
+
+def step_base(A, eps, sigma_bar: float, x) -> np.ndarray:
+    """One deterministic feedback step: A x + E (target - x)."""
+    return _view(entries_of(A), eps, None, sigma_bar, None, x)
+
+
+def step_noisy(A, eps, sigma_bar: float, gamma, x) -> np.ndarray:
+    """Feedback step with a disturbed target: A x + E (target + gamma - x)."""
+    return _view(entries_of(A), eps, None, sigma_bar, gamma, x)
+
+
+def step_pure_noise(A, eps, gamma, x) -> np.ndarray:
+    """Feedback step whose reference signal is the disturbance itself."""
+    return _view(entries_of(A), eps, None, None, gamma, x)
+
+
 def step_nonlinear(A, f: LearningFunctions, sigma_bar: Optional[float], gamma, x) -> np.ndarray:
     """Nonlinear feedback step: A x + f(target + gamma - x).
 
     Pass ``sigma_bar=None`` for the target-free form, where only the
     disturbance drives the feedback.
     """
-    a = entries_of(A)
-    x = _state(x)
-    g = np.asarray(gamma, dtype=float)
-    ref = g if sigma_bar is None else sigma_bar + g
-    return a @ x + _apply_learning(f, ref - x)
+    return _view(entries_of(A), None, f, sigma_bar, gamma, x)
 
 
 def step_average(A, eps, gamma, x) -> np.ndarray:
     """Mean-feedback step: B x + E gamma with B the averaging map of (A, E)."""
-    x = _state(x)
     e = np.asarray(eps, dtype=float)
-    g = np.asarray(gamma, dtype=float)
-    b = averaging_map(A, e).entries
-    return b @ x + _eps_col(e, x) * g
+    return _view(averaging_map(A, e).entries, e, None, None, gamma, x, average=True)
 
 
 def _query_matrix(sched, t: int) -> np.ndarray:
@@ -366,6 +381,7 @@ def _query_matrix(sched, t: int) -> np.ndarray:
 
 
 def _query_eps(sched, t: int, n: int) -> np.ndarray:
+    """Rates of step ``t`` as an (n,) vector; a single value applies to every agent."""
     try:
         v = sched(t)
     except ScheduleError:
@@ -380,18 +396,24 @@ def _query_eps(sched, t: int, n: int) -> np.ndarray:
     return e
 
 
-def _nonlinear_rho_value(f: LearningFunctions, a: np.ndarray) -> float:
-    d = np.diagonal(a)
-    fs = [f] * len(d) if isinstance(f, LearningFunction) else list(f)
-    worst = np.nan
-    vals = []
-    for aii, fi in zip(d, fs):
-        if not fi.has_declared_bounds:
-            return worst
-        lo = abs(aii - fi.deriv_inf) + 1.0 - aii
-        hi = abs(aii - fi.deriv_sup) + 1.0 - aii
-        vals.append(max(lo, hi))
-    return float(max(vals))
+def _step_matrix(spec: ModelSpec, a: np.ndarray, e) -> np.ndarray:
+    """``M`` of a step: the averaging map of ``(a, e)`` for the average family, else ``a``."""
+    return averaging_map(a, e).entries if spec.family is ModelFamily.AVERAGE else a
+
+
+def _step_rho(spec: ModelSpec, M: np.ndarray, e) -> float:
+    """Contraction figure of one step with step matrix ``M`` and rates ``e``.
+
+    The Dobrushin coefficient of ``M`` for the average family, the
+    worst-case nonlinear figure for learning functions (raising
+    ``InconsistentDeclarationError`` when a derivative range is not
+    declared), and the contraction factor of ``(M, e)`` otherwise.
+    """
+    if spec.family is ModelFamily.AVERAGE:
+        return dobrushin(M)
+    if spec.family is ModelFamily.NONLINEAR:
+        return nonlinear_rho(spec.learning_fn, M)
+    return contraction_factor(M, e)
 
 
 def _run_engine(
@@ -411,7 +433,6 @@ def _run_engine(
     if m < 1:
         raise ValueError("m must be at least 1")
     n = spec.n
-    fam = spec.family
     sbar = spec.sigma_bar
     snapset = set(int(t) for t in snapshot_times)
     bad = [t for t in snapset if t < 0 or t > T]
@@ -422,29 +443,34 @@ def _run_engine(
 
     X = np.repeat(spec.x0[:, None], m, axis=1)
 
+    def figure(M, e) -> float:
+        try:
+            return _step_rho(spec, M, e)
+        except InconsistentDeclarationError:
+            return np.nan  # no declared derivative range, so no figure applies
+
+    # Everything that depends on the family alone is settled here, once.
+    average = spec.family is ModelFamily.AVERAGE
     a_const = isinstance(spec.schedule_A, Constant)
     e_const = spec.schedule_E is None or isinstance(spec.schedule_E, Constant)
-    A = eps = B = rho_const = None
+    A = eps = M = rho_const = None
     if T > 0:
         if a_const:
             A = _query_matrix(spec.schedule_A, 1)
         if spec.schedule_E is not None and e_const:
             eps = _query_eps(spec.schedule_E, 1, n)
-        if fam is ModelFamily.AVERAGE and a_const and e_const:
-            B = averaging_map(A, eps).entries
-            rho_const = dobrushin(B)
-        elif diagnostics and a_const and e_const:
-            if fam is ModelFamily.NONLINEAR:
-                rho_const = _nonlinear_rho_value(spec.learning_fn, A)
-            elif eps is not None:
-                rho_const = contraction_factor(A, eps)
+        if a_const and e_const:
+            M = _step_matrix(spec, A, eps)
+            if diagnostics:
+                rho_const = figure(M, eps)
 
     if spec.noise.is_random:
         block = np.empty((T, n, m))
         for r in range(m):
             block[:, :, r] = sample_noise_block(spec.noise, T, substream(master_seed, r))
     else:
-        block = sample_noise_block(spec.noise, T, None)  # (T, n), shared by runs
+        block = sample_noise_block(spec.noise, T, None)[:, :, None]  # (T, n, 1), shared by runs
+    noise = None if spec.family is ModelFamily.BASE else block
 
     states = np.empty((T + 1, n)) if record_states else None
     err = np.full(T + 1, np.nan)
@@ -468,32 +494,11 @@ def _run_engine(
     observe(0)
     for t in range(1, T + 1):
         a = A if a_const else _query_matrix(spec.schedule_A, t)
-        if spec.schedule_E is not None:
-            e = eps if e_const else _query_eps(spec.schedule_E, t, n)
-        g = block[t - 1] if spec.noise.is_random else block[t - 1][:, None]
-
-        if fam is ModelFamily.BASE:
-            X = a @ X + e[:, None] * (sbar - X)
-            if diagnostics:
-                rho[t] = rho_const if rho_const is not None else contraction_factor(a, e)
-        elif fam is ModelFamily.NOISY_FEEDBACK:
-            X = a @ X + e[:, None] * (sbar + g - X)
-            if diagnostics:
-                rho[t] = rho_const if rho_const is not None else contraction_factor(a, e)
-        elif fam is ModelFamily.PURE_NOISE_FEEDBACK:
-            X = a @ X + e[:, None] * (g - X)
-            if diagnostics:
-                rho[t] = rho_const if rho_const is not None else contraction_factor(a, e)
-        elif fam is ModelFamily.NONLINEAR:
-            ref = g if sbar is None else sbar + g
-            X = a @ X + _apply_learning(spec.learning_fn, ref - X)
-            if diagnostics:
-                rho[t] = rho_const if rho_const is not None else _nonlinear_rho_value(spec.learning_fn, a)
-        else:  # AVERAGE
-            b = B if B is not None else averaging_map(a, e).entries
-            X = b @ X + e[:, None] * g
-            if diagnostics:
-                rho[t] = rho_const if rho_const is not None else dobrushin(b)
+        e = eps if e_const else _query_eps(spec.schedule_E, t, n)
+        Mt = M if M is not None else _step_matrix(spec, a, e)
+        X = _step(Mt, X, e, spec.learning_fn, sbar, None if noise is None else noise[t - 1], average)
+        if diagnostics:
+            rho[t] = rho_const if rho_const is not None else figure(Mt, e)
         observe(t)
 
     return X, states, err, osc, rho, mean_err, snaps

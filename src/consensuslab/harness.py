@@ -29,6 +29,9 @@ from .dynamics import (
     ModelFamily,
     ModelSpec,
     Trajectory,
+    _query_eps,
+    _step_matrix,
+    _step_rho,
     linear_learning,
     scaled_sign_learning,
     scaled_tanh_learning,
@@ -36,7 +39,7 @@ from .dynamics import (
     simulate_ensemble,
 )
 from .errors import ScenarioFormatError
-from .matrices import averaging_map, contraction_factor, dobrushin, entries_of, oscillation, product_limit
+from .matrices import averaging_map, dobrushin, entries_of, oscillation, product_limit
 from .noise import NoiseSpec, epsilon_oscillator_sequence
 from .schedules import Constant, Table, rho_exp_inverse_square, rho_harmonic
 
@@ -266,17 +269,8 @@ def model_rho_sequence(spec: ModelSpec, T: int) -> np.ndarray:
     out = np.empty(T)
     for t in range(1, T + 1):
         a = entries_of(spec.schedule_A(t))
-        if spec.family is ModelFamily.AVERAGE:
-            e = np.asarray(spec.schedule_E(t), dtype=float)
-            out[t - 1] = dobrushin(averaging_map(a, e).entries)
-        elif spec.family is ModelFamily.NONLINEAR:
-            f = spec.learning_fn
-            out[t - 1] = cond.nonlinear_rho(f, a)
-        else:
-            e = np.atleast_1d(np.asarray(spec.schedule_E(t), dtype=float))
-            if e.shape == (1,) and spec.n > 1:
-                e = np.full(spec.n, e[0])
-            out[t - 1] = contraction_factor(a, e)
+        e = None if spec.schedule_E is None else _query_eps(spec.schedule_E, t, spec.n)
+        out[t - 1] = _step_rho(spec, _step_matrix(spec, a, e), e)
     return out
 
 
@@ -306,11 +300,7 @@ def _model_at_t1(scenario: Scenario):
     if spec is None:
         raise ScenarioFormatError("this check needs a model in the scenario")
     a = entries_of(spec.schedule_A(1))
-    e = None
-    if spec.schedule_E is not None:
-        e = np.atleast_1d(np.asarray(spec.schedule_E(1), dtype=float))
-        if e.shape == (1,) and spec.n > 1:
-            e = np.full(spec.n, e[0])
+    e = None if spec.schedule_E is None else _query_eps(spec.schedule_E, 1, spec.n)
     return spec, a, e
 
 
@@ -465,9 +455,7 @@ def _constant_model_pieces(ctx: RunContext):
     spec = ctx.scenario.model
     if spec is None or not isinstance(spec.schedule_A, Constant) or not isinstance(spec.schedule_E, Constant):
         raise ScenarioFormatError("this analysis needs constant A and E schedules")
-    a = entries_of(spec.schedule_A(1))
-    e = np.asarray(spec.schedule_E(1), dtype=float)
-    return spec, a, e
+    return _model_at_t1(ctx.scenario)
 
 
 def _an_clt_check(ctx: RunContext, params: dict) -> dict:
@@ -623,24 +611,6 @@ def write_ensemble_csv(path: Path, ens: EnsembleSample) -> None:
             w.writerow([r] + [_fmt(v) for v in pts[r]])
 
 
-def _sanitize(obj):
-    """Make a JSON-safe copy: numpy to python, non-finite floats to None."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        return x if np.isfinite(x) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _execute(
     scenario: Scenario,
     out_dir=None,
@@ -655,19 +625,26 @@ def _execute(
     m = scenario.ensemble if ensemble is None else int(ensemble)
     seed = scenario.master_seed if master_seed is None else int(master_seed)
     overrides = overrides or {}
+    known = [item["name"] for item in scenario.checks + scenario.analyses]
+    for key in overrides:
+        name, _, param = key.partition(".")
+        if name not in known or not param:
+            raise ScenarioFormatError(
+                f"override {key!r} names no check or analysis parameter; known names: {known}"
+            )
 
-    def with_overrides(kind: str, item: dict) -> dict:
+    def with_overrides(item: dict) -> dict:
         params = dict(item)
         for key, value in overrides.items():
             name, _, param = key.partition(".")
-            if name == item["name"] and param:
+            if name == item["name"]:
                 params[param] = value
         return params
 
     ok = True
     check_rows = []
     for item in scenario.checks:
-        params = with_overrides("check", item)
+        params = with_overrides(item)
         try:
             report = _CHECKS[item["name"]](scenario, params)
             check_rows.append(report.to_json())
@@ -700,7 +677,7 @@ def _execute(
     ctx = RunContext(scenario=scenario, trajectory=trajectory, ensemble=ens)
     analysis_rows: dict = {}
     for item in scenario.analyses:
-        params = with_overrides("analysis", item)
+        params = with_overrides(item)
         try:
             if ctx.trajectory is None and item["name"] in ("consensus_time", "periodicity", "oscillation_final"):
                 raise ScenarioFormatError(f"analysis {item['name']!r} needs a model")
@@ -726,9 +703,9 @@ def _execute(
         master_seed=seed,
         horizon=T,
         ensemble=m,
-        checks=_sanitize(check_rows),
-        analyses=_sanitize(analysis_rows),
-        diagnostics=_sanitize(diagnostics),
+        checks=check_rows,
+        analyses=cond._sanitize(analysis_rows),
+        diagnostics=cond._sanitize(diagnostics),
         timing={"total_s": time.perf_counter() - t0},
         seed_provenance={
             "master_seed": seed,

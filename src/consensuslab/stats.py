@@ -166,39 +166,12 @@ def clt_target(C, eps, Sigma, row_tol: float = 1e-8) -> CLTTarget:
     return CLTTarget(g)
 
 
-def _jacobi_eigenvalues(a: np.ndarray, sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations."""
-    a = a.copy()
-    n = a.shape[0]
-    scale = max(float(np.abs(a).max()), 1e-300)
-    for _ in range(sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-    return np.sort(np.diagonal(a))[::-1]
-
-
 def rank_one_score(cov, sym_tol: float = 1e-9) -> float:
     """Ratio of the two largest eigenvalues of a symmetric PSD matrix.
 
     Small values certify that the mass concentrates on a line. Uses the
-    closed form at n=2 and cyclic Jacobi sweeps for larger (still tiny)
-    matrices; returns 0 for a zero matrix and for n=1.
+    closed form at n=2 and ``numpy.linalg.eigvalsh`` for larger matrices;
+    returns 0 for a zero matrix and for n=1.
     """
     c = np.asarray(cov, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -213,8 +186,7 @@ def rank_one_score(cov, sym_tol: float = 1e-9) -> float:
         rad = np.hypot(0.5 * (c[0, 0] - c[1, 1]), c[0, 1])
         lam1, lam2 = mid + rad, mid - rad
     else:
-        lam = _jacobi_eigenvalues(c)
-        lam1, lam2 = lam[0], lam[1]
+        lam2, lam1 = np.linalg.eigvalsh(c)[-2:]
     if lam1 <= 0.0:
         return 0.0
     return float(min(max(lam2, 0.0) / lam1, 1.0))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -80,6 +81,11 @@ class TestAverageRates:
         assert check_average_rates(a, boundary, strict=False).satisfied
         assert check_average_rates(a, [0.0, 0.0], strict=False).satisfied
         assert not check_average_rates(a, [0.0, 0.0], strict=True).satisfied
+
+    def test_single_agent_report_is_strict_json(self):
+        doc = check_average_rates(np.eye(1), [0.5]).to_json()
+        assert doc["witness"]["upper_bounds"] == [None]  # the n=1 bound is infinite
+        json.dumps(doc, allow_nan=False)
 
 
 class TestProductToZero:

@@ -186,10 +186,21 @@ class TestSteps:
 
     def test_steps_broadcast_over_runs(self, trust3, rates3):
         rng = np.random.default_rng(1)
-        X = rng.normal(size=(3, 5))
-        block = step_base(trust3, rates3, 1.0, X)
-        for r in range(5):
-            assert np.allclose(block[:, r], step_base(trust3, rates3, 1.0, X[:, r]))
+        g = rng.normal(size=3)  # one disturbance shared by every run
+        f = scaled_tanh_learning(0.4)
+        steps = [
+            lambda x: step_base(trust3, rates3, 1.0, x),
+            lambda x: step_noisy(trust3, rates3, 1.0, g, x),
+            lambda x: step_pure_noise(trust3, rates3, g, x),
+            lambda x: step_nonlinear(trust3, f, 1.0, g, x),
+            lambda x: step_average(trust3, rates3, g, x),
+        ]
+        for m in (5, 3):  # m == n must not broadcast along the agent axis
+            X = rng.normal(size=(3, m))
+            for step in steps:
+                block = step(X)
+                for r in range(m):
+                    assert np.allclose(block[:, r], step(X[:, r]))
 
 
 class TestSimulate:
