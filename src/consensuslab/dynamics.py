@@ -14,16 +14,21 @@ Every family advances by one update, ``X_t = M X_{t-1} + feedback``,
 written once in ``_step``; the engine and the public ``step_*`` functions
 are views of it. The step functions are pure and broadcast over a trailing
 run axis: the state may be shape ``(n,)`` or ``(n, m)``, and a disturbance
-of shape ``(n,)`` is shared by every run. Simulation is deterministic
-given ``(spec, T, seed)``; ensembles derive every run's randomness from
-``(master_seed, run_index)`` only, so results never depend on execution
-order or batching.
+of shape ``(n,)`` is shared by every run.
+
+There is one simulation path. ``simulate_ensemble`` steps ``m`` seeded
+runs in one pass and returns both the sample path of run 0 (states and
+per-step diagnostics) and the ``m`` terminal states, a sample of the law
+of the state. ``simulate`` is its ``m = 1`` view. Simulation is
+deterministic given ``(spec, T, seed)``; every run's randomness derives
+from ``(master_seed, run_index)`` only, so results never depend on
+execution order or batching.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -254,16 +259,19 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSample:
-    """Terminal states of m independent seeded runs.
+    """Terminal states of m independent seeded runs, plus run 0's path.
 
-    ``snapshots`` maps requested intermediate times to (m, n) state blocks;
-    ``mean_err_inf`` is the ensemble mean of the sup-error per step when it
-    was tracked.
+    ``run0`` is the full trajectory of run 0 (states and per-step
+    diagnostics) from the same engine pass, so its terminal row is
+    ``terminal_states[0]``. ``snapshots`` maps requested intermediate times
+    to (m, n) state blocks; ``mean_err_inf`` is the ensemble mean of the
+    sup-error per step when it was tracked.
     """
 
     terminal_states: np.ndarray
     t_final: int
     master_seed: int
+    run0: Trajectory
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     mean_err_inf: Optional[np.ndarray] = None
 
@@ -422,12 +430,10 @@ def _run_engine(
     m: int,
     master_seed: int,
     *,
-    record_states: bool,
     snapshot_times: Sequence[int] = (),
     track_mean_err: bool = False,
-    diagnostics: bool = False,
 ):
-    """Shared deterministic stepper; the single-run path is the m=1 case."""
+    """Shared deterministic stepper over ``m`` runs; run 0 is recorded in full."""
     if T < 0:
         raise ValueError("T must be nonnegative")
     if m < 1:
@@ -461,8 +467,7 @@ def _run_engine(
             eps = _query_eps(spec.schedule_E, 1, n)
         if a_const and e_const:
             M = _step_matrix(spec, A, eps)
-            if diagnostics:
-                rho_const = figure(M, eps)
+            rho_const = figure(M, eps)
 
     if spec.noise.is_random:
         block = np.empty((T, n, m))
@@ -472,7 +477,7 @@ def _run_engine(
         block = sample_noise_block(spec.noise, T, None)[:, :, None]  # (T, n, 1), shared by runs
     noise = None if spec.family is ModelFamily.BASE else block
 
-    states = np.empty((T + 1, n)) if record_states else None
+    states = np.empty((T + 1, n))
     err = np.full(T + 1, np.nan)
     osc = np.empty(T + 1)
     rho = np.full(T + 1, np.nan)
@@ -480,12 +485,10 @@ def _run_engine(
     snaps: dict[int, np.ndarray] = {}
 
     def observe(t: int):
-        if record_states:
-            states[t] = X[:, 0]
-        if diagnostics:
-            if sbar is not None:
-                err[t] = float(np.abs(X[:, 0] - sbar).max())
-            osc[t] = float(X[:, 0].max() - X[:, 0].min())
+        x = states[t] = X[:, 0]
+        if sbar is not None:
+            err[t] = float(np.abs(x - sbar).max())
+        osc[t] = float(x.max() - x.min())
         if track_mean_err:
             mean_err[t] = float(np.abs(X - sbar).max(axis=0).mean())
         if t in snapset:
@@ -497,36 +500,23 @@ def _run_engine(
         e = eps if e_const else _query_eps(spec.schedule_E, t, n)
         Mt = M if M is not None else _step_matrix(spec, a, e)
         X = _step(Mt, X, e, spec.learning_fn, sbar, None if noise is None else noise[t - 1], average)
-        if diagnostics:
-            rho[t] = rho_const if rho_const is not None else figure(Mt, e)
+        rho[t] = rho_const if rho_const is not None else figure(Mt, e)
         observe(t)
 
-    return X, states, err, osc, rho, mean_err, snaps
+    run0 = Trajectory(states=states, err_inf=err, osc=osc, rho=rho, sigma_bar=sbar)
+    return X, run0, mean_err, snaps
 
 
 def simulate(spec: ModelSpec, T: int, seed: int, keep_states: bool = True) -> Trajectory:
     """One trajectory of length T, deterministic given (spec, T, seed).
 
-    The run's randomness comes from the substream ``(seed, run=0)``, so an
-    ensemble of size one started from the same master seed reproduces it
-    exactly. With ``keep_states=False`` only the terminal state is kept
+    This is run 0 of an ensemble of size one (``simulate_ensemble(spec, T,
+    1, seed).run0``), so its randomness comes from the substream ``(seed,
+    run=0)``. With ``keep_states=False`` only the terminal state is kept
     (diagnostics are still full length).
     """
-    X, states, err, osc, rho, _, _ = _run_engine(
-        spec, T, 1, seed, record_states=keep_states, diagnostics=True
-    )
-    if keep_states:
-        out_states = states
-    else:
-        out_states = X[:, 0][None, :].copy()
-    return Trajectory(
-        states=out_states,
-        err_inf=err,
-        osc=osc,
-        rho=rho,
-        sigma_bar=spec.sigma_bar,
-        full_states=keep_states,
-    )
+    run0 = simulate_ensemble(spec, T, 1, seed).run0
+    return run0 if keep_states else replace(run0, states=run0.states[-1:].copy(), full_states=False)
 
 
 def simulate_ensemble(
@@ -537,28 +527,26 @@ def simulate_ensemble(
     snapshot_times: Sequence[int] = (),
     track_mean_err: bool = False,
 ) -> EnsembleSample:
-    """Terminal states of m independent runs driven by per-run substreams.
+    """Terminal states of m independent runs driven by per-run substreams,
+    plus the full trajectory of run 0.
 
     Run ``r`` draws all of its noise from ``substream(master_seed, r)``, so
     the result is a pure function of ``(spec, T, m, master_seed)`` and is
-    unaffected by batching or parallel execution. Requested
+    unaffected by batching or parallel execution. Run 0's states and
+    per-step diagnostics come from the same pass as the terminal block, so
+    ``run0.terminal`` equals ``terminal_states[0]`` bit for bit. Requested
     ``snapshot_times`` record full (m, n) state blocks along the way.
     Random noise is pre-drawn for the whole run set, costing about
     ``8 * T * n * m`` bytes of memory.
     """
-    X, _, _, _, _, mean_err, snaps = _run_engine(
-        spec,
-        T,
-        m,
-        master_seed,
-        record_states=False,
-        snapshot_times=snapshot_times,
-        track_mean_err=track_mean_err,
+    X, run0, mean_err, snaps = _run_engine(
+        spec, T, m, master_seed, snapshot_times=snapshot_times, track_mean_err=track_mean_err
     )
     return EnsembleSample(
         terminal_states=X.T.copy(),
         t_final=T,
         master_seed=master_seed,
+        run0=run0,
         snapshots=snaps,
         mean_err_inf=mean_err,
     )

@@ -35,7 +35,7 @@ from .dynamics import (
     linear_learning,
     scaled_sign_learning,
     scaled_tanh_learning,
-    simulate,
+    simulate,  # unused here; bench/tracing.py wraps harness.simulate by name
     simulate_ensemble,
 )
 from .errors import ScenarioFormatError
@@ -664,10 +664,16 @@ def _execute(
             if item["name"] == "mean_error_checkpoints":
                 track_err = True
         drift_times = {t for t in drift_times if 0 <= t <= T}
-        trajectory = simulate(scenario.model, T, seed)
         ens = simulate_ensemble(
             scenario.model, T, m, seed, snapshot_times=sorted(drift_times), track_mean_err=track_err
         )
+        trajectory = ens.run0
+        # NaN/inf never returns to finite under these updates, so the terminal state decides
+        diagnostics["nonfinite_runs"] = int(np.sum(~np.isfinite(ens.terminal_states).all(axis=1)))
+        bad = ~np.isfinite(trajectory.states).all(axis=1)
+        diagnostics["first_nonfinite_step"] = int(np.argmax(bad)) if bad.any() else None
+        if diagnostics["nonfinite_runs"]:
+            ok = False
         if scenario.model.family is ModelFamily.AVERAGE:
             # steps with no mixing at all (coefficient zero up to float dust)
             rho = trajectory.rho[1:]

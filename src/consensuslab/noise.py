@@ -161,16 +161,33 @@ def _transform(spec: NoiseSpec, u: np.ndarray) -> np.ndarray:
     raise AssertionError(spec.kind)
 
 
-def _deterministic_row(spec: NoiseSpec, t: int) -> np.ndarray:
-    if spec.kind == ZERO:
-        return np.zeros(spec.n)
-    if spec.kind == DECAYING:
-        return np.full(spec.n, spec.rate**t)
-    if spec.kind == CUSTOM:
-        if t < 1 or t > spec.table.shape[0]:
-            raise TableExhaustedError(t, f"noise table covers t=1..{spec.table.shape[0]}, asked for t={t}")
-        return spec.table[t - 1].copy()
-    raise AssertionError(spec.kind)
+def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]) -> np.ndarray:
+    """Disturbances of the consecutive steps ``ts`` as a (len(ts), n) block.
+
+    Random kinds draw ``len(ts) * n`` uniforms from ``stream`` in step
+    order; deterministic kinds ignore it. Every public sampler is a view of
+    this one function.
+    """
+    k = len(ts)
+    if spec.is_random:
+        if stream is None:
+            raise ValueError(f"{spec.kind} noise needs a random stream")
+        g = _transform(spec, stream.random((k, spec.n)))
+    elif spec.kind == ZERO:
+        g = np.zeros((k, spec.n))
+    elif spec.kind == DECAYING:
+        g = spec.rate ** ts.astype(float)[:, None] * np.ones((1, spec.n))
+    else:
+        rows = spec.table.shape[0]
+        outside = ts[(ts < 1) | (ts > rows)]
+        if outside.size:
+            t = int(outside[-1])
+            raise TableExhaustedError(t, f"noise table covers t=1..{rows}, asked for t={t}")
+        g = spec.table[ts - 1]
+    if spec.time_scale is not None:
+        s = np.array([float(spec.time_scale(int(t))) for t in ts])
+        g = g * s[:, None]
+    return g
 
 
 def sample_noise(spec: NoiseSpec, t: int, stream: Optional[np.random.Generator]) -> np.ndarray:
@@ -180,16 +197,7 @@ def sample_noise(spec: NoiseSpec, t: int, stream: Optional[np.random.Generator])
     deterministic kinds ignore it. The caller is responsible for having the
     stream positioned at step ``t`` (see the module docstring).
     """
-    if spec.is_random:
-        if stream is None:
-            raise ValueError(f"{spec.kind} noise needs a random stream")
-        u = stream.random((1, spec.n))
-        g = _transform(spec, u)[0]
-    else:
-        g = _deterministic_row(spec, t)
-    if spec.time_scale is not None:
-        g = g * float(spec.time_scale(t))
-    return g
+    return _rows(spec, np.array([t]), stream)[0]
 
 
 def sample_noise_block(spec: NoiseSpec, T: int, stream: Optional[np.random.Generator]) -> np.ndarray:
@@ -201,23 +209,7 @@ def sample_noise_block(spec: NoiseSpec, T: int, stream: Optional[np.random.Gener
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    if spec.is_random:
-        if stream is None:
-            raise ValueError(f"{spec.kind} noise needs a random stream")
-        u = stream.random((T, spec.n))
-        g = _transform(spec, u)
-    elif spec.kind == ZERO:
-        g = np.zeros((T, spec.n))
-    elif spec.kind == DECAYING:
-        g = spec.rate ** np.arange(1, T + 1, dtype=float)[:, None] * np.ones((1, spec.n))
-    else:
-        if T > spec.table.shape[0]:
-            raise TableExhaustedError(T, f"noise table covers t=1..{spec.table.shape[0]}, asked for t={T}")
-        g = spec.table[:T].copy()
-    if spec.time_scale is not None:
-        s = np.array([float(spec.time_scale(t)) for t in range(1, T + 1)])
-        g = g * s[:, None]
-    return g
+    return _rows(spec, np.arange(1, T + 1), stream)
 
 
 def epsilon_oscillator_sequence(T: int) -> np.ndarray:

@@ -282,6 +282,8 @@ class TestSimulateEnsemble:
         traj = simulate(spec, 40, seed=77)
         ens = simulate_ensemble(spec, 40, m=1, master_seed=77)
         assert np.array_equal(ens.terminal_states[0], traj.states[-1])
+        for name in ("states", "err_inf", "osc", "rho"):
+            assert np.array_equal(getattr(ens.run0, name), getattr(traj, name), equal_nan=True), name
 
     def test_deterministic(self, pair2):
         a, eps = pair2

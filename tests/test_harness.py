@@ -1,5 +1,6 @@
 import csv
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -154,6 +155,7 @@ class TestRunScenario:
         doc = dict(MINIMAL, horizon=20, analyses=[{"name": "consensus_time", "tol": 1e-6}])
         summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
         assert summary.ok
+        assert summary.diagnostics == {"nonfinite_runs": 0, "first_nonfinite_step": None}
         with open(tmp_path / "trajectory.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "component_0", "component_1", "err_inf", "osc"]
@@ -210,6 +212,28 @@ class TestRunScenario:
         loose = run_scenario(load_scenario(doc), out_dir=tmp_path / "y")
         assert strict.analyses["consensus_time"]["tol"] == 1e-8
         assert strict.analyses["consensus_time"]["time"] >= loose.analyses["consensus_time"]["time"]
+
+    def test_trajectory_is_run_zero_of_ensemble(self, tmp_path):
+        # one engine pass: the trajectory's last row is ensemble row 0, bit for bit
+        run_scenario(load_catalog_scenario("average-line"), out_dir=tmp_path, horizon=300, ensemble=4)
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            last = list(csv.reader(fh))[-1]
+        with open(tmp_path / "ensemble.csv", newline="") as fh:
+            row0 = list(csv.reader(fh))[1]
+        assert last[1:len(row0)] == row0[1:]
+
+    def test_nonfinite_states_fail_loudly(self, tmp_path):
+        path = resources.files("consensuslab") / "catalog" / "base-3agent.json"
+        doc = json.loads(path.read_text())
+        doc["model"]["E"]["eps"] = [1.5, 1.5, 1.9]  # expansive step: overflows to NaN
+        doc.update(horizon=3000, ensemble=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
+        assert not summary.ok
+        assert summary.diagnostics["nonfinite_runs"] == 3
+        step = summary.diagnostics["first_nonfinite_step"]
+        assert isinstance(step, int) and 0 < step <= 3000
+        validate_summary(json.loads((tmp_path / "summary.json").read_text()))
 
     def test_dobrushin_zero_steps_recorded_for_average(self, tmp_path):
         s = load_catalog_scenario("average-consensus")
