@@ -275,42 +275,51 @@ def default_grid(lo: float = -10.0, hi: float = 10.0, points: int = 1001) -> np.
 def check_nonlinear_bounds(f, schedule_A, T: int, grid=None) -> ConditionReport:
     """Derivative-pinching condition for nonlinear learning.
 
-    Satisfied when the declared derivative range is strictly positive and
-    its top stays below twice the smallest self-weight seen over the
-    horizon. The declaration is audited first: sampled derivative values on
-    the grid must lie inside the declared range, and a function with no
-    declared range is rejected outright.
+    ``f`` is one learning function shared by all agents or a sequence with
+    one per agent. Satisfied when the declared derivative range is strictly
+    positive and its top stays below twice the smallest self-weight seen
+    over the horizon; with one function per agent the range runs from the
+    smallest declared bottom to the largest declared top. Every declaration
+    is audited first: the function's sampled derivative values on the grid
+    must lie inside its own declared range, and a function with no declared
+    range is rejected outright.
     """
-    if not getattr(f, "has_declared_bounds", False):
+    fs = tuple(f) if isinstance(f, (list, tuple)) else (f,)
+    if not all(getattr(fi, "has_declared_bounds", False) for fi in fs):
         raise InconsistentDeclarationError(
             "learning function declares no derivative bounds; the pinching condition cannot apply"
         )
     g = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if g.size == 0:
         raise ValueError("empty sampling grid")
-    if f.derivative is None:
-        raise InconsistentDeclarationError("declared bounds but no derivative to audit them against")
-    sampled = np.asarray(f.derivative(g), dtype=float)
     slack = 1e-12
-    if sampled.min() < f.deriv_inf - slack or sampled.max() > f.deriv_sup + slack:
-        raise InconsistentDeclarationError(
-            f"sampled derivative range [{sampled.min():g}, {sampled.max():g}] leaves the "
-            f"declared [{f.deriv_inf:g}, {f.deriv_sup:g}]"
-        )
+    lo, hi = np.inf, -np.inf
+    for fi in fs:
+        if fi.derivative is None:
+            raise InconsistentDeclarationError("declared bounds but no derivative to audit them against")
+        sampled = np.asarray(fi.derivative(g), dtype=float)
+        if sampled.min() < fi.deriv_inf - slack or sampled.max() > fi.deriv_sup + slack:
+            raise InconsistentDeclarationError(
+                f"sampled derivative range [{sampled.min():g}, {sampled.max():g}] leaves the "
+                f"declared [{fi.deriv_inf:g}, {fi.deriv_sup:g}]"
+            )
+        lo, hi = min(lo, float(sampled.min())), max(hi, float(sampled.max()))
+    deriv_inf = min(fi.deriv_inf for fi in fs)
+    deriv_sup = max(fi.deriv_sup for fi in fs)
     min_aii = np.inf
     for t in range(1, T + 1):
         d = np.diagonal(entries_of(schedule_A(t)))
         min_aii = min(min_aii, float(d.min()))
-    satisfied = f.deriv_inf > 0.0 and f.deriv_sup < 2.0 * min_aii
+    satisfied = deriv_inf > 0.0 and deriv_sup < 2.0 * min_aii
     return ConditionReport(
         "nonlinear_bounds",
         bool(satisfied),
         {
-            "deriv_inf": f.deriv_inf,
-            "deriv_sup": f.deriv_sup,
+            "deriv_inf": deriv_inf,
+            "deriv_sup": deriv_sup,
             "min_diagonal": min_aii,
             "upper_limit": 2.0 * min_aii,
-            "sampled_range": [float(sampled.min()), float(sampled.max())],
+            "sampled_range": [lo, hi],
             "T": T,
         },
     )

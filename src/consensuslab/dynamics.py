@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -42,7 +43,8 @@ from .matrices import (
     dobrushin,
     entries_of,
 )
-from .noise import NoiseSpec, sample_noise_block, substream
+# sample_noise_block and substream are unused here; bench/tracing.py wraps them by name in this module
+from .noise import NoiseChunks, NoiseSpec, sample_noise_block, substream
 from .schedules import Constant, as_schedule
 
 
@@ -265,13 +267,16 @@ class EnsembleSample:
     diagnostics) from the same engine pass, so its terminal row is
     ``terminal_states[0]``. ``snapshots`` maps requested intermediate times
     to (m, n) state blocks; ``mean_err_inf`` is the ensemble mean of the
-    sup-error per step when it was tracked.
+    sup-error per step when it was tracked. ``engine`` holds the pass's
+    counts: ``runs``, ``steps``, ``uniforms_drawn``, ``chunk_steps`` (steps
+    per noise chunk) and ``noise_buffer_bytes_peak``.
     """
 
     terminal_states: np.ndarray
     t_final: int
     master_seed: int
     run0: Trajectory
+    engine: dict
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     mean_err_inf: Optional[np.ndarray] = None
 
@@ -469,13 +474,8 @@ def _run_engine(
             M = _step_matrix(spec, A, eps)
             rho_const = figure(M, eps)
 
-    if spec.noise.is_random:
-        block = np.empty((T, n, m))
-        for r in range(m):
-            block[:, :, r] = sample_noise_block(spec.noise, T, substream(master_seed, r))
-    else:
-        block = sample_noise_block(spec.noise, T, None)[:, :, None]  # (T, n, 1), shared by runs
-    noise = None if spec.family is ModelFamily.BASE else block
+    chunks = NoiseChunks(spec.noise, T, m, master_seed)
+    noise = repeat(None) if spec.family is ModelFamily.BASE else iter(chunks)
 
     states = np.empty((T + 1, n))
     err = np.full(T + 1, np.nan)
@@ -495,16 +495,23 @@ def _run_engine(
             snaps[t] = X.T.copy()
 
     observe(0)
-    for t in range(1, T + 1):
+    for t, g in zip(range(1, T + 1), noise):
         a = A if a_const else _query_matrix(spec.schedule_A, t)
         e = eps if e_const else _query_eps(spec.schedule_E, t, n)
         Mt = M if M is not None else _step_matrix(spec, a, e)
-        X = _step(Mt, X, e, spec.learning_fn, sbar, None if noise is None else noise[t - 1], average)
+        X = _step(Mt, X, e, spec.learning_fn, sbar, g, average)
         rho[t] = rho_const if rho_const is not None else figure(Mt, e)
         observe(t)
 
     run0 = Trajectory(states=states, err_inf=err, osc=osc, rho=rho, sigma_bar=sbar)
-    return X, run0, mean_err, snaps
+    engine = {
+        "runs": m,
+        "steps": T,
+        "uniforms_drawn": chunks.uniforms_drawn,
+        "chunk_steps": chunks.chunk_steps,
+        "noise_buffer_bytes_peak": chunks.buffer_bytes_peak,
+    }
+    return X, run0, mean_err, snaps, engine
 
 
 def simulate(spec: ModelSpec, T: int, seed: int, keep_states: bool = True) -> Trajectory:
@@ -536,10 +543,12 @@ def simulate_ensemble(
     per-step diagnostics come from the same pass as the terminal block, so
     ``run0.terminal`` equals ``terminal_states[0]`` bit for bit. Requested
     ``snapshot_times`` record full (m, n) state blocks along the way.
-    Random noise is pre-drawn for the whole run set, costing about
-    ``8 * T * n * m`` bytes of memory.
+    Random noise is drawn in chunks of steps (see ``noise.NoiseChunks``),
+    so whatever ``T`` is it holds at most ``8 * noise.CHUNK_VALUES`` bytes
+    (8 MiB) at a time, or four steps of every run when that is more;
+    ``engine`` reports what the pass did.
     """
-    X, run0, mean_err, snaps = _run_engine(
+    X, run0, mean_err, snaps, engine = _run_engine(
         spec, T, m, master_seed, snapshot_times=snapshot_times, track_mean_err=track_mean_err
     )
     return EnsembleSample(
@@ -547,6 +556,7 @@ def simulate_ensemble(
         t_final=T,
         master_seed=master_seed,
         run0=run0,
+        engine=engine,
         snapshots=snaps,
         mean_err_inf=mean_err,
     )

@@ -668,6 +668,7 @@ def _execute(
             scenario.model, T, m, seed, snapshot_times=sorted(drift_times), track_mean_err=track_err
         )
         trajectory = ens.run0
+        diagnostics["engine"] = ens.engine
         # NaN/inf never returns to finite under these updates, so the terminal state decides
         diagnostics["nonfinite_runs"] = int(np.sum(~np.isfinite(ens.terminal_states).all(axis=1)))
         bad = ~np.isfinite(trajectory.states).all(axis=1)

@@ -2,14 +2,30 @@
 
 Randomness discipline
 ---------------------
-Every random draw in the package comes from a counter-based Philox stream
-keyed by ``(master_seed, run)`` through numpy's SeedSequence spawning, so a
+Every random draw in the package comes from a counter-based Philox stream.
+Run ``r`` of an ensemble seeded with ``master_seed`` owns the stream whose
+key is ``SeedSequence(master_seed, spawn_key=(r,)).generate_state(2,
+np.uint64)``, which is what ``substream(master_seed, r)`` builds, so a
 run's stream never depends on how many sibling runs exist or on execution
 order. Within one run the random kinds consume exactly ``n`` uniform
 doubles per time step (deterministic kinds consume none), so the uniform
 feeding component ``i`` of step ``t`` always sits at stream position
-``(t - 1) * n + i``. The distributional transforms are explicit, so ports
-to other stacks can match them distributionally:
+``(t - 1) * n + i``.
+
+Philox makes four doubles per counter value, so any position ``p`` that is
+a multiple of four is reached from the key alone by setting the counter to
+``p / 4`` with an empty output buffer (Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC'11). The simulation engine relies on this
+to draw noise in chunks of ``k`` steps, ``k`` a multiple of four, with
+``k * n * m`` bounded by ``CHUNK_VALUES``: it derives every run's key once,
+points one reused generator at each run in turn to fill that run's rows of
+a run-major ``(m, k, n)`` buffer, and transforms the whole chunk at once.
+Memory stays at one chunk whatever the horizon, and run ``r``'s rows equal
+``sample_noise_block(spec, T, substream(master_seed, r))`` bit for bit
+whatever the chunk size or the ensemble width.
+
+The distributional transforms are explicit, so ports to other stacks can
+match them distributionally:
 
 * gaussian: inverse normal CDF of the uniform, then the affine map
   ``mu + F z`` where ``F F^T`` equals the requested covariance;
@@ -69,7 +85,7 @@ class NoiseSpec:
     scale: Optional[float] = None
     table: Optional[np.ndarray] = None
     time_scale: Optional[Callable[[int], float]] = None
-    _factor: Optional[np.ndarray] = field(init=False, default=None, repr=False)
+    _factor: Optional[np.ndarray] = field(init=False, default=None, repr=False)  # F, or diag(F) if F is diagonal
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -92,7 +108,11 @@ class NoiseSpec:
                 raise ValueError("covariance must be positive semidefinite")
             object.__setattr__(self, "mu", mu)
             object.__setattr__(self, "sigma", sig)
-            object.__setattr__(self, "_factor", _covariance_factor(sig))
+            F = _covariance_factor(sig)
+            # a diagonal factor is kept as its diagonal: ``z * diag(F)`` equals ``z @ F.T`` bit for bit
+            if not np.count_nonzero(F - np.diag(np.diagonal(F))):
+                F = np.diagonal(F).copy()
+            object.__setattr__(self, "_factor", F)
         elif self.kind == CAUCHY:
             scale = 1.0 if self.scale is None else float(self.scale)
             if not (scale > 0.0):
@@ -149,16 +169,55 @@ def substream(master_seed: int, run: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _transform(spec: NoiseSpec, u: np.ndarray) -> np.ndarray:
-    """Map a (k, n) block of uniforms to (k, n) noise draws."""
+def _correlate(z: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """``z @ F.T`` for a (runs, k, n) block of steps ``c0 + 1 ..``, ``c0`` a multiple of 4.
+
+    BLAS picks its kernels by the number of rows in a call, so one row's
+    bytes would depend on how many rows share the call. Every product here
+    covers the four steps ``4j + 1 .. 4j + 4`` of one run (only a horizon's
+    last ``T % 4`` steps share a shorter call), so a row's bytes depend on
+    neither the chunk size nor the ensemble width.
+    """
+    runs, k, n = z.shape
+    q = k - k % 4
+    out = np.empty_like(z)
+    out[:, :q] = (z[:, :q].reshape(runs, q // 4, 4, n) @ F.T).reshape(runs, q, n)
+    out[:, q:] = z[:, q:] @ F.T
+    return out
+
+
+def _time_scaled(spec: NoiseSpec, g: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Multiply each step's rows of ``g`` (..., len(ts), n) by its ``time_scale``, in place."""
+    if spec.time_scale is not None:
+        g *= np.array([float(spec.time_scale(int(t))) for t in ts])[:, None]
+    return g
+
+
+def _transform(spec: NoiseSpec, u: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Map a (runs, len(ts), n) block of uniforms for steps ``ts`` to noise, in place.
+
+    This is the one transform: the engine's chunks and ``sample_noise_block``
+    both go through it.
+    """
     if spec.kind == GAUSSIAN:
-        z = ndtri(np.clip(u, _U_FLOOR, None))
-        return spec.mu + z @ spec._factor.T
-    if spec.kind == RADEMACHER:
-        return np.where(u >= 0.5, 1.0, -1.0)
-    if spec.kind == CAUCHY:
-        return spec.scale * np.tan(np.pi * (u - 0.5))
-    raise AssertionError(spec.kind)
+        np.clip(u, _U_FLOOR, None, out=u)
+        ndtri(u, out=u)
+        if spec._factor.ndim == 1:
+            u *= spec._factor
+        else:
+            u[...] = _correlate(u, spec._factor)
+        u += spec.mu
+    elif spec.kind == RADEMACHER:
+        u -= 0.5  # exact, and nonnegative exactly where u >= 1/2
+        np.copysign(1.0, u, out=u)
+    elif spec.kind == CAUCHY:
+        u -= 0.5
+        u *= np.pi
+        np.tan(u, out=u)
+        u *= spec.scale
+    else:
+        raise AssertionError(spec.kind)
+    return _time_scaled(spec, u, ts)
 
 
 def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]) -> np.ndarray:
@@ -172,8 +231,8 @@ def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]
     if spec.is_random:
         if stream is None:
             raise ValueError(f"{spec.kind} noise needs a random stream")
-        g = _transform(spec, stream.random((k, spec.n)))
-    elif spec.kind == ZERO:
+        return _transform(spec, stream.random((1, k, spec.n)), ts)[0]
+    if spec.kind == ZERO:
         g = np.zeros((k, spec.n))
     elif spec.kind == DECAYING:
         g = spec.rate ** ts.astype(float)[:, None] * np.ones((1, spec.n))
@@ -184,10 +243,7 @@ def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]
             t = int(outside[-1])
             raise TableExhaustedError(t, f"noise table covers t=1..{rows}, asked for t={t}")
         g = spec.table[ts - 1]
-    if spec.time_scale is not None:
-        s = np.array([float(spec.time_scale(int(t))) for t in ts])
-        g = g * s[:, None]
-    return g
+    return _time_scaled(spec, g, ts)
 
 
 def sample_noise(spec: NoiseSpec, t: int, stream: Optional[np.random.Generator]) -> np.ndarray:
@@ -205,11 +261,84 @@ def sample_noise_block(spec: NoiseSpec, T: int, stream: Optional[np.random.Gener
 
     Row ``t - 1`` equals what ``sample_noise`` would produce at step ``t``
     for a stream positioned by the fixed consumption layout, because the
-    block draws its ``T * n`` uniforms in the same order.
+    block draws its ``T * n`` uniforms in the same order (up to rounding
+    for a dense covariance factor, whose product BLAS may round
+    differently for a single row). For a fresh ``substream(master_seed,
+    r)`` the block is run ``r``'s noise in the engine, bit for bit.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     return _rows(spec, np.arange(1, T + 1), stream)
+
+
+# Most noise values one engine chunk holds (steps * runs * n): 8 MiB of doubles.
+CHUNK_VALUES = 2**20
+
+
+class NoiseChunks:
+    """Disturbances of steps 1..T for runs 0..m-1, drawn chunk by chunk.
+
+    Iterating yields one array per step, broadcastable against an (n, m)
+    block of states: an (n, m) view for the random kinds, an (n, 1) column
+    shared by every run otherwise. A view is valid until the next one is
+    taken, because the chunk buffer is refilled in place.
+
+    Random kinds hold ``chunk_steps`` steps of every run in one run-major
+    (m, k, n) buffer, ``k`` a multiple of 4 with ``k * n * m`` at most
+    ``CHUNK_VALUES`` (4 when even that is too many values). Run
+    ``r``'s rows come from its own Philox key, set on one reused generator
+    with the counter at the chunk's first uniform (see the module
+    docstring), and equal ``sample_noise_block(spec, T,
+    substream(master_seed, r))`` bit for bit. Deterministic kinds compute
+    their rows chunk by chunk and share them between runs.
+
+    ``uniforms_drawn`` and ``buffer_bytes_peak`` count what the iteration
+    did; the engine reports them.
+    """
+
+    def __init__(self, spec: NoiseSpec, T: int, m: int, master_seed: int):
+        self.spec = spec
+        self.T = T
+        self.runs = m if spec.is_random else 1
+        self._k = max(4, CHUNK_VALUES // (self.runs * spec.n) // 4 * 4)
+        self.chunk_steps = min(self._k, T)
+        self.uniforms_drawn = 0
+        self.buffer_bytes_peak = 0
+        if spec.is_random:
+            self._keys = np.empty((m, 2), dtype=np.uint64)
+            for r in range(m):
+                self._keys[r] = np.random.SeedSequence(master_seed, spawn_key=(r,)).generate_state(2, np.uint64)
+            self._bitgen = np.random.Philox(0)
+            self._gen = np.random.Generator(self._bitgen)
+
+    def _fill(self, block: np.ndarray, c0: int) -> None:
+        """Uniforms of steps ``c0 + 1 ..`` of every run into ``block`` (runs, k, n)."""
+        inner = {"counter": [c0 * self.spec.n // 4, 0, 0, 0], "key": None}
+        state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for r in range(self.runs):
+            inner["key"] = self._keys[r].tolist()
+            self._bitgen.state = state
+            self._gen.random(out=block[r])
+        self.uniforms_drawn += block.size
+
+    def __iter__(self):
+        spec, n, k = self.spec, self.spec.n, self._k
+        buf = np.empty(self.runs * self.chunk_steps * n) if spec.is_random else None
+        for c0 in range(0, self.T, k):
+            kk = min(k, self.T - c0)
+            ts = np.arange(c0 + 1, c0 + kk + 1)
+            if spec.is_random:
+                block = buf[: self.runs * kk * n].reshape(self.runs, kk, n)
+                self._fill(block, c0)
+                _transform(spec, block, ts)
+            else:
+                block = _rows(spec, ts, None)[None]
+            # the dense covariance product writes a second chunk-sized array
+            copies = 2 if spec.kind == GAUSSIAN and spec._factor.ndim == 2 else 1
+            self.buffer_bytes_peak = max(self.buffer_bytes_peak, copies * block.nbytes)
+            for j in range(kk):
+                yield block[:, j, :].T
 
 
 def epsilon_oscillator_sequence(T: int) -> np.ndarray:

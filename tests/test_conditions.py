@@ -225,6 +225,20 @@ class TestNonlinearBounds:
         with pytest.raises(InconsistentDeclarationError, match="no derivative bounds"):
             check_nonlinear_bounds(scaled_sign_learning(0.4), Constant(trust3), T=5)
 
+    def test_per_agent_functions_audited_one_by_one(self):
+        a = np.array([[0.6, 0.4], [0.3, 0.7]])
+        grid = np.linspace(-3, 3, 1001)
+        fs = (scaled_tanh_learning(0.5, bound=3.0), scaled_tanh_learning(0.3, bound=3.0))
+        r = check_nonlinear_bounds(fs, Constant(a), T=5, grid=grid)
+        assert r.satisfied
+        assert r.witness["deriv_inf"] == fs[1].deriv_inf
+        assert r.witness["deriv_sup"] == 0.5
+        # the second function's declaration holds on [-1, 1] only
+        with pytest.raises(InconsistentDeclarationError, match="leaves the declared"):
+            check_nonlinear_bounds((fs[0], scaled_tanh_learning(0.3, bound=1.0)), Constant(a), T=5, grid=grid)
+        with pytest.raises(InconsistentDeclarationError, match="no derivative bounds"):
+            check_nonlinear_bounds((fs[0], scaled_sign_learning(0.4)), Constant(a), T=5, grid=grid)
+
 
 class TestNonlinearRho:
     def test_linear_case_equals_contraction_factor(self, trust3):

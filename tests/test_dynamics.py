@@ -363,3 +363,92 @@ class TestSimulateEnsemble:
         assert np.all(np.abs(emp_mean - 1.0) < 5 * mean_se)
         cov_se = np.sqrt((np.outer(np.diagonal(v), np.diagonal(v)) + v**2) / m)
         assert np.all(np.abs(emp_cov - v) < 5 * cov_se)
+
+
+def _contract_noise():
+    damp = lambda t: 1.0 / math.sqrt(t)  # noqa: E731
+    mu = [0.5, -1.0, 0.0, 0.25, 2.0]
+    g = np.random.default_rng(3).normal(size=(5, 5))
+    return {
+        "gaussian_diagonal": NoiseSpec.gaussian(mu, np.diag([1.0, 2.0, 0.5, 1.5, 0.1]), time_scale=damp),
+        "gaussian_dense": NoiseSpec.gaussian(mu, g @ g.T + np.eye(5), time_scale=damp),
+        "rademacher": NoiseSpec.rademacher(5, time_scale=damp),
+        "cauchy": NoiseSpec.cauchy(5, scale=0.7, time_scale=damp),
+    }
+
+
+class TestReproducibilityContract:
+    """Run r's noise and states are a pure function of (spec, T, master_seed, r).
+
+    They must not depend on the ensemble width m or on how the engine chunks
+    its noise; chunk sizes are forced through ``noise.CHUNK_VALUES``.
+    """
+
+    # one step past a multiple of 8, so 4- and 8-step chunking ends on a one-step chunk; at
+    # n = 5 a plain chunk-sized ``z @ F.T`` rounds that row unlike the whole-horizon product
+    T = 25
+    WIDTHS = (2, 3, 7)
+    CHUNKS = (4, 8, None)  # None: the whole horizon in one chunk
+
+    @staticmethod
+    def _force_chunk(monkeypatch, k, m, n):
+        from consensuslab import noise
+
+        if k is not None:
+            monkeypatch.setattr(noise, "CHUNK_VALUES", k * m * n)
+
+    @pytest.mark.parametrize("kind", list(_contract_noise()))
+    def test_engine_noise_rows_are_the_run_substream_block(self, kind, monkeypatch):
+        from consensuslab.noise import NoiseChunks, sample_noise_block, substream
+
+        spec = _contract_noise()[kind]
+        blocks = [sample_noise_block(spec, self.T, substream(41, r)) for r in range(max(self.WIDTHS))]
+        for m in self.WIDTHS:
+            for k in self.CHUNKS:
+                self._force_chunk(monkeypatch, k, m, spec.n)
+                chunks = NoiseChunks(spec, self.T, m, 41)
+                assert chunks.chunk_steps == (self.T if k is None else k)
+                rows = np.stack([g.T.copy() for g in chunks])  # (T, m, n)
+                for r in range(m):
+                    assert np.array_equal(rows[:, r], blocks[r]), (m, k, r)
+                assert chunks.uniforms_drawn == self.T * spec.n * m
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("kind", list(_contract_noise()))
+    @pytest.mark.parametrize("family", ["noisy", "average"])
+    def test_terminal_state_ignores_width_and_chunking(self, kind, family, monkeypatch):
+        noise = _contract_noise()[kind]
+        a = np.random.default_rng(4).uniform(0.1, 1.0, size=(5, 5)) + 2.0 * np.eye(5)
+        a /= a.sum(axis=1, keepdims=True)
+        x0 = np.array([0.3, -0.2, 1.0, 0.0, -1.5])
+        if family == "noisy":
+            spec = ModelSpec.noisy(a, 0.8 * np.diagonal(a), 1.0, noise, x0)
+        else:
+            spec = ModelSpec.average(a, 0.5 * np.diagonal(a), noise, x0)
+        reference = None
+        for m in self.WIDTHS:
+            for k in self.CHUNKS:
+                self._force_chunk(monkeypatch, k, m, 5)
+                ens = simulate_ensemble(spec, self.T, m, master_seed=8)
+                monkeypatch.undo()
+                if reference is None:
+                    reference = ens.terminal_states[:2].copy()
+                assert np.array_equal(ens.terminal_states[:2], reference), (m, k)
+                assert np.array_equal(ens.run0.terminal, reference[0]), (m, k)
+
+
+def test_noise_memory_is_bounded_by_a_chunk():
+    # a whole-horizon noise block would take 8*T*n*m bytes (64 MB here)
+    import tracemalloc
+
+    n, m, T = 20, 200, 2000
+    a = 0.5 * np.eye(n) + 0.5 / n
+    spec = ModelSpec.average(a, np.full(n, 0.3), NoiseSpec.gaussian(np.zeros(n), np.eye(n)), np.zeros(n))
+    tracemalloc.start()
+    try:
+        ens = simulate_ensemble(spec, T, m, master_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * T * n * m / 4
+    assert ens.engine["noise_buffer_bytes_peak"] <= 8 * 2**20

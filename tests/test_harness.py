@@ -155,7 +155,11 @@ class TestRunScenario:
         doc = dict(MINIMAL, horizon=20, analyses=[{"name": "consensus_time", "tol": 1e-6}])
         summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
         assert summary.ok
-        assert summary.diagnostics == {"nonfinite_runs": 0, "first_nonfinite_step": None}
+        assert summary.diagnostics == {
+            "engine": {"runs": 1, "steps": 20, "uniforms_drawn": 0, "chunk_steps": 20, "noise_buffer_bytes_peak": 0},
+            "nonfinite_runs": 0,
+            "first_nonfinite_step": None,
+        }
         with open(tmp_path / "trajectory.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "component_0", "component_1", "err_inf", "osc"]
@@ -164,6 +168,18 @@ class TestRunScenario:
             rows = list(csv.reader(fh))
         assert rows[0] == ["run", "component_0", "component_1"]
         assert len(rows) == 2
+
+    def test_engine_diagnostics_count_the_noise(self, tmp_path):
+        model = dict(MINIMAL["model"], family="pure_noise_feedback", noise={"kind": "rademacher"})
+        del model["sigma_bar"]
+        doc = dict(MINIMAL, model=model, horizon=30, ensemble=5)
+        summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
+        assert summary.diagnostics["engine"] == {
+            "runs": 5, "steps": 30, "uniforms_drawn": 30 * 2 * 5, "chunk_steps": 30,
+            "noise_buffer_bytes_peak": 8 * 30 * 2 * 5,
+        }
+        with open(tmp_path / "summary.json") as fh:
+            assert json.load(fh)["diagnostics"]["engine"] == summary.diagnostics["engine"]
 
     def test_csv_floats_round_trip(self, tmp_path):
         doc = dict(MINIMAL, horizon=15)
