@@ -587,28 +587,40 @@ def validate_summary(doc: dict) -> None:
     jsonschema.Draft7Validator(_SUMMARY_SCHEMA).validate(doc)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# Most values handed to ``csv.writer.writerows`` at once. ``csv`` writes a
+# Python float as its ``repr``; bounding the slice keeps the ``tolist``
+# copies small at any width or run count.
+_CSV_SLICE_VALUES = 2**10
+
+
+def _slices(rows: int, width: int):
+    step = max(1, _CSV_SLICE_VALUES // width)
+    return (slice(a, min(a + step, rows)) for a in range(0, rows, step))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """Columns: t, one per component, then err_inf and osc."""
-    n = traj.states.shape[1]
+    rows, n = traj.states.shape
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t"] + [f"component_{j}" for j in range(n)] + ["err_inf", "osc"])
-        for t in range(traj.states.shape[0]):
-            w.writerow([t] + [_fmt(v) for v in traj.states[t]] + [_fmt(traj.err_inf[t]), _fmt(traj.osc[t])])
+        for s in _slices(rows, n + 3):
+            w.writerows(
+                [t, *x, e, o]
+                for t, x, e, o in zip(range(s.start, s.stop), traj.states[s].tolist(),
+                                      traj.err_inf[s].tolist(), traj.osc[s].tolist())
+            )
 
 
 def write_ensemble_csv(path: Path, ens: EnsembleSample) -> None:
     """Columns: run, one per component; one row per run, terminal states."""
     pts = ens.terminal_states
+    rows, n = pts.shape
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["run"] + [f"component_{j}" for j in range(pts.shape[1])])
-        for r in range(pts.shape[0]):
-            w.writerow([r] + [_fmt(v) for v in pts[r]])
+        w.writerow(["run"] + [f"component_{j}" for j in range(n)])
+        for s in _slices(rows, n + 1):
+            w.writerows([r, *x] for r, x in zip(range(s.start, s.stop), pts[s].tolist()))
 
 
 def _execute(

@@ -18,8 +18,10 @@ a multiple of four is reached from the key alone by setting the counter to
 Numbers: As Easy as 1, 2, 3", SC'11). The simulation engine relies on this
 to draw noise in chunks of ``k`` steps, ``k`` a multiple of four, with
 ``k * n * m`` bounded by ``CHUNK_VALUES``: it derives every run's key once,
-points one reused generator at each run in turn to fill that run's rows of
-a run-major ``(m, k, n)`` buffer, and transforms the whole chunk at once.
+all runs in one vectorised pass of the ``SeedSequence`` hash
+(``run_keys``, checked against numpy at run 0), points one reused
+generator at each run in turn to fill that run's rows of a run-major
+``(m, k, n)`` buffer, and transforms the whole chunk at once.
 Memory stays at one chunk whatever the horizon, and run ``r``'s rows equal
 ``sample_noise_block(spec, T, substream(master_seed, r))`` bit for bit
 whatever the chunk size or the ensemble width.
@@ -38,6 +40,8 @@ zero draw (probability ``2**-53``) cannot produce an infinity.
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -169,6 +173,78 @@ def substream(master_seed: int, run: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words and two running hash constants, advanced once per hashmix.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(h: int, mult: int):
+    """The (xor, multiply) constants of successive hashmix calls."""
+    while True:
+        nxt = h * mult & 0xFFFFFFFF
+        yield h, nxt
+        h = nxt
+
+
+def _hashmix(v: np.ndarray, consts: tuple[int, int]) -> np.ndarray:
+    xor, mult = consts
+    v = (v ^ xor) * mult  # uint32 arrays wrap modulo 2**32, as the C code does
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def run_keys(master_seed: int, m: int) -> np.ndarray:
+    """Philox keys of runs 0..m-1 as an (m, 2) uint64 array.
+
+    Row ``r`` is ``SeedSequence(master_seed, spawn_key=(r,))
+    .generate_state(2, np.uint64)``, the key of ``substream(master_seed,
+    r)``, computed for every run at once with numpy's hash on uint32
+    arrays. The entropy is the seed's 32-bit words, zero-padded to the
+    pool size, then the run index as one word; only that last word
+    differs between runs. Row 0 is checked against numpy itself.
+    """
+    seed = operator.index(master_seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if not 0 <= m < 2**32:
+        raise ValueError(f"run count must lie in [0, 2**32), got {m}")
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    words = [np.array([w], dtype=np.uint32) for w in words + [0] * (_POOL - len(words))]
+
+    hash_a = _hash_consts(_INIT_A, _MULT_A)
+    mixer = [_hashmix(w, next(hash_a)) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], next(hash_a)))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            mixer[dst] = _mix(mixer[dst], _hashmix(w, next(hash_a)))
+
+    # The run word's mixing round, then generate_state(2, np.uint64): word i
+    # of the output hashes pool word i, and words (0, 1), (2, 3) are the
+    # low and high halves of the two keys.
+    runs = np.arange(m, dtype=np.uint32)
+    keys = np.empty((m, 2), dtype=np.uint64)
+    out = keys.view(np.uint32)
+    swap = int(sys.byteorder == "big")
+    hash_b = _hash_consts(_INIT_B, _MULT_B)
+    for i in range(_POOL):
+        out[:, i ^ swap] = _hashmix(_mix(mixer[i], _hashmix(runs, next(hash_a))), next(hash_b))
+
+    ref = np.random.SeedSequence(master_seed, spawn_key=(0,)).generate_state(2, np.uint64)
+    if m and not np.array_equal(keys[0], ref):
+        raise AssertionError("vectorised SeedSequence hash disagrees with numpy at run 0")
+    return keys
+
+
 def _correlate(z: np.ndarray, F: np.ndarray) -> np.ndarray:
     """``z @ F.T`` for a (runs, k, n) block of steps ``c0 + 1 ..``, ``c0`` a multiple of 4.
 
@@ -285,11 +361,12 @@ class NoiseChunks:
 
     Random kinds hold ``chunk_steps`` steps of every run in one run-major
     (m, k, n) buffer, ``k`` a multiple of 4 with ``k * n * m`` at most
-    ``CHUNK_VALUES`` (4 when even that is too many values). Run
-    ``r``'s rows come from its own Philox key, set on one reused generator
-    with the counter at the chunk's first uniform (see the module
-    docstring), and equal ``sample_noise_block(spec, T,
-    substream(master_seed, r))`` bit for bit. Deterministic kinds compute
+    ``CHUNK_VALUES`` (4 when even that is too many values). The runs'
+    Philox keys come from one vectorised ``SeedSequence`` hash over all
+    runs (``run_keys``, checked against numpy at run 0). Run ``r``'s rows
+    come from its own key, set on one reused generator with the counter at
+    the chunk's first uniform (see the module docstring), and equal
+    ``sample_noise_block(spec, T, substream(master_seed, r))`` bit for bit. Deterministic kinds compute
     their rows chunk by chunk and share them between runs.
 
     ``uniforms_drawn`` and ``buffer_bytes_peak`` count what the iteration
@@ -305,9 +382,7 @@ class NoiseChunks:
         self.uniforms_drawn = 0
         self.buffer_bytes_peak = 0
         if spec.is_random:
-            self._keys = np.empty((m, 2), dtype=np.uint64)
-            for r in range(m):
-                self._keys[r] = np.random.SeedSequence(master_seed, spawn_key=(r,)).generate_state(2, np.uint64)
+            self._keys = run_keys(master_seed, m)
             self._bitgen = np.random.Philox(0)
             self._gen = np.random.Generator(self._bitgen)
 

@@ -20,7 +20,9 @@ from consensuslab import (
     simulate,
     validate_summary,
 )
-from consensuslab.harness import catalog_description
+from consensuslab import harness
+from consensuslab.dynamics import EnsembleSample, Trajectory
+from consensuslab.harness import catalog_description, write_ensemble_csv, write_trajectory_csv
 
 
 MINIMAL = {
@@ -194,6 +196,34 @@ class TestRunScenario:
             got = np.array([float(v) for v in row[1:3]])
             assert np.array_equal(got, traj.states[t])
 
+    def test_csv_bytes_equal_the_per_value_repr_writer(self, tmp_path):
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 1e-4]
+        assert 5000 * (1 + 3) > harness._CSV_SLICE_VALUES  # both files span more than one slice
+        pts = np.random.default_rng(3).normal(size=(5000, 3)) * 10.0 ** np.arange(-3, 3, 2)
+        pts.flat[: len(special)] = special
+        pts.flat[-len(special):] = special
+        err, osc = pts[:, 0] * 2.0, pts[::-1, 2].copy()
+        traj = Trajectory(states=pts, err_inf=err, osc=osc, rho=np.full(5000, np.nan), sigma_bar=None)
+        ens = EnsembleSample(terminal_states=pts, t_final=4999, master_seed=0, run0=traj, engine={})
+
+        def reference(path, header, rows):  # the per-row writer that formats each value with repr
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                for i, values in enumerate(rows):
+                    w.writerow([i] + [repr(float(v)) for v in values])
+
+        comps = [f"component_{j}" for j in range(3)]
+        write_ensemble_csv(tmp_path / "e.csv", ens)
+        reference(tmp_path / "e_ref.csv", ["run"] + comps, pts)
+        write_trajectory_csv(tmp_path / "t.csv", traj)
+        reference(tmp_path / "t_ref.csv", ["t"] + comps + ["err_inf", "osc"],
+                  [list(x) + [e, o] for x, e, o in zip(pts, err, osc)])
+        for name in ("e", "t"):
+            got = (tmp_path / f"{name}.csv").read_bytes()
+            assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
+            assert got.count(b"\n") == 5001
+
     def test_rerun_is_byte_identical(self, tmp_path):
         s = load_catalog_scenario("signum-periodic")
         run_scenario(s, out_dir=tmp_path / "a")
@@ -317,6 +347,10 @@ class TestCLI:
         assert cli.main(["stats", str(tmp_path / "ensemble.csv")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["rows"] == 5 and report["components"] == 2
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        assert cli.main(["run", "gaussian-dist", "--seed", "-3", "--out-dir", str(tmp_path)]) == 2
+        assert "expected non-negative integer" in capsys.readouterr().err
 
     def test_stats_missing_file(self):
         assert cli.main(["stats", "missing.csv"]) == 2

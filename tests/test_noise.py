@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from consensuslab import NoiseSpec, TableExhaustedError, epsilon_oscillator_sequence, sample_noise, sample_noise_block, substream
+from consensuslab import (
+    ModelSpec,
+    NoiseSpec,
+    TableExhaustedError,
+    epsilon_oscillator_sequence,
+    sample_noise,
+    sample_noise_block,
+    simulate_ensemble,
+    substream,
+)
+from consensuslab.noise import NoiseChunks, run_keys
 
 
 class TestNoiseSpecValidation:
@@ -44,6 +54,40 @@ class TestSubstreams:
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(substream(1, 0).random(8), substream(2, 0).random(8))
+
+
+class TestRunKeys:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**200 + 7])
+    def test_equal_to_seed_sequence_loop(self, seed):
+        m = 2000
+        keys = run_keys(seed, m)
+        assert keys.shape == (m, 2) and keys.dtype == np.uint64
+        for r in range(m):
+            expected = np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)
+            assert np.array_equal(keys[r], expected), r
+
+    def test_noise_chunks_use_the_substream_keys(self):
+        chunks = NoiseChunks(NoiseSpec.rademacher(2), 8, 40, 77)
+        for r in (0, 1, 17, 39):
+            key = substream(77, r).bit_generator.state["state"]["key"]
+            assert chunks._keys[r].tolist() == key.tolist()
+
+    def test_no_runs(self):
+        assert run_keys(5, 0).shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            run_keys(seed, 3)
+
+    def test_run_count_must_fit_one_word(self):
+        with pytest.raises(ValueError, match="run count"):
+            run_keys(0, 2**32)
+
+    def test_negative_seed_fails_the_ensemble(self):
+        spec = ModelSpec.noisy(np.eye(2), [0.5, 0.5], 1.0, NoiseSpec.gaussian(np.zeros(2), np.eye(2)), np.zeros(2))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            simulate_ensemble(spec, 5, 3, -1)
 
 
 class TestSampling:
