@@ -28,6 +28,7 @@ execution order or batching.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
@@ -44,7 +45,7 @@ from .matrices import (
     entries_of,
 )
 # sample_noise_block and substream are unused here; bench/tracing.py wraps them by name in this module
-from .noise import NoiseChunks, NoiseSpec, sample_noise_block, substream
+from .noise import NoiseChunks, NoiseSpec, padded_width, sample_noise_block, substream
 from .schedules import Constant, as_schedule
 
 
@@ -269,7 +270,11 @@ class EnsembleSample:
     to (m, n) state blocks; ``mean_err_inf`` is the ensemble mean of the
     sup-error per step when it was tracked. ``engine`` holds the pass's
     counts: ``runs``, ``steps``, ``uniforms_drawn``, ``chunk_steps`` (steps
-    per noise chunk) and ``noise_buffer_bytes_peak``.
+    per noise chunk) and ``noise_buffer_bytes_peak``; ``timing`` its seconds
+    per layer: ``fill_s`` (Philox uniforms), ``transform_s`` (the noise
+    transform, or the deterministic disturbances), ``observe_s`` (recording
+    run 0, the error means and the snapshots) and ``step_s`` (the rest: the
+    step kernel and its set-up).
     """
 
     terminal_states: np.ndarray
@@ -277,6 +282,7 @@ class EnsembleSample:
     master_seed: int
     run0: Trajectory
     engine: dict
+    timing: dict = field(default_factory=dict)
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     mean_err_inf: Optional[np.ndarray] = None
 
@@ -438,7 +444,14 @@ def _run_engine(
     snapshot_times: Sequence[int] = (),
     track_mean_err: bool = False,
 ):
-    """Shared deterministic stepper over ``m`` runs; run 0 is recorded in full."""
+    """Shared deterministic stepper over ``m`` runs; run 0 is recorded in full.
+
+    The state block has ``padded_width(m)`` columns so that ``M @ X`` rounds
+    every run's column the same way at any ``m`` (see ``noise.WIDTH_PAD``);
+    the pad columns start at ``x0``, get zero random noise and are never
+    reported.
+    """
+    start = time.perf_counter()
     if T < 0:
         raise ValueError("T must be nonnegative")
     if m < 1:
@@ -452,7 +465,7 @@ def _run_engine(
     if track_mean_err and sbar is None:
         raise ValueError("error tracking needs a family with a consensus target")
 
-    X = np.repeat(spec.x0[:, None], m, axis=1)
+    X = np.repeat(spec.x0[:, None], padded_width(m), axis=1)
 
     def figure(M, e) -> float:
         try:
@@ -490,18 +503,23 @@ def _run_engine(
             err[t] = float(np.abs(x - sbar).max())
         osc[t] = float(x.max() - x.min())
         if track_mean_err:
-            mean_err[t] = float(np.abs(X - sbar).max(axis=0).mean())
+            mean_err[t] = float(np.abs(X[:, :m] - sbar).max(axis=0).mean())
         if t in snapset:
-            snaps[t] = X.T.copy()
+            snaps[t] = X[:, :m].T.copy()
 
+    clock = time.perf_counter
+    observed = clock()
     observe(0)
+    observe_s = clock() - observed
     for t, g in zip(range(1, T + 1), noise):
         a = A if a_const else _query_matrix(spec.schedule_A, t)
         e = eps if e_const else _query_eps(spec.schedule_E, t, n)
         Mt = M if M is not None else _step_matrix(spec, a, e)
         X = _step(Mt, X, e, spec.learning_fn, sbar, g, average)
         rho[t] = rho_const if rho_const is not None else figure(Mt, e)
+        observed = clock()
         observe(t)
+        observe_s += clock() - observed
 
     run0 = Trajectory(states=states, err_inf=err, osc=osc, rho=rho, sigma_bar=sbar)
     engine = {
@@ -511,7 +529,14 @@ def _run_engine(
         "chunk_steps": chunks.chunk_steps,
         "noise_buffer_bytes_peak": chunks.buffer_bytes_peak,
     }
-    return X, run0, mean_err, snaps, engine
+    noise_s = chunks.fill_s + chunks.transform_s
+    timing = {
+        "fill_s": chunks.fill_s,
+        "transform_s": chunks.transform_s,
+        "step_s": max(0.0, clock() - start - noise_s - observe_s),
+        "observe_s": observe_s,
+    }
+    return X[:, :m], run0, mean_err, snaps, engine, timing
 
 
 def simulate(spec: ModelSpec, T: int, seed: int, keep_states: bool = True) -> Trajectory:
@@ -544,11 +569,15 @@ def simulate_ensemble(
     ``run0.terminal`` equals ``terminal_states[0]`` bit for bit. Requested
     ``snapshot_times`` record full (m, n) state blocks along the way.
     Random noise is drawn in chunks of steps (see ``noise.NoiseChunks``),
-    so whatever ``T`` is it holds at most ``8 * noise.CHUNK_VALUES`` bytes
-    (8 MiB) at a time, or four steps of every run when that is more;
-    ``engine`` reports what the pass did.
+    ``k`` steps with ``k * n`` a multiple of 4, so whatever ``T`` is it holds
+    one chunk of at most ``8 * noise.CHUNK_VALUES`` bytes (8 MiB; the fewest
+    steps of every run allowed when that is more) plus, for ``n < 8``, one
+    step-major stage of four steps of at most ``8 * noise.STAGE_VALUES``
+    bytes (512 KiB). Both carry ``padded_width(m) - m`` zero-noise pad runs,
+    which keep every run's bytes independent of ``m``. ``engine`` reports
+    what the pass did and ``timing`` where its time went.
     """
-    X, run0, mean_err, snaps, engine = _run_engine(
+    X, run0, mean_err, snaps, engine, timing = _run_engine(
         spec, T, m, master_seed, snapshot_times=snapshot_times, track_mean_err=track_mean_err
     )
     return EnsembleSample(
@@ -557,6 +586,7 @@ def simulate_ensemble(
         master_seed=master_seed,
         run0=run0,
         engine=engine,
+        timing=timing,
         snapshots=snaps,
         mean_err_inf=mean_err,
     )

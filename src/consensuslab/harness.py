@@ -632,7 +632,8 @@ def _execute(
     master_seed: Optional[int] = None,
     overrides: Optional[dict] = None,
 ) -> tuple[RunSummary, RunContext]:
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    t0 = clock()
     T = scenario.horizon if horizon is None else int(horizon)
     m = scenario.ensemble if ensemble is None else int(ensemble)
     seed = scenario.master_seed if master_seed is None else int(master_seed)
@@ -663,6 +664,7 @@ def _execute(
         except Exception as exc:
             ok = False
             check_rows.append({"name": item["name"], "error": f"{type(exc).__name__}: {exc}"})
+    checked = clock()
 
     trajectory = None
     ens = None
@@ -693,6 +695,7 @@ def _execute(
             diagnostics["dobrushin_zero_steps"] = int(np.sum(rho <= 1e-12))
             diagnostics["rho_max"] = float(np.nanmax(rho)) if rho.size else None
 
+    simulated = clock()
     ctx = RunContext(scenario=scenario, trajectory=trajectory, ensemble=ens)
     analysis_rows: dict = {}
     for item in scenario.analyses:
@@ -704,6 +707,7 @@ def _execute(
         except Exception as exc:
             ok = False
             analysis_rows[item["name"]] = {"error": f"{type(exc).__name__}: {exc}"}
+    analysed = clock()
 
     target_dir = Path(out_dir) if out_dir is not None else Path(scenario.outputs_dir or f"out/{scenario.scenario_id}")
     target_dir.mkdir(parents=True, exist_ok=True)
@@ -716,6 +720,8 @@ def _execute(
         p = target_dir / "ensemble.csv"
         write_ensemble_csv(p, ens)
         outputs["ensemble_csv"] = str(p)
+    written = clock()
+    engine_s = ens.timing if ens is not None else dict.fromkeys(("fill_s", "transform_s", "step_s", "observe_s"), 0.0)
 
     summary = RunSummary(
         scenario_id=scenario.scenario_id,
@@ -725,7 +731,13 @@ def _execute(
         checks=check_rows,
         analyses=cond._sanitize(analysis_rows),
         diagnostics=cond._sanitize(diagnostics),
-        timing={"total_s": time.perf_counter() - t0},
+        timing={
+            "checks_s": checked - t0,
+            "engine": engine_s,
+            "analyses_s": analysed - simulated,
+            "write_s": written - analysed,
+            "total_s": clock() - t0,
+        },
         seed_provenance={
             "master_seed": seed,
             "stream": "philox(seed_sequence(master_seed, spawn_key=(run,)))",

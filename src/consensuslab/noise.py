@@ -16,15 +16,20 @@ Philox makes four doubles per counter value, so any position ``p`` that is
 a multiple of four is reached from the key alone by setting the counter to
 ``p / 4`` with an empty output buffer (Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3", SC'11). The simulation engine relies on this
-to draw noise in chunks of ``k`` steps, ``k`` a multiple of four, with
-``k * n * m`` bounded by ``CHUNK_VALUES``: it derives every run's key once,
-all runs in one vectorised pass of the ``SeedSequence`` hash
-(``run_keys``, checked against numpy at run 0), points one reused
+to draw noise in chunks of ``k`` steps, ``k * n`` a multiple of four (``k``
+itself a multiple of four for a dense covariance factor, see ``_correlate``),
+with ``k * n`` times the padded width bounded by ``CHUNK_VALUES``: it derives
+every run's key once, all runs in one vectorised pass of the ``SeedSequence``
+hash (``run_keys``, checked against numpy at run 0), points one reused
 generator at each run in turn to fill that run's rows of a run-major
-``(m, k, n)`` buffer, and transforms the whole chunk at once.
-Memory stays at one chunk whatever the horizon, and run ``r``'s rows equal
-``sample_noise_block(spec, T, substream(master_seed, r))`` bit for bit
-whatever the chunk size or the ensemble width.
+``(width, k, n)`` buffer, and transforms the whole chunk at once. The width
+is the run count padded with zero-noise rows to a multiple of ``WIDTH_PAD``
+(see ``padded_width``). When a run's row is shorter than a cache line, every
+four steps of the chunk are copied into a step-major ``(4, n, width)`` stage
+of at most ``STAGE_VALUES`` values, so a step reads its noise contiguously.
+Memory stays at one chunk plus one stage whatever the horizon, and run
+``r``'s rows equal ``sample_noise_block(spec, T, substream(master_seed, r))``
+bit for bit whatever the chunk size or the ensemble width.
 
 The distributional transforms are explicit, so ports to other stacks can
 match them distributionally:
@@ -40,9 +45,11 @@ zero draw (probability ``2**-53``) cannot produce an infinity.
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,7 +96,10 @@ class NoiseSpec:
     scale: Optional[float] = None
     table: Optional[np.ndarray] = None
     time_scale: Optional[Callable[[int], float]] = None
-    _factor: Optional[np.ndarray] = field(init=False, default=None, repr=False)  # F, or diag(F) if F is diagonal
+    # F, diag(F) if F is diagonal, or None if F is the identity
+    _factor: Optional[np.ndarray] = field(init=False, default=None, repr=False)
+    # mu, or None where adding it changes no value
+    _shift: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -116,7 +126,13 @@ class NoiseSpec:
             # a diagonal factor is kept as its diagonal: ``z * diag(F)`` equals ``z @ F.T`` bit for bit
             if not np.count_nonzero(F - np.diag(np.diagonal(F))):
                 F = np.diagonal(F).copy()
+                F = None if np.all(F == 1.0) else F
+            # Adding a zero mean changes only -0.0 (to +0.0). ``ndtri`` never returns -0.0 and
+            # a positive diagonal makes none, so the add is skipped then; a dense product can
+            # round to -0.0, so it keeps the add
+            positive = F is None or (F.ndim == 1 and np.all(F > 0.0))
             object.__setattr__(self, "_factor", F)
+            object.__setattr__(self, "_shift", None if positive and not np.any(mu) else mu)
         elif self.kind == CAUCHY:
             scale = 1.0 if self.scale is None else float(self.scale)
             if not (scale > 0.0):
@@ -245,19 +261,32 @@ def run_keys(master_seed: int, m: int) -> np.ndarray:
     return keys
 
 
-def _correlate(z: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """``z @ F.T`` for a (runs, k, n) block of steps ``c0 + 1 ..``, ``c0`` a multiple of 4.
+# BLAS picks its kernels by the shape of a call, so the bytes of one row (or
+# column) of a product depend on how many rows (columns) share the call. Two
+# fixed shapes keep a run's bytes independent of the chunk size and the
+# ensemble width: ``_correlate`` multiplies ``STEP_GROUP`` steps of one run
+# at a time, and the engine's state block ``X`` in ``M @ X`` always has
+# ``padded_width(m)`` columns, the runs followed by zero-noise pad columns.
+STEP_GROUP = 4
+WIDTH_PAD = 8
 
-    BLAS picks its kernels by the number of rows in a call, so one row's
-    bytes would depend on how many rows share the call. Every product here
-    covers the four steps ``4j + 1 .. 4j + 4`` of one run (only a horizon's
-    last ``T % 4`` steps share a shorter call), so a row's bytes depend on
-    neither the chunk size nor the ensemble width.
+
+def padded_width(m: int) -> int:
+    """Columns of the engine's state block for ``m`` runs: the least multiple of ``WIDTH_PAD`` >= max(m, 1)."""
+    return max(1, -(-m // WIDTH_PAD)) * WIDTH_PAD
+
+
+def _correlate(z: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """``z @ F.T`` for a (runs, k, n) block of steps ``c0 + 1 ..``, ``c0`` a multiple of ``STEP_GROUP``.
+
+    Every product here covers the steps ``4j + 1 .. 4j + 4`` of one run
+    (only a horizon's last ``T % 4`` steps share a shorter call), so a row's
+    bytes depend on neither the chunk size nor the ensemble width.
     """
     runs, k, n = z.shape
-    q = k - k % 4
+    q = k - k % STEP_GROUP
     out = np.empty_like(z)
-    out[:, :q] = (z[:, :q].reshape(runs, q // 4, 4, n) @ F.T).reshape(runs, q, n)
+    out[:, :q] = (z[:, :q].reshape(runs, q // STEP_GROUP, STEP_GROUP, n) @ F.T).reshape(runs, q, n)
     out[:, q:] = z[:, q:] @ F.T
     return out
 
@@ -278,11 +307,13 @@ def _transform(spec: NoiseSpec, u: np.ndarray, ts: np.ndarray) -> np.ndarray:
     if spec.kind == GAUSSIAN:
         np.clip(u, _U_FLOOR, None, out=u)
         ndtri(u, out=u)
-        if spec._factor.ndim == 1:
-            u *= spec._factor
-        else:
-            u[...] = _correlate(u, spec._factor)
-        u += spec.mu
+        if spec._factor is not None:
+            if spec._factor.ndim == 1:
+                u *= spec._factor
+            else:
+                u[...] = _correlate(u, spec._factor)
+        if spec._shift is not None:
+            u += spec._shift
     elif spec.kind == RADEMACHER:
         u -= 0.5  # exact, and nonnegative exactly where u >= 1/2
         np.copysign(1.0, u, out=u)
@@ -347,40 +378,60 @@ def sample_noise_block(spec: NoiseSpec, T: int, stream: Optional[np.random.Gener
     return _rows(spec, np.arange(1, T + 1), stream)
 
 
-# Most noise values one engine chunk holds (steps * runs * n): 8 MiB of doubles.
+# Most noise values one engine chunk holds (steps * padded width * n): 8 MiB of doubles.
 CHUNK_VALUES = 2**20
+# Most values of the step-major stage of four steps (see ``NoiseChunks``): 512 KiB.
+STAGE_VALUES = 2**16
 
 
 class NoiseChunks:
     """Disturbances of steps 1..T for runs 0..m-1, drawn chunk by chunk.
 
-    Iterating yields one array per step, broadcastable against an (n, m)
-    block of states: an (n, m) view for the random kinds, an (n, 1) column
-    shared by every run otherwise. A view is valid until the next one is
-    taken, because the chunk buffer is refilled in place.
+    Iterating yields one array per step, broadcastable against an (n,
+    padded_width(m)) block of states: an (n, padded_width(m)) array for the
+    random kinds, whose columns past ``m`` are zero, and an (n, 1) column
+    shared by every run otherwise. An array is valid until the next one is
+    taken, because the buffers are refilled in place.
 
     Random kinds hold ``chunk_steps`` steps of every run in one run-major
-    (m, k, n) buffer, ``k`` a multiple of 4 with ``k * n * m`` at most
-    ``CHUNK_VALUES`` (4 when even that is too many values). The runs'
-    Philox keys come from one vectorised ``SeedSequence`` hash over all
-    runs (``run_keys``, checked against numpy at run 0). Run ``r``'s rows
-    come from its own key, set on one reused generator with the counter at
-    the chunk's first uniform (see the module docstring), and equal
-    ``sample_noise_block(spec, T, substream(master_seed, r))`` bit for bit. Deterministic kinds compute
-    their rows chunk by chunk and share them between runs.
+    (width, k, n) buffer, ``k * n`` a multiple of 4 so that every chunk
+    starts on a whole Philox block (``k`` a multiple of ``STEP_GROUP`` for a
+    dense covariance factor), with ``k * n * width`` at most
+    ``CHUNK_VALUES`` (the smallest such ``k`` when even that is too many
+    values). The runs' Philox keys come from one vectorised
+    ``SeedSequence`` hash over all runs (``run_keys``, checked against numpy
+    at run 0). Run ``r``'s rows come from its own key, set on one reused
+    generator with the counter at the chunk's first uniform (see the module
+    docstring), and equal ``sample_noise_block(spec, T, substream(master_seed,
+    r))`` bit for bit. When ``n < 8`` (a run's row is shorter than a cache
+    line) and four steps of every run fit in ``STAGE_VALUES``, every four
+    steps are copied into a step-major (4, n, width) stage and the steps
+    are yielded from it contiguously; otherwise they are strided views of
+    the chunk. Deterministic kinds compute their rows chunk by chunk and
+    share them between runs.
 
-    ``uniforms_drawn`` and ``buffer_bytes_peak`` count what the iteration
-    did; the engine reports them.
+    ``uniforms_drawn`` and ``buffer_bytes_peak`` (chunk plus stage) count
+    what the iteration did, and ``fill_s`` and ``transform_s`` time its
+    Philox draws and its transform; the engine reports them.
     """
 
     def __init__(self, spec: NoiseSpec, T: int, m: int, master_seed: int):
         self.spec = spec
         self.T = T
+        n = spec.n
         self.runs = m if spec.is_random else 1
-        self._k = max(4, CHUNK_VALUES // (self.runs * spec.n) // 4 * 4)
+        self.width = padded_width(m) if spec.is_random else 1
+        dense = spec.kind == GAUSSIAN and spec._factor is not None and spec._factor.ndim == 2
+        align = STEP_GROUP if dense else 4 // math.gcd(n, 4)
+        self._k = max(align, CHUNK_VALUES // (self.width * n) // align * align)
         self.chunk_steps = min(self._k, T)
+        staged = spec.is_random and n < 8 and 4 * n * self.width <= STAGE_VALUES
+        self._stage = np.empty((4, n, self.width)) if staged else None
+        self._copies = 2 if dense else 1  # the dense covariance product writes a second chunk-sized array
         self.uniforms_drawn = 0
         self.buffer_bytes_peak = 0
+        self.fill_s = 0.0
+        self.transform_s = 0.0
         if spec.is_random:
             self._keys = run_keys(master_seed, m)
             self._bitgen = np.random.Philox(0)
@@ -397,23 +448,40 @@ class NoiseChunks:
             self._gen.random(out=block[r])
         self.uniforms_drawn += block.size
 
-    def __iter__(self):
-        spec, n, k = self.spec, self.spec.n, self._k
-        buf = np.empty(self.runs * self.chunk_steps * n) if spec.is_random else None
-        for c0 in range(0, self.T, k):
-            kk = min(k, self.T - c0)
+    def _chunks(self):
+        """(steps, block) per chunk: block is (width, len(steps), n), or (1, len(steps), n) shared."""
+        spec, n, m, W = self.spec, self.spec.n, self.runs, self.width
+        buf = np.empty(W * self.chunk_steps * n) if spec.is_random else None
+        for c0 in range(0, self.T, self._k):
+            kk = min(self._k, self.T - c0)
             ts = np.arange(c0 + 1, c0 + kk + 1)
+            t0 = perf_counter()
             if spec.is_random:
-                block = buf[: self.runs * kk * n].reshape(self.runs, kk, n)
-                self._fill(block, c0)
-                _transform(spec, block, ts)
+                block = buf[: W * kk * n].reshape(W, kk, n)
+                block[m:] = 0.0
+                self._fill(block[:m], c0)
+                t1 = perf_counter()
+                _transform(spec, block[:m], ts)
             else:
+                t1 = t0
                 block = _rows(spec, ts, None)[None]
-            # the dense covariance product writes a second chunk-sized array
-            copies = 2 if spec.kind == GAUSSIAN and spec._factor.ndim == 2 else 1
-            self.buffer_bytes_peak = max(self.buffer_bytes_peak, copies * block.nbytes)
-            for j in range(kk):
-                yield block[:, j, :].T
+            self.fill_s += t1 - t0
+            self.transform_s += perf_counter() - t1
+            held = self._copies * block.nbytes + (0 if self._stage is None else self._stage.nbytes)
+            self.buffer_bytes_peak = max(self.buffer_bytes_peak, held)
+            yield kk, block
+
+    def __iter__(self):
+        stage = self._stage
+        for kk, block in self._chunks():
+            if stage is None:
+                for j in range(kk):
+                    yield block[:, j, :].T
+                continue
+            for j in range(0, kk, 4):
+                rows = stage[: min(4, kk - j)]
+                rows[...] = block[:, j : j + 4, :].transpose(1, 2, 0)
+                yield from rows
 
 
 def epsilon_oscillator_sequence(T: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -365,76 +366,171 @@ class TestSimulateEnsemble:
         assert np.all(np.abs(emp_cov - v) < 5 * cov_se)
 
 
-def _contract_noise():
+def _contract_noise(n: int = 5):
     damp = lambda t: 1.0 / math.sqrt(t)  # noqa: E731
-    mu = [0.5, -1.0, 0.0, 0.25, 2.0]
-    g = np.random.default_rng(3).normal(size=(5, 5))
+    mu = np.linspace(-1.0, 2.0, n)
+    g = np.random.default_rng(3).normal(size=(n, n))
     return {
-        "gaussian_diagonal": NoiseSpec.gaussian(mu, np.diag([1.0, 2.0, 0.5, 1.5, 0.1]), time_scale=damp),
-        "gaussian_dense": NoiseSpec.gaussian(mu, g @ g.T + np.eye(5), time_scale=damp),
-        "rademacher": NoiseSpec.rademacher(5, time_scale=damp),
-        "cauchy": NoiseSpec.cauchy(5, scale=0.7, time_scale=damp),
+        "gaussian_identity": NoiseSpec.gaussian(np.zeros(n), np.eye(n)),
+        "gaussian_diagonal": NoiseSpec.gaussian(mu, np.diag(np.linspace(0.1, 2.0, n)), time_scale=damp),
+        "gaussian_dense": NoiseSpec.gaussian(mu, g @ g.T + np.eye(n), time_scale=damp),
+        "rademacher": NoiseSpec.rademacher(n, time_scale=damp),
+        "cauchy": NoiseSpec.cauchy(n, scale=0.7, time_scale=damp),
     }
+
+
+def _contract_model(family: str, n: int, noise: NoiseSpec) -> ModelSpec:
+    """One model per family at ``n`` agents, with time-varying and table schedules."""
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.1, 1.0, size=(n, n)) + 2.0 * np.eye(n)
+    a /= a.sum(axis=1, keepdims=True)
+    x0 = np.linspace(-1.5, 1.0, n)
+    d = np.diagonal(a)
+    if family == "base":
+        return ModelSpec.base(a, Table([0.8 * d] * 40, t0=1), 1.0, x0)
+    if family == "noisy":
+        return ModelSpec.noisy(a, lambda t: 0.8 * d * (1.0 - 0.5 / t), 1.0, noise, x0)
+    if family == "pure_noise":
+        return ModelSpec.pure_noise(Table([a] * 40, t0=1), 0.6 * d, noise, x0)
+    if family == "nonlinear":
+        fns = [linear_learning(0.3) if i % 2 else scaled_tanh_learning(0.4) for i in range(n)]
+        return ModelSpec.nonlinear(a, fns, x0, sigma_bar=1.0, noise=noise)
+    return ModelSpec.average(a, 0.5 * d, noise, x0)
+
+
+_FAMILY_NOISE = {
+    "base": None,
+    "noisy": "gaussian_diagonal",
+    "pure_noise": "rademacher",
+    "nonlinear": "cauchy",
+    "average": "gaussian_dense",
+}
 
 
 class TestReproducibilityContract:
     """Run r's noise and states are a pure function of (spec, T, master_seed, r).
 
-    They must not depend on the ensemble width m or on how the engine chunks
-    its noise; chunk sizes are forced through ``noise.CHUNK_VALUES``.
+    They must not depend on the ensemble width m, on how the engine chunks
+    its noise or on whether it stages it step-major; chunk sizes are forced
+    through ``noise.CHUNK_VALUES`` and the stage through ``noise.STAGE_VALUES``.
     """
 
     # one step past a multiple of 8, so 4- and 8-step chunking ends on a one-step chunk; at
     # n = 5 a plain chunk-sized ``z @ F.T`` rounds that row unlike the whole-horizon product
     T = 25
-    WIDTHS = (2, 3, 7)
-    CHUNKS = (4, 8, None)  # None: the whole horizon in one chunk
+    WIDTHS = (1, 2, 3, 7, 9)
+    REFERENCE_WIDTH = 16
 
     @staticmethod
-    def _force_chunk(monkeypatch, k, m, n):
+    def _force(monkeypatch, m, n, k=None, staged=None):
         from consensuslab import noise
 
+        w = noise.padded_width(m)
         if k is not None:
-            monkeypatch.setattr(noise, "CHUNK_VALUES", k * m * n)
+            monkeypatch.setattr(noise, "CHUNK_VALUES", k * w * n)
+        if staged is not None:
+            monkeypatch.setattr(noise, "STAGE_VALUES", 4 * n * w - (0 if staged else 1))
 
-    @pytest.mark.parametrize("kind", list(_contract_noise()))
-    def test_engine_noise_rows_are_the_run_substream_block(self, kind, monkeypatch):
-        from consensuslab.noise import NoiseChunks, sample_noise_block, substream
+    @staticmethod
+    def _chunk_sizes(spec):
+        """Chunk sizes the alignment allows: ``k * n`` a multiple of 4, ``k`` too for a dense factor."""
+        dense = spec._factor is not None and spec._factor.ndim == 2
+        align = 4 if dense else 4 // math.gcd(spec.n, 4)
+        return (align, 3 * align, None)  # None: the default, the whole horizon here
 
-        spec = _contract_noise()[kind]
+    @pytest.mark.parametrize("staged", [True, False])
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    @pytest.mark.parametrize("kind", [k for k in _contract_noise() if k != "gaussian_identity"])
+    def test_engine_noise_rows_are_the_run_substream_block(self, kind, n, staged, monkeypatch):
+        from consensuslab.noise import NoiseChunks, padded_width, sample_noise_block, substream
+
+        spec = _contract_noise(n)[kind]
         blocks = [sample_noise_block(spec, self.T, substream(41, r)) for r in range(max(self.WIDTHS))]
         for m in self.WIDTHS:
-            for k in self.CHUNKS:
-                self._force_chunk(monkeypatch, k, m, spec.n)
+            for k in self._chunk_sizes(spec):
+                self._force(monkeypatch, m, n, k, staged)
                 chunks = NoiseChunks(spec, self.T, m, 41)
                 assert chunks.chunk_steps == (self.T if k is None else k)
-                rows = np.stack([g.T.copy() for g in chunks])  # (T, m, n)
+                assert (chunks._stage is not None) == staged
+                rows = np.stack([g.T.copy() for g in chunks])  # (T, padded width, n)
+                assert rows.shape == (self.T, padded_width(m), n)
                 for r in range(m):
                     assert np.array_equal(rows[:, r], blocks[r]), (m, k, r)
-                assert chunks.uniforms_drawn == self.T * spec.n * m
+                assert not rows[:, m:].any()  # the pad runs get zero noise
+                assert chunks.uniforms_drawn == self.T * n * m
                 monkeypatch.undo()
 
-    @pytest.mark.parametrize("kind", list(_contract_noise()))
-    @pytest.mark.parametrize("family", ["noisy", "average"])
-    def test_terminal_state_ignores_width_and_chunking(self, kind, family, monkeypatch):
-        noise = _contract_noise()[kind]
-        a = np.random.default_rng(4).uniform(0.1, 1.0, size=(5, 5)) + 2.0 * np.eye(5)
-        a /= a.sum(axis=1, keepdims=True)
-        x0 = np.array([0.3, -0.2, 1.0, 0.0, -1.5])
-        if family == "noisy":
-            spec = ModelSpec.noisy(a, 0.8 * np.diagonal(a), 1.0, noise, x0)
-        else:
-            spec = ModelSpec.average(a, 0.5 * np.diagonal(a), noise, x0)
-        reference = None
+    @pytest.mark.parametrize(
+        "kind, n, forced, expected",
+        [
+            ("rademacher", 2, 2, 2),
+            ("rademacher", 2, 3, 2),
+            ("rademacher", 2, 6, 6),
+            ("gaussian_diagonal", 4, 1, 1),
+            ("cauchy", 4, 3, 3),
+            ("cauchy", 5, 3, 4),
+            ("cauchy", 5, 6, 4),
+            ("gaussian_dense", 2, 2, 4),
+            ("gaussian_dense", 2, 6, 4),
+            ("gaussian_dense", 4, 1, 4),
+        ],
+    )
+    def test_chunks_start_on_whole_philox_blocks(self, kind, n, forced, expected, monkeypatch):
+        # k * n must be a multiple of 4 (four doubles per Philox counter value), and k itself
+        # a multiple of 4 for a dense covariance factor, whose products group 4 steps
+        from consensuslab.noise import NoiseChunks
+
+        self._force(monkeypatch, 3, n, forced)
+        chunks = NoiseChunks(_contract_noise(n)[kind], self.T, 3, 41)
+        assert chunks.chunk_steps == expected and type(chunks.chunk_steps) is int
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 100])
+    @pytest.mark.parametrize("family", list(_FAMILY_NOISE))
+    def test_terminal_state_ignores_width_and_chunking(self, family, n, monkeypatch):
+        kind = _FAMILY_NOISE[family]
+        spec = _contract_model(family, n, None if kind is None else _contract_noise(n)[kind])
+        reference = simulate_ensemble(spec, self.T, self.REFERENCE_WIDTH, master_seed=8).terminal_states
         for m in self.WIDTHS:
-            for k in self.CHUNKS:
-                self._force_chunk(monkeypatch, k, m, 5)
-                ens = simulate_ensemble(spec, self.T, m, master_seed=8)
+            ens = simulate_ensemble(spec, self.T, m, master_seed=8)
+            assert np.array_equal(ens.terminal_states, reference[:m]), m
+            assert np.array_equal(ens.run0.terminal, reference[0]), m
+        for k in self._chunk_sizes(spec.noise):
+            for staged in (True, False):
+                self._force(monkeypatch, 9, n, k, staged)
+                ens = simulate_ensemble(spec, self.T, 9, master_seed=8)
                 monkeypatch.undo()
-                if reference is None:
-                    reference = ens.terminal_states[:2].copy()
-                assert np.array_equal(ens.terminal_states[:2], reference), (m, k)
-                assert np.array_equal(ens.run0.terminal, reference[0]), (m, k)
+                assert np.array_equal(ens.terminal_states, reference[:9]), (k, staged)
+
+    def test_terminal_state_ignores_the_blas_thread_count(self):
+        # OpenBLAS splits a wide product's columns between threads; with the padded width
+        # every run's column still rounds as it does on one thread
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import consensuslab
+
+        script = (
+            "import hashlib, numpy as np\n"
+            "from consensuslab import ModelSpec, NoiseSpec, simulate_ensemble\n"
+            "for n, m in ((16, 7), (100, 500)):\n"
+            "    a = np.random.default_rng(4).uniform(0.1, 1.0, size=(n, n)) + 2.0 * np.eye(n)\n"
+            "    a /= a.sum(axis=1, keepdims=True)\n"
+            "    noise = NoiseSpec.gaussian(np.zeros(n), np.eye(n))\n"
+            "    spec = ModelSpec.average(a, 0.5 * np.diagonal(a), noise, np.zeros(n))\n"
+            "    x = simulate_ensemble(spec, 8, m, master_seed=11).terminal_states\n"
+            "    print(hashlib.sha256(x.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(consensuslab.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]
 
 
 def test_noise_memory_is_bounded_by_a_chunk():

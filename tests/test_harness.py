@@ -176,9 +176,10 @@ class TestRunScenario:
         del model["sigma_bar"]
         doc = dict(MINIMAL, model=model, horizon=30, ensemble=5)
         summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
+        # one 30-step chunk and one 4-step stage, both 8 runs wide (5 runs and 3 zero-noise pad runs)
         assert summary.diagnostics["engine"] == {
             "runs": 5, "steps": 30, "uniforms_drawn": 30 * 2 * 5, "chunk_steps": 30,
-            "noise_buffer_bytes_peak": 8 * 30 * 2 * 5,
+            "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 4 * 2 * 8,
         }
         with open(tmp_path / "summary.json") as fh:
             assert json.load(fh)["diagnostics"]["engine"] == summary.diagnostics["engine"]
@@ -267,6 +268,23 @@ class TestRunScenario:
         with open(tmp_path / "ensemble.csv", newline="") as fh:
             row0 = list(csv.reader(fh))[1]
         assert last[1:len(row0)] == row0[1:]
+
+    def test_timing_splits_the_run_into_phases(self, tmp_path):
+        noise = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
+        doc = dict(MINIMAL, model=model, horizon=40, ensemble=30, analyses=[{"name": "moments"}])
+        timing = run_scenario(load_scenario(doc), out_dir=tmp_path).timing
+        assert set(timing) == {"checks_s", "engine", "analyses_s", "write_s", "total_s"}
+        assert set(timing["engine"]) == {"fill_s", "transform_s", "step_s", "observe_s"}
+        assert all(v > 0 for v in timing["engine"].values())
+        phases = timing["checks_s"] + sum(timing["engine"].values()) + timing["analyses_s"] + timing["write_s"]
+        assert 0 < phases <= timing["total_s"]
+        validate_summary(json.loads((tmp_path / "summary.json").read_text()))
+
+    def test_timing_without_a_model_has_an_idle_engine(self, tmp_path):
+        timing = run_scenario(load_catalog_scenario("rho-harmonic"), out_dir=tmp_path).timing
+        assert timing["engine"] == {"fill_s": 0.0, "transform_s": 0.0, "step_s": 0.0, "observe_s": 0.0}
+        validate_summary(json.loads((tmp_path / "summary.json").read_text()))
 
     def test_nonfinite_states_fail_loudly(self, tmp_path):
         path = resources.files("consensuslab") / "catalog" / "base-3agent.json"

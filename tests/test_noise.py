@@ -11,7 +11,7 @@ from consensuslab import (
     simulate_ensemble,
     substream,
 )
-from consensuslab.noise import NoiseChunks, run_keys
+from consensuslab.noise import NoiseChunks, _transform, run_keys
 
 
 class TestNoiseSpecValidation:
@@ -180,6 +180,80 @@ class TestSampling:
     def test_random_kinds_need_a_stream(self):
         with pytest.raises(ValueError, match="stream"):
             sample_noise(NoiseSpec.rademacher(1), 1, None)
+
+
+class TestGaussianTransform:
+    """``_transform`` equals the explicit ``ndtri(clip(u)) * diag(F) + mu``, signed zeros included.
+
+    The transform skips multiplying by a unit diagonal and adding a zero
+    mean; both skips must leave every byte as the explicit formula has it.
+    """
+
+    @staticmethod
+    def _uniforms():
+        u = np.random.default_rng(6).random((3, 5, 4))
+        u[0, 0] = 0.5  # ndtri(1/2) = +0.0
+        u[1, 2, 1] = 0.0  # clipped below at 2**-54
+        u[2, 4, 3] = 0.5 - 2.0**-54
+        return u
+
+    @pytest.mark.parametrize("diag", [[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 0.5, 1.5]], ids=["unit", "non_unit"])
+    @pytest.mark.parametrize("mu", [[0.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0], [0.5, -1.0, 0.0, 3.0]],
+                             ids=["zero", "signed_zero", "nonzero"])
+    def test_matches_the_explicit_formula(self, diag, mu):
+        from scipy.special import ndtri
+
+        u = self._uniforms()
+        spec = NoiseSpec.gaussian(mu, np.diag(np.square(diag)))
+        expected = ndtri(np.clip(u, 2.0**-54, None)) * np.array(diag) + np.array(mu)
+        got = _transform(spec, u.copy(), np.arange(1, 6))
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_no_ops_are_decided_once(self):
+        unit = NoiseSpec.gaussian(np.zeros(3), np.eye(3))
+        assert unit._factor is None and unit._shift is None
+        scaled = NoiseSpec.gaussian(np.zeros(3), np.diag([1.0, 4.0, 9.0]))
+        assert np.array_equal(scaled._factor, [1.0, 2.0, 3.0]) and scaled._shift is None
+        shifted = NoiseSpec.gaussian([0.0, 1.0, 0.0], np.eye(3))
+        assert shifted._factor is None and np.array_equal(shifted._shift, [0.0, 1.0, 0.0])
+        # a dense product may round a zero row to -0.0, which adding +0.0 turns to +0.0
+        dense = NoiseSpec.gaussian(np.zeros(2), [[2.0, 0.5], [0.5, 1.0]])
+        assert dense._factor.ndim == 2 and dense._shift is not None
+
+
+class TestNoiseChunks:
+    def test_many_short_runs_take_ten_step_chunks(self):
+        # n = 2: k only needs k * n to be a multiple of 4, so k = 10 fits 8 MiB at m = 50000
+        chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(2), np.eye(2)), 20, 50_000, 5)
+        assert chunks.chunk_steps == 10 and type(chunks.chunk_steps) is int
+        assert chunks.width == 50_000 and chunks._stage is None  # four steps exceed STAGE_VALUES
+
+    def test_chunk_steps_is_a_python_int(self):
+        spec = ModelSpec.average(np.full((2, 2), 0.5), [0.3, 0.3], NoiseSpec.rademacher(2), np.zeros(2))
+        ens = simulate_ensemble(spec, 30, 5, 3)
+        assert type(ens.engine["chunk_steps"]) is int
+
+    @pytest.mark.parametrize("n, staged", [(2, True), (7, True), (8, False), (16, False)])
+    def test_buffer_peak_counts_the_chunk_and_the_stage(self, n, staged):
+        chunks = NoiseChunks(NoiseSpec.cauchy(n), 12, 5, 9)
+        list(chunks)
+        chunk = 8 * 12 * n * 8  # 5 runs padded to 8
+        assert (chunks._stage is not None) == staged
+        assert chunks.buffer_bytes_peak == chunk + (8 * 4 * n * 8 if staged else 0)
+
+    def test_stage_is_bounded(self):
+        from consensuslab import noise
+
+        n = 2
+        wide = noise.STAGE_VALUES // (4 * n)  # a multiple of 8: the stage holds exactly four steps
+        assert NoiseChunks(NoiseSpec.rademacher(n), 8, wide, 1)._stage.size == noise.STAGE_VALUES
+        assert NoiseChunks(NoiseSpec.rademacher(n), 8, wide + 1, 1)._stage is None
+
+    def test_timings_are_recorded(self):
+        chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(3), np.eye(3)), 40, 20, 2)
+        list(chunks)
+        assert chunks.fill_s > 0 and chunks.transform_s > 0
 
 
 class TestEpsilonOscillator:
