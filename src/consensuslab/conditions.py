@@ -48,6 +48,8 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()
         return _sanitize(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         x = float(obj)

@@ -491,17 +491,12 @@ def _run_engine(
     noise = repeat(None) if spec.family is ModelFamily.BASE else iter(chunks)
 
     states = np.empty((T + 1, n))
-    err = np.full(T + 1, np.nan)
-    osc = np.empty(T + 1)
     rho = np.full(T + 1, np.nan)
     mean_err = np.empty(T + 1) if track_mean_err else None
     snaps: dict[int, np.ndarray] = {}
 
     def observe(t: int):
-        x = states[t] = X[:, 0]
-        if sbar is not None:
-            err[t] = float(np.abs(x - sbar).max())
-        osc[t] = float(x.max() - x.min())
+        states[t] = X[:, 0]
         if track_mean_err:
             mean_err[t] = float(np.abs(X[:, :m] - sbar).max(axis=0).mean())
         if t in snapset:
@@ -521,6 +516,10 @@ def _run_engine(
         observe(t)
         observe_s += clock() - observed
 
+    observed = clock()
+    err = np.abs(states - sbar).max(axis=1) if sbar is not None else np.full(T + 1, np.nan)
+    osc = states.max(axis=1) - states.min(axis=1)
+    observe_s += clock() - observed
     run0 = Trajectory(states=states, err_inf=err, osc=osc, rho=rho, sigma_bar=sbar)
     engine = {
         "runs": m,

@@ -10,8 +10,8 @@ scenario plus its master seed, so re-running reproduces the CSV bytes.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -405,7 +405,7 @@ def _ens_points(ctx: RunContext, params: dict) -> np.ndarray:
 
 def _an_moments(ctx: RunContext, params: dict) -> dict:
     mean, cov = st.empirical_moments(_ens_points(ctx, params))
-    return {"mean": mean.tolist(), "cov": cov.tolist()}
+    return {"mean": mean, "cov": cov}
 
 
 def _an_ks(ctx: RunContext, params: dict) -> dict:
@@ -482,8 +482,8 @@ def _an_clt_check(ctx: RunContext, params: dict) -> dict:
     score_tol = float(params.get("score_tol", 0.05))
     return {
         "product_converged": bool(converged),
-        "target_cov": target.covariance.tolist(),
-        "empirical_cov": emp.tolist(),
+        "target_cov": target.covariance,
+        "empirical_cov": emp,
         "max_rel_err": float(rel.max()),
         "rel_tol": rel_tol,
         "rank_one_score": score,
@@ -510,7 +510,7 @@ def _an_product_limit(ctx: RunContext, params: dict) -> dict:
     pair = 2.0 * dobrushin(c.entries)
     return {
         "converged": bool(converged),
-        "nu": nu.tolist(),
+        "nu": nu,
         "stationarity_residual": residual,
         "max_row_pair_l1": pair,
     }
@@ -587,40 +587,40 @@ def validate_summary(doc: dict) -> None:
     jsonschema.Draft7Validator(_SUMMARY_SCHEMA).validate(doc)
 
 
-# Most values handed to ``csv.writer.writerows`` at once. ``csv`` writes a
-# Python float as its ``repr``; bounding the slice keeps the ``tolist``
-# copies small at any width or run count.
+# Most values formatted at once. Each slice of rows is stacked, converted
+# with one ``tolist`` and written with one ``%`` of a repeated row template,
+# so memory stays small at any width or run count.
 _CSV_SLICE_VALUES = 2**10
 
 
-def _slices(rows: int, width: int):
-    step = max(1, _CSV_SLICE_VALUES // width)
-    return (slice(a, min(a + step, rows)) for a in range(0, rows, step))
+def _write_csv(path: Path, header: list, first: int, columns: tuple) -> None:
+    """Write ``header``, then per row its index (counted from ``first``) and ``columns``.
+
+    Floats are written as their ``repr`` and lines end in ``\r\n``, byte for
+    byte what ``csv.writer`` writes.
+    """
+    rows, step = columns[0].shape[0], max(1, _CSV_SLICE_VALUES // len(header))
+    row = "%d" + ",%r" * (len(header) - 1) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, rows, step):
+            b = min(a + step, rows)
+            block = np.column_stack([np.arange(first + a, first + b), *(c[a:b] for c in columns)])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    """Columns: t, one per component, then err_inf and osc."""
+    """Columns: t, one per component, then err_inf and osc; terminal-only: one row, at t = horizon."""
     rows, n = traj.states.shape
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"component_{j}" for j in range(n)] + ["err_inf", "osc"])
-        for s in _slices(rows, n + 3):
-            w.writerows(
-                [t, *x, e, o]
-                for t, x, e, o in zip(range(s.start, s.stop), traj.states[s].tolist(),
-                                      traj.err_inf[s].tolist(), traj.osc[s].tolist())
-            )
+    first = traj.horizon + 1 - rows
+    header = ["t"] + [f"component_{j}" for j in range(n)] + ["err_inf", "osc"]
+    _write_csv(path, header, first, (traj.states, traj.err_inf[first:], traj.osc[first:]))
 
 
 def write_ensemble_csv(path: Path, ens: EnsembleSample) -> None:
     """Columns: run, one per component; one row per run, terminal states."""
-    pts = ens.terminal_states
-    rows, n = pts.shape
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run"] + [f"component_{j}" for j in range(n)])
-        for s in _slices(rows, n + 1):
-            w.writerows([r, *x] for r, x in zip(range(s.start, s.stop), pts[s].tolist()))
+    n = ens.terminal_states.shape[1]
+    _write_csv(path, ["run"] + [f"component_{j}" for j in range(n)], 0, (ens.terminal_states,))
 
 
 def _execute(
@@ -669,6 +669,7 @@ def _execute(
     trajectory = None
     ens = None
     diagnostics: dict = {}
+    engine_s = dict.fromkeys(("fill_s", "transform_s", "step_s", "observe_s"), 0.0)
     if scenario.model is not None:
         drift_times: set[int] = set(scenario.snapshot_times)
         track_err = False
@@ -694,8 +695,10 @@ def _execute(
             rho = trajectory.rho[1:]
             diagnostics["dobrushin_zero_steps"] = int(np.sum(rho <= 1e-12))
             diagnostics["rho_max"] = float(np.nanmax(rho)) if rho.size else None
+        # the engine's set-up, the sample copy and the diagnostics count as stepping
+        engine_s = dict(ens.timing)
+        engine_s["step_s"] = clock() - checked - (engine_s["fill_s"] + engine_s["transform_s"] + engine_s["observe_s"])
 
-    simulated = clock()
     ctx = RunContext(scenario=scenario, trajectory=trajectory, ensemble=ens)
     analysis_rows: dict = {}
     for item in scenario.analyses:
@@ -720,24 +723,24 @@ def _execute(
         p = target_dir / "ensemble.csv"
         write_ensemble_csv(p, ens)
         outputs["ensemble_csv"] = str(p)
-    written = clock()
-    engine_s = ens.timing if ens is not None else dict.fromkeys(("fill_s", "transform_s", "step_s", "observe_s"), 0.0)
+    analysis_rows, diagnostics = cond._sanitize(analysis_rows), cond._sanitize(diagnostics)
 
+    # The phases share clock boundaries, so they add up to total_s: write_s
+    # is the rest, the CSV files plus sanitising and building the summary.
+    timing = {"checks_s": checked - t0, "engine": engine_s}
+    timing["analyses_s"] = analysed - checked - sum(engine_s.values())
+    total = clock() - t0
+    timing["write_s"] = total - (timing["checks_s"] + sum(engine_s.values()) + timing["analyses_s"])
+    timing["total_s"] = total
     summary = RunSummary(
         scenario_id=scenario.scenario_id,
         master_seed=seed,
         horizon=T,
         ensemble=m,
         checks=check_rows,
-        analyses=cond._sanitize(analysis_rows),
-        diagnostics=cond._sanitize(diagnostics),
-        timing={
-            "checks_s": checked - t0,
-            "engine": engine_s,
-            "analyses_s": analysed - simulated,
-            "write_s": written - analysed,
-            "total_s": clock() - t0,
-        },
+        analyses=analysis_rows,
+        diagnostics=diagnostics,
+        timing=timing,
         seed_provenance={
             "master_seed": seed,
             "stream": "philox(seed_sequence(master_seed, spawn_key=(run,)))",
@@ -815,11 +818,12 @@ def _get(summary: RunSummary, name: str) -> dict:
     return summary.analyses.get(name, {})
 
 
+def _check_row(summary: RunSummary, name: str) -> dict:
+    return next((row for row in summary.checks if row.get("name") == name), {})
+
+
 def _check_ok(summary: RunSummary, name: str) -> bool:
-    for row in summary.checks:
-        if row.get("name") == name:
-            return bool(row.get("satisfied"))
-    return False
+    return bool(_check_row(summary, name).get("satisfied"))
 
 
 def _pred_base_3agent(summary, ctx):
@@ -836,27 +840,21 @@ def _pred_base_3agent(summary, ctx):
 
 
 def _pred_rho_harmonic(summary, ctx):
-    for row in summary.checks:
-        if row.get("name") == "product_to_zero":
-            w = row["witness"]
-            T = w["T"]
-            exact = abs(w["partial_product"] * (T + 1) - 1.0) < 1e-10
-            return bool(row["satisfied"] and exact), f"partial={w['partial_product']:g}, exact={exact}"
-    return False, "missing check"
+    w = _check_row(summary, "product_to_zero").get("witness")
+    if w is None:
+        return False, "missing check"
+    exact = abs(w["partial_product"] * (w["T"] + 1) - 1.0) < 1e-10
+    return _check_ok(summary, "product_to_zero") and exact, f"partial={w['partial_product']:g}, exact={exact}"
 
 
 def _pred_rho_exp(summary, ctx):
-    import math
-
-    for row in summary.checks:
-        if row.get("name") == "product_to_zero":
-            w = row["witness"]
-            limit = math.exp(-(math.pi**2) / 6.0)
-            close = abs(w["partial_product"] - limit) < 1e-4
-            return bool((not row["satisfied"]) and close), (
-                f"partial={w['partial_product']:.6f}, limit={limit:.6f}, stalled={not row['satisfied']}"
-            )
-    return False, "missing check"
+    w = _check_row(summary, "product_to_zero").get("witness")
+    if w is None:
+        return False, "missing check"
+    limit = math.exp(-(math.pi**2) / 6.0)
+    close = abs(w["partial_product"] - limit) < 1e-4
+    stalled = not _check_ok(summary, "product_to_zero")
+    return stalled and close, f"partial={w['partial_product']:.6f}, limit={limit:.6f}, stalled={stalled}"
 
 
 def _pred_noisy_decay(summary, ctx):

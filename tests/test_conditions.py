@@ -276,3 +276,21 @@ class TestNonlinearRho:
     def test_requires_declared_bounds(self, trust3):
         with pytest.raises(InconsistentDeclarationError):
             nonlinear_rho(scaled_sign_learning(0.4), trust3)
+
+
+class TestSanitize:
+    def test_finite_float_array_is_its_plain_list(self):
+        from consensuslab.conditions import _sanitize
+
+        cov = np.random.default_rng(0).normal(size=(4, 4))
+        got = _sanitize({"cov": cov, "n": np.int64(4), "ok": np.bool_(True)})
+        assert got == {"cov": cov.tolist(), "n": 4, "ok": True}
+        assert type(got["cov"][0][0]) is float
+
+    def test_non_finite_values_become_none(self):
+        from consensuslab.conditions import _sanitize
+
+        got = _sanitize(np.array([[1.0, np.nan], [-np.inf, np.float32(2.5)]]))
+        assert got == [[1.0, None], [None, 2.5]]
+        assert _sanitize(np.array([1, 2])) == [1, 2]
+        json.dumps(_sanitize([np.float64(np.inf), (np.array([0.5]),)]), allow_nan=False)

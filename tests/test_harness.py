@@ -197,33 +197,55 @@ class TestRunScenario:
             got = np.array([float(v) for v in row[1:3]])
             assert np.array_equal(got, traj.states[t])
 
-    def test_csv_bytes_equal_the_per_value_repr_writer(self, tmp_path):
+    @staticmethod
+    def _repr_reference(path, header, rows, first=0):
+        # the per-row csv.writer that formats each value with repr
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for i, values in enumerate(rows, first):
+                w.writerow([i] + [repr(float(v)) for v in values])
+
+    @pytest.mark.parametrize("rows, n", [
+        (5000, 3),  # many slices, the last one partial
+        (1000, 1),  # one component
+        (3, harness._CSV_SLICE_VALUES + 5),  # one row is wider than a slice
+    ])
+    def test_csv_bytes_equal_the_per_value_repr_writer(self, tmp_path, rows, n):
         special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 1e-4]
-        assert 5000 * (1 + 3) > harness._CSV_SLICE_VALUES  # both files span more than one slice
-        pts = np.random.default_rng(3).normal(size=(5000, 3)) * 10.0 ** np.arange(-3, 3, 2)
+        for width in (n + 1, n + 3):  # ensemble and trajectory rows
+            step = max(1, harness._CSV_SLICE_VALUES // width)
+            assert rows > step and (step == 1 or rows % step)  # several slices, the last one partial
+        pts = np.random.default_rng(3).normal(size=(rows, n)) * 10.0 ** np.resize(np.arange(-3, 3, 2), n)
         pts.flat[: len(special)] = special
         pts.flat[-len(special):] = special
-        err, osc = pts[:, 0] * 2.0, pts[::-1, 2].copy()
-        traj = Trajectory(states=pts, err_inf=err, osc=osc, rho=np.full(5000, np.nan), sigma_bar=None)
-        ens = EnsembleSample(terminal_states=pts, t_final=4999, master_seed=0, run0=traj, engine={})
+        err, osc = pts[:, 0] * 2.0, pts[::-1, -1].copy()
+        traj = Trajectory(states=pts, err_inf=err, osc=osc, rho=np.full(rows, np.nan), sigma_bar=None)
+        ens = EnsembleSample(terminal_states=pts, t_final=rows - 1, master_seed=0, run0=traj, engine={})
 
-        def reference(path, header, rows):  # the per-row writer that formats each value with repr
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(header)
-                for i, values in enumerate(rows):
-                    w.writerow([i] + [repr(float(v)) for v in values])
-
-        comps = [f"component_{j}" for j in range(3)]
+        comps = [f"component_{j}" for j in range(n)]
         write_ensemble_csv(tmp_path / "e.csv", ens)
-        reference(tmp_path / "e_ref.csv", ["run"] + comps, pts)
+        self._repr_reference(tmp_path / "e_ref.csv", ["run"] + comps, pts)
         write_trajectory_csv(tmp_path / "t.csv", traj)
-        reference(tmp_path / "t_ref.csv", ["t"] + comps + ["err_inf", "osc"],
-                  [list(x) + [e, o] for x, e, o in zip(pts, err, osc)])
+        self._repr_reference(tmp_path / "t_ref.csv", ["t"] + comps + ["err_inf", "osc"],
+                             [list(x) + [e, o] for x, e, o in zip(pts, err, osc)])
         for name in ("e", "t"):
             got = (tmp_path / f"{name}.csv").read_bytes()
             assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
-            assert got.count(b"\n") == 5001
+            assert got.count(b"\n") == rows + 1
+
+    def test_terminal_only_trajectory_csv_is_the_row_at_the_horizon(self, tmp_path):
+        s = load_catalog_scenario("base-3agent")
+        full = simulate(s.model, 200, seed=0)
+        lean = simulate(s.model, 200, seed=0, keep_states=False)
+        write_trajectory_csv(tmp_path / "t.csv", lean)
+        header = ["t"] + [f"component_{j}" for j in range(3)] + ["err_inf", "osc"]
+        last = [list(full.states[-1]) + [full.err_inf[-1], full.osc[-1]]]
+        self._repr_reference(tmp_path / "t_ref.csv", header, last, first=200)
+        got = (tmp_path / "t.csv").read_bytes()
+        assert got == (tmp_path / "t_ref.csv").read_bytes()
+        row = got.decode().splitlines()[1].split(",")
+        assert row[0] == "200" and float(row[-2]) < 1e-12  # not the initial error of 1.0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         s = load_catalog_scenario("signum-periodic")
@@ -280,6 +302,14 @@ class TestRunScenario:
         phases = timing["checks_s"] + sum(timing["engine"].values()) + timing["analyses_s"] + timing["write_s"]
         assert 0 < phases <= timing["total_s"]
         validate_summary(json.loads((tmp_path / "summary.json").read_text()))
+
+    @pytest.mark.parametrize("case_id", ["signum-periodic", "average-consensus"])
+    def test_timing_phases_add_up_to_the_total(self, case_id, tmp_path):
+        timing = run_scenario(load_catalog_scenario(case_id), out_dir=tmp_path).timing
+        phases = timing["checks_s"] + sum(timing["engine"].values()) + timing["analyses_s"] + timing["write_s"]
+        assert all(v >= 0 for v in timing["engine"].values())
+        assert timing["analyses_s"] >= 0 and timing["write_s"] > 0
+        assert abs(phases - timing["total_s"]) <= 0.02 * timing["total_s"]
 
     def test_timing_without_a_model_has_an_idle_engine(self, tmp_path):
         timing = run_scenario(load_catalog_scenario("rho-harmonic"), out_dir=tmp_path).timing
