@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
@@ -415,24 +416,47 @@ def _query_eps(sched, t: int, n: int) -> np.ndarray:
     return e
 
 
-def _step_matrix(spec: ModelSpec, a: np.ndarray, e) -> np.ndarray:
-    """``M`` of a step: the averaging map of ``(a, e)`` for the average family, else ``a``."""
-    return averaging_map(a, e).entries if spec.family is ModelFamily.AVERAGE else a
+def _schedule(spec: ModelSpec, T: int):
+    """Yield each step's ``(a_t, e_t, M_t, rho_t)`` for t = 1..T, validating every query.
 
-
-def _step_rho(spec: ModelSpec, M: np.ndarray, e) -> float:
-    """Contraction figure of one step with step matrix ``M`` and rates ``e``.
-
-    The Dobrushin coefficient of ``M`` for the average family, the
-    worst-case nonlinear figure for learning functions (raising
-    ``InconsistentDeclarationError`` when a derivative range is not
-    declared), and the contraction factor of ``(M, e)`` otherwise.
+    ``e_t`` is None for the nonlinear family. ``M_t`` is the averaging map
+    of ``(a_t, e_t)`` for the average family and ``a_t`` otherwise;
+    ``rho_t`` is its Dobrushin coefficient, the worst-case nonlinear figure
+    (NaN where a learning function declares no derivative range) or the
+    contraction factor of ``(a_t, e_t)``. Constant schedules are queried once.
     """
-    if spec.family is ModelFamily.AVERAGE:
-        return dobrushin(M)
-    if spec.family is ModelFamily.NONLINEAR:
-        return nonlinear_rho(spec.learning_fn, M)
-    return contraction_factor(M, e)
+    a_const = isinstance(spec.schedule_A, Constant)
+    e_const = spec.schedule_E is None or isinstance(spec.schedule_E, Constant)
+    e = None
+    for t in range(1, T + 1):
+        if t == 1 or not a_const:
+            a = _query_matrix(spec.schedule_A, t)
+        if spec.schedule_E is not None and (t == 1 or not e_const):
+            e = _query_eps(spec.schedule_E, t, spec.n)
+        M, rho = a, np.nan
+        if spec.family is ModelFamily.AVERAGE:
+            M = averaging_map(a, e).entries
+            rho = dobrushin(M)
+        elif spec.family is not ModelFamily.NONLINEAR:
+            rho = contraction_factor(a, e)
+        else:
+            with suppress(InconsistentDeclarationError):  # no declared derivative range: NaN
+                rho = nonlinear_rho(spec.learning_fn, a)
+        if a_const and e_const:
+            yield from repeat((a, e, M, rho), T)
+            return
+        yield a, e, M, rho
+
+
+def model_rho_sequence(spec: ModelSpec, T: int) -> np.ndarray:
+    """Per-step contraction figures rho_1..rho_T of a model's schedules.
+
+    Raises ``InconsistentDeclarationError`` where no figure applies.
+    """
+    rho = np.fromiter((r for *_, r in _schedule(spec, T)), dtype=float, count=T)
+    if np.isnan(rho).any():
+        raise InconsistentDeclarationError("learning function declares no derivative bounds")
+    return rho
 
 
 def _run_engine(
@@ -467,26 +491,6 @@ def _run_engine(
 
     X = np.repeat(spec.x0[:, None], padded_width(m), axis=1)
 
-    def figure(M, e) -> float:
-        try:
-            return _step_rho(spec, M, e)
-        except InconsistentDeclarationError:
-            return np.nan  # no declared derivative range, so no figure applies
-
-    # Everything that depends on the family alone is settled here, once.
-    average = spec.family is ModelFamily.AVERAGE
-    a_const = isinstance(spec.schedule_A, Constant)
-    e_const = spec.schedule_E is None or isinstance(spec.schedule_E, Constant)
-    A = eps = M = rho_const = None
-    if T > 0:
-        if a_const:
-            A = _query_matrix(spec.schedule_A, 1)
-        if spec.schedule_E is not None and e_const:
-            eps = _query_eps(spec.schedule_E, 1, n)
-        if a_const and e_const:
-            M = _step_matrix(spec, A, eps)
-            rho_const = figure(M, eps)
-
     chunks = NoiseChunks(spec.noise, T, m, master_seed)
     noise = repeat(None) if spec.family is ModelFamily.BASE else iter(chunks)
 
@@ -506,12 +510,10 @@ def _run_engine(
     observed = clock()
     observe(0)
     observe_s = clock() - observed
-    for t, g in zip(range(1, T + 1), noise):
-        a = A if a_const else _query_matrix(spec.schedule_A, t)
-        e = eps if e_const else _query_eps(spec.schedule_E, t, n)
-        Mt = M if M is not None else _step_matrix(spec, a, e)
-        X = _step(Mt, X, e, spec.learning_fn, sbar, g, average)
-        rho[t] = rho_const if rho_const is not None else figure(Mt, e)
+    average = spec.family is ModelFamily.AVERAGE
+    for t, g, (_, e, M, rho_t) in zip(range(1, T + 1), noise, _schedule(spec, T)):
+        X = _step(M, X, e, spec.learning_fn, sbar, g, average)
+        rho[t] = rho_t
         observed = clock()
         observe(t)
         observe_s += clock() - observed

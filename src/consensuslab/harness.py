@@ -29,17 +29,16 @@ from .dynamics import (
     ModelFamily,
     ModelSpec,
     Trajectory,
-    _query_eps,
-    _step_matrix,
-    _step_rho,
+    _schedule,
     linear_learning,
+    model_rho_sequence,
     scaled_sign_learning,
     scaled_tanh_learning,
     simulate,  # unused here; bench/tracing.py wraps harness.simulate by name
     simulate_ensemble,
 )
 from .errors import ScenarioFormatError
-from .matrices import averaging_map, dobrushin, entries_of, oscillation, product_limit
+from .matrices import dobrushin, oscillation, product_limit
 from .noise import NoiseSpec, epsilon_oscillator_sequence
 from .schedules import Constant, Table, rho_exp_inverse_square, rho_harmonic
 
@@ -264,16 +263,6 @@ def load_scenario(source) -> Scenario:
     )
 
 
-def model_rho_sequence(spec: ModelSpec, T: int) -> np.ndarray:
-    """Per-step contraction figures implied by a model's schedules."""
-    out = np.empty(T)
-    for t in range(1, T + 1):
-        a = entries_of(spec.schedule_A(t))
-        e = None if spec.schedule_E is None else _query_eps(spec.schedule_E, t, spec.n)
-        out[t - 1] = _step_rho(spec, _step_matrix(spec, a, e), e)
-    return out
-
-
 def _rho_from_spec(doc: dict, scenario: Scenario, T: int) -> np.ndarray:
     kind = doc.get("kind", "model")
     if kind == "model":
@@ -287,7 +276,10 @@ def _rho_from_spec(doc: dict, scenario: Scenario, T: int) -> np.ndarray:
     if kind == "constant":
         return np.full(T, float(doc["value"]))
     if kind == "table":
-        return np.asarray(doc["values"], dtype=float)[:T]
+        values = np.asarray(doc["values"], dtype=float)
+        if values.size < T:
+            raise ScenarioFormatError(f"rho table has {values.size} values, the check needs T={T}")
+        return values[:T]
     raise ScenarioFormatError(f"unknown rho kind {kind!r}; known: {_RHO_KINDS}")
 
 
@@ -296,21 +288,20 @@ def _rho_from_spec(doc: dict, scenario: Scenario, T: int) -> np.ndarray:
 
 
 def _model_at_t1(scenario: Scenario):
+    """The model and its step-1 ``(a, e, M, rho)``."""
     spec = scenario.model
     if spec is None:
         raise ScenarioFormatError("this check needs a model in the scenario")
-    a = entries_of(spec.schedule_A(1))
-    e = None if spec.schedule_E is None else _query_eps(spec.schedule_E, 1, spec.n)
-    return spec, a, e
+    return spec, *next(_schedule(spec, 1))
 
 
 def _check_base_rates(scenario: Scenario, params: dict) -> cond.ConditionReport:
-    _, a, e = _model_at_t1(scenario)
+    _, a, e, _, _ = _model_at_t1(scenario)
     return cond.check_base_rates(a, e, beta=params.get("beta"), delta=params.get("delta"))
 
 
 def _check_average_rates(scenario: Scenario, params: dict) -> cond.ConditionReport:
-    _, a, e = _model_at_t1(scenario)
+    _, a, e, _, _ = _model_at_t1(scenario)
     return cond.check_average_rates(a, e, strict=bool(params.get("strict", True)))
 
 
@@ -354,7 +345,7 @@ def _check_nonlinear_bounds(scenario: Scenario, params: dict) -> cond.ConditionR
     grid = params.get("grid")
     if grid is not None and len(grid) == 3:
         grid = np.linspace(float(grid[0]), float(grid[1]), int(grid[2]))
-    T = int(params.get("T", min(scenario.horizon, 100) or 1))
+    T = int(params.get("T", max(scenario.horizon, 1)))
     return cond.check_nonlinear_bounds(spec.learning_fn, spec.schedule_A, T, grid=grid)
 
 
@@ -459,7 +450,7 @@ def _constant_model_pieces(ctx: RunContext):
 
 
 def _an_clt_check(ctx: RunContext, params: dict) -> dict:
-    spec, a, e = _constant_model_pieces(ctx)
+    spec, _, e, b, _ = _constant_model_pieces(ctx)
     if spec.family is not ModelFamily.AVERAGE:
         raise ScenarioFormatError("clt_check applies to the average family")
     if spec.noise.kind == "gaussian":
@@ -468,7 +459,6 @@ def _an_clt_check(ctx: RunContext, params: dict) -> dict:
         sigma = np.eye(spec.n)
     else:
         raise ScenarioFormatError("clt_check needs gaussian or rademacher noise")
-    b = averaging_map(a, e)
     c, converged = product_limit(b, t_max=int(params.get("product_t_max", 4 * ctx.scenario.horizon)),
                                  rank_one_tol=float(params.get("rank_one_tol", 1e-10)))
     target = st.clt_target(c, e, sigma)
@@ -498,15 +488,14 @@ def _an_rank_one(ctx: RunContext, params: dict) -> dict:
 
 
 def _an_product_limit(ctx: RunContext, params: dict) -> dict:
-    spec, a, e = _constant_model_pieces(ctx)
+    spec, _, _, b, _ = _constant_model_pieces(ctx)
     if spec.family is not ModelFamily.AVERAGE:
         raise ScenarioFormatError("product_limit applies to the average family's update matrices")
-    b = averaging_map(a, e)
     c, converged = product_limit(
         b, t_max=int(params.get("t_max", 1000)), rank_one_tol=float(params.get("rank_one_tol", 1e-10))
     )
     nu = c.entries[0]
-    residual = float(np.max(np.abs(nu @ b.entries - nu)))
+    residual = float(np.max(np.abs(nu @ b - nu)))
     pair = 2.0 * dobrushin(c.entries)
     return {
         "converged": bool(converged),
@@ -525,6 +514,9 @@ def _an_mean_error_checkpoints(ctx: RunContext, params: dict) -> dict:
     if curve is None:
         raise ScenarioFormatError("mean-error tracking was not enabled for this run")
     times = [int(t) for t in params["times"]]
+    T = ctx.ensemble.t_final
+    if any(t < 0 or t > T for t in times):
+        raise ScenarioFormatError(f"mean-error checkpoint times must lie in 0..{T}, got {times}")
     vals = [float(curve[t]) for t in times]
     monotone = all(vals[k + 1] < vals[k] for k in range(len(vals) - 1))
     return {"times": times, "values": vals, "monotone_decreasing": monotone, "final": vals[-1]}
@@ -690,11 +682,14 @@ def _execute(
         diagnostics["first_nonfinite_step"] = int(np.argmax(bad)) if bad.any() else None
         if diagnostics["nonfinite_runs"]:
             ok = False
+        # run 0's stability: null where no figure or no target applies
+        rho = trajectory.rho[~np.isnan(trajectory.rho)]
+        diagnostics["rho_max"] = float(rho.max()) if rho.size else None
+        diagnostics["err_final"] = trajectory.err_inf[-1]
+        diagnostics["osc_final"] = trajectory.osc[-1]
         if scenario.model.family is ModelFamily.AVERAGE:
             # steps with no mixing at all (coefficient zero up to float dust)
-            rho = trajectory.rho[1:]
-            diagnostics["dobrushin_zero_steps"] = int(np.sum(rho <= 1e-12))
-            diagnostics["rho_max"] = float(np.nanmax(rho)) if rho.size else None
+            diagnostics["dobrushin_zero_steps"] = int(np.sum(trajectory.rho[1:] <= 1e-12))
         # the engine's set-up, the sample copy and the diagnostics count as stepping
         engine_s = dict(ens.timing)
         engine_s["step_s"] = clock() - checked - (engine_s["fill_s"] + engine_s["transform_s"] + engine_s["observe_s"])

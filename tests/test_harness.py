@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 
 import consensuslab.cli as cli
 from consensuslab import (
+    InconsistentDeclarationError,
     ModelSpec,
+    Table,
+    contraction_factor,
     ScenarioFormatError,
     catalog,
     load_catalog_scenario,
@@ -20,7 +24,7 @@ from consensuslab import (
     simulate,
     validate_summary,
 )
-from consensuslab import harness
+from consensuslab import dynamics, harness
 from consensuslab.dynamics import EnsembleSample, Trajectory
 from consensuslab.harness import catalog_description, write_ensemble_csv, write_trajectory_csv
 
@@ -137,11 +141,37 @@ class TestModelRho:
         rho = model_rho_sequence(s.model, 3)
         assert np.allclose(rho, 0.0)  # this averaging map is instantly rank one
 
-    def test_per_agent_nonlinear_model_matches_engine(self):
-        a = [[0.6, 0.4, 0.0], [0.2, 0.5, 0.3], [0.0, 0.3, 0.7]]
-        fs = [linear_learning(0.3), scaled_tanh_learning(0.4), linear_learning(0.5)]
-        spec = ModelSpec.nonlinear(a, fs, [1.0, -1.0, 0.5], sigma_bar=0.0)
-        assert np.array_equal(model_rho_sequence(spec, 6), simulate(spec, 6, seed=0).rho[1:])
+    @pytest.mark.parametrize("make_spec", [
+        pytest.param(lambda: load_catalog_scenario("base-3agent").model, id="base"),
+        pytest.param(lambda: load_catalog_scenario("noisy-decay").model, id="noisy_feedback"),
+        pytest.param(lambda: load_catalog_scenario("cauchy-invariant").model, id="pure_noise_feedback"),
+        pytest.param(lambda: ModelSpec.nonlinear(
+            [[0.6, 0.4, 0.0], [0.2, 0.5, 0.3], [0.0, 0.3, 0.7]],
+            [linear_learning(0.3), scaled_tanh_learning(0.4), linear_learning(0.5)],
+            [1.0, -1.0, 0.5], sigma_bar=0.0), id="nonlinear-per-agent"),
+        pytest.param(lambda: load_catalog_scenario("average-line").model, id="average"),
+        pytest.param(lambda: load_catalog_scenario("epsilon-oscillator").model, id="table-E"),
+        pytest.param(lambda: ModelSpec.base(
+            Table([[[d, 1.0 - d], [0.5, 0.5]] for d in np.linspace(0.9, 0.3, 31)]),
+            [0.4, 0.2], 1.0, [0.0, 2.0]), id="table-A"),
+    ])
+    def test_model_sequence_matches_engine(self, make_spec):
+        spec = make_spec()
+        assert np.array_equal(model_rho_sequence(spec, 30), simulate(spec, 30, seed=0).rho[1:])
+
+    def test_constant_schedules_are_evaluated_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dynamics, "contraction_factor",
+                            lambda *args: calls.append(args) or contraction_factor(*args))
+        rho = model_rho_sequence(load_catalog_scenario("noisy-decay").model, 2000)
+        assert len(calls) == 1
+        assert rho.shape == (2000,) and np.all(rho == rho[0])
+
+    def test_undeclared_learning_function_raises(self):
+        spec = load_catalog_scenario("signum-periodic").model
+        with pytest.raises(InconsistentDeclarationError):
+            model_rho_sequence(spec, 5)
+        assert np.isnan(simulate(spec, 5, seed=0).rho).all()
 
     def test_average_scalar_rate_table(self, tmp_path):
         model = dict(MINIMAL["model"], family="average", E={"kind": "table", "values": [0.3] * 4})
@@ -155,12 +185,17 @@ class TestModelRho:
 class TestRunScenario:
     def test_artifacts_and_headers(self, tmp_path):
         doc = dict(MINIMAL, horizon=20, analyses=[{"name": "consensus_time", "tol": 1e-6}])
-        summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
+        scenario = load_scenario(doc)
+        summary = run_scenario(scenario, out_dir=tmp_path)
+        traj = simulate(scenario.model, 20, seed=0)
         assert summary.ok
         assert summary.diagnostics == {
             "engine": {"runs": 1, "steps": 20, "uniforms_drawn": 0, "chunk_steps": 20, "noise_buffer_bytes_peak": 0},
             "nonfinite_runs": 0,
             "first_nonfinite_step": None,
+            "rho_max": traj.rho[1],
+            "err_final": traj.err_inf[-1],
+            "osc_final": traj.osc[-1],
         }
         with open(tmp_path / "trajectory.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -327,6 +362,47 @@ class TestRunScenario:
         assert summary.diagnostics["nonfinite_runs"] == 3
         step = summary.diagnostics["first_nonfinite_step"]
         assert isinstance(step, int) and 0 < step <= 3000
+        validate_summary(json.loads((tmp_path / "summary.json").read_text()))
+
+    def test_short_rho_table_is_an_error(self, tmp_path):
+        table = {"kind": "table", "values": [0.5, 0.5, 0.5]}
+        doc = {"schema_version": 1, "id": "short-rho", "horizon": 100, "checks": [
+            {"name": "ll1", "rho": table}, {"name": "product_to_zero", "rho": table, "T": 50}]}
+        summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
+        assert not summary.ok
+        assert [row["error"].split(":")[0] for row in summary.checks] == ["ScenarioFormatError"] * 2
+
+    def test_nonlinear_bounds_default_to_the_whole_horizon(self, tmp_path):
+        weights = [[[d, 1.0 - d], [1.0 - d, d]] for d in [0.6] * 101 + [0.1] * 100]
+        doc = {"schema_version": 1, "id": "late-drop", "horizon": 200,
+               "model": {"family": "nonlinear", "n": 2, "A": {"kind": "table", "matrices": weights},
+                         "learning_fn": {"kind": "linear", "slope": 0.3}, "sigma_bar": 1.0,
+                         "x0": [0.0, 0.5]},
+               "checks": [{"name": "nonlinear_bounds"}]}
+        row = run_scenario(load_scenario(doc), out_dir=tmp_path).checks[0]
+        assert not row["satisfied"]
+        assert row["witness"]["T"] == 200 and row["witness"]["min_diagonal"] == 0.1
+
+    @pytest.mark.parametrize("times", [[10, -1], [10, 51]])
+    def test_mean_error_checkpoints_outside_the_horizon_fail(self, tmp_path, times):
+        doc = json.loads((resources.files("consensuslab") / "catalog" / "noisy-decay.json").read_text())
+        doc.update(horizon=50, analyses=[{"name": "mean_error_checkpoints", "times": times}])
+        summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
+        assert not summary.ok
+        assert summary.analyses["mean_error_checkpoints"]["error"].startswith("ScenarioFormatError")
+
+    @pytest.mark.parametrize("case_id", ["signum-periodic", "average-consensus", "noisy-decay"])
+    def test_run0_stability_diagnostics_for_every_family(self, tmp_path, case_id):
+        s = load_catalog_scenario(case_id)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            summary, ctx = harness._execute(s, out_dir=tmp_path)
+        diag, traj = summary.diagnostics, ctx.trajectory
+        finite = traj.rho[1:][~np.isnan(traj.rho[1:])]
+        assert diag["rho_max"] == (float(finite.max()) if finite.size else None)
+        assert diag["err_final"] == (None if s.model.sigma_bar is None else float(traj.err_inf[-1]))
+        assert diag["osc_final"] == float(traj.osc[-1])
+        assert ("dobrushin_zero_steps" in diag) == (case_id == "average-consensus")
         validate_summary(json.loads((tmp_path / "summary.json").read_text()))
 
     def test_dobrushin_zero_steps_recorded_for_average(self, tmp_path):
