@@ -459,21 +459,45 @@ def model_rho_sequence(spec: ModelSpec, T: int) -> np.ndarray:
     return rho
 
 
-def _run_engine(
+def simulate(spec: ModelSpec, T: int, seed: int, keep_states: bool = True) -> Trajectory:
+    """One trajectory of length T, deterministic given (spec, T, seed).
+
+    This is run 0 of an ensemble of size one (``simulate_ensemble(spec, T,
+    1, seed).run0``), so its randomness comes from the substream ``(seed,
+    run=0)``. With ``keep_states=False`` only the terminal state is kept
+    (diagnostics are still full length).
+    """
+    run0 = simulate_ensemble(spec, T, 1, seed).run0
+    return run0 if keep_states else replace(run0, states=run0.states[-1:].copy(), full_states=False)
+
+
+def simulate_ensemble(
     spec: ModelSpec,
     T: int,
     m: int,
     master_seed: int,
-    *,
     snapshot_times: Sequence[int] = (),
     track_mean_err: bool = False,
-):
-    """Shared deterministic stepper over ``m`` runs; run 0 is recorded in full.
+) -> EnsembleSample:
+    """Terminal states of m independent runs driven by per-run substreams,
+    plus the full trajectory of run 0.
 
-    The state block has ``padded_width(m)`` columns so that ``M @ X`` rounds
-    every run's column the same way at any ``m`` (see ``noise.WIDTH_PAD``);
-    the pad columns start at ``x0``, get zero random noise and are never
-    reported.
+    Run ``r`` draws all of its noise from ``substream(master_seed, r)``, so
+    the result is a pure function of ``(spec, T, m, master_seed)`` and is
+    unaffected by batching or parallel execution. Run 0's states and
+    per-step diagnostics come from the same pass as the terminal block, so
+    ``run0.terminal`` equals ``terminal_states[0]`` bit for bit. Requested
+    ``snapshot_times`` record full (m, n) state blocks along the way.
+    Random noise is drawn in chunks of steps (see ``noise.NoiseChunks``),
+    ``k`` steps with ``k * n`` a multiple of 4, so whatever ``T`` is it holds
+    one chunk of at most ``8 * noise.CHUNK_VALUES`` bytes (8 MiB; the fewest
+    steps of every run allowed when that is more) plus, for ``n < 8``, one
+    step-major stage of four steps of at most ``8 * noise.STAGE_VALUES``
+    bytes (512 KiB). The state block, chunk and stage have ``padded_width(m)``
+    columns so that ``M @ X`` rounds every run's column the same way at any
+    ``m`` (see ``noise.WIDTH_PAD``); the pad columns start at ``x0``, get
+    zero random noise and are never reported. ``engine`` reports what the
+    pass did and ``timing`` where its time went.
     """
     start = time.perf_counter()
     if T < 0:
@@ -522,14 +546,6 @@ def _run_engine(
     err = np.abs(states - sbar).max(axis=1) if sbar is not None else np.full(T + 1, np.nan)
     osc = states.max(axis=1) - states.min(axis=1)
     observe_s += clock() - observed
-    run0 = Trajectory(states=states, err_inf=err, osc=osc, rho=rho, sigma_bar=sbar)
-    engine = {
-        "runs": m,
-        "steps": T,
-        "uniforms_drawn": chunks.uniforms_drawn,
-        "chunk_steps": chunks.chunk_steps,
-        "noise_buffer_bytes_peak": chunks.buffer_bytes_peak,
-    }
     noise_s = chunks.fill_s + chunks.transform_s
     timing = {
         "fill_s": chunks.fill_s,
@@ -537,56 +553,18 @@ def _run_engine(
         "step_s": max(0.0, clock() - start - noise_s - observe_s),
         "observe_s": observe_s,
     }
-    return X[:, :m], run0, mean_err, snaps, engine, timing
-
-
-def simulate(spec: ModelSpec, T: int, seed: int, keep_states: bool = True) -> Trajectory:
-    """One trajectory of length T, deterministic given (spec, T, seed).
-
-    This is run 0 of an ensemble of size one (``simulate_ensemble(spec, T,
-    1, seed).run0``), so its randomness comes from the substream ``(seed,
-    run=0)``. With ``keep_states=False`` only the terminal state is kept
-    (diagnostics are still full length).
-    """
-    run0 = simulate_ensemble(spec, T, 1, seed).run0
-    return run0 if keep_states else replace(run0, states=run0.states[-1:].copy(), full_states=False)
-
-
-def simulate_ensemble(
-    spec: ModelSpec,
-    T: int,
-    m: int,
-    master_seed: int,
-    snapshot_times: Sequence[int] = (),
-    track_mean_err: bool = False,
-) -> EnsembleSample:
-    """Terminal states of m independent runs driven by per-run substreams,
-    plus the full trajectory of run 0.
-
-    Run ``r`` draws all of its noise from ``substream(master_seed, r)``, so
-    the result is a pure function of ``(spec, T, m, master_seed)`` and is
-    unaffected by batching or parallel execution. Run 0's states and
-    per-step diagnostics come from the same pass as the terminal block, so
-    ``run0.terminal`` equals ``terminal_states[0]`` bit for bit. Requested
-    ``snapshot_times`` record full (m, n) state blocks along the way.
-    Random noise is drawn in chunks of steps (see ``noise.NoiseChunks``),
-    ``k`` steps with ``k * n`` a multiple of 4, so whatever ``T`` is it holds
-    one chunk of at most ``8 * noise.CHUNK_VALUES`` bytes (8 MiB; the fewest
-    steps of every run allowed when that is more) plus, for ``n < 8``, one
-    step-major stage of four steps of at most ``8 * noise.STAGE_VALUES``
-    bytes (512 KiB). Both carry ``padded_width(m) - m`` zero-noise pad runs,
-    which keep every run's bytes independent of ``m``. ``engine`` reports
-    what the pass did and ``timing`` where its time went.
-    """
-    X, run0, mean_err, snaps, engine, timing = _run_engine(
-        spec, T, m, master_seed, snapshot_times=snapshot_times, track_mean_err=track_mean_err
-    )
     return EnsembleSample(
-        terminal_states=X.T.copy(),
+        terminal_states=X[:, :m].T.copy(),
         t_final=T,
         master_seed=master_seed,
-        run0=run0,
-        engine=engine,
+        run0=Trajectory(states=states, err_inf=err, osc=osc, rho=rho, sigma_bar=sbar),
+        engine={
+            "runs": m,
+            "steps": T,
+            "uniforms_drawn": chunks.uniforms_drawn,
+            "chunk_steps": chunks.chunk_steps,
+            "noise_buffer_bytes_peak": chunks.buffer_bytes_peak,
+        },
         timing=timing,
         snapshots=snaps,
         mean_err_inf=mean_err,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -44,20 +44,6 @@ from .schedules import Constant, Table, rho_exp_inverse_square, rho_harmonic
 
 SCHEMA_VERSION = 1
 
-_KNOWN_CHECKS = ("base_rates", "average_rates", "product_to_zero", "ll1", "ll1b", "nonlinear_bounds")
-_KNOWN_ANALYSES = (
-    "consensus_time",
-    "periodicity",
-    "moments",
-    "ks",
-    "ks_best_fit_normal",
-    "drift",
-    "clt_check",
-    "rank_one",
-    "product_limit",
-    "oscillation_final",
-    "mean_error_checkpoints",
-)
 _SCHEDULE_KINDS = ("constant", "table", "epsilon_oscillator")
 _RHO_KINDS = ("model", "constant", "table", "harmonic", "exp_inverse_square")
 _TIME_SCALE_KINDS = ("constant", "inverse_t", "geometric")
@@ -206,22 +192,23 @@ def _compile_model(doc: Optional[dict], horizon: int) -> Optional[ModelSpec]:
 
 
 def load_scenario(source) -> Scenario:
-    """Parse and validate a scenario from a path, JSON text, or dict.
+    """Parse and validate a scenario from a dict, JSON text, or a path.
 
-    Schema violations surface as ``ScenarioFormatError`` carrying a JSON
-    pointer to the offending field; unknown check, analysis, or generator
-    names list the known ones.
+    A string whose first non-blank character is ``{`` is JSON text of any
+    length; any other string, or a ``Path``, names a file. Schema
+    violations surface as ``ScenarioFormatError`` carrying a JSON pointer
+    to the offending field; a missing file, unknown check, analysis, or
+    generator names raise it too, the latter listing the known ones.
     """
     if isinstance(source, dict):
         doc = source
     else:
-        p = Path(source)
-        if p.exists():
-            text = p.read_text()
-        else:
-            text = str(source)
-            if not text.lstrip().startswith("{"):
-                raise ScenarioFormatError(f"scenario file not found: {source}")
+        text = str(source)
+        if not text.lstrip().startswith("{"):
+            try:
+                text = Path(source).read_text()
+            except FileNotFoundError:
+                raise ScenarioFormatError(f"scenario file not found: {source}") from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -240,11 +227,11 @@ def load_scenario(source) -> Scenario:
     checks = [dict(c) for c in doc.get("checks", [])]
     analyses = [dict(a) for a in doc.get("analyses", [])]
     for c in checks:
-        if c["name"] not in _KNOWN_CHECKS:
-            raise ScenarioFormatError(f"unknown check {c['name']!r}; known: {_KNOWN_CHECKS}", "/checks")
+        if c["name"] not in _CHECKS:
+            raise ScenarioFormatError(f"unknown check {c['name']!r}; known: {tuple(_CHECKS)}", "/checks")
     for a in analyses:
-        if a["name"] not in _KNOWN_ANALYSES:
-            raise ScenarioFormatError(f"unknown analysis {a['name']!r}; known: {_KNOWN_ANALYSES}", "/analyses")
+        if a["name"] not in _ANALYSES:
+            raise ScenarioFormatError(f"unknown analysis {a['name']!r}; known: {tuple(_ANALYSES)}", "/analyses")
 
     model = _compile_model(doc.get("model"), horizon)
     snapshot_times = tuple(int(t) for t in doc.get("snapshot_times", []))
@@ -263,7 +250,10 @@ def load_scenario(source) -> Scenario:
     )
 
 
-def _rho_from_spec(doc: dict, scenario: Scenario, T: int) -> np.ndarray:
+def _rho_from_spec(scenario: Scenario, params: dict) -> np.ndarray:
+    """rho_1..rho_T of a check's ``rho`` spec (the model's by default); ``T`` defaults to the horizon."""
+    T = int(params.get("T", scenario.horizon))
+    doc = params.get("rho", {"kind": "model"})
     kind = doc.get("kind", "model")
     if kind == "model":
         if scenario.model is None:
@@ -306,20 +296,16 @@ def _check_average_rates(scenario: Scenario, params: dict) -> cond.ConditionRepo
 
 
 def _check_product_to_zero(scenario: Scenario, params: dict) -> cond.ConditionReport:
-    T = int(params.get("T", scenario.horizon))
-    rho = _rho_from_spec(params.get("rho", {"kind": "model"}), scenario, T)
     return cond.check_product_to_zero(
-        rho,
+        _rho_from_spec(scenario, params),
         product_tol=float(params.get("product_tol", cond.PRODUCT_TOL)),
         decrement_tol=float(params.get("decrement_tol", cond.LOG_DECREMENT_TOL)),
     )
 
 
 def _check_ll1(scenario: Scenario, params: dict) -> cond.ConditionReport:
-    T = int(params.get("T", scenario.horizon))
-    rho = _rho_from_spec(params.get("rho", {"kind": "model"}), scenario, T)
     return cond.check_ll1(
-        rho,
+        _rho_from_spec(scenario, params),
         sup_bound=float(params.get("sup_bound", cond.SUP_BOUND)),
         growth_frac=float(params.get("growth_frac", cond.GROWTH_FRAC)),
     )
@@ -370,15 +356,11 @@ class RunContext:
     ensemble: Optional[EnsembleSample]
 
 
-def _resolve_target(params: dict, scenario: Scenario):
+def _an_consensus_time(ctx: RunContext, params: dict) -> dict:
     target = params.get("target", "sigma_bar")
     if target == "sigma_bar":
-        return scenario.model.sigma_bar if scenario.model else None
-    return target
-
-
-def _an_consensus_time(ctx: RunContext, params: dict) -> dict:
-    t = st.consensus_time(ctx.trajectory, _resolve_target(params, ctx.scenario), float(params["tol"]))
+        target = ctx.scenario.model.sigma_bar
+    t = st.consensus_time(ctx.trajectory, target, float(params["tol"]))
     return {"time": t, "tol": float(params["tol"])}
 
 
@@ -389,9 +371,7 @@ def _an_periodicity(ctx: RunContext, params: dict) -> dict:
 
 def _ens_points(ctx: RunContext, params: dict) -> np.ndarray:
     at = params.get("at")
-    if at is None or int(at) == ctx.ensemble.t_final:
-        return ctx.ensemble.terminal_states
-    return ctx.ensemble.snapshots[int(at)]
+    return ctx.ensemble.to_empirical(None if at is None else int(at)).points
 
 
 def _an_moments(ctx: RunContext, params: dict) -> dict:
@@ -431,11 +411,7 @@ def _an_ks_best_fit_normal(ctx: RunContext, params: dict) -> dict:
 
 
 def _an_drift(ctx: RunContext, params: dict) -> dict:
-    times = [int(t) for t in params["times"]]
-    samples = {}
-    for t in times:
-        pts = ctx.ensemble.terminal_states if t == ctx.ensemble.t_final else ctx.ensemble.snapshots[t]
-        samples[t] = st.EmpiricalSample(pts, t_final=t)
+    samples = {int(t): ctx.ensemble.to_empirical(int(t)) for t in params["times"]}
     report = st.distribution_drift(samples, decay_ratio=float(params.get("decay_ratio", 0.5)))
     out = report.to_json()
     out["max_distance"] = report.max_distance()
@@ -444,7 +420,7 @@ def _an_drift(ctx: RunContext, params: dict) -> dict:
 
 def _constant_model_pieces(ctx: RunContext):
     spec = ctx.scenario.model
-    if spec is None or not isinstance(spec.schedule_A, Constant) or not isinstance(spec.schedule_E, Constant):
+    if not isinstance(spec.schedule_A, Constant) or not isinstance(spec.schedule_E, Constant):
         raise ScenarioFormatError("this analysis needs constant A and E schedules")
     return _model_at_t1(ctx.scenario)
 
@@ -558,20 +534,7 @@ class RunSummary:
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "scenario_id": self.scenario_id,
-            "master_seed": self.master_seed,
-            "horizon": self.horizon,
-            "ensemble": self.ensemble,
-            "checks": self.checks,
-            "analyses": self.analyses,
-            "diagnostics": self.diagnostics,
-            "timing": self.timing,
-            "seed_provenance": self.seed_provenance,
-            "outputs": self.outputs,
-            "ok": self.ok,
-        }
+        return {"schema_version": SCHEMA_VERSION, **vars(self)}
 
 
 def validate_summary(doc: dict) -> None:
@@ -615,6 +578,43 @@ def write_ensemble_csv(path: Path, ens: EnsembleSample) -> None:
     _write_csv(path, ["run"] + [f"component_{j}" for j in range(n)], 0, (ens.terminal_states,))
 
 
+def _resolve(
+    scenario: Scenario,
+    horizon: Optional[int] = None,
+    ensemble: Optional[int] = None,
+    master_seed: Optional[int] = None,
+    overrides: Optional[dict] = None,
+) -> Scenario:
+    """The scenario a run makes: its horizon, ensemble and seed, and every item's overrides merged.
+
+    ``overrides`` maps ``name.param`` to a value; a key naming no check or
+    analysis of the scenario is an error. A changed horizon recompiles the
+    model from its document, since the oscillating rate table spans it.
+    """
+    known = [item["name"] for item in scenario.checks + scenario.analyses]
+    merged: dict = {}
+    for key, value in (overrides or {}).items():
+        name, _, param = key.partition(".")
+        if name not in known or not param:
+            raise ScenarioFormatError(
+                f"override {key!r} names no check or analysis parameter; known names: {known}"
+            )
+        merged.setdefault(name, {})[param] = value
+    T = scenario.horizon if horizon is None else int(horizon)
+    model = scenario.model
+    if T != scenario.horizon and "model" in scenario.raw:
+        model = _compile_model(scenario.raw["model"], T)
+    return replace(
+        scenario,
+        horizon=T,
+        ensemble=scenario.ensemble if ensemble is None else int(ensemble),
+        master_seed=scenario.master_seed if master_seed is None else int(master_seed),
+        checks=[{**item, **merged.get(item["name"], {})} for item in scenario.checks],
+        analyses=[{**item, **merged.get(item["name"], {})} for item in scenario.analyses],
+        model=model,
+    )
+
+
 def _execute(
     scenario: Scenario,
     out_dir=None,
@@ -626,32 +626,14 @@ def _execute(
 ) -> tuple[RunSummary, RunContext]:
     clock = time.perf_counter
     t0 = clock()
-    T = scenario.horizon if horizon is None else int(horizon)
-    m = scenario.ensemble if ensemble is None else int(ensemble)
-    seed = scenario.master_seed if master_seed is None else int(master_seed)
-    overrides = overrides or {}
-    known = [item["name"] for item in scenario.checks + scenario.analyses]
-    for key in overrides:
-        name, _, param = key.partition(".")
-        if name not in known or not param:
-            raise ScenarioFormatError(
-                f"override {key!r} names no check or analysis parameter; known names: {known}"
-            )
-
-    def with_overrides(item: dict) -> dict:
-        params = dict(item)
-        for key, value in overrides.items():
-            name, _, param = key.partition(".")
-            if name == item["name"]:
-                params[param] = value
-        return params
+    scenario = _resolve(scenario, horizon, ensemble, master_seed, overrides)
+    T = scenario.horizon
 
     ok = True
     check_rows = []
     for item in scenario.checks:
-        params = with_overrides(item)
         try:
-            report = _CHECKS[item["name"]](scenario, params)
+            report = _CHECKS[item["name"]](scenario, item)
             check_rows.append(report.to_json())
         except Exception as exc:
             ok = False
@@ -663,16 +645,14 @@ def _execute(
     diagnostics: dict = {}
     engine_s = dict.fromkeys(("fill_s", "transform_s", "step_s", "observe_s"), 0.0)
     if scenario.model is not None:
-        drift_times: set[int] = set(scenario.snapshot_times)
-        track_err = False
+        times = set(scenario.snapshot_times)
         for item in scenario.analyses:
             if item["name"] == "drift":
-                drift_times.update(int(t) for t in item.get("times", []))
-            if item["name"] == "mean_error_checkpoints":
-                track_err = True
-        drift_times = {t for t in drift_times if 0 <= t <= T}
+                times.update(int(t) for t in item.get("times", []))
         ens = simulate_ensemble(
-            scenario.model, T, m, seed, snapshot_times=sorted(drift_times), track_mean_err=track_err
+            scenario.model, T, scenario.ensemble, scenario.master_seed,
+            snapshot_times=sorted(t for t in times if 0 <= t <= T),
+            track_mean_err=any(item["name"] == "mean_error_checkpoints" for item in scenario.analyses),
         )
         trajectory = ens.run0
         diagnostics["engine"] = ens.engine
@@ -697,11 +677,10 @@ def _execute(
     ctx = RunContext(scenario=scenario, trajectory=trajectory, ensemble=ens)
     analysis_rows: dict = {}
     for item in scenario.analyses:
-        params = with_overrides(item)
         try:
-            if ctx.trajectory is None and item["name"] in ("consensus_time", "periodicity", "oscillation_final"):
+            if ens is None:
                 raise ScenarioFormatError(f"analysis {item['name']!r} needs a model")
-            analysis_rows[item["name"]] = _ANALYSES[item["name"]](ctx, params)
+            analysis_rows[item["name"]] = _ANALYSES[item["name"]](ctx, item)
         except Exception as exc:
             ok = False
             analysis_rows[item["name"]] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -729,15 +708,15 @@ def _execute(
     timing["total_s"] = total
     summary = RunSummary(
         scenario_id=scenario.scenario_id,
-        master_seed=seed,
+        master_seed=scenario.master_seed,
         horizon=T,
-        ensemble=m,
+        ensemble=scenario.ensemble,
         checks=check_rows,
         analyses=analysis_rows,
         diagnostics=diagnostics,
         timing=timing,
         seed_provenance={
-            "master_seed": seed,
+            "master_seed": scenario.master_seed,
             "stream": "philox(seed_sequence(master_seed, spawn_key=(run,)))",
         },
         outputs=outputs,
@@ -766,15 +745,9 @@ def run_scenario(
     to ``out_dir``, falling back to the scenario's own directive and then
     to ``out/<id>``.
     """
-    summary, _ = _execute(
-        scenario,
-        out_dir,
-        horizon=horizon,
-        ensemble=ensemble,
-        master_seed=master_seed,
-        overrides=overrides,
-    )
-    return summary
+    return _execute(
+        scenario, out_dir, horizon=horizon, ensemble=ensemble, master_seed=master_seed, overrides=overrides
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
@@ -114,11 +115,14 @@ def ks_statistic(sample, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
 
 
 def ks_critical_value(m: int, level: float = 0.01) -> float:
-    """Asymptotic one-sample critical value; 1.63/sqrt(m) at the 1% level."""
-    coeff = {0.10: 1.22, 0.05: 1.36, 0.01: 1.63}.get(round(level, 2))
-    if coeff is None:
-        raise ValueError("supported levels: 0.10, 0.05, 0.01")
-    return coeff / np.sqrt(m)
+    """Asymptotic one-sample critical value; 1.63/sqrt(m) at the 1% level.
+
+    Only the tabulated levels 0.10, 0.05 and 0.01 are accepted.
+    """
+    for tabulated, coeff in ((0.10, 1.22), (0.05, 1.36), (0.01, 1.63)):
+        if math.isclose(level, tabulated):
+            return coeff / np.sqrt(m)
+    raise ValueError(f"unsupported KS level {level!r}; supported levels: 0.10, 0.05, 0.01")
 
 
 def cauchy_cdf(x, scale: float = 1.0):

@@ -101,6 +101,46 @@ class TestLoadScenario:
         with pytest.raises(ScenarioFormatError, match="not found"):
             load_scenario("does/not/exist.json")
 
+    def test_loads_json_text_of_any_length(self):
+        doc = json.loads((resources.files("consensuslab") / "catalog" / "noisy-decay.json").read_text())
+        text = json.dumps(doc)
+        assert len(text) > 255  # longer than a file name may be
+        assert load_scenario(text).raw == doc
+
+    def test_every_schema_kind_compiles_in_some_slot(self):
+        defs = harness._SCENARIO_SCHEMA["definitions"]
+        one = {"family": "base", "n": 1, "A": {"kind": "constant", "matrix": [[1.0]]},
+               "E": {"kind": "constant", "eps": [0.5]}, "sigma_bar": 1.0, "x0": [0.0]}
+        fields = {
+            "schedule": {"matrix": [[1.0]], "eps": [0.5], "matrices": [[[1.0]]], "values": [[0.5]]},
+            "noise": {"rate": 0.5, "mu": [0.0], "sigma": [[1.0]], "scale": 1.0, "table": [[0.1]]},
+            "learning_fn": {"slope": 0.5, "scale": 0.5, "bound": 3.0, "step": 0.1},
+            "time_scale": {"value": 1.0, "rate": 0.5},
+        }
+
+        def slots(definition, kind):
+            doc = dict(fields[definition], kind=kind)
+            if definition == "schedule":
+                yield {**one, "A": doc}
+                yield {**one, "E": doc}
+            elif definition == "noise":
+                yield {**one, "family": "noisy_feedback", "noise": doc}
+            elif definition == "learning_fn":
+                yield {**one, "family": "nonlinear", "learning_fn": doc, "E": None}
+            else:
+                yield {**one, "family": "noisy_feedback", "noise": {"kind": "rademacher", "time_scale": doc}}
+
+        for definition in fields:
+            for kind in defs[definition]["properties"]["kind"]["enum"]:
+                loaded = []
+                for model in slots(definition, kind):
+                    model = {k: v for k, v in model.items() if v is not None}
+                    try:
+                        loaded.append(load_scenario(dict(MINIMAL, model=model)).model)
+                    except ScenarioFormatError:
+                        pass
+                assert loaded, f"{definition} kind {kind!r} compiles in no slot"
+
 
 class TestCatalog:
     def test_required_cases_present(self):
@@ -415,6 +455,59 @@ class TestRunScenario:
         summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
         assert not summary.ok
         assert "average" in summary.analyses["product_limit"]["error"]
+
+
+class TestResolvedRun:
+    """Overrides apply to the whole run: checks, engine, analyses and summary."""
+
+    def test_checks_run_at_the_overridden_horizon(self, tmp_path, capsys):
+        assert cli.main(["run", "noisy-decay", "--horizon", "50", "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["horizon"] == 50
+        assert [row["witness"]["T"] for row in doc["checks"] if row["name"] == "ll1"] == [50]
+
+    def test_oscillating_rate_table_spans_a_longer_horizon(self, tmp_path, capsys):
+        argv = ["run", "epsilon-oscillator", "--horizon", "1200", "--ensemble", "20", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) in (0, 1)
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert (doc["horizon"], doc["ensemble"]) == (1200, 20)
+        rows = {row["name"]: row for row in doc["checks"]}
+        assert rows["ll1"]["witness"]["T"] == rows["ll1b"]["witness"]["T"] == 1200
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 1201
+
+    def test_analysis_without_a_model_is_reported(self, tmp_path):
+        doc = {"schema_version": 1, "id": "no-model", "analyses": [{"name": "moments"}]}
+        summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
+        assert not summary.ok
+        assert summary.analyses["moments"] == {"error": "ScenarioFormatError: analysis 'moments' needs a model"}
+
+    @pytest.mark.parametrize("case_id", ["base-3agent", "average-consensus"])
+    def test_overrides_equal_to_the_scenario_change_nothing(self, case_id, tmp_path):
+        s = load_catalog_scenario(case_id)
+        run_scenario(s, out_dir=tmp_path / "a")
+        run_scenario(s, out_dir=tmp_path / "b", horizon=s.horizon, ensemble=s.ensemble, master_seed=s.master_seed)
+        for name in ("trajectory.csv", "ensemble.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        a, b = (json.loads((tmp_path / d / "summary.json").read_text()) for d in "ab")
+        for doc in (a, b):
+            del doc["timing"], doc["outputs"]
+        assert a == b
+
+    def test_overrides_leave_the_loaded_scenario_untouched(self, tmp_path):
+        s = load_catalog_scenario("noisy-decay")
+        before = (s.horizon, s.model, [dict(c) for c in s.checks], [dict(a) for a in s.analyses])
+        run_scenario(s, out_dir=tmp_path, horizon=50, overrides={"consensus_time.tol": 0.01})
+        assert (s.horizon, s.model, s.checks, s.analyses) == before
+
+    def test_unsupported_ks_level_is_an_analysis_error(self, tmp_path):
+        noise = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
+        doc = dict(MINIMAL, model=model, horizon=5, ensemble=20,
+                   analyses=[{"name": "ks", "dist": "normal", "level": 0.005}])
+        summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
+        assert not summary.ok
+        assert summary.analyses["ks"]["error"].startswith("ValueError: unsupported KS level 0.005")
 
 
 class TestReproduceFast:

@@ -116,6 +116,16 @@ class TestKS:
         with pytest.raises(ValueError):
             ks_critical_value(100, 0.2)
 
+    @pytest.mark.parametrize("level", [0.005, 0.049, 0.051, 0.1001])
+    def test_untabulated_levels_are_refused(self, level):
+        # no rounding onto a neighbouring level: 0.005 is not the 1% row
+        with pytest.raises(ValueError, match="supported levels"):
+            ks_critical_value(100, level)
+
+    def test_tabulated_levels_survive_float_arithmetic(self):
+        assert ks_critical_value(100, 0.3 - 0.2) == pytest.approx(0.122)
+        assert ks_critical_value(100, 0.05) == pytest.approx(0.136)
+
     def test_cdf_helpers(self):
         assert cauchy_cdf(0.0) == 0.5
         assert cauchy_cdf(1.0) == pytest.approx(0.75)
