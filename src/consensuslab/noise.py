@@ -46,6 +46,7 @@ zero draw (probability ``2**-53``) cannot produce an infinity.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -451,7 +452,10 @@ class NoiseChunks:
     def _chunks(self):
         """(steps, block) per chunk: block is (width, len(steps), n), or (1, len(steps), n) shared."""
         spec, n, m, W = self.spec, self.spec.n, self.runs, self.width
-        buf = np.empty(W * self.chunk_steps * n) if spec.is_random else None
+        # A mapping of its own goes back to the OS when freed; a heap block would stay as a
+        # hole that smaller allocations split, making peak RSS vary from run to run.
+        size = 8 * W * self.chunk_steps * n
+        buf = np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)) if spec.is_random and size else None
         for c0 in range(0, self.T, self._k):
             kk = min(self._k, self.T - c0)
             ts = np.arange(c0 + 1, c0 + kk + 1)
