@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InconsistentDeclarationError
 from .matrices import contraction_factor, entries_of, matrix_inf_norm
+from .schedules import Constant
 
 PRODUCT_TOL = 1e-6
 SUMMABILITY_TOL = 1e-3
@@ -241,19 +242,26 @@ def check_ll1b(
     """
     if T < 1:
         raise ValueError("T must be at least 1")
+    a_const, e_const = isinstance(schedule_A, Constant), isinstance(schedule_E, Constant)
     prev_a = entries_of(schedule_A(0))
     prev_e = np.atleast_1d(np.asarray(schedule_E(0), dtype=float))
+    # a Constant schedule's increments are all its value minus itself (0.0 when finite): one norm
+    da = matrix_inf_norm(prev_a - prev_a)
+    de = float(np.max(np.abs(prev_e - prev_e)))
     head = tail = 0.0
     cut = T // 2
     for t in range(1, T + 1):
-        a = entries_of(schedule_A(t))
-        e = np.atleast_1d(np.asarray(schedule_E(t), dtype=float))
-        alpha = matrix_inf_norm(a - prev_a) + float(np.max(np.abs(e - prev_e)))
+        if not a_const:
+            a = entries_of(schedule_A(t))
+            da, prev_a = matrix_inf_norm(a - prev_a), a
+        if not e_const:
+            e = np.atleast_1d(np.asarray(schedule_E(t), dtype=float))
+            de, prev_e = float(np.max(np.abs(e - prev_e))), e
+        alpha = da + de
         if t > cut:
             tail += alpha
         else:
             head += alpha
-        prev_a, prev_e = a, e
     total = head + tail
     satisfied = tail < summability_tol
     return ConditionReport(

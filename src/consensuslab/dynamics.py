@@ -46,7 +46,7 @@ from .matrices import (
     entries_of,
 )
 # sample_noise_block and substream are unused here; bench/tracing.py wraps them by name in this module
-from .noise import NoiseChunks, NoiseSpec, padded_width, sample_noise_block, substream
+from .noise import NoiseChunks, NoiseSpec, sample_noise_block, substream
 from .schedules import Constant, as_schedule
 
 
@@ -270,8 +270,10 @@ class EnsembleSample:
     ``terminal_states[0]``. ``snapshots`` maps requested intermediate times
     to (m, n) state blocks; ``mean_err_inf`` is the ensemble mean of the
     sup-error per step when it was tracked. ``engine`` holds the pass's
-    counts: ``runs``, ``steps``, ``uniforms_drawn``, ``chunk_steps`` (steps
-    per noise chunk) and ``noise_buffer_bytes_peak``; ``timing`` its seconds
+    counts: ``runs``, ``steps``, ``uniforms_drawn``, ``tiles`` (column tiles
+    of runs, each stepped through the horizon), ``philox_calls`` (one per
+    run and noise chunk), ``chunk_steps`` (steps per noise chunk) and
+    ``noise_buffer_bytes_peak``; ``timing`` its seconds
     per layer: ``fill_s`` (Philox uniforms), ``transform_s`` (the noise
     transform, or the deterministic disturbances), ``observe_s`` (recording
     run 0, the error means and the snapshots) and ``step_s`` (the rest: the
@@ -493,9 +495,14 @@ def simulate_ensemble(
     one chunk of at most ``8 * noise.CHUNK_VALUES`` bytes (8 MiB; the fewest
     steps of every run allowed when that is more) plus, for ``n < 8``, one
     step-major stage of four steps of at most ``8 * noise.STAGE_VALUES``
-    bytes (512 KiB). The state block, chunk and stage have ``padded_width(m)``
-    columns so that ``M @ X`` rounds every run's column the same way at any
-    ``m`` (see ``noise.WIDTH_PAD``); the pad columns start at ``x0``, get
+    bytes (512 KiB). Each chunk costs one Philox call per run, so where it
+    pays the runs are stepped in column tiles, each through all ``T`` steps
+    with its whole horizon in one chunk (see ``noise.NoiseChunks``); never
+    with ``track_mean_err``, whose mean needs every run at each step. Run 0's
+    path and rho come from the first tile. The state block, chunk and stage
+    have ``padded_width(m)`` columns, or a tile's width, both multiples of
+    ``noise.WIDTH_PAD``, so that ``M @ X`` rounds every run's column the same
+    way at any ``m`` and any tiling; the pad columns start at ``x0``, get
     zero random noise and are never reported. ``engine`` reports what the
     pass did and ``timing`` where its time went.
     """
@@ -513,34 +520,40 @@ def simulate_ensemble(
     if track_mean_err and sbar is None:
         raise ValueError("error tracking needs a family with a consensus target")
 
-    X = np.repeat(spec.x0[:, None], padded_width(m), axis=1)
-
-    chunks = NoiseChunks(spec.noise, T, m, master_seed)
+    chunks = NoiseChunks(spec.noise, T, m, master_seed, tiled=not track_mean_err)
+    W = chunks.width
     noise = repeat(None) if spec.family is ModelFamily.BASE else iter(chunks)
 
     states = np.empty((T + 1, n))
     rho = np.full(T + 1, np.nan)
     mean_err = np.empty(T + 1) if track_mean_err else None
-    snaps: dict[int, np.ndarray] = {}
+    snaps = {t: np.empty((m, n)) for t in sorted(snapset)}
+    terminal = np.empty((m, n))
 
     def observe(t: int):
-        states[t] = X[:, 0]
+        if lo == 0:
+            states[t] = X[:, 0]
         if track_mean_err:
-            mean_err[t] = float(np.abs(X[:, :m] - sbar).max(axis=0).mean())
-        if t in snapset:
-            snaps[t] = X[:, :m].T.copy()
+            mean_err[t] = float(np.abs(X[:, :runs] - sbar).max(axis=0).mean())
+        if t in snaps:
+            snaps[t][lo : lo + runs] = X[:, :runs].T
 
     clock = time.perf_counter
-    observed = clock()
-    observe(0)
-    observe_s = clock() - observed
+    observe_s = 0.0
     average = spec.family is ModelFamily.AVERAGE
-    for t, g, (_, e, M, rho_t) in zip(range(1, T + 1), noise, _schedule(spec, T)):
-        X = _step(M, X, e, spec.learning_fn, sbar, g, average)
-        rho[t] = rho_t
+    for lo in range(0, m, W):  # one tile of runs lo .. lo + runs, stepped through every step
+        runs = min(W, m - lo)
+        X = np.repeat(spec.x0[:, None], W, axis=1)
         observed = clock()
-        observe(t)
+        observe(0)
         observe_s += clock() - observed
+        for t, g, (_, e, M, rho_t) in zip(range(1, T + 1), noise, _schedule(spec, T)):
+            X = _step(M, X, e, spec.learning_fn, sbar, g, average)
+            rho[t] = rho_t
+            observed = clock()
+            observe(t)
+            observe_s += clock() - observed
+        terminal[lo : lo + runs] = X[:, :runs].T
 
     observed = clock()
     err = np.abs(states - sbar).max(axis=1) if sbar is not None else np.full(T + 1, np.nan)
@@ -554,7 +567,7 @@ def simulate_ensemble(
         "observe_s": observe_s,
     }
     return EnsembleSample(
-        terminal_states=X[:, :m].T.copy(),
+        terminal_states=terminal,
         t_final=T,
         master_seed=master_seed,
         run0=Trajectory(states=states, err_inf=err, osc=osc, rho=rho, sigma_bar=sbar),
@@ -562,6 +575,8 @@ def simulate_ensemble(
             "runs": m,
             "steps": T,
             "uniforms_drawn": chunks.uniforms_drawn,
+            "tiles": chunks.tiles,
+            "philox_calls": chunks.philox_calls,
             "chunk_steps": chunks.chunk_steps,
             "noise_buffer_bytes_peak": chunks.buffer_bytes_peak,
         },

@@ -369,9 +369,16 @@ def _an_periodicity(ctx: RunContext, params: dict) -> dict:
     return {"period": p}
 
 
+def _sample_at(ctx: RunContext, t) -> st.EmpiricalSample:
+    """The ensemble at time ``t``, the horizon when None; a time outside 0..horizon is a scenario error."""
+    T = ctx.ensemble.t_final
+    if t is not None and not 0 <= int(t) <= T:
+        raise ScenarioFormatError(f"time {t} lies outside the horizon 0..{T}")
+    return ctx.ensemble.to_empirical(None if t is None else int(t))
+
+
 def _ens_points(ctx: RunContext, params: dict) -> np.ndarray:
-    at = params.get("at")
-    return ctx.ensemble.to_empirical(None if at is None else int(at)).points
+    return _sample_at(ctx, params.get("at")).points
 
 
 def _an_moments(ctx: RunContext, params: dict) -> dict:
@@ -411,7 +418,7 @@ def _an_ks_best_fit_normal(ctx: RunContext, params: dict) -> dict:
 
 
 def _an_drift(ctx: RunContext, params: dict) -> dict:
-    samples = {int(t): ctx.ensemble.to_empirical(int(t)) for t in params["times"]}
+    samples = {int(t): _sample_at(ctx, t) for t in params["times"]}
     report = st.distribution_drift(samples, decay_ratio=float(params.get("decay_ratio", 0.5)))
     out = report.to_json()
     out["max_distance"] = report.max_distance()
@@ -646,9 +653,11 @@ def _execute(
     engine_s = dict.fromkeys(("fill_s", "transform_s", "step_s", "observe_s"), 0.0)
     if scenario.model is not None:
         times = set(scenario.snapshot_times)
-        for item in scenario.analyses:
+        for item in scenario.analyses:  # the times the analyses read, recorded where they lie in 0..T
             if item["name"] == "drift":
                 times.update(int(t) for t in item.get("times", []))
+            elif isinstance(item.get("at"), int):
+                times.add(item["at"])
         ens = simulate_ensemble(
             scenario.model, T, scenario.ensemble, scenario.master_seed,
             snapshot_times=sorted(t for t in times if 0 <= t <= T),

@@ -18,18 +18,21 @@ a multiple of four is reached from the key alone by setting the counter to
 Numbers: As Easy as 1, 2, 3", SC'11). The simulation engine relies on this
 to draw noise in chunks of ``k`` steps, ``k * n`` a multiple of four (``k``
 itself a multiple of four for a dense covariance factor, see ``_correlate``),
-with ``k * n`` times the padded width bounded by ``CHUNK_VALUES``: it derives
-every run's key once, all runs in one vectorised pass of the ``SeedSequence``
-hash (``run_keys``, checked against numpy at run 0), points one reused
-generator at each run in turn to fill that run's rows of a run-major
-``(width, k, n)`` buffer, and transforms the whole chunk at once. The width
-is the run count padded with zero-noise rows to a multiple of ``WIDTH_PAD``
-(see ``padded_width``). When a run's row is shorter than a cache line, every
-four steps of the chunk are copied into a step-major ``(4, n, width)`` stage
-of at most ``STAGE_VALUES`` values, so a step reads its noise contiguously.
-Memory stays at one chunk plus one stage whatever the horizon, and run
-``r``'s rows equal ``sample_noise_block(spec, T, substream(master_seed, r))``
-bit for bit whatever the chunk size or the ensemble width.
+with ``k * n`` times the width bounded by ``CHUNK_VALUES``: it derives every
+run's key once, all runs in one vectorised pass of the ``SeedSequence`` hash
+(``run_keys``, checked against numpy at run 0), points one reused generator
+at each run in turn to fill that run's rows of a run-major ``(width, k, n)``
+buffer, one Philox call per run and chunk, and transforms the whole chunk at
+once. The width is the run count padded with zero-noise rows to a multiple
+of ``WIDTH_PAD`` (see ``padded_width``), or, where it saves calls, the width
+of one of the fewest equal tiles of runs whose whole horizon is one chunk,
+each stepped through the horizon in turn (see ``NoiseChunks``). When a run's
+row is shorter than a cache line, every four steps of the chunk are copied
+into a step-major ``(4, n, width)`` stage of at most ``STAGE_VALUES``
+values, so a step reads its noise contiguously. Memory stays at one chunk
+plus one stage whatever the horizon, and run ``r``'s rows equal
+``sample_noise_block(spec, T, substream(master_seed, r))`` bit for bit
+whatever the chunk size, the tiling or the ensemble width.
 
 The distributional transforms are explicit, so ports to other stacks can
 match them distributionally:
@@ -50,6 +53,7 @@ import mmap
 import operator
 import sys
 from dataclasses import dataclass, field
+from itertools import product
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -264,10 +268,11 @@ def run_keys(master_seed: int, m: int) -> np.ndarray:
 
 # BLAS picks its kernels by the shape of a call, so the bytes of one row (or
 # column) of a product depend on how many rows (columns) share the call. Two
-# fixed shapes keep a run's bytes independent of the chunk size and the
-# ensemble width: ``_correlate`` multiplies ``STEP_GROUP`` steps of one run
-# at a time, and the engine's state block ``X`` in ``M @ X`` always has
-# ``padded_width(m)`` columns, the runs followed by zero-noise pad columns.
+# fixed shapes keep a run's bytes independent of the chunk size, the tiling
+# and the ensemble width: ``_correlate`` multiplies ``STEP_GROUP`` steps of
+# one run at a time, and the engine's state block ``X`` in ``M @ X`` always
+# has a multiple of ``WIDTH_PAD`` columns (``padded_width(m)``, or a tile's
+# width), the runs followed by zero-noise pad columns.
 STEP_GROUP = 4
 WIDTH_PAD = 8
 
@@ -383,18 +388,33 @@ def sample_noise_block(spec: NoiseSpec, T: int, stream: Optional[np.random.Gener
 CHUNK_VALUES = 2**20
 # Most values of the step-major stage of four steps (see ``NoiseChunks``): 512 KiB.
 STAGE_VALUES = 2**16
+# Philox calls one extra engine step costs (its fixed Python and kernel overhead, about
+# 7-17 us at width 8 against about 2.4 us a call), which sets when tiling the runs pays.
+STEP_CALLS = 4
+# Most run keys converted to Python ints at once.
+_KEY_SLICE = 2**10
 
 
 class NoiseChunks:
-    """Disturbances of steps 1..T for runs 0..m-1, drawn chunk by chunk.
+    """Disturbances of steps 1..T for runs 0..m-1, drawn chunk by chunk and tile by tile.
 
-    Iterating yields one array per step, broadcastable against an (n,
-    padded_width(m)) block of states: an (n, padded_width(m)) array for the
-    random kinds, whose columns past ``m`` are zero, and an (n, 1) column
-    shared by every run otherwise. An array is valid until the next one is
-    taken, because the buffers are refilled in place.
+    The runs go through in ``tiles`` tiles of ``width`` columns, a multiple
+    of ``WIDTH_PAD``: tile ``i`` holds runs ``i * width ..`` and, in the last
+    tile, zero-noise pad runs up to the width. Iterating yields one array per
+    step of each tile in turn, T per tile, broadcastable against an (n,
+    width) block of states: an (n, width) array for the random kinds, whose
+    pad columns are zero, and an (n, 1) column shared by every run
+    otherwise. An array is valid until the next one is taken, because the
+    buffers are refilled in place.
 
-    Random kinds hold ``chunk_steps`` steps of every run in one run-major
+    There is one tile, ``padded_width(m)`` wide, unless ``tiled`` is set, the
+    kind is random and tiling pays: with the runs in the fewest equal tiles
+    whose whole horizon is one chunk, a run takes one Philox call instead of
+    one per chunk, and the engine steps every tile through the horizon. The
+    runs are tiled when ``m * (chunks per run - 1) > STEP_CALLS * T * (tiles
+    - 1)``, the calls saved against the engine steps added.
+
+    Random kinds hold ``chunk_steps`` steps of a tile's runs in one run-major
     (width, k, n) buffer, ``k * n`` a multiple of 4 so that every chunk
     starts on a whole Philox block (``k`` a multiple of ``STEP_GROUP`` for a
     dense covariance factor), with ``k * n * width`` at most
@@ -405,31 +425,44 @@ class NoiseChunks:
     generator with the counter at the chunk's first uniform (see the module
     docstring), and equal ``sample_noise_block(spec, T, substream(master_seed,
     r))`` bit for bit. When ``n < 8`` (a run's row is shorter than a cache
-    line) and four steps of every run fit in ``STAGE_VALUES``, every four
+    line) and four steps of a tile fit in ``STAGE_VALUES``, every four
     steps are copied into a step-major (4, n, width) stage and the steps
     are yielded from it contiguously; otherwise they are strided views of
     the chunk. Deterministic kinds compute their rows chunk by chunk and
     share them between runs.
 
-    ``uniforms_drawn`` and ``buffer_bytes_peak`` (chunk plus stage) count
-    what the iteration did, and ``fill_s`` and ``transform_s`` time its
-    Philox draws and its transform; the engine reports them.
+    ``uniforms_drawn``, ``philox_calls`` (one per run and chunk) and
+    ``buffer_bytes_peak`` (chunk plus stage) count what the iteration did,
+    and ``fill_s`` and ``transform_s`` time its Philox draws and its
+    transform; the engine reports them.
     """
 
-    def __init__(self, spec: NoiseSpec, T: int, m: int, master_seed: int):
+    def __init__(self, spec: NoiseSpec, T: int, m: int, master_seed: int, tiled: bool = False):
         self.spec = spec
         self.T = T
         n = spec.n
-        self.runs = m if spec.is_random else 1
-        self.width = padded_width(m) if spec.is_random else 1
         dense = spec.kind == GAUSSIAN and spec._factor is not None and spec._factor.ndim == 2
         align = STEP_GROUP if dense else 4 // math.gcd(n, 4)
-        self._k = max(align, CHUNK_VALUES // (self.width * n) // align * align)
+
+        def steps(width: int) -> int:
+            return max(align, CHUNK_VALUES // (width * n) // align * align)
+
+        width = padded_width(m)
+        if tiled and spec.is_random:
+            # the widest tile whose whole horizon, in whole Philox blocks, is one chunk
+            widest = CHUNK_VALUES // (n * max(1, -(-T // align)) * align) // WIDTH_PAD * WIDTH_PAD
+            tiles = -(-m // widest) if widest else 1
+            if m * (-(-T // steps(width)) - 1) > STEP_CALLS * T * (tiles - 1):
+                width = padded_width(-(-m // tiles))
+        self.width = width
+        self.tiles = max(1, -(-m // width))
+        self._k = steps(width if spec.is_random else 1)
         self.chunk_steps = min(self._k, T)
-        staged = spec.is_random and n < 8 and 4 * n * self.width <= STAGE_VALUES
-        self._stage = np.empty((4, n, self.width)) if staged else None
+        staged = spec.is_random and n < 8 and 4 * n * width <= STAGE_VALUES
+        self._stage = np.empty((4, n, width)) if staged else None
         self._copies = 2 if dense else 1  # the dense covariance product writes a second chunk-sized array
         self.uniforms_drawn = 0
+        self.philox_calls = 0
         self.buffer_bytes_peak = 0
         self.fill_s = 0.0
         self.transform_s = 0.0
@@ -438,34 +471,37 @@ class NoiseChunks:
             self._bitgen = np.random.Philox(0)
             self._gen = np.random.Generator(self._bitgen)
 
-    def _fill(self, block: np.ndarray, c0: int) -> None:
-        """Uniforms of steps ``c0 + 1 ..`` of every run into ``block`` (runs, k, n)."""
+    def _fill(self, block: np.ndarray, keys: np.ndarray, c0: int) -> None:
+        """Uniforms of steps ``c0 + 1 ..`` of the runs with Philox ``keys`` (runs, 2) into ``block`` (runs, k, n)."""
         inner = {"counter": [c0 * self.spec.n // 4, 0, 0, 0], "key": None}
         state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
                  "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        for r in range(self.runs):
-            inner["key"] = self._keys[r].tolist()
-            self._bitgen.state = state
-            self._gen.random(out=block[r])
+        for a in range(0, len(keys), _KEY_SLICE):
+            for key, row in zip(keys[a : a + _KEY_SLICE].tolist(), block[a : a + _KEY_SLICE]):
+                inner["key"] = key
+                self._bitgen.state = state
+                self._gen.random(out=row)
         self.uniforms_drawn += block.size
+        self.philox_calls += len(keys)
 
     def _chunks(self):
-        """(steps, block) per chunk: block is (width, len(steps), n), or (1, len(steps), n) shared."""
-        spec, n, m, W = self.spec, self.spec.n, self.runs, self.width
+        """(steps, block) per chunk of each tile in turn: block is (width, len(steps), n), or (1, len(steps), n) shared."""
+        spec, n, W = self.spec, self.spec.n, self.width
         # A mapping of its own goes back to the OS when freed; a heap block would stay as a
         # hole that smaller allocations split, making peak RSS vary from run to run.
         size = 8 * W * self.chunk_steps * n
         buf = np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)) if spec.is_random and size else None
-        for c0 in range(0, self.T, self._k):
+        for lo, c0 in product(range(0, self.tiles * W, W), range(0, self.T, self._k)):
             kk = min(self._k, self.T - c0)
             ts = np.arange(c0 + 1, c0 + kk + 1)
             t0 = perf_counter()
             if spec.is_random:
+                keys = self._keys[lo : lo + W]
                 block = buf[: W * kk * n].reshape(W, kk, n)
-                block[m:] = 0.0
-                self._fill(block[:m], c0)
+                block[len(keys) :] = 0.0
+                self._fill(block[: len(keys)], keys, c0)
                 t1 = perf_counter()
-                _transform(spec, block[:m], ts)
+                _transform(spec, block[: len(keys)], ts)
             else:
                 t1 = t0
                 block = _rows(spec, ts, None)[None]

@@ -501,9 +501,74 @@ class TestReproducibilityContract:
                 monkeypatch.undo()
                 assert np.array_equal(ens.terminal_states, reference[:9]), (k, staged)
 
+    @staticmethod
+    def _force_tiles(monkeypatch, n, tile):
+        """Tile the runs whenever a run takes more than one chunk, ``tile`` runs to a tile."""
+        from consensuslab import noise
+
+        whole = -(-TestReproducibilityContract.T // 4) * 4  # the horizon in whole Philox blocks at any n
+        monkeypatch.setattr(noise, "CHUNK_VALUES", tile * n * whole)
+        monkeypatch.setattr(noise, "STEP_CALLS", 0)
+
+    @pytest.mark.parametrize("staged", [True, False])
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("kind", [k for k in _contract_noise() if k != "gaussian_identity"])
+    def test_tiled_noise_rows_are_the_run_substream_block(self, kind, n, staged, monkeypatch):
+        from consensuslab.noise import NoiseChunks, sample_noise_block, substream
+
+        spec = _contract_noise(n)[kind]
+        m = 37
+        blocks = [sample_noise_block(spec, self.T, substream(41, r)) for r in range(m)]
+        for tile in (8, 16):
+            self._force_tiles(monkeypatch, n, tile)
+            self._force(monkeypatch, tile, n, staged=staged)
+            chunks = NoiseChunks(spec, self.T, m, 41, tiled=True)
+            assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (-(-m // tile), tile, self.T)
+            assert (chunks._stage is not None) == staged
+            rows = np.stack([g.T.copy() for g in chunks])  # (tiles * T, tile, n): each tile's steps in turn
+            rows = rows.reshape(chunks.tiles, self.T, tile, n).transpose(0, 2, 1, 3).reshape(-1, self.T, n)
+            for r in range(m):
+                assert np.array_equal(rows[r], blocks[r]), (tile, r)
+            assert not rows[m:].any()  # the last tile's pad runs get zero noise
+            assert chunks.uniforms_drawn == self.T * n * m and chunks.philox_calls == m
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("family", list(_FAMILY_NOISE))
+    def test_tiles_reproduce_the_one_tile_pass(self, family, n, monkeypatch):
+        kind = _FAMILY_NOISE[family]
+        spec = _contract_model(family, n, None if kind is None else _contract_noise(n)[kind])
+        times = (0, 7, 12, self.T)
+        for m in self.WIDTHS + (37,):
+            ref = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
+            assert ref.engine["tiles"] == 1
+            for tile in (8, 16):
+                self._force_tiles(monkeypatch, n, tile)
+                ens = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
+                monkeypatch.undo()
+                tiles = 1 if kind is None or m <= tile else -(-m // tile)
+                assert ens.engine["tiles"] == tiles, (m, tile)
+                assert np.array_equal(ens.terminal_states, ref.terminal_states), (m, tile)
+                for name in ("states", "err_inf", "osc", "rho"):
+                    assert np.array_equal(getattr(ens.run0, name), getattr(ref.run0, name), equal_nan=True), name
+                assert list(ens.snapshots) == list(ref.snapshots)
+                for t in times:
+                    assert np.array_equal(ens.snapshots[t], ref.snapshots[t]), (m, tile, t)
+
+    def test_error_tracking_keeps_one_tile(self, monkeypatch):
+        # the ensemble's mean error needs every run at each step
+        spec = _contract_model("noisy", 2, _contract_noise(2)["gaussian_diagonal"])
+        ref = simulate_ensemble(spec, self.T, 37, master_seed=8)
+        self._force_tiles(monkeypatch, 2, 8)
+        assert simulate_ensemble(spec, self.T, 37, master_seed=8).engine["tiles"] == 5
+        tracked = simulate_ensemble(spec, self.T, 37, master_seed=8, track_mean_err=True)
+        assert tracked.engine["tiles"] == 1
+        assert np.array_equal(tracked.terminal_states, ref.terminal_states)
+
     def test_terminal_state_ignores_the_blas_thread_count(self):
         # OpenBLAS splits a wide product's columns between threads; with the padded width
-        # every run's column still rounds as it does on one thread
+        # every run's column still rounds as it does on one thread. The last two geometries
+        # are forced into tiles of 1000 and 8 runs.
         import subprocess
         import sys
         from pathlib import Path
@@ -512,14 +577,16 @@ class TestReproducibilityContract:
 
         script = (
             "import hashlib, numpy as np\n"
-            "from consensuslab import ModelSpec, NoiseSpec, simulate_ensemble\n"
-            "for n, m in ((16, 7), (100, 500)):\n"
+            "from consensuslab import ModelSpec, NoiseSpec, noise as nz, simulate_ensemble\n"
+            "for n, m, chunk in ((16, 7, None), (100, 500, None), (2, 4000, 2**14), (16, 37, 8 * 16 * 8)):\n"
+            "    if chunk:\n"
+            "        nz.CHUNK_VALUES, nz.STEP_CALLS = chunk, 0\n"
             "    a = np.random.default_rng(4).uniform(0.1, 1.0, size=(n, n)) + 2.0 * np.eye(n)\n"
             "    a /= a.sum(axis=1, keepdims=True)\n"
             "    noise = NoiseSpec.gaussian(np.zeros(n), np.eye(n))\n"
             "    spec = ModelSpec.average(a, 0.5 * np.diagonal(a), noise, np.zeros(n))\n"
-            "    x = simulate_ensemble(spec, 8, m, master_seed=11).terminal_states\n"
-            "    print(hashlib.sha256(x.tobytes()).hexdigest())\n"
+            "    ens = simulate_ensemble(spec, 8, m, master_seed=11)\n"
+            "    print(ens.engine['tiles'], hashlib.sha256(ens.terminal_states.tobytes()).hexdigest())\n"
         )
         src = str(Path(consensuslab.__file__).resolve().parents[1])
         digests = []
@@ -531,13 +598,20 @@ class TestReproducibilityContract:
             assert done.returncode == 0, done.stderr
             digests.append(done.stdout)
         assert digests[0] == digests[1]
+        assert [line.split()[0] for line in digests[0].splitlines()] == ["1", "1", "4", "5"]
 
 
-def test_noise_memory_is_bounded_by_a_chunk():
-    # a whole-horizon noise block would take 8*T*n*m bytes (64 MB here)
+@pytest.mark.parametrize("tiled", [False, True])
+def test_noise_memory_is_bounded_by_a_chunk(tiled, monkeypatch):
+    # a whole-horizon noise block would take 8*T*n*m bytes (64 MB here); tiled, the runs go
+    # through in 9 tiles of 24, each tile's whole horizon one chunk
     import tracemalloc
 
+    from consensuslab import noise
+
     n, m, T = 20, 200, 2000
+    if tiled:
+        monkeypatch.setattr(noise, "STEP_CALLS", 0)
     a = 0.5 * np.eye(n) + 0.5 / n
     spec = ModelSpec.average(a, np.full(n, 0.3), NoiseSpec.gaussian(np.zeros(n), np.eye(n)), np.zeros(n))
     tracemalloc.start()
@@ -546,5 +620,6 @@ def test_noise_memory_is_bounded_by_a_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert ens.engine["tiles"] == (9 if tiled else 1)
     assert peak < 8 * T * n * m / 4
     assert ens.engine["noise_buffer_bytes_peak"] <= 8 * 2**20

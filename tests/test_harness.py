@@ -230,7 +230,8 @@ class TestRunScenario:
         traj = simulate(scenario.model, 20, seed=0)
         assert summary.ok
         assert summary.diagnostics == {
-            "engine": {"runs": 1, "steps": 20, "uniforms_drawn": 0, "chunk_steps": 20, "noise_buffer_bytes_peak": 0},
+            "engine": {"runs": 1, "steps": 20, "uniforms_drawn": 0, "tiles": 1, "philox_calls": 0,
+                       "chunk_steps": 20, "noise_buffer_bytes_peak": 0},
             "nonfinite_runs": 0,
             "first_nonfinite_step": None,
             "rho_max": traj.rho[1],
@@ -251,10 +252,11 @@ class TestRunScenario:
         del model["sigma_bar"]
         doc = dict(MINIMAL, model=model, horizon=30, ensemble=5)
         summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
-        # one 30-step chunk and one 4-step stage, both 8 runs wide (5 runs and 3 zero-noise pad runs)
+        # one tile and one 30-step chunk, so one Philox call per run, and one 4-step stage,
+        # both 8 runs wide (5 runs and 3 zero-noise pad runs)
         assert summary.diagnostics["engine"] == {
-            "runs": 5, "steps": 30, "uniforms_drawn": 30 * 2 * 5, "chunk_steps": 30,
-            "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 4 * 2 * 8,
+            "runs": 5, "steps": 30, "uniforms_drawn": 30 * 2 * 5, "tiles": 1, "philox_calls": 5,
+            "chunk_steps": 30, "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 4 * 2 * 8,
         }
         with open(tmp_path / "summary.json") as fh:
             assert json.load(fh)["diagnostics"]["engine"] == summary.diagnostics["engine"]
@@ -508,6 +510,24 @@ class TestResolvedRun:
         summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
         assert not summary.ok
         assert summary.analyses["ks"]["error"].startswith("ValueError: unsupported KS level 0.005")
+
+    def test_a_drift_time_past_the_horizon_names_the_time_and_the_horizon(self, tmp_path):
+        summary = run_scenario(load_catalog_scenario("epsilon-oscillator"), out_dir=tmp_path,
+                               horizon=500, ensemble=20)
+        assert not summary.ok
+        assert summary.analyses["drift"] == {
+            "error": "ScenarioFormatError: time 918 lies outside the horizon 0..500"
+        }
+
+    def test_analysis_times_are_recorded_or_rejected(self, tmp_path):
+        noise = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
+        analyses = [{"name": "moments", "at": 3}, {"name": "rank_one", "at": 9}]
+        doc = dict(MINIMAL, model=model, horizon=5, ensemble=20, analyses=analyses)
+        summary, ctx = harness._execute(load_scenario(doc), tmp_path)
+        # an `at` time inside the horizon is recorded without being listed in snapshot_times
+        assert np.array_equal(summary.analyses["moments"]["mean"], ctx.ensemble.snapshots[3].mean(axis=0))
+        assert summary.analyses["rank_one"] == {"error": "ScenarioFormatError: time 9 lies outside the horizon 0..5"}
 
 
 class TestReproduceFast:

@@ -223,11 +223,47 @@ class TestGaussianTransform:
 
 
 class TestNoiseChunks:
-    def test_many_short_runs_take_ten_step_chunks(self):
-        # n = 2: k only needs k * n to be a multiple of 4, so k = 10 fits 8 MiB at m = 50000
-        chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(2), np.eye(2)), 20, 50_000, 5)
-        assert chunks.chunk_steps == 10 and type(chunks.chunk_steps) is int
-        assert chunks.width == 50_000 and chunks._stage is None  # four steps exceed STAGE_VALUES
+    def test_many_short_runs_take_two_whole_horizon_tiles(self):
+        # n = 2: k only needs k * n to be a multiple of 4, so one tile of all 50000 runs takes
+        # two 10-step chunks (8 MiB); two tiles of 25000 take one 20-step chunk each, one
+        # Philox call per run for 20 more engine steps
+        spec = NoiseSpec.gaussian(np.zeros(2), np.eye(2))
+        one = NoiseChunks(spec, 20, 50_000, 5)
+        assert (one.tiles, one.width, one.chunk_steps) == (1, 50_000, 10)
+        chunks = NoiseChunks(spec, 20, 50_000, 5, tiled=True)
+        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (2, 25_000, 20)
+        assert type(chunks.chunk_steps) is int
+        assert chunks._stage is None  # four steps exceed STAGE_VALUES
+
+    def test_many_runs_engine_makes_one_philox_call_per_run(self):
+        a = np.array([[0.7, 0.3], [0.4, 0.6]])
+        spec = ModelSpec.noisy(a, [0.5, 0.4], 1.0, NoiseSpec.gaussian(np.zeros(2), np.eye(2)), np.zeros(2))
+        engine = simulate_ensemble(spec, 20, 50_000, 401, snapshot_times=[10, 20]).engine
+        assert engine["tiles"] == 2 and engine["philox_calls"] == 50_000
+        assert engine["uniforms_drawn"] == 20 * 2 * 50_000
+        assert engine["noise_buffer_bytes_peak"] == 8 * 20 * 2 * 25_000
+
+    @pytest.mark.parametrize("case_id, tiles, chunk_steps", [
+        ("cauchy-invariant", 2, 200), ("average-clt", 1, 174), ("gaussian-dist", 1, 174),
+        ("epsilon-oscillator", 1, 348),
+    ])
+    def test_catalog_tiles(self, case_id, tiles, chunk_steps):
+        # tiling pays where a run takes more than one chunk and the extra engine steps are few
+        from consensuslab import load_catalog_scenario
+
+        s = load_catalog_scenario(case_id)
+        chunks = NoiseChunks(s.model.noise, s.horizon, s.ensemble, s.master_seed, tiled=True)
+        assert (chunks.tiles, chunks.chunk_steps) == (tiles, chunk_steps)
+
+    def test_wide_agents_keep_one_tile(self):
+        # n = 100, m = 500, T = 500: 25 chunks a run, but a whole horizon fits only 16 runs,
+        # so 32 tiles would add 31 * 500 engine steps to save 12000 calls
+        chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(100), np.eye(100)), 500, 500, 3, tiled=True)
+        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (1, 504, 20)
+
+    def test_deterministic_noise_keeps_one_tile(self):
+        chunks = NoiseChunks(NoiseSpec.decaying(2, 0.5), 20, 50_000, 5, tiled=True)
+        assert chunks.tiles == 1 and chunks.philox_calls == 0
 
     def test_chunk_steps_is_a_python_int(self):
         spec = ModelSpec.average(np.full((2, 2), 0.5), [0.3, 0.3], NoiseSpec.rademacher(2), np.zeros(2))
