@@ -272,10 +272,12 @@ class EnsembleSample:
     sup-error per step when it was tracked. ``engine`` holds the pass's
     counts: ``runs``, ``steps``, ``uniforms_drawn``, ``tiles`` (column tiles
     of runs, each stepped through the horizon), ``philox_calls`` (one per
-    run and noise chunk), ``chunk_steps`` (steps per noise chunk) and
+    run and noise chunk), ``transform_parts`` (parts of runs the chunks were
+    transformed in), ``chunk_steps`` (steps per noise chunk) and
     ``noise_buffer_bytes_peak``; ``timing`` its seconds
     per layer: ``fill_s`` (Philox uniforms), ``transform_s`` (the noise
-    transform, or the deterministic disturbances), ``observe_s`` (recording
+    transform left after the fill, the wait for the worker thread included,
+    or the deterministic disturbances), ``observe_s`` (recording
     run 0, the error means and the snapshots) and ``step_s`` (the rest: the
     step kernel and its set-up).
     """
@@ -577,6 +579,7 @@ def simulate_ensemble(
             "uniforms_drawn": chunks.uniforms_drawn,
             "tiles": chunks.tiles,
             "philox_calls": chunks.philox_calls,
+            "transform_parts": chunks.transform_parts,
             "chunk_steps": chunks.chunk_steps,
             "noise_buffer_bytes_peak": chunks.buffer_bytes_peak,
         },

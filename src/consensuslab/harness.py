@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -652,10 +653,17 @@ def _execute(
     diagnostics: dict = {}
     engine_s = dict.fromkeys(("fill_s", "transform_s", "step_s", "observe_s"), 0.0)
     if scenario.model is not None:
+        # the scenario's own snapshot times must lie in 0..T; a time an analysis reads is
+        # recorded where it does, and otherwise reported in that analysis's row
+        outside = sorted(t for t in scenario.snapshot_times if not 0 <= t <= T)
+        if outside:
+            ok = False
+            diagnostics["snapshot_times_outside"] = outside
         times = set(scenario.snapshot_times)
-        for item in scenario.analyses:  # the times the analyses read, recorded where they lie in 0..T
+        for item in scenario.analyses:
             if item["name"] == "drift":
-                times.update(int(t) for t in item.get("times", []))
+                with suppress(TypeError, ValueError):
+                    times.update(int(t) for t in item.get("times", []))
             elif isinstance(item.get("at"), int):
                 times.add(item["at"])
         ens = simulate_ensemble(

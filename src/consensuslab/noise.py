@@ -22,8 +22,8 @@ with ``k * n`` times the width bounded by ``CHUNK_VALUES``: it derives every
 run's key once, all runs in one vectorised pass of the ``SeedSequence`` hash
 (``run_keys``, checked against numpy at run 0), points one reused generator
 at each run in turn to fill that run's rows of a run-major ``(width, k, n)``
-buffer, one Philox call per run and chunk, and transforms the whole chunk at
-once. The width is the run count padded with zero-noise rows to a multiple
+buffer, one Philox call per run and chunk, and transforms the chunk (see
+below). The width is the run count padded with zero-noise rows to a multiple
 of ``WIDTH_PAD`` (see ``padded_width``), or, where it saves calls, the width
 of one of the fewest equal tiles of runs whose whole horizon is one chunk,
 each stepped through the horizon in turn (see ``NoiseChunks``). When a run's
@@ -33,6 +33,20 @@ values, so a step reads its noise contiguously. Memory stays at one chunk
 plus one stage whatever the horizon, and run ``r``'s rows equal
 ``sample_noise_block(spec, T, substream(master_seed, r))`` bit for bit
 whatever the chunk size, the tiling or the ensemble width.
+
+The transform overlaps the fill on one worker thread. The runs of a chunk
+are filled in ``TRANSFORM_PARTS`` consecutive parts; each part goes to the
+worker as soon as it is filled, and once the last is filled the filling
+thread takes back the parts the worker has not started and transforms them
+itself. ``ndtri``, the ufuncs and ``matmul`` release the GIL, so the two
+threads run at once; re-keying Philox holds the GIL once per run, so the
+fill stays on one thread and the worker never draws. A part is whole runs
+and the transform works elementwise (per run for ``_correlate``), with
+each step's ``time_scale`` evaluated once per chunk on the filling thread,
+so no byte depends on which thread transforms which part. Every part is
+done before its chunk is used, and an error in a part's transform reaches
+the caller as it was raised. A process forked after the worker started has
+no worker, so nothing starts its parts and it transforms each one itself.
 
 The distributional transforms are explicit, so ports to other stacks can
 match them distributionally:
@@ -52,6 +66,7 @@ import math
 import mmap
 import operator
 import sys
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import product
 from time import perf_counter
@@ -297,18 +312,19 @@ def _correlate(z: np.ndarray, F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _time_scaled(spec: NoiseSpec, g: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Multiply each step's rows of ``g`` (..., len(ts), n) by its ``time_scale``, in place."""
-    if spec.time_scale is not None:
-        g *= np.array([float(spec.time_scale(int(t))) for t in ts])[:, None]
-    return g
+def _step_scales(spec: NoiseSpec, ts: np.ndarray) -> Optional[np.ndarray]:
+    """The ``time_scale`` of each step ``ts`` as a (len(ts), 1) column, or None without one."""
+    if spec.time_scale is None:
+        return None
+    return np.array([float(spec.time_scale(int(t))) for t in ts])[:, None]
 
 
-def _transform(spec: NoiseSpec, u: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Map a (runs, len(ts), n) block of uniforms for steps ``ts`` to noise, in place.
+def _transform(spec: NoiseSpec, u: np.ndarray, scales: Optional[np.ndarray]) -> np.ndarray:
+    """Map a (runs, k, n) block of uniforms to noise in place; ``scales`` from ``_step_scales``.
 
     This is the one transform: the engine's chunks and ``sample_noise_block``
-    both go through it.
+    both go through it. It calls no Python code of the spec, so the engine
+    may run it on its worker thread (see ``NoiseChunks``).
     """
     if spec.kind == GAUSSIAN:
         np.clip(u, _U_FLOOR, None, out=u)
@@ -330,7 +346,9 @@ def _transform(spec: NoiseSpec, u: np.ndarray, ts: np.ndarray) -> np.ndarray:
         u *= spec.scale
     else:
         raise AssertionError(spec.kind)
-    return _time_scaled(spec, u, ts)
+    if scales is not None:
+        u *= scales
+    return u
 
 
 def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]) -> np.ndarray:
@@ -344,7 +362,7 @@ def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]
     if spec.is_random:
         if stream is None:
             raise ValueError(f"{spec.kind} noise needs a random stream")
-        return _transform(spec, stream.random((1, k, spec.n)), ts)[0]
+        return _transform(spec, stream.random((1, k, spec.n)), _step_scales(spec, ts))[0]
     if spec.kind == ZERO:
         g = np.zeros((k, spec.n))
     elif spec.kind == DECAYING:
@@ -356,7 +374,10 @@ def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]
             t = int(outside[-1])
             raise TableExhaustedError(t, f"noise table covers t=1..{rows}, asked for t={t}")
         g = spec.table[ts - 1]
-    return _time_scaled(spec, g, ts)
+    scales = _step_scales(spec, ts)
+    if scales is not None:
+        g *= scales
+    return g
 
 
 def sample_noise(spec: NoiseSpec, t: int, stream: Optional[np.random.Generator]) -> np.ndarray:
@@ -393,6 +414,11 @@ STAGE_VALUES = 2**16
 STEP_CALLS = 4
 # Most run keys converted to Python ints at once.
 _KEY_SLICE = 2**10
+# Parts of whole runs a random chunk is filled in, each transformed on the worker while
+# the next is filled (see ``NoiseChunks``).
+TRANSFORM_PARTS = 8
+# The one thread that transforms noise alongside the Philox fill; it never fills.
+_WORKER = ThreadPoolExecutor(1, thread_name_prefix="consensuslab-noise")
 
 
 class NoiseChunks:
@@ -431,10 +457,12 @@ class NoiseChunks:
     the chunk. Deterministic kinds compute their rows chunk by chunk and
     share them between runs.
 
-    ``uniforms_drawn``, ``philox_calls`` (one per run and chunk) and
-    ``buffer_bytes_peak`` (chunk plus stage) count what the iteration did,
-    and ``fill_s`` and ``transform_s`` time its Philox draws and its
-    transform; the engine reports them.
+    ``uniforms_drawn``, ``philox_calls`` (one per run and chunk),
+    ``transform_parts`` (one per part, see the module docstring) and
+    ``buffer_bytes_peak`` (chunk plus stage) count what the iteration did.
+    ``fill_s`` times its Philox draws and ``transform_s`` the rest of each
+    chunk on the filling thread: its share of the transform and its wait
+    for the worker's. The engine reports them.
     """
 
     def __init__(self, spec: NoiseSpec, T: int, m: int, master_seed: int, tiled: bool = False):
@@ -464,6 +492,7 @@ class NoiseChunks:
         self.uniforms_drawn = 0
         self.philox_calls = 0
         self.buffer_bytes_peak = 0
+        self.transform_parts = 0
         self.fill_s = 0.0
         self.transform_s = 0.0
         if spec.is_random:
@@ -484,6 +513,37 @@ class NoiseChunks:
         self.uniforms_drawn += block.size
         self.philox_calls += len(keys)
 
+    def _fill_transformed(self, block: np.ndarray, keys: np.ndarray, c0: int, ts: np.ndarray) -> float:
+        """Fill ``block`` as ``_fill`` does and transform it, overlapping the two; return the fill seconds.
+
+        The runs are filled in up to ``TRANSFORM_PARTS`` consecutive parts,
+        each handed to the worker as soon as it is filled. Then the parts the
+        worker has not started are taken back, last first, and transformed
+        here, and the rest are waited for. No part is still being written
+        when this returns or raises.
+        """
+        spec = self.spec
+        scales = _step_scales(spec, ts)
+        parts = min(TRANSFORM_PARTS, len(keys))
+        cuts = [len(keys) * i // parts for i in range(parts + 1)] if parts else []
+        fill_s = 0.0
+        submitted = []
+        try:
+            for a, b in zip(cuts, cuts[1:]):
+                t0 = perf_counter()
+                self._fill(block[a:b], keys[a:b], c0)
+                fill_s += perf_counter() - t0
+                submitted.append((_WORKER.submit(_transform, spec, block[a:b], scales), block[a:b]))
+            # the worker runs its parts in order, so the unstarted ones are at the end
+            while submitted and submitted[-1][0].cancel():
+                _transform(spec, submitted.pop()[1], scales)
+            for future, _ in submitted:
+                future.result()
+        finally:  # after an error, drop the parts not started and let a running one finish
+            wait([future for future, _ in submitted if not future.cancel()])
+        self.transform_parts += parts
+        return fill_s
+
     def _chunks(self):
         """(steps, block) per chunk of each tile in turn: block is (width, len(steps), n), or (1, len(steps), n) shared."""
         spec, n, W = self.spec, self.spec.n, self.width
@@ -499,14 +559,13 @@ class NoiseChunks:
                 keys = self._keys[lo : lo + W]
                 block = buf[: W * kk * n].reshape(W, kk, n)
                 block[len(keys) :] = 0.0
-                self._fill(block[: len(keys)], keys, c0)
-                t1 = perf_counter()
-                _transform(spec, block[: len(keys)], ts)
+                fill_s = self._fill_transformed(block[: len(keys)], keys, c0, ts)
             else:
-                t1 = t0
+                fill_s = 0.0
                 block = _rows(spec, ts, None)[None]
-            self.fill_s += t1 - t0
-            self.transform_s += perf_counter() - t1
+            # the transform's share is what the fill leaves of the chunk: work and waiting
+            self.fill_s += fill_s
+            self.transform_s += perf_counter() - t0 - fill_s
             held = self._copies * block.nbytes + (0 if self._stage is None else self._stage.nbytes)
             self.buffer_bytes_peak = max(self.buffer_bytes_peak, held)
             yield kk, block

@@ -1,5 +1,7 @@
 import math
 import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -564,6 +566,140 @@ class TestReproducibilityContract:
         tracked = simulate_ensemble(spec, self.T, 37, master_seed=8, track_mean_err=True)
         assert tracked.engine["tiles"] == 1
         assert np.array_equal(tracked.terminal_states, ref.terminal_states)
+
+    class _Inline:
+        """An executor whose tasks never start, so the filling thread takes every part back."""
+
+        def submit(self, fn, *args):
+            return Future()
+
+    class _Pool:
+        """A one-thread executor that keeps its futures; ``eager``, it finishes each part before the next fill."""
+
+        def __init__(self, eager: bool):
+            self.pool, self.eager, self.futures = ThreadPoolExecutor(1), eager, []
+
+        def submit(self, fn, *args):
+            self.futures.append(self.pool.submit(fn, *args))
+            if self.eager:
+                wait(self.futures[-1:])
+            return self.futures[-1]
+
+    @staticmethod
+    def _worker_noise(n: int, kind: str) -> NoiseSpec:
+        """The contract's noise of ``kind`` without its time_scale; ``time_scale`` is the dense Gaussian with it."""
+        spec = _contract_noise(n)["gaussian_dense" if kind == "time_scale" else kind]
+        return spec if kind == "time_scale" else replace(spec, time_scale=None)
+
+    @pytest.mark.parametrize("staged", [True, False])
+    @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy", "time_scale"])
+    def test_worker_transform_changes_no_byte(self, kind, staged, monkeypatch):
+        # the worker transforms each part of a chunk while the next is filled; every part on
+        # the filling thread, every part on the worker, or the default race between the two
+        # must give the same bytes: the run's own substream block
+        from consensuslab import noise
+
+        n, m = 5, 37
+        spec = self._worker_noise(n, kind)
+        assert (spec.time_scale is not None) == (kind == "time_scale")
+        blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
+        for k in self._chunk_sizes(spec):
+            for executor in (None, self._Inline(), self._Pool(eager=True)):
+                self._force(monkeypatch, m, n, k, staged)
+                if executor is not None:
+                    monkeypatch.setattr(noise, "_WORKER", executor)
+                chunks = noise.NoiseChunks(spec, self.T, m, 41)
+                assert (chunks._stage is not None) == staged
+                rows = np.stack([g.T.copy() for g in chunks])
+                for r in range(m):
+                    assert np.array_equal(rows[:, r], blocks[r]), (k, executor, r)
+                assert not rows[:, m:].any()
+                parts = -(-self.T // chunks.chunk_steps) * noise.TRANSFORM_PARTS
+                assert chunks.transform_parts == parts
+                if isinstance(executor, self._Pool):  # every part went to the worker and ran there
+                    assert len(executor.futures) == parts and not any(f.cancelled() for f in executor.futures)
+                monkeypatch.undo()
+
+    def test_time_scale_is_evaluated_once_per_step(self, monkeypatch):
+        from consensuslab import noise
+
+        calls = []
+        spec = NoiseSpec.cauchy(2, scale=0.7, time_scale=lambda t: calls.append(t) or 1.0 / t)
+        self._force(monkeypatch, 37, 2, 4)
+        chunks = noise.NoiseChunks(spec, self.T, 37, 41)
+        list(chunks)
+        assert chunks.transform_parts == 7 * noise.TRANSFORM_PARTS  # 7 chunks of up to 4 steps
+        assert calls == list(range(1, self.T + 1))
+
+    def test_a_raising_time_scale_propagates(self, monkeypatch):
+        from consensuslab import noise
+
+        def scale(t):
+            if t == 13:
+                raise ArithmeticError(f"no scale at step {t}")
+            return 1.0 / t
+
+        spec = NoiseSpec.gaussian(np.zeros(2), np.eye(2), time_scale=scale)
+        with pytest.raises(ArithmeticError, match="^no scale at step 13$"):
+            noise.sample_noise_block(spec, self.T, noise.substream(41, 0))
+        for executor in (None, self._Inline(), self._Pool(eager=True)):
+            self._force(monkeypatch, 37, 2, 4)
+            if executor is not None:
+                monkeypatch.setattr(noise, "_WORKER", executor)
+            steps = iter(noise.NoiseChunks(spec, self.T, 37, 41))
+            for _ in range(12):
+                next(steps)
+            with pytest.raises(ArithmeticError, match="^no scale at step 13$"):
+                next(steps)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("failing", [0, 3, 7])
+    def test_a_raising_transform_propagates_and_stops_every_part(self, failing, monkeypatch):
+        # one part's transform fails while the others are slow, on whichever thread runs it:
+        # the error reaches the caller as it is, and no part is still running after it
+        import time
+
+        from consensuslab import noise
+
+        transform = noise._transform
+        started = []
+
+        def transform_or_fail(spec, u, scales):
+            started.append(u)
+            if len(started) == failing + 1:
+                raise FloatingPointError(f"part {failing} failed")
+            time.sleep(0.01)
+            return transform(spec, u, scales)
+
+        spec = self._worker_noise(3, "gaussian_dense")
+        for executor in (self._Inline(), self._Pool(eager=True), self._Pool(eager=False)):
+            started.clear()
+            monkeypatch.setattr(noise, "_transform", transform_or_fail)
+            monkeypatch.setattr(noise, "_WORKER", executor)
+            with pytest.raises(FloatingPointError, match=f"^part {failing} failed$"):
+                next(iter(noise.NoiseChunks(spec, self.T, 37, 41)))
+            monkeypatch.undo()
+            if isinstance(executor, self._Pool):
+                assert len(executor.futures) == noise.TRANSFORM_PARTS
+                assert all(f.done() for f in executor.futures)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_process_transforms_every_part_itself(self):
+        # a process forked after the worker started has no worker thread: nothing starts the
+        # parts it submits, so its filling thread takes each one back
+        import signal
+
+        from consensuslab import noise
+
+        spec = self._worker_noise(3, "time_scale")
+        blocks = np.stack([noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(37)])
+        list(noise.NoiseChunks(spec, self.T, 37, 41))  # the worker thread exists from here on
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(60)
+            rows = np.stack([g.T.copy() for g in noise.NoiseChunks(spec, self.T, 37, 41)])
+            os._exit(0 if np.array_equal(rows[:, :37].transpose(1, 0, 2), blocks) else 1)
+        assert os.waitpid(pid, 0)[1] == 0
 
     def test_terminal_state_ignores_the_blas_thread_count(self):
         # OpenBLAS splits a wide product's columns between threads; with the padded width

@@ -231,7 +231,7 @@ class TestRunScenario:
         assert summary.ok
         assert summary.diagnostics == {
             "engine": {"runs": 1, "steps": 20, "uniforms_drawn": 0, "tiles": 1, "philox_calls": 0,
-                       "chunk_steps": 20, "noise_buffer_bytes_peak": 0},
+                       "transform_parts": 0, "chunk_steps": 20, "noise_buffer_bytes_peak": 0},
             "nonfinite_runs": 0,
             "first_nonfinite_step": None,
             "rho_max": traj.rho[1],
@@ -252,11 +252,12 @@ class TestRunScenario:
         del model["sigma_bar"]
         doc = dict(MINIMAL, model=model, horizon=30, ensemble=5)
         summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
-        # one tile and one 30-step chunk, so one Philox call per run, and one 4-step stage,
-        # both 8 runs wide (5 runs and 3 zero-noise pad runs)
+        # one tile and one 30-step chunk, so one Philox call per run, transformed in one part
+        # per run (fewer runs than TRANSFORM_PARTS), and one 4-step stage, both 8 runs wide
+        # (5 runs and 3 zero-noise pad runs)
         assert summary.diagnostics["engine"] == {
             "runs": 5, "steps": 30, "uniforms_drawn": 30 * 2 * 5, "tiles": 1, "philox_calls": 5,
-            "chunk_steps": 30, "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 4 * 2 * 8,
+            "transform_parts": 5, "chunk_steps": 30, "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 4 * 2 * 8,
         }
         with open(tmp_path / "summary.json") as fh:
             assert json.load(fh)["diagnostics"]["engine"] == summary.diagnostics["engine"]
@@ -528,6 +529,34 @@ class TestResolvedRun:
         # an `at` time inside the horizon is recorded without being listed in snapshot_times
         assert np.array_equal(summary.analyses["moments"]["mean"], ctx.ensemble.snapshots[3].mean(axis=0))
         assert summary.analyses["rank_one"] == {"error": "ScenarioFormatError: time 9 lies outside the horizon 0..5"}
+
+    @pytest.mark.parametrize("times, error", [
+        (["x", 10], "ValueError: invalid literal for int() with base 10: 'x'"),
+        ([[1], 10], "TypeError: int() argument must be"),
+        (7, "TypeError: 'int' object is not iterable"),
+    ])
+    def test_a_bad_drift_time_is_the_drift_row(self, times, error, tmp_path):
+        noise = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
+        doc = dict(MINIMAL, model=model, horizon=10, ensemble=20,
+                   analyses=[{"name": "drift", "times": [5, 10]}, {"name": "moments"}])
+        summary = run_scenario(load_scenario(doc), out_dir=tmp_path, overrides={"drift.times": times})
+        assert not summary.ok
+        assert list(summary.analyses["drift"]) == ["error"] and summary.analyses["drift"]["error"].startswith(error)
+        assert "error" not in summary.analyses["moments"]
+        assert json.loads((tmp_path / "summary.json").read_text())["analyses"]["drift"] == summary.analyses["drift"]
+
+    def test_snapshot_times_outside_the_horizon_are_reported(self, tmp_path):
+        noise = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
+        doc = dict(MINIMAL, model=model, horizon=10, ensemble=4, snapshot_times=[12, 3, 10, 40])
+        summary, ctx = harness._execute(load_scenario(doc), tmp_path)
+        assert not summary.ok
+        assert summary.diagnostics["snapshot_times_outside"] == [12, 40]
+        assert sorted(ctx.ensemble.snapshots) == [3, 10]  # the times inside are still recorded
+        assert json.loads((tmp_path / "summary.json").read_text())["diagnostics"]["snapshot_times_outside"] == [12, 40]
+        inside = run_scenario(load_scenario(dict(doc, snapshot_times=[3, 10])), out_dir=tmp_path)
+        assert inside.ok and "snapshot_times_outside" not in inside.diagnostics
 
 
 class TestReproduceFast:
