@@ -34,19 +34,21 @@ plus one stage whatever the horizon, and run ``r``'s rows equal
 ``sample_noise_block(spec, T, substream(master_seed, r))`` bit for bit
 whatever the chunk size, the tiling or the ensemble width.
 
-The transform overlaps the fill on one worker thread. The runs of a chunk
-are filled in ``TRANSFORM_PARTS`` consecutive parts; each part goes to the
-worker as soon as it is filled, and once the last is filled the filling
-thread takes back the parts the worker has not started and transforms them
-itself. ``ndtri``, the ufuncs and ``matmul`` release the GIL, so the two
-threads run at once; re-keying Philox holds the GIL once per run, so the
-fill stays on one thread and the worker never draws. A part is whole runs
-and the transform works elementwise (per run for ``_correlate``), with
-each step's ``time_scale`` evaluated once per chunk on the filling thread,
-so no byte depends on which thread transforms which part. Every part is
-done before its chunk is used, and an error in a part's transform reaches
-the caller as it was raised. A process forked after the worker started has
-no worker, so nothing starts its parts and it transforms each one itself.
+Where it pays (see ``_overlaps``), the transform overlaps the fill on one
+worker thread. The runs of a chunk are filled in ``TRANSFORM_PARTS``
+consecutive parts; each part goes to the worker as soon as it is filled,
+and once the last is filled the filling thread takes back the parts the
+worker has not started and transforms them itself. ``ndtri``, the ufuncs
+and ``matmul`` release the GIL, so the two threads run at once; re-keying
+Philox holds the GIL once per run, so the fill stays on one thread and the
+worker never draws. Other chunks are filled whole, then transformed whole
+on the filling thread. A part is whole runs and the transform works
+elementwise (per run for ``_correlate``), with each step's ``time_scale``
+evaluated once per chunk on the filling thread, so no byte depends on
+which thread transforms which part. Every part is done before its chunk is
+used, and an error in a part's transform reaches the caller as it was
+raised. A process forked after the worker started has no worker, so
+nothing starts its parts and it transforms each one itself.
 
 The distributional transforms are explicit, so ports to other stacks can
 match them distributionally:
@@ -419,6 +421,22 @@ _KEY_SLICE = 2**10
 TRANSFORM_PARTS = 8
 # The one thread that transforms noise alongside the Philox fill; it never fills.
 _WORKER = ThreadPoolExecutor(1, thread_name_prefix="consensuslab-noise")
+# Fewest uniforms each run's Philox call must draw per chunk for the worker to take the
+# chunk's transform (see ``_overlaps``).
+OVERLAP_MIN_DRAW = 2**10
+
+
+def _overlaps(spec: NoiseSpec, draw: int) -> bool:
+    """Whether the worker transforms chunks of ``spec`` whose runs each draw ``draw`` uniforms.
+
+    Only the Gaussian inverse CDF costs more per value than the Philox draw;
+    the Rademacher and Cauchy maps cost a fraction of it, less than handing
+    their parts over. The filling thread leaves the GIL free only inside each
+    run's draw, so below ``OVERLAP_MIN_DRAW`` uniforms a draw the worker
+    mostly waits for it, and whether the overlap gains or loses changes from
+    one process to the next (measurements in CHANGES.md).
+    """
+    return spec.kind == GAUSSIAN and draw >= OVERLAP_MIN_DRAW
 
 
 class NoiseChunks:
@@ -458,7 +476,8 @@ class NoiseChunks:
     share them between runs.
 
     ``uniforms_drawn``, ``philox_calls`` (one per run and chunk),
-    ``transform_parts`` (one per part, see the module docstring) and
+    ``transform_parts`` (one per part, see the module docstring, or one
+    per chunk the worker does not take) and
     ``buffer_bytes_peak`` (chunk plus stage) count what the iteration did.
     ``fill_s`` times its Philox draws and ``transform_s`` the rest of each
     chunk on the filling thread: its share of the transform and its wait
@@ -486,6 +505,7 @@ class NoiseChunks:
         self.tiles = max(1, -(-m // width))
         self._k = steps(width if spec.is_random else 1)
         self.chunk_steps = min(self._k, T)
+        self._overlap = spec.is_random and _overlaps(spec, self.chunk_steps * n)
         staged = spec.is_random and n < 8 and 4 * n * width <= STAGE_VALUES
         self._stage = np.empty((4, n, width)) if staged else None
         self._copies = 2 if dense else 1  # the dense covariance product writes a second chunk-sized array
@@ -559,7 +579,13 @@ class NoiseChunks:
                 keys = self._keys[lo : lo + W]
                 block = buf[: W * kk * n].reshape(W, kk, n)
                 block[len(keys) :] = 0.0
-                fill_s = self._fill_transformed(block[: len(keys)], keys, c0, ts)
+                if self._overlap:
+                    fill_s = self._fill_transformed(block[: len(keys)], keys, c0, ts)
+                else:
+                    self._fill(block[: len(keys)], keys, c0)
+                    fill_s = perf_counter() - t0
+                    _transform(spec, block[: len(keys)], _step_scales(spec, ts))
+                    self.transform_parts += 1
             else:
                 fill_s = 0.0
                 block = _rows(spec, ts, None)[None]

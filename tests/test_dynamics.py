@@ -567,6 +567,13 @@ class TestReproducibilityContract:
         assert tracked.engine["tiles"] == 1
         assert np.array_equal(tracked.terminal_states, ref.terminal_states)
 
+    @staticmethod
+    def _overlap_every_chunk(monkeypatch):
+        """Hand every random chunk's transform to the worker, whatever its kind and draw."""
+        from consensuslab import noise
+
+        monkeypatch.setattr(noise, "_overlaps", lambda spec, draw: True)
+
     class _Inline:
         """An executor whose tasks never start, so the filling thread takes every part back."""
 
@@ -606,6 +613,7 @@ class TestReproducibilityContract:
         for k in self._chunk_sizes(spec):
             for executor in (None, self._Inline(), self._Pool(eager=True)):
                 self._force(monkeypatch, m, n, k, staged)
+                self._overlap_every_chunk(monkeypatch)
                 if executor is not None:
                     monkeypatch.setattr(noise, "_WORKER", executor)
                 chunks = noise.NoiseChunks(spec, self.T, m, 41)
@@ -626,6 +634,7 @@ class TestReproducibilityContract:
         calls = []
         spec = NoiseSpec.cauchy(2, scale=0.7, time_scale=lambda t: calls.append(t) or 1.0 / t)
         self._force(monkeypatch, 37, 2, 4)
+        self._overlap_every_chunk(monkeypatch)
         chunks = noise.NoiseChunks(spec, self.T, 37, 41)
         list(chunks)
         assert chunks.transform_parts == 7 * noise.TRANSFORM_PARTS  # 7 chunks of up to 4 steps
@@ -644,6 +653,7 @@ class TestReproducibilityContract:
             noise.sample_noise_block(spec, self.T, noise.substream(41, 0))
         for executor in (None, self._Inline(), self._Pool(eager=True)):
             self._force(monkeypatch, 37, 2, 4)
+            self._overlap_every_chunk(monkeypatch)
             if executor is not None:
                 monkeypatch.setattr(noise, "_WORKER", executor)
             steps = iter(noise.NoiseChunks(spec, self.T, 37, 41))
@@ -676,6 +686,7 @@ class TestReproducibilityContract:
             started.clear()
             monkeypatch.setattr(noise, "_transform", transform_or_fail)
             monkeypatch.setattr(noise, "_WORKER", executor)
+            self._overlap_every_chunk(monkeypatch)
             with pytest.raises(FloatingPointError, match=f"^part {failing} failed$"):
                 next(iter(noise.NoiseChunks(spec, self.T, 37, 41)))
             monkeypatch.undo()
@@ -683,14 +694,36 @@ class TestReproducibilityContract:
                 assert len(executor.futures) == noise.TRANSFORM_PARTS
                 assert all(f.done() for f in executor.futures)
 
+    @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy"])
+    def test_the_worker_takes_only_long_gaussian_draws(self, kind, monkeypatch):
+        # a chunk goes to the worker in parts when its noise is Gaussian and each run draws at
+        # least OVERLAP_MIN_DRAW uniforms; any other is transformed whole on the filling thread
+        from consensuslab import noise
+
+        n, m, T = 2, 37, noise.OVERLAP_MIN_DRAW // 2
+        spec = self._worker_noise(n, kind)
+        blocks = [noise.sample_noise_block(spec, T, noise.substream(41, r)) for r in range(m)]
+        for k in (T - 4, T):
+            executor = self._Pool(eager=False)
+            self._force(monkeypatch, m, n, k)
+            monkeypatch.setattr(noise, "_WORKER", executor)
+            chunks = noise.NoiseChunks(spec, T, m, 41)
+            rows = np.stack([g.T.copy() for g in chunks])
+            monkeypatch.undo()
+            assert all(np.array_equal(rows[:, r], blocks[r]) for r in range(m)), k
+            overlap = kind.startswith("gaussian") and k * n >= noise.OVERLAP_MIN_DRAW
+            assert chunks.transform_parts == (noise.TRANSFORM_PARTS if overlap else -(-T // k)), k
+            assert len(executor.futures) == (noise.TRANSFORM_PARTS if overlap else 0), k
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_process_transforms_every_part_itself(self):
+    def test_a_forked_process_transforms_every_part_itself(self, monkeypatch):
         # a process forked after the worker started has no worker thread: nothing starts the
         # parts it submits, so its filling thread takes each one back
         import signal
 
         from consensuslab import noise
 
+        self._overlap_every_chunk(monkeypatch)
         spec = self._worker_noise(3, "time_scale")
         blocks = np.stack([noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(37)])
         list(noise.NoiseChunks(spec, self.T, 37, 41))  # the worker thread exists from here on

@@ -252,12 +252,12 @@ class TestRunScenario:
         del model["sigma_bar"]
         doc = dict(MINIMAL, model=model, horizon=30, ensemble=5)
         summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
-        # one tile and one 30-step chunk, so one Philox call per run, transformed in one part
-        # per run (fewer runs than TRANSFORM_PARTS), and one 4-step stage, both 8 runs wide
-        # (5 runs and 3 zero-noise pad runs)
+        # one tile and one 30-step chunk, so one Philox call per run, transformed whole on the
+        # filling thread (Rademacher noise), and one 4-step stage, both 8 runs wide (5 runs
+        # and 3 zero-noise pad runs)
         assert summary.diagnostics["engine"] == {
             "runs": 5, "steps": 30, "uniforms_drawn": 30 * 2 * 5, "tiles": 1, "philox_calls": 5,
-            "transform_parts": 5, "chunk_steps": 30, "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 4 * 2 * 8,
+            "transform_parts": 1, "chunk_steps": 30, "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 4 * 2 * 8,
         }
         with open(tmp_path / "summary.json") as fh:
             assert json.load(fh)["diagnostics"]["engine"] == summary.diagnostics["engine"]
