@@ -270,16 +270,14 @@ class EnsembleSample:
     ``terminal_states[0]``. ``snapshots`` maps requested intermediate times
     to (m, n) state blocks; ``mean_err_inf`` is the ensemble mean of the
     sup-error per step when it was tracked. ``engine`` holds the pass's
-    counts: ``runs``, ``steps``, ``uniforms_drawn``, ``tiles`` (column tiles
-    of runs, each stepped through the horizon), ``philox_calls`` (one per
-    run and noise chunk), ``transform_parts`` (parts of runs the chunks were
-    transformed in), ``chunk_steps`` (steps per noise chunk) and
-    ``noise_buffer_bytes_peak``; ``timing`` its seconds
-    per layer: ``fill_s`` (Philox uniforms), ``transform_s`` (the noise
-    transform left after the fill, the wait for the worker thread included,
-    or the deterministic disturbances), ``observe_s`` (recording
-    run 0, the error means and the snapshots) and ``step_s`` (the rest: the
-    step kernel and its set-up).
+    counts: ``runs``, ``steps``, and ``uniforms_drawn``, ``tiles``,
+    ``philox_calls``, ``transform_parts``, ``chunk_steps`` and
+    ``noise_buffer_bytes_peak`` as ``noise.NoiseChunks`` counts them.
+    ``timing`` holds its seconds per layer: ``fill_s`` (Philox uniforms),
+    ``transform_s`` (the noise transform left after the fill, the wait for
+    the worker thread included, or the deterministic disturbances),
+    ``observe_s`` (recording run 0, the error means and the snapshots) and
+    ``step_s`` (the rest: the step kernel and its set-up).
     """
 
     terminal_states: np.ndarray
@@ -335,14 +333,16 @@ def _step(M, X, e, f, sigma_bar, g, average: bool) -> np.ndarray:
     feedback is ``e (ref - X)``, ``f(ref - X)`` for a learning function
     ``f``, or ``e g`` for the average family, whose ``M`` is the averaging
     map of ``(A, e)``. The expressions are kept in this exact form (not
-    folded into ``(A - E) X``) so every family reproduces its bytes.
+    folded into ``(A - E) X``) so every family reproduces its bytes; the
+    feedback is added into the product in place, which rounds as the sum does.
     """
+    Y = M @ X
     if average:
-        return M @ X + e[:, None] * g
+        Y += e[:, None] * g
+        return Y
     ref = sigma_bar if g is None else g if sigma_bar is None else sigma_bar + g
-    if f is None:
-        return M @ X + e[:, None] * (ref - X)
-    return M @ X + _apply_learning(f, ref - X)
+    Y += e[:, None] * (ref - X) if f is None else _apply_learning(f, ref - X)
+    return Y
 
 
 def _view(M, eps, f, sigma_bar, gamma, x, average: bool = False) -> np.ndarray:
@@ -492,21 +492,17 @@ def simulate_ensemble(
     per-step diagnostics come from the same pass as the terminal block, so
     ``run0.terminal`` equals ``terminal_states[0]`` bit for bit. Requested
     ``snapshot_times`` record full (m, n) state blocks along the way.
-    Random noise is drawn in chunks of steps (see ``noise.NoiseChunks``),
-    ``k`` steps with ``k * n`` a multiple of 4, so whatever ``T`` is it holds
-    one chunk of at most ``8 * noise.CHUNK_VALUES`` bytes (8 MiB; the fewest
-    steps of every run allowed when that is more) plus, for ``n < 8``, one
-    step-major stage of four steps of at most ``8 * noise.STAGE_VALUES``
-    bytes (512 KiB). Each chunk costs one Philox call per run, so where it
-    pays the runs are stepped in column tiles, each through all ``T`` steps
-    with its whole horizon in one chunk (see ``noise.NoiseChunks``); never
-    with ``track_mean_err``, whose mean needs every run at each step. Run 0's
-    path and rho come from the first tile. The state block, chunk and stage
-    have ``padded_width(m)`` columns, or a tile's width, both multiples of
-    ``noise.WIDTH_PAD``, so that ``M @ X`` rounds every run's column the same
-    way at any ``m`` and any tiling; the pad columns start at ``x0``, get
-    zero random noise and are never reported. ``engine`` reports what the
-    pass did and ``timing`` where its time went.
+    The noise comes from ``noise.NoiseChunks``, whose geometry (chunks,
+    stage, pad and column tiles) the ``noise`` module docstring sets out;
+    its memory is one chunk and one stage whatever ``T`` is. The runs are
+    stepped tile by tile, each tile through all ``T`` steps, and never in
+    more than one tile with ``track_mean_err``, whose mean needs every run
+    at each step. Run 0's path and rho come from the first tile. The state
+    block has the noise's width, a multiple of ``noise.WIDTH_PAD``, so that
+    ``M @ X`` rounds every run's column the same way at any ``m`` and any
+    tiling; the pad columns start at ``x0``, get zero random noise and are
+    never reported. ``engine`` reports what the pass did and ``timing``
+    where its time went.
     """
     start = time.perf_counter()
     if T < 0:

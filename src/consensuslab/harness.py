@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -159,6 +159,17 @@ def _compile_rate_schedule(doc: dict, horizon: int, pointer: str):
     )
 
 
+@contextmanager
+def _invalid(part: str, pointer: str):
+    """Turn a ``ValueError`` raised while compiling ``part`` into a ``ScenarioFormatError`` at ``pointer``."""
+    try:
+        yield
+    except ScenarioFormatError:
+        raise
+    except ValueError as exc:
+        raise ScenarioFormatError(f"invalid {part}: {exc}", pointer) from exc
+
+
 def _compile_model(doc: Optional[dict], horizon: int) -> Optional[ModelSpec]:
     if doc is None:
         return None
@@ -166,19 +177,21 @@ def _compile_model(doc: Optional[dict], horizon: int) -> Optional[ModelSpec]:
     n = int(doc["n"])
     x0 = np.asarray(doc["x0"], dtype=float)
     schedule_A = _compile_matrix_schedule(doc["A"], "/model/A")
-    noise = _compile_noise(doc.get("noise"), n)
+    with _invalid("noise", "/model/noise"):
+        noise = _compile_noise(doc.get("noise"), n)
     sigma_bar = doc.get("sigma_bar")
     kwargs: dict = {}
     if family is ModelFamily.NONLINEAR:
         if "learning_fn" not in doc:
             raise ScenarioFormatError("nonlinear model needs 'learning_fn'", "/model")
-        kwargs["learning_fn"] = _compile_learning_fn(doc["learning_fn"])
+        with _invalid("learning_fn", "/model/learning_fn"):
+            kwargs["learning_fn"] = _compile_learning_fn(doc["learning_fn"])
         kwargs["include_target"] = sigma_bar is not None
     else:
         if "E" not in doc:
             raise ScenarioFormatError("model needs a rate schedule 'E'", "/model")
         kwargs["schedule_E"] = _compile_rate_schedule(doc["E"], horizon, "/model/E")
-    try:
+    with _invalid("model", "/model"):
         return ModelSpec(
             family=family,
             n=n,
@@ -188,8 +201,6 @@ def _compile_model(doc: Optional[dict], horizon: int) -> Optional[ModelSpec]:
             noise=noise,
             **kwargs,
         )
-    except ValueError as exc:
-        raise ScenarioFormatError(f"invalid model: {exc}", "/model") from exc
 
 
 def load_scenario(source) -> Scenario:
@@ -716,13 +727,8 @@ def _execute(
         outputs["ensemble_csv"] = str(p)
     analysis_rows, diagnostics = cond._sanitize(analysis_rows), cond._sanitize(diagnostics)
 
-    # The phases share clock boundaries, so they add up to total_s: write_s
-    # is the rest, the CSV files plus sanitising and building the summary.
     timing = {"checks_s": checked - t0, "engine": engine_s}
     timing["analyses_s"] = analysed - checked - sum(engine_s.values())
-    total = clock() - t0
-    timing["write_s"] = total - (timing["checks_s"] + sum(engine_s.values()) + timing["analyses_s"])
-    timing["total_s"] = total
     summary = RunSummary(
         scenario_id=scenario.scenario_id,
         master_seed=scenario.master_seed,
@@ -739,9 +745,24 @@ def _execute(
         outputs=outputs,
         ok=ok,
     )
+    # The phases share clock boundaries, so they add up to total_s: write_s is
+    # the rest, the CSV files, sanitising and summary.json. The summary is
+    # streamed with a slot object for its timing; when the encoder reaches the
+    # slot, everything before it is written, so the clock stops there and the
+    # timing fills the slot, nested where ``json.dump`` nests any dict value.
+    slot = object()
+
+    def fill_timing(o):
+        if o is not slot:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        total = clock() - t0
+        timing["write_s"] = total - (timing["checks_s"] + sum(engine_s.values()) + timing["analyses_s"])
+        timing["total_s"] = total
+        return timing
+
     p = target_dir / "summary.json"
     with open(p, "w") as fh:
-        json.dump(summary.to_json(), fh, indent=2, allow_nan=False)
+        json.dump({**summary.to_json(), "timing": slot}, fh, indent=2, allow_nan=False, default=fill_timing)
     summary.outputs["summary_json"] = str(p)
     return summary, ctx
 

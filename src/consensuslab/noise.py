@@ -15,24 +15,25 @@ feeding component ``i`` of step ``t`` always sits at stream position
 Philox makes four doubles per counter value, so any position ``p`` that is
 a multiple of four is reached from the key alone by setting the counter to
 ``p / 4`` with an empty output buffer (Salmon et al., "Parallel Random
-Numbers: As Easy as 1, 2, 3", SC'11). The simulation engine relies on this
-to draw noise in chunks of ``k`` steps, ``k * n`` a multiple of four (``k``
-itself a multiple of four for a dense covariance factor, see ``_correlate``),
-with ``k * n`` times the width bounded by ``CHUNK_VALUES``: it derives every
-run's key once, all runs in one vectorised pass of the ``SeedSequence`` hash
-(``run_keys``, checked against numpy at run 0), points one reused generator
-at each run in turn to fill that run's rows of a run-major ``(width, k, n)``
-buffer, one Philox call per run and chunk, and transforms the chunk (see
-below). The width is the run count padded with zero-noise rows to a multiple
-of ``WIDTH_PAD`` (see ``padded_width``), or, where it saves calls, the width
-of one of the fewest equal tiles of runs whose whole horizon is one chunk,
-each stepped through the horizon in turn (see ``NoiseChunks``). When a run's
-row is shorter than a cache line, every four steps of the chunk are copied
-into a step-major ``(4, n, width)`` stage of at most ``STAGE_VALUES``
-values, so a step reads its noise contiguously. Memory stays at one chunk
-plus one stage whatever the horizon, and run ``r``'s rows equal
-``sample_noise_block(spec, T, substream(master_seed, r))`` bit for bit
-whatever the chunk size, the tiling or the ensemble width.
+Numbers: As Easy as 1, 2, 3", SC'11).
+
+The simulation engine (``NoiseChunks``) relies on this to draw noise in
+chunks of ``k`` steps, ``k * n`` a multiple of four (``k`` itself a multiple
+of ``STEP_GROUP`` for a dense covariance factor, see ``_correlate``), with
+``k * n`` times the width at most ``CHUNK_VALUES`` (the smallest such ``k``
+when even that is too many values). It derives every run's key once, all
+runs in one vectorised pass of the ``SeedSequence`` hash (``run_keys``,
+checked against numpy at run 0), points one reused generator at each run in
+turn to fill that run's rows of a run-major ``(width, k, n)`` buffer, one
+Philox call per run and chunk, and transforms the chunk (see below). When a
+run's row is shorter than a cache line (``n < 8``) and four steps fit in
+``STAGE_VALUES``, every four steps of the chunk are copied into a
+step-major ``(4, n, width)`` stage, so a step reads its noise contiguously.
+Deterministic kinds compute their rows chunk by chunk and share them
+between runs. Memory stays at one chunk plus one stage whatever the
+horizon, and run ``r``'s rows equal ``sample_noise_block(spec, T,
+substream(master_seed, r))`` bit for bit whatever the chunk size, the
+tiling or the ensemble width.
 
 Where it pays (see ``_overlaps``), the transform overlaps the fill on one
 worker thread. The runs of a chunk are filled in ``TRANSFORM_PARTS``
@@ -49,6 +50,23 @@ which thread transforms which part. Every part is done before its chunk is
 used, and an error in a part's transform reaches the caller as it was
 raised. A process forked after the worker started has no worker, so
 nothing starts its parts and it transforms each one itself.
+
+The width is the run count padded with zero-noise runs to a multiple of
+``WIDTH_PAD`` (``padded_width(m)``), one tile. Where the caller allows
+tiles (the engine does unless it tracks the ensemble's mean error, which
+needs every run at each step), random runs may instead go through in equal
+column tiles, each padded to ``WIDTH_PAD`` and stepped through the whole
+horizon in turn. The narrower of two widths wins:
+
+* the fewest tiles whose whole horizon is one chunk, where the Philox calls
+  this saves, ``m * (chunks per run - 1)``, exceed ``STEP_CALLS`` times the
+  engine steps it adds, ``T * (tiles - 1)``;
+* where a run's whole horizon would go to the worker (``_overlaps`` of its
+  ``T * n`` uniforms), the fewest tiles whose chunk does: each run draws at
+  least ``OVERLAP_MIN_DRAW`` uniforms a chunk. An extra tile-step costs
+  about 8-15 us; each chunk it buys moves at least 1024 uniforms of
+  ``ndtri``, about 22 us on the filling thread, to the worker and needs
+  fewer Philox calls.
 
 The distributional transforms are explicit, so ports to other stacks can
 match them distributionally:
@@ -422,7 +440,7 @@ TRANSFORM_PARTS = 8
 # The one thread that transforms noise alongside the Philox fill; it never fills.
 _WORKER = ThreadPoolExecutor(1, thread_name_prefix="consensuslab-noise")
 # Fewest uniforms each run's Philox call must draw per chunk for the worker to take the
-# chunk's transform (see ``_overlaps``).
+# chunk's transform (see ``_overlaps``); long-horizon Gaussian tiles are narrowed to reach it.
 OVERLAP_MIN_DRAW = 2**10
 
 
@@ -442,42 +460,19 @@ def _overlaps(spec: NoiseSpec, draw: int) -> bool:
 class NoiseChunks:
     """Disturbances of steps 1..T for runs 0..m-1, drawn chunk by chunk and tile by tile.
 
-    The runs go through in ``tiles`` tiles of ``width`` columns, a multiple
-    of ``WIDTH_PAD``: tile ``i`` holds runs ``i * width ..`` and, in the last
-    tile, zero-noise pad runs up to the width. Iterating yields one array per
-    step of each tile in turn, T per tile, broadcastable against an (n,
-    width) block of states: an (n, width) array for the random kinds, whose
-    pad columns are zero, and an (n, 1) column shared by every run
-    otherwise. An array is valid until the next one is taken, because the
-    buffers are refilled in place.
+    The module docstring sets out the geometry: chunks, stage, pad and tiles
+    (more than one only where ``tiled`` is set). The runs go through in
+    ``tiles`` tiles of ``width`` columns: tile ``i`` holds runs ``i * width
+    ..`` and, in the last tile, zero-noise pad runs up to the width.
+    Iterating yields one array per step of each tile in turn, T per tile,
+    broadcastable against an (n, width) block of states: an (n, width)
+    array for the random kinds, whose pad columns are zero, and an (n, 1)
+    column shared by every run otherwise. An array is valid until the next
+    one is taken, because the buffers are refilled in place.
 
-    There is one tile, ``padded_width(m)`` wide, unless ``tiled`` is set, the
-    kind is random and tiling pays: with the runs in the fewest equal tiles
-    whose whole horizon is one chunk, a run takes one Philox call instead of
-    one per chunk, and the engine steps every tile through the horizon. The
-    runs are tiled when ``m * (chunks per run - 1) > STEP_CALLS * T * (tiles
-    - 1)``, the calls saved against the engine steps added.
-
-    Random kinds hold ``chunk_steps`` steps of a tile's runs in one run-major
-    (width, k, n) buffer, ``k * n`` a multiple of 4 so that every chunk
-    starts on a whole Philox block (``k`` a multiple of ``STEP_GROUP`` for a
-    dense covariance factor), with ``k * n * width`` at most
-    ``CHUNK_VALUES`` (the smallest such ``k`` when even that is too many
-    values). The runs' Philox keys come from one vectorised
-    ``SeedSequence`` hash over all runs (``run_keys``, checked against numpy
-    at run 0). Run ``r``'s rows come from its own key, set on one reused
-    generator with the counter at the chunk's first uniform (see the module
-    docstring), and equal ``sample_noise_block(spec, T, substream(master_seed,
-    r))`` bit for bit. When ``n < 8`` (a run's row is shorter than a cache
-    line) and four steps of a tile fit in ``STAGE_VALUES``, every four
-    steps are copied into a step-major (4, n, width) stage and the steps
-    are yielded from it contiguously; otherwise they are strided views of
-    the chunk. Deterministic kinds compute their rows chunk by chunk and
-    share them between runs.
-
-    ``uniforms_drawn``, ``philox_calls`` (one per run and chunk),
-    ``transform_parts`` (one per part, see the module docstring, or one
-    per chunk the worker does not take) and
+    ``chunk_steps`` is the steps of a chunk, at most T. ``uniforms_drawn``,
+    ``philox_calls`` (one per run and chunk), ``transform_parts`` (one per
+    part, or one per chunk the worker does not take) and
     ``buffer_bytes_peak`` (chunk plus stage) count what the iteration did.
     ``fill_s`` times its Philox draws and ``transform_s`` the rest of each
     chunk on the filling thread: its share of the transform and its wait
@@ -494,13 +489,18 @@ class NoiseChunks:
         def steps(width: int) -> int:
             return max(align, CHUNK_VALUES // (width * n) // align * align)
 
+        def tiles(k: int) -> int:
+            """Fewest equal tiles of the runs whose chunk holds ``k`` steps (one where none can)."""
+            widest = CHUNK_VALUES // (n * max(1, -(-k // align)) * align) // WIDTH_PAD * WIDTH_PAD
+            return -(-m // widest) if widest else 1
+
         width = padded_width(m)
         if tiled and spec.is_random:
-            # the widest tile whose whole horizon, in whole Philox blocks, is one chunk
-            widest = CHUNK_VALUES // (n * max(1, -(-T // align)) * align) // WIDTH_PAD * WIDTH_PAD
-            tiles = -(-m // widest) if widest else 1
-            if m * (-(-T // steps(width)) - 1) > STEP_CALLS * T * (tiles - 1):
-                width = padded_width(-(-m // tiles))
+            whole = tiles(T)
+            if m * (-(-T // steps(width)) - 1) > STEP_CALLS * T * (whole - 1):
+                width = padded_width(-(-m // whole))
+            if _overlaps(spec, T * n):
+                width = min(width, padded_width(-(-m // tiles(-(-OVERLAP_MIN_DRAW // n)))))
         self.width = width
         self.tiles = max(1, -(-m // width))
         self._k = steps(width if spec.is_random else 1)

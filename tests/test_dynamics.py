@@ -715,6 +715,78 @@ class TestReproducibilityContract:
             assert chunks.transform_parts == (noise.TRANSFORM_PARTS if overlap else -(-T // k)), k
             assert len(executor.futures) == (noise.TRANSFORM_PARTS if overlap else 0), k
 
+    @classmethod
+    def _force_narrow(cls, monkeypatch, spec, tile) -> int:
+        """Make each run draw just over 8 steps a chunk for the worker; return the chunk steps that takes.
+
+        A chunk of ``tile`` runs holds exactly those steps, and a whole horizon
+        fits no tile of 8 runs, so only the Gaussian rule narrows the tiles.
+        """
+        from consensuslab import noise
+
+        align = cls._chunk_sizes(spec)[0]
+        k = -(-9 // align) * align
+        monkeypatch.setattr(noise, "OVERLAP_MIN_DRAW", 8 * spec.n + 1)
+        monkeypatch.setattr(noise, "CHUNK_VALUES", k * spec.n * tile)
+        return k
+
+    @pytest.mark.parametrize("staged", [True, False])
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "time_scale"])
+    def test_narrowed_gaussian_tiles_send_every_chunk_to_the_worker(self, kind, n, staged, monkeypatch):
+        # long-horizon Gaussian runs are tiled narrow enough that each run draws the worker's
+        # minimum per chunk; a dense factor's 12-step chunks of 25 steps leave a one-step
+        # chunk, which it multiplies on its own (STEP_GROUP)
+        from consensuslab import noise
+
+        m = 37
+        spec = self._worker_noise(n, kind)
+        blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
+        for tile in (8, 16):
+            executor = self._Pool(eager=True)
+            k = self._force_narrow(monkeypatch, spec, tile)
+            self._force(monkeypatch, tile, n, staged=staged)
+            monkeypatch.setattr(noise, "_WORKER", executor)
+            chunks = noise.NoiseChunks(spec, self.T, m, 41, tiled=True)
+            rows = np.stack([g.T.copy() for g in chunks])  # (tiles * T, tile, n): each tile's steps in turn
+            monkeypatch.undo()
+            assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (-(-m // tile), tile, k)
+            assert (chunks._stage is not None) == staged
+            rows = rows.reshape(chunks.tiles, self.T, tile, n).transpose(0, 2, 1, 3).reshape(-1, self.T, n)
+            for r in range(m):
+                assert np.array_equal(rows[r], blocks[r]), (tile, r)
+            assert not rows[m:].any()
+            # every chunk of every tile went in parts to the worker and ran there
+            parts = -(-self.T // k) * sum(min(noise.TRANSFORM_PARTS, m - lo) for lo in range(0, m, tile))
+            assert chunks.transform_parts == parts
+            assert len(executor.futures) == parts and not any(f.cancelled() for f in executor.futures)
+
+    @pytest.mark.parametrize("kind", ["rademacher", "cauchy"])
+    def test_other_kinds_keep_their_tiles(self, kind, monkeypatch):
+        from consensuslab import noise
+
+        spec = self._worker_noise(2, kind)
+        self._force_narrow(monkeypatch, spec, 8)
+        chunks = noise.NoiseChunks(spec, self.T, 37, 41, tiled=True)
+        assert (chunks.tiles, chunks.width, chunks._overlap) == (1, 40, False)
+
+    @pytest.mark.parametrize("family", ["noisy", "average"])
+    def test_narrowed_gaussian_tiles_reproduce_the_one_tile_pass(self, family, monkeypatch):
+        n, m, times = 2, 37, (0, 12, self.T)
+        spec = _contract_model(family, n, _contract_noise(n)[_FAMILY_NOISE[family]])
+        ref = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
+        self._force_narrow(monkeypatch, spec.noise, 16)
+        ens = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
+        assert (ref.engine["tiles"], ens.engine["tiles"]) == (1, 3)
+        assert np.array_equal(ens.terminal_states, ref.terminal_states)
+        assert np.array_equal(ens.run0.states, ref.run0.states)
+        for t in times:
+            assert np.array_equal(ens.snapshots[t], ref.snapshots[t]), t
+        if spec.sigma_bar is not None:  # the ensemble's mean error needs every run at each step
+            tracked = simulate_ensemble(spec, self.T, m, master_seed=8, track_mean_err=True)
+            assert tracked.engine["tiles"] == 1
+            assert np.array_equal(tracked.terminal_states, ref.terminal_states)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_process_transforms_every_part_itself(self, monkeypatch):
         # a process forked after the worker started has no worker thread: nothing starts the

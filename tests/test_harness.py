@@ -92,6 +92,20 @@ class TestLoadScenario:
         with pytest.raises(ScenarioFormatError, match="sigma_bar"):
             load_scenario(dict(MINIMAL, model=model))
 
+    def test_a_covariance_that_is_not_semidefinite_has_the_noise_pointer(self):
+        noise = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1, 2], [2, 1]]}
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
+        with pytest.raises(ScenarioFormatError, match="positive semidefinite") as e:
+            load_scenario(dict(MINIMAL, model=model))
+        assert e.value.pointer == "/model/noise"
+
+    def test_a_negative_learning_scale_has_the_learning_fn_pointer(self):
+        model = {k: v for k, v in MINIMAL["model"].items() if k != "E"}
+        model.update(family="nonlinear", learning_fn={"kind": "scaled_tanh", "scale": -1})
+        with pytest.raises(ScenarioFormatError, match="scale and bound must be positive") as e:
+            load_scenario(dict(MINIMAL, model=model))
+        assert e.value.pointer == "/model/learning_fn"
+
     def test_loads_from_file(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_text(json.dumps(MINIMAL))
@@ -388,6 +402,31 @@ class TestRunScenario:
         assert all(v >= 0 for v in timing["engine"].values())
         assert timing["analyses_s"] >= 0 and timing["write_s"] > 0
         assert abs(phases - timing["total_s"]) <= 0.02 * timing["total_s"]
+
+    def test_summary_json_is_written_inside_write_s(self, tmp_path, monkeypatch):
+        # formatting summary.json (tens of ms for a large covariance) is part of the write
+        # phase: a slowed encoder's time shows in the file's write_s and total_s
+        import time
+
+        iterencode = json.JSONEncoder.iterencode
+
+        def slow(self, o, *args, **kwargs):
+            if isinstance(o, dict) and "scenario_id" in o:
+                time.sleep(0.3)
+            return iterencode(self, o, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", slow)
+        summary = run_scenario(load_catalog_scenario("signum-periodic"), out_dir=tmp_path)
+        monkeypatch.undo()
+        text = (tmp_path / "summary.json").read_text()
+        doc = json.loads(text)
+        timing = doc["timing"]
+        assert timing == summary.timing
+        assert timing["write_s"] >= 0.3 and timing["total_s"] >= 0.3
+        phases = timing["checks_s"] + sum(timing["engine"].values()) + timing["analyses_s"] + timing["write_s"]
+        assert abs(phases - timing["total_s"]) <= 1e-9
+        assert text == json.dumps(doc, indent=2)  # the format json.dump(..., indent=2) writes
+        validate_summary(doc)
 
     def test_timing_without_a_model_has_an_idle_engine(self, tmp_path):
         timing = run_scenario(load_catalog_scenario("rho-harmonic"), out_dir=tmp_path).timing
