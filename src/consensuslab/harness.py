@@ -89,29 +89,13 @@ def _compile_time_scale(doc: Optional[dict]):
     if kind == "geometric":
         r = float(doc["rate"])
         return lambda t: r**t
-    raise ScenarioFormatError(f"unknown time_scale kind {kind!r}; known: {_TIME_SCALE_KINDS}")
+    raise ValueError(f"unknown time_scale kind {kind!r}; known: {_TIME_SCALE_KINDS}")
 
 
-def _compile_noise(doc: Optional[dict], n: int) -> NoiseSpec:
-    if doc is None:
-        return NoiseSpec.zero(n)
-    kind = doc.get("kind")
-    ts = _compile_time_scale(doc.get("time_scale"))
-    if kind == "zero":
-        return NoiseSpec.zero(n)
-    if kind == "decaying":
-        return NoiseSpec.decaying(n, rate=float(doc["rate"]))
-    if kind == "gaussian":
-        mu = doc.get("mu", [0.0] * n)
-        sigma = doc.get("sigma", np.eye(n).tolist())
-        return NoiseSpec.gaussian(mu, sigma, time_scale=ts)
-    if kind == "rademacher":
-        return NoiseSpec.rademacher(n, time_scale=ts)
-    if kind == "cauchy":
-        return NoiseSpec.cauchy(n, scale=float(doc.get("scale", 1.0)), time_scale=ts)
-    if kind == "custom":
-        return NoiseSpec.custom(doc["table"])
-    raise ScenarioFormatError(f"unknown noise kind {kind!r}")
+def _compile_noise(doc: dict, n: int) -> NoiseSpec:
+    return NoiseSpec(doc["kind"], n, rate=doc.get("rate"), mu=doc.get("mu"), sigma=doc.get("sigma"),
+                     scale=doc.get("scale"), table=doc.get("table"),
+                     time_scale=_compile_time_scale(doc.get("time_scale")))
 
 
 def _compile_learning_fn(doc: dict) -> LearningFunction:
@@ -122,85 +106,61 @@ def _compile_learning_fn(doc: dict) -> LearningFunction:
         return scaled_tanh_learning(float(doc.get("scale", 0.5)), float(doc.get("bound", 3.0)))
     if kind == "scaled_sign":
         return scaled_sign_learning(float(doc["step"]))
-    raise ScenarioFormatError(f"unknown learning_fn kind {kind!r}; known: {_LEARNING_KINDS}")
+    raise ValueError(f"unknown learning_fn kind {kind!r}; known: {_LEARNING_KINDS}")
 
 
-def _compile_matrix_schedule(doc: dict, pointer: str):
+def _compile_matrix_schedule(doc: dict):
     kind = doc.get("kind")
     if kind == "constant":
-        if "matrix" not in doc:
-            raise ScenarioFormatError("constant weights schedule needs a 'matrix'", pointer)
         return Constant(np.asarray(doc["matrix"], dtype=float))
     if kind == "table":
-        mats = doc.get("matrices")
-        if not mats:
-            raise ScenarioFormatError("table weights schedule needs 'matrices'", pointer)
-        return Table([np.asarray(m, dtype=float) for m in mats], t0=0)
-    raise ScenarioFormatError(
-        f"unknown weights-schedule kind {kind!r}; known for A: ('constant', 'table')", pointer
-    )
+        return Table([np.asarray(m, dtype=float) for m in doc["matrices"]], t0=0)
+    raise ValueError(f"unknown weights-schedule kind {kind!r}; known for A: ('constant', 'table')")
 
 
-def _compile_rate_schedule(doc: dict, horizon: int, pointer: str):
+def _compile_rate_schedule(doc: dict, horizon: int):
     kind = doc.get("kind")
     if kind == "constant":
         if "eps" not in doc and "value" not in doc:
-            raise ScenarioFormatError("constant rate schedule needs 'eps'", pointer)
+            raise ValueError("constant rate schedule needs 'eps'")
         return Constant(np.asarray(doc.get("eps", doc.get("value")), dtype=float))
     if kind == "table":
-        vals = doc.get("values")
-        if not vals:
-            raise ScenarioFormatError("table rate schedule needs 'values'", pointer)
-        return Table([np.asarray(v, dtype=float) for v in vals], t0=0)
+        return Table([np.asarray(v, dtype=float) for v in doc["values"]], t0=0)
     if kind == "epsilon_oscillator":
         return Table(epsilon_oscillator_sequence(max(horizon, 1)), t0=0)
-    raise ScenarioFormatError(
-        f"unknown rate-schedule kind {kind!r}; known: {_SCHEDULE_KINDS}", pointer
-    )
+    raise ValueError(f"unknown rate-schedule kind {kind!r}; known: {_SCHEDULE_KINDS}")
 
 
 @contextmanager
 def _invalid(part: str, pointer: str):
-    """Turn a ``ValueError`` raised while compiling ``part`` into a ``ScenarioFormatError`` at ``pointer``."""
+    """Turn an error raised while compiling ``part`` into a ``ScenarioFormatError`` at ``pointer``."""
     try:
         yield
-    except ScenarioFormatError:
-        raise
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ScenarioFormatError(f"invalid {part}: missing field {exc.args[0]!r}", pointer) from exc
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ScenarioFormatError(f"invalid {part}: {exc}", pointer) from exc
 
 
 def _compile_model(doc: Optional[dict], horizon: int) -> Optional[ModelSpec]:
+    """The model document as a ``ModelSpec``; which fields a family takes is ``ModelSpec``'s rule."""
     if doc is None:
         return None
-    family = ModelFamily(doc["family"])
-    n = int(doc["n"])
-    x0 = np.asarray(doc["x0"], dtype=float)
-    schedule_A = _compile_matrix_schedule(doc["A"], "/model/A")
-    with _invalid("noise", "/model/noise"):
-        noise = _compile_noise(doc.get("noise"), n)
+    n = int(doc["n"])  # the schema admits 2.0
+    fields = {}
+    for part, name, compile_part in (
+        ("A", "schedule_A", _compile_matrix_schedule),
+        ("E", "schedule_E", lambda d: _compile_rate_schedule(d, horizon)),
+        ("noise", "noise", lambda d: _compile_noise(d, n)),
+        ("learning_fn", "learning_fn", _compile_learning_fn),
+    ):
+        if part in doc:
+            with _invalid(part, f"/model/{part}"):
+                fields[name] = compile_part(doc[part])
     sigma_bar = doc.get("sigma_bar")
-    kwargs: dict = {}
-    if family is ModelFamily.NONLINEAR:
-        if "learning_fn" not in doc:
-            raise ScenarioFormatError("nonlinear model needs 'learning_fn'", "/model")
-        with _invalid("learning_fn", "/model/learning_fn"):
-            kwargs["learning_fn"] = _compile_learning_fn(doc["learning_fn"])
-        kwargs["include_target"] = sigma_bar is not None
-    else:
-        if "E" not in doc:
-            raise ScenarioFormatError("model needs a rate schedule 'E'", "/model")
-        kwargs["schedule_E"] = _compile_rate_schedule(doc["E"], horizon, "/model/E")
     with _invalid("model", "/model"):
-        return ModelSpec(
-            family=family,
-            n=n,
-            schedule_A=schedule_A,
-            x0=x0,
-            sigma_bar=sigma_bar,
-            noise=noise,
-            **kwargs,
-        )
+        return ModelSpec(family=ModelFamily(doc["family"]), n=n, x0=doc["x0"], sigma_bar=sigma_bar,
+                         include_target=sigma_bar is not None, **fields)
 
 
 def load_scenario(source) -> Scenario:
@@ -210,7 +170,8 @@ def load_scenario(source) -> Scenario:
     length; any other string, or a ``Path``, names a file. Schema
     violations surface as ``ScenarioFormatError`` carrying a JSON pointer
     to the offending field; a missing file, unknown check, analysis, or
-    generator names raise it too, the latter listing the known ones.
+    generator names raise it too, the latter listing the known ones, and
+    so does a model that does not compile, at the pointer of its part.
     """
     if isinstance(source, dict):
         doc = source

@@ -35,15 +35,15 @@ horizon, and run ``r``'s rows equal ``sample_noise_block(spec, T,
 substream(master_seed, r))`` bit for bit whatever the chunk size, the
 tiling or the ensemble width.
 
-Where it pays (see ``_overlaps``), the transform overlaps the fill on one
-worker thread. The runs of a chunk are filled in ``TRANSFORM_PARTS``
-consecutive parts; each part goes to the worker as soon as it is filled,
+The runs of a random chunk are filled in ``TRANSFORM_PARTS`` consecutive
+parts. Where it pays (see ``_overlaps``), the transform overlaps the fill on
+one worker thread: each part goes to the worker as soon as it is filled,
 and once the last is filled the filling thread takes back the parts the
 worker has not started and transforms them itself. ``ndtri``, the ufuncs
 and ``matmul`` release the GIL, so the two threads run at once; re-keying
 Philox holds the GIL once per run, so the fill stays on one thread and the
-worker never draws. Other chunks are filled whole, then transformed whole
-on the filling thread. A part is whole runs and the transform works
+worker never draws. Elsewhere the filling thread transforms each part right
+after its fill. A part is whole runs and the transform works
 elementwise (per run for ``_correlate``), with each step's ``time_scale``
 evaluated once per chunk on the filling thread, so no byte depends on
 which thread transforms which part. Every part is done before its chunk is
@@ -434,8 +434,8 @@ STAGE_VALUES = 2**16
 STEP_CALLS = 4
 # Most run keys converted to Python ints at once.
 _KEY_SLICE = 2**10
-# Parts of whole runs a random chunk is filled in, each transformed on the worker while
-# the next is filled (see ``NoiseChunks``).
+# Parts of whole runs a random chunk is filled in, each transformed once filled, on the
+# worker while the next is filled where that pays (see ``NoiseChunks``).
 TRANSFORM_PARTS = 8
 # The one thread that transforms noise alongside the Philox fill; it never fills.
 _WORKER = ThreadPoolExecutor(1, thread_name_prefix="consensuslab-noise")
@@ -472,7 +472,7 @@ class NoiseChunks:
 
     ``chunk_steps`` is the steps of a chunk, at most T. ``uniforms_drawn``,
     ``philox_calls`` (one per run and chunk), ``transform_parts`` (one per
-    part, or one per chunk the worker does not take) and
+    part) and
     ``buffer_bytes_peak`` (chunk plus stage) count what the iteration did.
     ``fill_s`` times its Philox draws and ``transform_s`` the rest of each
     chunk on the filling thread: its share of the transform and its wait
@@ -503,8 +503,7 @@ class NoiseChunks:
                 width = min(width, padded_width(-(-m // tiles(-(-OVERLAP_MIN_DRAW // n)))))
         self.width = width
         self.tiles = max(1, -(-m // width))
-        self._k = steps(width if spec.is_random else 1)
-        self.chunk_steps = min(self._k, T)
+        self.chunk_steps = min(steps(width if spec.is_random else 1), T)
         self._overlap = spec.is_random and _overlaps(spec, self.chunk_steps * n)
         staged = spec.is_random and n < 8 and 4 * n * width <= STAGE_VALUES
         self._stage = np.empty((4, n, width)) if staged else None
@@ -534,13 +533,14 @@ class NoiseChunks:
         self.philox_calls += len(keys)
 
     def _fill_transformed(self, block: np.ndarray, keys: np.ndarray, c0: int, ts: np.ndarray) -> float:
-        """Fill ``block`` as ``_fill`` does and transform it, overlapping the two; return the fill seconds.
+        """Fill ``block`` as ``_fill`` does and transform it part by part; return the fill seconds.
 
-        The runs are filled in up to ``TRANSFORM_PARTS`` consecutive parts,
-        each handed to the worker as soon as it is filled. Then the parts the
-        worker has not started are taken back, last first, and transformed
-        here, and the rest are waited for. No part is still being written
-        when this returns or raises.
+        The runs are filled in up to ``TRANSFORM_PARTS`` consecutive parts.
+        Where the chunk overlaps, each part goes to the worker as soon as it
+        is filled; then the parts the worker has not started are taken back,
+        last first, and transformed here, and the rest are waited for.
+        Otherwise each part is transformed here right after its fill. No part
+        is still being written when this returns or raises.
         """
         spec = self.spec
         scales = _step_scales(spec, ts)
@@ -553,7 +553,10 @@ class NoiseChunks:
                 t0 = perf_counter()
                 self._fill(block[a:b], keys[a:b], c0)
                 fill_s += perf_counter() - t0
-                submitted.append((_WORKER.submit(_transform, spec, block[a:b], scales), block[a:b]))
+                if self._overlap:
+                    submitted.append((_WORKER.submit(_transform, spec, block[a:b], scales), block[a:b]))
+                else:
+                    _transform(spec, block[a:b], scales)
             # the worker runs its parts in order, so the unstarted ones are at the end
             while submitted and submitted[-1][0].cancel():
                 _transform(spec, submitted.pop()[1], scales)
@@ -564,41 +567,29 @@ class NoiseChunks:
         self.transform_parts += parts
         return fill_s
 
-    def _chunks(self):
-        """(steps, block) per chunk of each tile in turn: block is (width, len(steps), n), or (1, len(steps), n) shared."""
-        spec, n, W = self.spec, self.spec.n, self.width
+    def __iter__(self):
+        spec, n, W, k, stage = self.spec, self.spec.n, self.width, self.chunk_steps, self._stage
         # A mapping of its own goes back to the OS when freed; a heap block would stay as a
         # hole that smaller allocations split, making peak RSS vary from run to run.
-        size = 8 * W * self.chunk_steps * n
+        size = 8 * W * k * n
         buf = np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)) if spec.is_random and size else None
-        for lo, c0 in product(range(0, self.tiles * W, W), range(0, self.T, self._k)):
-            kk = min(self._k, self.T - c0)
+        for lo, c0 in product(range(0, self.tiles * W, W), range(0, self.T, max(1, k))):
+            kk = min(k, self.T - c0)
             ts = np.arange(c0 + 1, c0 + kk + 1)
             t0 = perf_counter()
             if spec.is_random:
                 keys = self._keys[lo : lo + W]
                 block = buf[: W * kk * n].reshape(W, kk, n)
                 block[len(keys) :] = 0.0
-                if self._overlap:
-                    fill_s = self._fill_transformed(block[: len(keys)], keys, c0, ts)
-                else:
-                    self._fill(block[: len(keys)], keys, c0)
-                    fill_s = perf_counter() - t0
-                    _transform(spec, block[: len(keys)], _step_scales(spec, ts))
-                    self.transform_parts += 1
-            else:
+                fill_s = self._fill_transformed(block[: len(keys)], keys, c0, ts)
+            else:  # (1, kk, n), shared by every run
                 fill_s = 0.0
                 block = _rows(spec, ts, None)[None]
             # the transform's share is what the fill leaves of the chunk: work and waiting
             self.fill_s += fill_s
             self.transform_s += perf_counter() - t0 - fill_s
-            held = self._copies * block.nbytes + (0 if self._stage is None else self._stage.nbytes)
+            held = self._copies * block.nbytes + (0 if stage is None else stage.nbytes)
             self.buffer_bytes_peak = max(self.buffer_bytes_peak, held)
-            yield kk, block
-
-    def __iter__(self):
-        stage = self._stage
-        for kk, block in self._chunks():
             if stage is None:
                 for j in range(kk):
                     yield block[:, j, :].T

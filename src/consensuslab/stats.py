@@ -126,12 +126,16 @@ def ks_critical_value(m: int, level: float = 0.01) -> float:
 
 
 def cauchy_cdf(x, scale: float = 1.0):
-    """CDF of the centered Cauchy law with the given scale."""
+    """CDF of the centered Cauchy law with the given scale, which must be positive."""
+    if not scale > 0.0:
+        raise ValueError(f"cauchy scale must be positive, got {scale!r}")
     return 0.5 + np.arctan(np.asarray(x, dtype=float) / scale) / np.pi
 
 
 def normal_cdf(x, mu: float = 0.0, sigma: float = 1.0):
-    """CDF of the normal law with the given mean and standard deviation."""
+    """CDF of the normal law with the given mean and standard deviation, which must be positive."""
+    if not sigma > 0.0:
+        raise ValueError(f"normal sigma must be positive, got {sigma!r}")
     return ndtr((np.asarray(x, dtype=float) - mu) / sigma)
 
 

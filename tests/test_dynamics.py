@@ -697,7 +697,8 @@ class TestReproducibilityContract:
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy"])
     def test_the_worker_takes_only_long_gaussian_draws(self, kind, monkeypatch):
         # a chunk goes to the worker in parts when its noise is Gaussian and each run draws at
-        # least OVERLAP_MIN_DRAW uniforms; any other is transformed whole on the filling thread
+        # least OVERLAP_MIN_DRAW uniforms; any other is transformed in the same parts on the
+        # filling thread
         from consensuslab import noise
 
         n, m, T = 2, 37, noise.OVERLAP_MIN_DRAW // 2
@@ -712,7 +713,7 @@ class TestReproducibilityContract:
             monkeypatch.undo()
             assert all(np.array_equal(rows[:, r], blocks[r]) for r in range(m)), k
             overlap = kind.startswith("gaussian") and k * n >= noise.OVERLAP_MIN_DRAW
-            assert chunks.transform_parts == (noise.TRANSFORM_PARTS if overlap else -(-T // k)), k
+            assert chunks.transform_parts == -(-T // k) * noise.TRANSFORM_PARTS, k
             assert len(executor.futures) == (noise.TRANSFORM_PARTS if overlap else 0), k
 
     @classmethod

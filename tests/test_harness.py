@@ -1,5 +1,9 @@
+import contextlib
+import copy
 import csv
 import json
+import math
+import random
 import warnings
 from importlib import resources
 
@@ -20,6 +24,7 @@ from consensuslab import (
     model_rho_sequence,
     reproduce,
     run_scenario,
+    sample_noise_block,
     scaled_tanh_learning,
     simulate,
     validate_summary,
@@ -156,6 +161,76 @@ class TestLoadScenario:
                 assert loaded, f"{definition} kind {kind!r} compiles in no slot"
 
 
+def _load_error(**model_fields) -> ScenarioFormatError:
+    with pytest.raises(ScenarioFormatError) as e:
+        load_scenario(dict(MINIMAL, model=dict(MINIMAL["model"], **model_fields)))
+    return e.value
+
+
+class TestCompileBoundary:
+    """The model document goes to ``ModelSpec``/``NoiseSpec`` as written; every compile error is a ``ScenarioFormatError``."""
+
+    MUTATIONS = ("", "x", {}, [], [[1.0], [1.0, 2.0]], math.nan, -1, 1e308, 0, 0.5, [0.5], None, True)
+
+    @staticmethod
+    def _paths(node, prefix=()):
+        """Every dict key below ``node``, and the first entry of every list."""
+        if isinstance(node, dict):
+            items = node.items()
+        elif isinstance(node, list) and node:
+            items = [(0, node[0])]
+        else:
+            return
+        for key, child in items:
+            yield prefix + (key,)
+            yield from TestCompileBoundary._paths(child, prefix + (key,))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mutated_catalog_models_load_or_raise_scenario_errors(self, seed):
+        docs = [s.raw for s in map(load_catalog_scenario, catalog()) if s.model is not None]
+        rng = random.Random(seed)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for _ in range(1000):
+            doc = copy.deepcopy(rng.choice(docs))
+            for path in rng.sample(list(self._paths(doc["model"], ("model",))), rng.randint(1, 2)):
+                node = doc
+                with contextlib.suppress(LookupError, TypeError):  # the first mutation may have replaced a parent
+                    for key in path[:-1]:
+                        node = node[key]
+                    node[path[-1]] = copy.deepcopy(rng.choice(self.MUTATIONS))
+            try:
+                load_scenario(doc)
+                outcomes["loaded"] += 1
+            except ScenarioFormatError:
+                outcomes["rejected"] += 1
+        assert outcomes["loaded"] and outcomes["rejected"] > 500
+
+    def test_a_learning_fn_on_noisy_feedback_is_an_error(self):
+        e = _load_error(family="noisy_feedback", learning_fn={"kind": "linear", "slope": 0.5})
+        assert e.pointer == "/model" and "nonlinear" in str(e)
+
+    def test_a_rate_schedule_on_nonlinear_is_an_error(self):
+        e = _load_error(family="nonlinear", learning_fn={"kind": "linear", "slope": 0.5})
+        assert e.pointer == "/model" and "rate schedules" in str(e)
+
+    def test_a_time_scale_on_custom_noise_scales_its_rows_by_one_over_t(self):
+        noise = {"kind": "custom", "table": [[1.0, 1.0]] * 4, "time_scale": {"kind": "inverse_t"}}
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
+        spec = load_scenario(dict(MINIMAL, model=model)).model.noise
+        t = np.arange(1.0, 5.0)[:, None]
+        assert np.array_equal(sample_noise_block(spec, 4, None), np.ones((4, 2)) / t)
+
+    @pytest.mark.parametrize("fields, pointer, message", [
+        ({"A": {"kind": "constant", "matrix": [[0.6, "x"], [0.3, 0.7]]}}, "/model/A", "invalid A"),
+        ({"E": {"kind": "constant", "eps": [[0.4], [0.2, 0.1]]}}, "/model/E", "invalid E"),
+        ({"family": "noisy_feedback", "noise": {"kind": "decaying"}}, "/model/noise", "finite rate"),
+        ({"noise": {"kind": "zero", "time_scale": {"kind": "geometric"}}}, "/model/noise", "missing field 'rate'"),
+    ], ids=["matrix-entry", "ragged-eps", "decaying-without-rate", "geometric-without-rate"])
+    def test_a_bad_part_points_at_it(self, fields, pointer, message):
+        e = _load_error(**fields)
+        assert e.pointer == pointer and message in str(e)
+
+
 class TestCatalog:
     def test_required_cases_present(self):
         ids = catalog()
@@ -266,12 +341,12 @@ class TestRunScenario:
         del model["sigma_bar"]
         doc = dict(MINIMAL, model=model, horizon=30, ensemble=5)
         summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
-        # one tile and one 30-step chunk, so one Philox call per run, transformed whole on the
-        # filling thread (Rademacher noise), and one 4-step stage, both 8 runs wide (5 runs
-        # and 3 zero-noise pad runs)
+        # one tile and one 30-step chunk, so one Philox call per run, transformed a run at a
+        # time on the filling thread (Rademacher noise), and one 4-step stage, both 8 runs
+        # wide (5 runs and 3 zero-noise pad runs)
         assert summary.diagnostics["engine"] == {
             "runs": 5, "steps": 30, "uniforms_drawn": 30 * 2 * 5, "tiles": 1, "philox_calls": 5,
-            "transform_parts": 1, "chunk_steps": 30, "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 4 * 2 * 8,
+            "transform_parts": 5, "chunk_steps": 30, "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 4 * 2 * 8,
         }
         with open(tmp_path / "summary.json") as fh:
             assert json.load(fh)["diagnostics"]["engine"] == summary.diagnostics["engine"]
@@ -464,6 +539,22 @@ class TestRunScenario:
         row = run_scenario(load_scenario(doc), out_dir=tmp_path).checks[0]
         assert not row["satisfied"]
         assert row["witness"]["T"] == 200 and row["witness"]["min_diagonal"] == 0.1
+
+    def test_a_degenerate_ks_reference_is_an_error(self, tmp_path):
+        # deterministic noise makes every run the same point, here with a sample deviation of
+        # exactly 0: no normal law fits it, and a zero-width reference is no law at all
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise={"kind": "decaying", "rate": 0.99})
+        doc = dict(MINIMAL, model=model, horizon=50, ensemble=20, analyses=[
+            {"name": "ks_best_fit_normal"}, {"name": "ks", "dist": "normal", "sigma": 0}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
+        assert not summary.ok
+        assert summary.analyses == {
+            "ks_best_fit_normal": {"error": "ValueError: normal sigma must be positive, got 0.0"},
+            "ks": {"error": "ValueError: normal sigma must be positive, got 0.0"},
+        }
+        validate_summary(json.loads((tmp_path / "summary.json").read_text()))
 
     @pytest.mark.parametrize("times", [[10, -1], [10, 51]])
     def test_mean_error_checkpoints_outside_the_horizon_fail(self, tmp_path, times):

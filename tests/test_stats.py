@@ -132,6 +132,13 @@ class TestKS:
         assert normal_cdf(0.0) == 0.5
         assert normal_cdf(1.0, 1.0, 2.0) == 0.5
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
+    def test_cdf_helpers_refuse_a_non_positive_width(self, width):
+        with pytest.raises(ValueError, match="must be positive"):
+            normal_cdf(0.0, 0.0, width)
+        with pytest.raises(ValueError, match="must be positive"):
+            cauchy_cdf(0.0, width)
+
 
 class TestCLTTarget:
     def test_zero_noise_gives_zero_matrix(self):
