@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import time
-from contextlib import suppress
+from contextlib import closing, suppress
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
@@ -324,7 +324,7 @@ def _apply_learning(f: LearningFunctions, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step(M, X, e, f, sigma_bar, g, average: bool) -> np.ndarray:
+def _step(M, X, e, f, sigma_bar, g, average: bool, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The one update of every family: ``X_t = M X_{t-1} + feedback``.
 
     ``X`` is an (n, m) block, ``e`` the per-agent rates and ``g`` a
@@ -335,8 +335,10 @@ def _step(M, X, e, f, sigma_bar, g, average: bool) -> np.ndarray:
     map of ``(A, e)``. The expressions are kept in this exact form (not
     folded into ``(A - E) X``) so every family reproduces its bytes; the
     feedback is added into the product in place, which rounds as the sum does.
+    The product goes into ``out`` where given, a block the shape of ``X``
+    that is not ``X``, and into a new array otherwise.
     """
-    Y = M @ X
+    Y = np.matmul(M, X, out=out)
     if average:
         Y += e[:, None] * g
         return Y
@@ -494,15 +496,17 @@ def simulate_ensemble(
     ``snapshot_times`` record full (m, n) state blocks along the way.
     The noise comes from ``noise.NoiseChunks``, whose geometry (chunks,
     stage, pad and column tiles) the ``noise`` module docstring sets out;
-    its memory is one chunk and one stage whatever ``T`` is. The runs are
-    stepped tile by tile, each tile through all ``T`` steps, and never in
-    more than one tile with ``track_mean_err``, whose mean needs every run
-    at each step. Run 0's path and rho come from the first tile. The state
-    block has the noise's width, a multiple of ``noise.WIDTH_PAD``, so that
-    ``M @ X`` rounds every run's column the same way at any ``m`` and any
-    tiling; the pad columns start at ``x0``, get zero random noise and are
-    never reported. ``engine`` reports what the pass did and ``timing``
-    where its time went.
+    its memory is ``noise.CHUNK_VALUES`` values and one stage whatever
+    ``T`` is. The runs are stepped tile by tile, each tile through all
+    ``T`` steps, and never in more than one tile with ``track_mean_err``,
+    whose mean needs every run at each step. Run 0's path and rho come
+    from the first tile. The state block has the noise's width, a multiple
+    of ``noise.WIDTH_PAD``, so that ``M @ X`` rounds every run's column the
+    same way at any ``m`` and any tiling; the pad columns start at ``x0``,
+    get zero random noise and are never reported. Each step's ``M @ X``
+    goes into the block the step before left behind, so stepping allocates
+    no new state block. ``engine`` reports what the pass did and
+    ``timing`` where its time went.
     """
     start = time.perf_counter()
     if T < 0:
@@ -520,7 +524,8 @@ def simulate_ensemble(
 
     chunks = NoiseChunks(spec.noise, T, m, master_seed, tiled=not track_mean_err)
     W = chunks.width
-    noise = repeat(None) if spec.family is ModelFamily.BASE else iter(chunks)
+    steps = iter(chunks)  # closed on the way out, so no noise part outlives an error
+    noise = repeat(None) if spec.family is ModelFamily.BASE else steps
 
     states = np.empty((T + 1, n))
     rho = np.full(T + 1, np.nan)
@@ -539,19 +544,21 @@ def simulate_ensemble(
     clock = time.perf_counter
     observe_s = 0.0
     average = spec.family is ModelFamily.AVERAGE
-    for lo in range(0, m, W):  # one tile of runs lo .. lo + runs, stepped through every step
-        runs = min(W, m - lo)
-        X = np.repeat(spec.x0[:, None], W, axis=1)
-        observed = clock()
-        observe(0)
-        observe_s += clock() - observed
-        for t, g, (_, e, M, rho_t) in zip(range(1, T + 1), noise, _schedule(spec, T)):
-            X = _step(M, X, e, spec.learning_fn, sbar, g, average)
-            rho[t] = rho_t
+    with closing(steps):
+        for lo in range(0, m, W):  # one tile of runs lo .. lo + runs, stepped through every step
+            runs = min(W, m - lo)
+            X = np.repeat(spec.x0[:, None], W, axis=1)
+            spare = np.empty_like(X)
             observed = clock()
-            observe(t)
+            observe(0)
             observe_s += clock() - observed
-        terminal[lo : lo + runs] = X[:, :runs].T
+            for t, g, (_, e, M, rho_t) in zip(range(1, T + 1), noise, _schedule(spec, T)):
+                X, spare = _step(M, X, e, spec.learning_fn, sbar, g, average, out=spare), X
+                rho[t] = rho_t
+                observed = clock()
+                observe(t)
+                observe_s += clock() - observed
+            terminal[lo : lo + runs] = X[:, :runs].T
 
     observed = clock()
     err = np.abs(states - sbar).max(axis=1) if sbar is not None else np.full(T + 1, np.nan)

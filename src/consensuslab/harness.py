@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from bisect import bisect_left
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -77,7 +78,7 @@ class Scenario:
     raw: dict = field(default_factory=dict)
 
 
-def _compile_time_scale(doc: Optional[dict]):
+def _compile_time_scale(doc: Optional[dict], horizon: int):
     if doc is None:
         return None
     kind = doc.get("kind")
@@ -88,14 +89,26 @@ def _compile_time_scale(doc: Optional[dict]):
         return lambda t: 1.0 / t
     if kind == "geometric":
         r = float(doc["rate"])
+
+        def overflows(t: int) -> bool:
+            try:
+                r**t
+            except OverflowError:
+                return True
+            return False
+
+        # |r|**t grows with t, so the steps that overflow, if any, are the last ones
+        t = bisect_left(range(1, horizon + 1), True, key=overflows) + 1
+        if t <= horizon:
+            raise ValueError(f"geometric rate {r!r} overflows at t={t}")
         return lambda t: r**t
     raise ValueError(f"unknown time_scale kind {kind!r}; known: {_TIME_SCALE_KINDS}")
 
 
-def _compile_noise(doc: dict, n: int) -> NoiseSpec:
+def _compile_noise(doc: dict, n: int, horizon: int) -> NoiseSpec:
     return NoiseSpec(doc["kind"], n, rate=doc.get("rate"), mu=doc.get("mu"), sigma=doc.get("sigma"),
                      scale=doc.get("scale"), table=doc.get("table"),
-                     time_scale=_compile_time_scale(doc.get("time_scale")))
+                     time_scale=_compile_time_scale(doc.get("time_scale"), horizon))
 
 
 def _compile_learning_fn(doc: dict) -> LearningFunction:
@@ -109,12 +122,20 @@ def _compile_learning_fn(doc: dict) -> LearningFunction:
     raise ValueError(f"unknown learning_fn kind {kind!r}; known: {_LEARNING_KINDS}")
 
 
+def _finite(value) -> np.ndarray:
+    """``value`` as a float array, refused if any entry is NaN or infinite."""
+    a = np.asarray(value, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("entries must be finite")
+    return a
+
+
 def _compile_matrix_schedule(doc: dict):
     kind = doc.get("kind")
     if kind == "constant":
-        return Constant(np.asarray(doc["matrix"], dtype=float))
+        return Constant(_finite(doc["matrix"]))
     if kind == "table":
-        return Table([np.asarray(m, dtype=float) for m in doc["matrices"]], t0=0)
+        return Table([_finite(m) for m in doc["matrices"]], t0=0)
     raise ValueError(f"unknown weights-schedule kind {kind!r}; known for A: ('constant', 'table')")
 
 
@@ -123,9 +144,9 @@ def _compile_rate_schedule(doc: dict, horizon: int):
     if kind == "constant":
         if "eps" not in doc and "value" not in doc:
             raise ValueError("constant rate schedule needs 'eps'")
-        return Constant(np.asarray(doc.get("eps", doc.get("value")), dtype=float))
+        return Constant(_finite(doc.get("eps", doc.get("value"))))
     if kind == "table":
-        return Table([np.asarray(v, dtype=float) for v in doc["values"]], t0=0)
+        return Table([_finite(v) for v in doc["values"]], t0=0)
     if kind == "epsilon_oscillator":
         return Table(epsilon_oscillator_sequence(max(horizon, 1)), t0=0)
     raise ValueError(f"unknown rate-schedule kind {kind!r}; known: {_SCHEDULE_KINDS}")
@@ -151,7 +172,7 @@ def _compile_model(doc: Optional[dict], horizon: int) -> Optional[ModelSpec]:
     for part, name, compile_part in (
         ("A", "schedule_A", _compile_matrix_schedule),
         ("E", "schedule_E", lambda d: _compile_rate_schedule(d, horizon)),
-        ("noise", "noise", lambda d: _compile_noise(d, n)),
+        ("noise", "noise", lambda d: _compile_noise(d, n, horizon)),
         ("learning_fn", "learning_fn", _compile_learning_fn),
     ):
         if part in doc:
@@ -384,7 +405,8 @@ def _an_ks_best_fit_normal(ctx: RunContext, params: dict) -> dict:
     per = []
     for j in range(pts.shape[1]):
         x = pts[:, j]
-        mu, sd = float(x.mean()), float(x.std(ddof=1))
+        # equal points have no deviation, whatever rounding makes of it, and no normal law fits them
+        mu, sd = float(x.mean()), float(x.std(ddof=1)) if x.min() < x.max() else 0.0
         stat = st.ks_statistic(x, lambda v: st.normal_cdf(v, mu, sd))
         per.append({"coordinate": j, "statistic": stat, "exceeds_critical": bool(stat > crit)})
     return {"critical": crit, "level": level, "per_coordinate": per}

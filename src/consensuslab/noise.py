@@ -30,26 +30,28 @@ run's row is shorter than a cache line (``n < 8``) and four steps fit in
 ``STAGE_VALUES``, every four steps of the chunk are copied into a
 step-major ``(4, n, width)`` stage, so a step reads its noise contiguously.
 Deterministic kinds compute their rows chunk by chunk and share them
-between runs. Memory stays at one chunk plus one stage whatever the
+between runs. Memory stays at ``CHUNK_VALUES`` plus one stage whatever the
 horizon, and run ``r``'s rows equal ``sample_noise_block(spec, T,
 substream(master_seed, r))`` bit for bit whatever the chunk size, the
 tiling or the ensemble width.
 
 The runs of a random chunk are filled in ``TRANSFORM_PARTS`` consecutive
-parts. Where it pays (see ``_overlaps``), the transform overlaps the fill on
-one worker thread: each part goes to the worker as soon as it is filled,
-and once the last is filled the filling thread takes back the parts the
-worker has not started and transforms them itself. ``ndtri``, the ufuncs
-and ``matmul`` release the GIL, so the two threads run at once; re-keying
-Philox holds the GIL once per run, so the fill stays on one thread and the
-worker never draws. Elsewhere the filling thread transforms each part right
-after its fill. A part is whole runs and the transform works
-elementwise (per run for ``_correlate``), with each step's ``time_scale``
-evaluated once per chunk on the filling thread, so no byte depends on
-which thread transforms which part. Every part is done before its chunk is
-used, and an error in a part's transform reaches the caller as it was
-raised. A process forked after the worker started has no worker, so
-nothing starts its parts and it transforms each one itself.
+parts of whole runs. Where it pays (see ``_overlaps``), each part goes to
+one worker thread once filled, and the chunk is started one ahead: chunk
+``c + 1`` is filled and handed over before the engine steps chunk ``c``,
+each in one of two buffers of half ``CHUNK_VALUES``, and the geometry below
+is sized with that half. When the engine reaches ``c + 1``, the filling
+thread takes back the parts the worker has not started, last first, and
+waits for the rest. Any other chunk has one buffer of the whole budget and
+each part is transformed on the filling thread right after its fill.
+``ndtri``, the ufuncs and ``matmul`` release the GIL; re-keying Philox
+holds it once per run, so only the filling thread draws. The transform is
+elementwise (per run for ``_correlate``) with each step's ``time_scale``
+evaluated once, on the filling thread, so no byte depends on the thread. An
+error in starting a chunk (its fill, ``time_scale`` or a part's transform)
+is raised as it was at the chunk's first step, and closing the iteration
+early stops every part of the chunk ahead. A process forked after the
+worker started has no worker and takes back every part.
 
 The width is the run count padded with zero-noise runs to a multiple of
 ``WIDTH_PAD`` (``padded_width(m)``), one tile. Where the caller allows
@@ -156,6 +158,8 @@ class NoiseSpec:
                 raise ValueError(f"mu must have shape ({self.n},)")
             if sig.shape != (self.n, self.n):
                 raise ValueError(f"sigma must have shape ({self.n}, {self.n})")
+            if not (np.isfinite(mu).all() and np.isfinite(sig).all()):
+                raise ValueError("mu and sigma must be finite")
             if np.max(np.abs(sig - sig.T)) > 1e-9:
                 raise ValueError("covariance must be symmetric")
             if np.linalg.eigvalsh(sig).min() < -1e-9:
@@ -425,7 +429,8 @@ def sample_noise_block(spec: NoiseSpec, T: int, stream: Optional[np.random.Gener
     return _rows(spec, np.arange(1, T + 1), stream)
 
 
-# Most noise values one engine chunk holds (steps * padded width * n): 8 MiB of doubles.
+# Most noise values the engine's chunk buffers hold (steps * padded width * n): 8 MiB of
+# doubles, half each for a chunk the worker transforms and the one stepped before it.
 CHUNK_VALUES = 2**20
 # Most values of the step-major stage of four steps (see ``NoiseChunks``): 512 KiB.
 STAGE_VALUES = 2**16
@@ -435,7 +440,7 @@ STEP_CALLS = 4
 # Most run keys converted to Python ints at once.
 _KEY_SLICE = 2**10
 # Parts of whole runs a random chunk is filled in, each transformed once filled, on the
-# worker while the next is filled where that pays (see ``NoiseChunks``).
+# worker where that pays (see ``NoiseChunks``).
 TRANSFORM_PARTS = 8
 # The one thread that transforms noise alongside the Philox fill; it never fills.
 _WORKER = ThreadPoolExecutor(1, thread_name_prefix="consensuslab-noise")
@@ -457,26 +462,40 @@ def _overlaps(spec: NoiseSpec, draw: int) -> bool:
     return spec.kind == GAUSSIAN and draw >= OVERLAP_MIN_DRAW
 
 
+@dataclass(eq=False)
+class _Chunk:
+    """A started chunk: its noise, step scales, (future, part) pairs sent to the worker, and held error."""
+
+    block: Optional[np.ndarray] = None
+    scales: Optional[np.ndarray] = None
+    parts: list = field(default_factory=list)
+    error: Optional[Exception] = None
+
+
+def _stop(parts: list) -> None:
+    """Drop the parts the worker has not started and wait for a running one."""
+    wait([future for future, _ in parts if not future.cancel()])
+
+
 class NoiseChunks:
     """Disturbances of steps 1..T for runs 0..m-1, drawn chunk by chunk and tile by tile.
 
-    The module docstring sets out the geometry: chunks, stage, pad and tiles
-    (more than one only where ``tiled`` is set). The runs go through in
-    ``tiles`` tiles of ``width`` columns: tile ``i`` holds runs ``i * width
-    ..`` and, in the last tile, zero-noise pad runs up to the width.
-    Iterating yields one array per step of each tile in turn, T per tile,
-    broadcastable against an (n, width) block of states: an (n, width)
+    The module docstring sets out the geometry: chunks, stage, pad, tiles
+    (more than one only where ``tiled`` is set) and the lookahead. The runs
+    go through in ``tiles`` tiles of ``width`` columns: tile ``i`` holds runs
+    ``i * width ..`` and, in the last tile, zero-noise pad runs up to the
+    width. Iterating yields one array per step of each tile in turn, T per
+    tile, broadcastable against an (n, width) block of states: an (n, width)
     array for the random kinds, whose pad columns are zero, and an (n, 1)
     column shared by every run otherwise. An array is valid until the next
     one is taken, because the buffers are refilled in place.
 
     ``chunk_steps`` is the steps of a chunk, at most T. ``uniforms_drawn``,
     ``philox_calls`` (one per run and chunk), ``transform_parts`` (one per
-    part) and
-    ``buffer_bytes_peak`` (chunk plus stage) count what the iteration did.
-    ``fill_s`` times its Philox draws and ``transform_s`` the rest of each
-    chunk on the filling thread: its share of the transform and its wait
-    for the worker's. The engine reports them.
+    part) and ``buffer_bytes_peak`` (the chunks held at once plus the stage)
+    count what the iteration did. ``fill_s`` times its Philox draws and
+    ``transform_s`` the rest of each chunk on the filling thread: its share
+    of the transform and its wait for the worker's. The engine reports them.
     """
 
     def __init__(self, spec: NoiseSpec, T: int, m: int, master_seed: int, tiled: bool = False):
@@ -486,27 +505,36 @@ class NoiseChunks:
         dense = spec.kind == GAUSSIAN and spec._factor is not None and spec._factor.ndim == 2
         align = STEP_GROUP if dense else 4 // math.gcd(n, 4)
 
-        def steps(width: int) -> int:
-            return max(align, CHUNK_VALUES // (width * n) // align * align)
+        def geometry(budget: int) -> tuple[int, int]:
+            """The tile width and chunk steps when a chunk holds at most ``budget`` values."""
 
-        def tiles(k: int) -> int:
-            """Fewest equal tiles of the runs whose chunk holds ``k`` steps (one where none can)."""
-            widest = CHUNK_VALUES // (n * max(1, -(-k // align)) * align) // WIDTH_PAD * WIDTH_PAD
-            return -(-m // widest) if widest else 1
+            def steps(width: int) -> int:
+                return max(align, budget // (width * n) // align * align)
 
-        width = padded_width(m)
-        if tiled and spec.is_random:
-            whole = tiles(T)
-            if m * (-(-T // steps(width)) - 1) > STEP_CALLS * T * (whole - 1):
-                width = padded_width(-(-m // whole))
-            if _overlaps(spec, T * n):
-                width = min(width, padded_width(-(-m // tiles(-(-OVERLAP_MIN_DRAW // n)))))
-        self.width = width
-        self.tiles = max(1, -(-m // width))
-        self.chunk_steps = min(steps(width if spec.is_random else 1), T)
+            def tiles(k: int) -> int:
+                """Fewest equal tiles of the runs whose chunk holds ``k`` steps (one where none can)."""
+                widest = budget // (n * max(1, -(-k // align)) * align) // WIDTH_PAD * WIDTH_PAD
+                return -(-m // widest) if widest else 1
+
+            width = padded_width(m)
+            if tiled and spec.is_random:
+                whole = tiles(T)
+                if m * (-(-T // steps(width)) - 1) > STEP_CALLS * T * (whole - 1):
+                    width = padded_width(-(-m // whole))
+                if _overlaps(spec, T * n):
+                    width = min(width, padded_width(-(-m // tiles(-(-OVERLAP_MIN_DRAW // n)))))
+            return width, min(steps(width if spec.is_random else 1), T)
+
+        # a chunk the worker transforms is started one ahead, it and the chunk stepped meanwhile
+        # in half the budget each; where half the budget makes no such chunk, one takes it all
+        self.width, self.chunk_steps = geometry(CHUNK_VALUES // 2)
+        self._lookahead = spec.is_random and _overlaps(spec, self.chunk_steps * n)
+        if not self._lookahead:
+            self.width, self.chunk_steps = geometry(CHUNK_VALUES)
+        self.tiles = max(1, -(-m // self.width))
         self._overlap = spec.is_random and _overlaps(spec, self.chunk_steps * n)
-        staged = spec.is_random and n < 8 and 4 * n * width <= STAGE_VALUES
-        self._stage = np.empty((4, n, width)) if staged else None
+        staged = spec.is_random and n < 8 and 4 * n * self.width <= STAGE_VALUES
+        self._stage = np.empty((4, n, self.width)) if staged else None
         self._copies = 2 if dense else 1  # the dense covariance product writes a second chunk-sized array
         self.uniforms_drawn = 0
         self.philox_calls = 0
@@ -532,72 +560,100 @@ class NoiseChunks:
         self.uniforms_drawn += block.size
         self.philox_calls += len(keys)
 
-    def _fill_transformed(self, block: np.ndarray, keys: np.ndarray, c0: int, ts: np.ndarray) -> float:
-        """Fill ``block`` as ``_fill`` does and transform it part by part; return the fill seconds.
+    def _start(self, lo: int, c0: int, buf: Optional[np.ndarray]) -> _Chunk:
+        """Start the chunk of steps ``c0 + 1 ..`` of the tile at run ``lo``, in ``buf`` for the random kinds.
 
-        The runs are filled in up to ``TRANSFORM_PARTS`` consecutive parts.
-        Where the chunk overlaps, each part goes to the worker as soon as it
-        is filled; then the parts the worker has not started are taken back,
-        last first, and transformed here, and the rest are waited for.
-        Otherwise each part is transformed here right after its fill. No part
-        is still being written when this returns or raises.
+        The runs are filled in up to ``TRANSFORM_PARTS`` consecutive parts;
+        where the chunk overlaps, each part goes to the worker as soon as it
+        is filled, and otherwise it is transformed here right after its fill.
+        An error is held in the chunk for ``_finish`` to raise, after the
+        parts already handed over are stopped.
         """
-        spec = self.spec
-        scales = _step_scales(spec, ts)
-        parts = min(TRANSFORM_PARTS, len(keys))
-        cuts = [len(keys) * i // parts for i in range(parts + 1)] if parts else []
+        spec, n, W = self.spec, self.spec.n, self.width
+        kk = min(self.chunk_steps, self.T - c0)
+        ts = np.arange(c0 + 1, c0 + kk + 1)
+        t0 = perf_counter()
         fill_s = 0.0
-        submitted = []
+        chunk = _Chunk()
         try:
-            for a, b in zip(cuts, cuts[1:]):
-                t0 = perf_counter()
-                self._fill(block[a:b], keys[a:b], c0)
-                fill_s += perf_counter() - t0
-                if self._overlap:
-                    submitted.append((_WORKER.submit(_transform, spec, block[a:b], scales), block[a:b]))
-                else:
-                    _transform(spec, block[a:b], scales)
+            if not spec.is_random:  # (1, kk, n), shared by every run
+                chunk.block = _rows(spec, ts, None)[None]
+            else:
+                keys = self._keys[lo : lo + W]
+                chunk.block = buf[: W * kk * n].reshape(W, kk, n)
+                runs = chunk.block[: len(keys)]
+                chunk.block[len(keys) :] = 0.0
+                chunk.scales = _step_scales(spec, ts)
+                parts = min(TRANSFORM_PARTS, len(keys))
+                cuts = [len(keys) * i // parts for i in range(parts + 1)] if parts else []
+                for a, b in zip(cuts, cuts[1:]):
+                    t1 = perf_counter()
+                    self._fill(runs[a:b], keys[a:b], c0)
+                    fill_s += perf_counter() - t1
+                    if self._overlap:
+                        chunk.parts.append((_WORKER.submit(_transform, spec, runs[a:b], chunk.scales), runs[a:b]))
+                    else:
+                        _transform(spec, runs[a:b], chunk.scales)
+                self.transform_parts += parts
+        except Exception as exc:
+            _stop(chunk.parts)
+            chunk.error = exc
+        finally:
+            self.fill_s += fill_s
+            self.transform_s += perf_counter() - t0 - fill_s
+        return chunk
+
+    def _finish(self, chunk: _Chunk) -> np.ndarray:
+        """The chunk's noise, once every part is transformed; raises the chunk's held error.
+
+        The parts the worker has not started are taken back, last first, and
+        transformed here, and the rest are waited for. No part is still
+        being written when this returns or raises.
+        """
+        t0 = perf_counter()
+        try:
+            if chunk.error is not None:
+                raise chunk.error
             # the worker runs its parts in order, so the unstarted ones are at the end
-            while submitted and submitted[-1][0].cancel():
-                _transform(spec, submitted.pop()[1], scales)
-            for future, _ in submitted:
+            while chunk.parts and chunk.parts[-1][0].cancel():
+                _transform(self.spec, chunk.parts.pop()[1], chunk.scales)
+            for future, _ in chunk.parts:
                 future.result()
         finally:  # after an error, drop the parts not started and let a running one finish
-            wait([future for future, _ in submitted if not future.cancel()])
-        self.transform_parts += parts
-        return fill_s
+            _stop(chunk.parts)
+            self.transform_s += perf_counter() - t0
+        return chunk.block
 
     def __iter__(self):
         spec, n, W, k, stage = self.spec, self.spec.n, self.width, self.chunk_steps, self._stage
         # A mapping of its own goes back to the OS when freed; a heap block would stay as a
         # hole that smaller allocations split, making peak RSS vary from run to run.
         size = 8 * W * k * n
-        buf = np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)) if spec.is_random and size else None
-        for lo, c0 in product(range(0, self.tiles * W, W), range(0, self.T, max(1, k))):
-            kk = min(k, self.T - c0)
-            ts = np.arange(c0 + 1, c0 + kk + 1)
-            t0 = perf_counter()
-            if spec.is_random:
-                keys = self._keys[lo : lo + W]
-                block = buf[: W * kk * n].reshape(W, kk, n)
-                block[len(keys) :] = 0.0
-                fill_s = self._fill_transformed(block[: len(keys)], keys, c0, ts)
-            else:  # (1, kk, n), shared by every run
-                fill_s = 0.0
-                block = _rows(spec, ts, None)[None]
-            # the transform's share is what the fill leaves of the chunk: work and waiting
-            self.fill_s += fill_s
-            self.transform_s += perf_counter() - t0 - fill_s
-            held = self._copies * block.nbytes + (0 if stage is None else stage.nbytes)
-            self.buffer_bytes_peak = max(self.buffer_bytes_peak, held)
-            if stage is None:
-                for j in range(kk):
-                    yield block[:, j, :].T
-                continue
-            for j in range(0, kk, 4):
-                rows = stage[: min(4, kk - j)]
-                rows[...] = block[:, j : j + 4, :].transpose(1, 2, 0)
-                yield from rows
+        buffers = [np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)) if spec.is_random and size else None
+                   for _ in range(2 if self._lookahead else 1)]
+        plan = list(product(range(0, self.tiles * W, W), range(0, self.T, max(1, k))))
+        ahead = None  # the chunk started before the one being stepped was used
+        try:
+            for i, (lo, c0) in enumerate(plan):
+                block = self._finish(ahead if ahead is not None else self._start(lo, c0, buffers[0]))
+                ahead = None
+                # the next chunk starts before this one's steps with a lookahead, else after them
+                if self._lookahead and i + 1 < len(plan):
+                    ahead = self._start(*plan[i + 1], buffers[(i + 1) % 2])
+                held = self._copies * (block.nbytes + (0 if ahead is None else ahead.block.nbytes))
+                self.buffer_bytes_peak = max(self.buffer_bytes_peak, held + (0 if stage is None else stage.nbytes))
+                kk = block.shape[1]
+                if stage is None:
+                    for j in range(kk):
+                        yield block[:, j, :].T
+                    continue
+                for j in range(0, kk, 4):
+                    rows = stage[: min(4, kk - j)]
+                    rows[...] = block[:, j : j + 4, :].transpose(1, 2, 0)
+                    yield from rows
+        finally:  # closed early: no part of the chunk started ahead may still be written
+            if ahead is not None:
+                _stop(ahead.parts)
 
 
 def epsilon_oscillator_sequence(T: int) -> np.ndarray:

@@ -503,6 +503,34 @@ class TestReproducibilityContract:
                 monkeypatch.undo()
                 assert np.array_equal(ens.terminal_states, reference[:9]), (k, staged)
 
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("family", list(_FAMILY_NOISE))
+    def test_the_engine_steps_as_the_public_step_functions_do(self, family, n):
+        # the engine writes each step's product into a block it keeps, the public steps into a
+        # new array; on the engine's block of runs and pad columns they give the same bytes
+        from consensuslab.noise import padded_width, sample_noise_block, substream
+
+        kind = _FAMILY_NOISE[family]
+        spec = _contract_model(family, n, None if kind is None else _contract_noise(n)[kind])
+        m = 5
+        W = padded_width(m)
+        noise = np.zeros((self.T, n, W))
+        for r in range(m if kind is not None else 0):
+            noise[:, :, r] = sample_noise_block(spec.noise, self.T, substream(8, r))
+        X = np.repeat(spec.x0[:, None], W, axis=1)
+        for t in range(1, self.T + 1):
+            a, g = spec.schedule_A(t), noise[t - 1]
+            e = None if spec.schedule_E is None else spec.schedule_E(t)
+            X = {
+                "base": lambda: step_base(a, e, spec.sigma_bar, X),
+                "noisy": lambda: step_noisy(a, e, spec.sigma_bar, g, X),
+                "pure_noise": lambda: step_pure_noise(a, e, g, X),
+                "nonlinear": lambda: step_nonlinear(a, spec.learning_fn, spec.sigma_bar, g, X),
+                "average": lambda: step_average(a, e, g, X),
+            }[family]()
+        ens = simulate_ensemble(spec, self.T, m, master_seed=8)
+        assert np.array_equal(ens.terminal_states, X[:, :m].T)
+
     @staticmethod
     def _force_tiles(monkeypatch, n, tile):
         """Tile the runs whenever a run takes more than one chunk, ``tile`` runs to a tile."""
@@ -637,7 +665,8 @@ class TestReproducibilityContract:
         self._overlap_every_chunk(monkeypatch)
         chunks = noise.NoiseChunks(spec, self.T, 37, 41)
         list(chunks)
-        assert chunks.transform_parts == 7 * noise.TRANSFORM_PARTS  # 7 chunks of up to 4 steps
+        # 13 chunks of up to 2 steps: a chunk the worker takes is one of two in the forced budget
+        assert chunks.transform_parts == 13 * noise.TRANSFORM_PARTS
         assert calls == list(range(1, self.T + 1))
 
     def test_a_raising_time_scale_propagates(self, monkeypatch):
@@ -694,6 +723,119 @@ class TestReproducibilityContract:
                 assert len(executor.futures) == noise.TRANSFORM_PARTS
                 assert all(f.done() for f in executor.futures)
 
+    @pytest.mark.parametrize("failing", ["fill", "transform"])
+    def test_an_error_in_the_chunk_ahead_waits_for_its_first_step(self, failing, monkeypatch):
+        # 4-step chunks: the third chunk (steps 9..12) is filled and handed to the worker when
+        # the engine takes step 5; an error in its fill or in a part's transform is held until
+        # step 9, as if the chunk had started there
+        from consensuslab import noise
+
+        fill, transform, calls = noise.NoiseChunks._fill, noise._transform, []
+
+        def fill_or_fail(chunks, block, keys, c0):
+            if failing == "fill" and c0 == 8:
+                raise MemoryError("no fill at step 9")
+            fill(chunks, block, keys, c0)
+
+        def transform_or_fail(spec, u, scales):
+            calls.append(u)
+            if failing == "transform" and len(calls) == 2 * noise.TRANSFORM_PARTS + 1:
+                raise FloatingPointError("no transform at step 9")
+            return transform(spec, u, scales)
+
+        error = {"fill": MemoryError, "transform": FloatingPointError}[failing]
+        spec = self._worker_noise(2, "gaussian_diagonal")
+        for executor in (None, self._Inline(), self._Pool(eager=True)):
+            calls.clear()
+            self._force(monkeypatch, 37, 2, 2 * 4)
+            self._overlap_every_chunk(monkeypatch)
+            monkeypatch.setattr(noise.NoiseChunks, "_fill", fill_or_fail)
+            monkeypatch.setattr(noise, "_transform", transform_or_fail)
+            if executor is not None:
+                monkeypatch.setattr(noise, "_WORKER", executor)
+            chunks = noise.NoiseChunks(spec, self.T, 37, 41)
+            assert chunks._lookahead and chunks.chunk_steps == 4
+            steps = iter(chunks)
+            for _ in range(8):
+                next(steps)
+            with pytest.raises(error, match="^no .* at step 9$"):
+                next(steps)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("how", ["close", "schedule_error"])
+    def test_an_early_end_stops_every_part_of_the_chunk_ahead(self, how, monkeypatch):
+        # at step 5 the third chunk's parts are with a slow worker; closing the steps, or a
+        # schedule error that ends the engine's pass mid-tile, leaves none of them running
+        import time
+
+        from consensuslab import noise
+
+        transform = noise._transform
+
+        def slow_transform(spec, u, scales):
+            time.sleep(0.01)
+            return transform(spec, u, scales)
+
+        n, m = 2, 37
+        spec = self._worker_noise(n, "gaussian_diagonal")
+        executor = self._Pool(eager=False)
+        self._force(monkeypatch, m, n, 2 * 4)
+        self._overlap_every_chunk(monkeypatch)
+        monkeypatch.setattr(noise, "_transform", slow_transform)
+        monkeypatch.setattr(noise, "_WORKER", executor)
+        if how == "close":
+            steps = iter(noise.NoiseChunks(spec, self.T, m, 41))
+            for _ in range(5):
+                next(steps)
+            assert len(executor.futures) == 3 * noise.TRANSFORM_PARTS
+            assert not all(f.done() for f in executor.futures)
+            steps.close()
+        else:
+            def rates(t):
+                if t == 5:
+                    raise ScheduleError(t, "no rates at step 5")
+                return [0.4, 0.3]
+
+            model = _contract_model("noisy", n, spec)
+            # the error's traceback keeps the engine's frame, and with it the steps, alive
+            with pytest.raises(ScheduleError) as raised:
+                simulate_ensemble(replace(model, schedule_E=rates), self.T, m, master_seed=8)
+            assert len(executor.futures) == 3 * noise.TRANSFORM_PARTS
+            assert raised.value.t == 5
+        assert all(f.done() for f in executor.futures)
+
+    @pytest.mark.parametrize("staged", [True, False])
+    @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "time_scale"])
+    def test_lookahead_chunks_change_no_byte(self, kind, staged, monkeypatch):
+        # a Gaussian chunk the worker takes is filled and handed over while the engine steps
+        # the one before, the two in buffers of half the budget; whether the worker runs every
+        # part, none or races the filling thread, each run's steps are its substream block
+        from consensuslab import noise
+
+        n, m = 5, 37
+        spec = self._worker_noise(n, kind)
+        blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
+        for k in self._chunk_sizes(spec):
+            for executor in (None, self._Inline(), self._Pool(eager=True), self._Pool(eager=False)):
+                self._force(monkeypatch, m, n, None if k is None else 2 * k, staged)
+                monkeypatch.setattr(noise, "OVERLAP_MIN_DRAW", 1)
+                if executor is not None:
+                    monkeypatch.setattr(noise, "_WORKER", executor)
+                chunks = noise.NoiseChunks(spec, self.T, m, 41)
+                assert chunks._lookahead and (chunks._stage is not None) == staged
+                assert chunks.chunk_steps == (self.T if k is None else k)
+                rows = np.stack([g.T.copy() for g in chunks])
+                monkeypatch.undo()
+                for r in range(m):
+                    assert np.array_equal(rows[:, r], blocks[r]), (k, executor, r)
+                assert not rows[:, m:].any()
+                assert chunks.transform_parts == -(-self.T // chunks.chunk_steps) * noise.TRANSFORM_PARTS
+                # the chunk stepped and the one ahead, each at most half the forced budget
+                chunk = 8 * chunks.width * chunks.chunk_steps * n * chunks._copies
+                ahead = 0 if k is None else chunk
+                stage = 0 if chunks._stage is None else chunks._stage.nbytes
+                assert chunks.buffer_bytes_peak == chunk + ahead + stage
+
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy"])
     def test_the_worker_takes_only_long_gaussian_draws(self, kind, monkeypatch):
         # a chunk goes to the worker in parts when its noise is Gaussian and each run draws at
@@ -720,15 +862,16 @@ class TestReproducibilityContract:
     def _force_narrow(cls, monkeypatch, spec, tile) -> int:
         """Make each run draw just over 8 steps a chunk for the worker; return the chunk steps that takes.
 
-        A chunk of ``tile`` runs holds exactly those steps, and a whole horizon
-        fits no tile of 8 runs, so only the Gaussian rule narrows the tiles.
+        A chunk of ``tile`` runs holds exactly those steps in half the budget,
+        as each of a worker chunk's two buffers does, and a whole horizon fits
+        no tile of 8 runs, so only the Gaussian rule narrows the tiles.
         """
         from consensuslab import noise
 
         align = cls._chunk_sizes(spec)[0]
         k = -(-9 // align) * align
         monkeypatch.setattr(noise, "OVERLAP_MIN_DRAW", 8 * spec.n + 1)
-        monkeypatch.setattr(noise, "CHUNK_VALUES", k * spec.n * tile)
+        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * k * spec.n * tile)
         return k
 
     @pytest.mark.parametrize("staged", [True, False])
@@ -846,7 +989,8 @@ class TestReproducibilityContract:
 @pytest.mark.parametrize("tiled", [False, True])
 def test_noise_memory_is_bounded_by_a_chunk(tiled, monkeypatch):
     # a whole-horizon noise block would take 8*T*n*m bytes (64 MB here); tiled, the runs go
-    # through in 9 tiles of 24, each tile's whole horizon one chunk
+    # through in 25 tiles of 8, each tile's whole horizon one chunk in half the budget, the
+    # worker transforming the next tile's chunk while the engine steps this one
     import tracemalloc
 
     from consensuslab import noise
@@ -862,6 +1006,6 @@ def test_noise_memory_is_bounded_by_a_chunk(tiled, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ens.engine["tiles"] == (9 if tiled else 1)
+    assert ens.engine["tiles"] == (25 if tiled else 1)
     assert peak < 8 * T * n * m / 4
     assert ens.engine["noise_buffer_bytes_peak"] <= 8 * 2**20

@@ -230,6 +230,31 @@ class TestCompileBoundary:
         e = _load_error(**fields)
         assert e.pointer == pointer and message in str(e)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("part", ["A", "E", "mu", "sigma"])
+    def test_a_non_finite_entry_is_refused_at_its_part(self, part, value):
+        gaussian = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+        model = copy.deepcopy(dict(MINIMAL["model"], family="noisy_feedback", noise=gaussian))
+        entries = {"A": model["A"]["matrix"][0], "E": model["E"]["eps"],
+                   "mu": model["noise"]["mu"], "sigma": model["noise"]["sigma"][1]}[part]
+        entries[1] = value
+        e = _load_error(**model)
+        assert e.pointer == ("/model/noise" if part in ("mu", "sigma") else f"/model/{part}")
+        assert "finite" in str(e)
+
+    def test_a_geometric_time_scale_that_overflows_is_refused(self, tmp_path):
+        # 2.0**t leaves the float range at t = 1024, inside a horizon of 1100
+        noise = {"kind": "gaussian", "time_scale": {"kind": "geometric", "rate": 2.0}}
+        model = dict(MINIMAL["model"], family="pure_noise_feedback", noise=noise, sigma_bar=None)
+        model = {k: v for k, v in model.items() if v is not None}
+        doc = dict(MINIMAL, model=model, horizon=1100, ensemble=2)
+        with pytest.raises(ScenarioFormatError, match="overflows at t=1024") as e:
+            load_scenario(doc)
+        assert e.value.pointer == "/model/noise"
+        scenario = load_scenario(dict(doc, horizon=1023))  # 2.0**1023 is finite
+        with pytest.raises(ScenarioFormatError, match="overflows at t=1024"):
+            run_scenario(scenario, out_dir=tmp_path, horizon=1100)
+
 
 class TestCatalog:
     def test_required_cases_present(self):
@@ -555,6 +580,15 @@ class TestRunScenario:
             "ks": {"error": "ValueError: normal sigma must be positive, got 0.0"},
         }
         validate_summary(json.loads((tmp_path / "summary.json").read_text()))
+
+    @pytest.mark.parametrize("rate", [0.5, 0.9])
+    def test_equal_points_fit_no_normal_law_whatever_their_deviation_rounds_to(self, tmp_path, rate):
+        # every run is the same point; its sample deviation rounds to about 1e-16, not 0
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise={"kind": "decaying", "rate": rate})
+        doc = dict(MINIMAL, model=model, horizon=50, ensemble=20, analyses=[{"name": "ks_best_fit_normal"}])
+        summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
+        assert not summary.ok
+        assert summary.analyses == {"ks_best_fit_normal": {"error": "ValueError: normal sigma must be positive, got 0.0"}}
 
     @pytest.mark.parametrize("times", [[10, -1], [10, 51]])
     def test_mean_error_checkpoints_outside_the_horizon_fail(self, tmp_path, times):

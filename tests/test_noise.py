@@ -244,13 +244,14 @@ class TestNoiseChunks:
         assert engine["noise_buffer_bytes_peak"] == 8 * 20 * 2 * 25_000
 
     @pytest.mark.parametrize("case_id, tiles, chunk_steps", [
-        ("cauchy-invariant", 2, 200), ("average-clt", 3, 524), ("gaussian-dist", 3, 524),
+        ("cauchy-invariant", 2, 200), ("average-clt", 6, 520), ("gaussian-dist", 6, 520),
         ("epsilon-oscillator", 1, 348),
     ])
     def test_catalog_tiles(self, case_id, tiles, chunk_steps):
         # tiling pays where a run takes more than one chunk and the extra engine steps are few,
-        # or where Gaussian runs then draw enough a chunk for the worker; epsilon-oscillator's
-        # runs draw 1000 uniforms in all, too few for it
+        # or where Gaussian runs then draw enough a chunk for the worker, each of the two
+        # lookahead chunks in half the budget; epsilon-oscillator's runs draw 1000 uniforms in
+        # all, too few for it
         from consensuslab import load_catalog_scenario
 
         s = load_catalog_scenario(case_id)
@@ -258,26 +259,29 @@ class TestNoiseChunks:
         assert (chunks.tiles, chunks.chunk_steps) == (tiles, chunk_steps)
 
     @pytest.mark.parametrize("kind, tiled, geometry", [
-        ("gaussian", True, (3, 1000, 524)),
+        ("gaussian", True, (6, 504, 520)),
         ("gaussian", False, (1, 3000, 174)),
         ("rademacher", True, (1, 3000, 174)),
         ("cauchy", True, (1, 3000, 174)),
     ])
     def test_long_gaussian_runs_take_tiles_that_reach_the_worker(self, kind, tiled, geometry):
         # m = 3000, n = 2, T = 1000: one tile's chunks draw 348 uniforms a run, short of
-        # OVERLAP_MIN_DRAW; three tiles of 1000 draw 1048, so the worker takes Gaussian chunks.
-        # Rademacher and Cauchy chunks never go to the worker, and an untiled pass keeps one tile
+        # OVERLAP_MIN_DRAW; in half the budget, six tiles of 504 draw 1040, so the worker takes
+        # Gaussian chunks one ahead. Rademacher and Cauchy chunks never go to the worker, and an
+        # untiled pass keeps one tile and the whole budget
         spec = {"gaussian": NoiseSpec.gaussian(np.zeros(2), np.eye(2)),
                 "rademacher": NoiseSpec.rademacher(2), "cauchy": NoiseSpec.cauchy(2)}[kind]
         chunks = NoiseChunks(spec, 1000, 3000, 5, tiled=tiled)
         assert (chunks.tiles, chunks.width, chunks.chunk_steps) == geometry
-        assert chunks._overlap == (geometry[0] == 3)
+        assert chunks._overlap == chunks._lookahead == (geometry[0] == 6)
 
-    def test_wide_agents_keep_one_tile(self):
-        # n = 100, m = 500, T = 500: 25 chunks a run, but a whole horizon fits only 16 runs,
-        # so 32 tiles would add 31 * 500 engine steps to save 12000 calls
+    def test_wide_agents_take_two_lookahead_tiles(self):
+        # n = 100, m = 500, T = 500: a whole horizon fits only 8 runs in half the budget, too
+        # many tiles to save Philox calls; a run's 11-step draw reaches the worker in tiles of
+        # up to 472 runs, so two tiles of 256 take 20-step chunks, one ahead of the other
         chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(100), np.eye(100)), 500, 500, 3, tiled=True)
-        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (1, 504, 20)
+        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (2, 256, 20)
+        assert chunks._lookahead
 
     def test_deterministic_noise_keeps_one_tile(self):
         chunks = NoiseChunks(NoiseSpec.decaying(2, 0.5), 20, 50_000, 5, tiled=True)
