@@ -498,15 +498,15 @@ def simulate_ensemble(
     stage, pad and column tiles) the ``noise`` module docstring sets out;
     its memory is ``noise.CHUNK_VALUES`` values and one stage whatever
     ``T`` is. The runs are stepped tile by tile, each tile through all
-    ``T`` steps, and never in more than one tile with ``track_mean_err``,
-    whose mean needs every run at each step. Run 0's path and rho come
-    from the first tile. The state block has the noise's width, a multiple
-    of ``noise.WIDTH_PAD``, so that ``M @ X`` rounds every run's column the
-    same way at any ``m`` and any tiling; the pad columns start at ``x0``,
-    get zero random noise and are never reported. Each step's ``M @ X``
-    goes into the block the step before left behind, so stepping allocates
-    no new state block. ``engine`` reports what the pass did and
-    ``timing`` where its time went.
+    ``T`` steps; with ``track_mean_err`` each tile adds its runs' sup
+    errors into the step's sum, divided by ``m`` after the last tile.
+    Run 0's path and rho come from the first tile. The state block has
+    the noise's width, a multiple of ``noise.WIDTH_PAD``, so that ``M @ X``
+    rounds every run's column the same way at any ``m`` and any tiling;
+    the pad columns start at ``x0``, get zero random noise and are never
+    reported. Each step's ``M @ X`` goes into the block the step before
+    left behind, so stepping allocates no new state block. ``engine``
+    reports what the pass did and ``timing`` where its time went.
     """
     start = time.perf_counter()
     if T < 0:
@@ -522,14 +522,14 @@ def simulate_ensemble(
     if track_mean_err and sbar is None:
         raise ValueError("error tracking needs a family with a consensus target")
 
-    chunks = NoiseChunks(spec.noise, T, m, master_seed, tiled=not track_mean_err)
+    chunks = NoiseChunks(spec.noise, T, m, master_seed)
     W = chunks.width
     steps = iter(chunks)  # closed on the way out, so no noise part outlives an error
     noise = repeat(None) if spec.family is ModelFamily.BASE else steps
 
     states = np.empty((T + 1, n))
     rho = np.full(T + 1, np.nan)
-    mean_err = np.empty(T + 1) if track_mean_err else None
+    mean_err = np.zeros(T + 1) if track_mean_err else None
     snaps = {t: np.empty((m, n)) for t in sorted(snapset)}
     terminal = np.empty((m, n))
 
@@ -537,7 +537,7 @@ def simulate_ensemble(
         if lo == 0:
             states[t] = X[:, 0]
         if track_mean_err:
-            mean_err[t] = float(np.abs(X[:, :runs] - sbar).max(axis=0).mean())
+            mean_err[t] += np.abs(X[:, :runs] - sbar).max(axis=0).sum()
         if t in snaps:
             snaps[t][lo : lo + runs] = X[:, :runs].T
 
@@ -588,5 +588,5 @@ def simulate_ensemble(
         },
         timing=timing,
         snapshots=snaps,
-        mean_err_inf=mean_err,
+        mean_err_inf=None if mean_err is None else mean_err / m,
     )

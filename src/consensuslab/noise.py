@@ -36,14 +36,15 @@ substream(master_seed, r))`` bit for bit whatever the chunk size, the
 tiling or the ensemble width.
 
 The runs of a random chunk are filled in ``TRANSFORM_PARTS`` consecutive
-parts of whole runs. Where it pays (see ``_overlaps``), each part goes to
-one worker thread once filled, and the chunk is started one ahead: chunk
-``c + 1`` is filled and handed over before the engine steps chunk ``c``,
-each in one of two buffers of half ``CHUNK_VALUES``, and the geometry below
-is sized with that half. When the engine reaches ``c + 1``, the filling
-thread takes back the parts the worker has not started, last first, and
-waits for the rest. Any other chunk has one buffer of the whole budget and
-each part is transformed on the filling thread right after its fill.
+parts of whole runs. Where it pays (``_overlaps`` of a run's ``T * n``
+uniforms), the chunk is started one ahead: chunk ``c + 1`` is filled, each
+part handed to one worker thread once filled, before the engine steps chunk
+``c``, each chunk in one of two buffers of half ``CHUNK_VALUES``, and the
+geometry below is sized with that half. When the engine reaches ``c + 1``,
+the filling thread takes back the parts the worker has not started, last
+first, and waits for the rest. Any other chunk has one buffer of the whole
+budget and each part is transformed on the filling thread right after its
+fill, so the worker is used exactly when a chunk goes one ahead.
 ``ndtri``, the ufuncs and ``matmul`` release the GIL; re-keying Philox
 holds it once per run, so only the filling thread draws. The transform is
 elementwise (per run for ``_correlate``) with each step's ``time_scale``
@@ -54,18 +55,18 @@ early stops every part of the chunk ahead. A process forked after the
 worker started has no worker and takes back every part.
 
 The width is the run count padded with zero-noise runs to a multiple of
-``WIDTH_PAD`` (``padded_width(m)``), one tile. Where the caller allows
-tiles (the engine does unless it tracks the ensemble's mean error, which
-needs every run at each step), random runs may instead go through in equal
-column tiles, each padded to ``WIDTH_PAD`` and stepped through the whole
-horizon in turn. The narrower of two widths wins:
+``WIDTH_PAD`` (``padded_width(m)``), one tile. Random runs may instead go
+through in equal column tiles, each padded to ``WIDTH_PAD`` and stepped
+through the whole horizon in turn. The narrower of two widths wins:
 
 * the fewest tiles whose whole horizon is one chunk, where the Philox calls
   this saves, ``m * (chunks per run - 1)``, exceed ``STEP_CALLS`` times the
   engine steps it adds, ``T * (tiles - 1)``;
-* where a run's whole horizon would go to the worker (``_overlaps`` of its
-  ``T * n`` uniforms), the fewest tiles whose chunk does: each run draws at
-  least ``OVERLAP_MIN_DRAW`` uniforms a chunk. An extra tile-step costs
+* where a chunk goes one ahead, the fewest tiles whose chunk draws at least
+  ``OVERLAP_MIN_DRAW`` uniforms a run. At ``n < 1024`` a chunk of
+  ``ceil(1024 / n)`` steps fits about 100 runs or more in half the budget,
+  and at ``n >= 1024`` any chunk draws ``n``, so every such chunk but a
+  horizon's last reaches the worker's minimum. An extra tile-step costs
   about 8-15 us; each chunk it buys moves at least 1024 uniforms of
   ``ndtri``, about 22 us on the filling thread, to the worker and needs
   fewer Philox calls.
@@ -450,14 +451,15 @@ OVERLAP_MIN_DRAW = 2**10
 
 
 def _overlaps(spec: NoiseSpec, draw: int) -> bool:
-    """Whether the worker transforms chunks of ``spec`` whose runs each draw ``draw`` uniforms.
+    """Whether the worker transforms chunks of ``spec`` whose runs each draw ``draw`` uniforms in all.
 
     Only the Gaussian inverse CDF costs more per value than the Philox draw;
     the Rademacher and Cauchy maps cost a fraction of it, less than handing
     their parts over. The filling thread leaves the GIL free only inside each
     run's draw, so below ``OVERLAP_MIN_DRAW`` uniforms a draw the worker
     mostly waits for it, and whether the overlap gains or loses changes from
-    one process to the next (measurements in CHANGES.md).
+    one process to the next (measurements in CHANGES.md); ``NoiseChunks``
+    tiles the runs so that each chunk draws that many.
     """
     return spec.kind == GAUSSIAN and draw >= OVERLAP_MIN_DRAW
 
@@ -481,14 +483,14 @@ class NoiseChunks:
     """Disturbances of steps 1..T for runs 0..m-1, drawn chunk by chunk and tile by tile.
 
     The module docstring sets out the geometry: chunks, stage, pad, tiles
-    (more than one only where ``tiled`` is set) and the lookahead. The runs
-    go through in ``tiles`` tiles of ``width`` columns: tile ``i`` holds runs
-    ``i * width ..`` and, in the last tile, zero-noise pad runs up to the
-    width. Iterating yields one array per step of each tile in turn, T per
-    tile, broadcastable against an (n, width) block of states: an (n, width)
-    array for the random kinds, whose pad columns are zero, and an (n, 1)
-    column shared by every run otherwise. An array is valid until the next
-    one is taken, because the buffers are refilled in place.
+    and the lookahead. The runs go through in ``tiles`` tiles of ``width``
+    columns: tile ``i`` holds runs ``i * width ..`` and, in the last tile,
+    zero-noise pad runs up to the width. Iterating yields one array per step
+    of each tile in turn, T per tile, broadcastable against an (n, width)
+    block of states: an (n, width) array for the random kinds, whose pad
+    columns are zero, and an (n, 1) column shared by every run otherwise.
+    An array is valid until the next one is taken, because the buffers are
+    refilled in place.
 
     ``chunk_steps`` is the steps of a chunk, at most T. ``uniforms_drawn``,
     ``philox_calls`` (one per run and chunk), ``transform_parts`` (one per
@@ -498,41 +500,34 @@ class NoiseChunks:
     of the transform and its wait for the worker's. The engine reports them.
     """
 
-    def __init__(self, spec: NoiseSpec, T: int, m: int, master_seed: int, tiled: bool = False):
+    def __init__(self, spec: NoiseSpec, T: int, m: int, master_seed: int):
         self.spec = spec
         self.T = T
         n = spec.n
         dense = spec.kind == GAUSSIAN and spec._factor is not None and spec._factor.ndim == 2
         align = STEP_GROUP if dense else 4 // math.gcd(n, 4)
-
-        def geometry(budget: int) -> tuple[int, int]:
-            """The tile width and chunk steps when a chunk holds at most ``budget`` values."""
-
-            def steps(width: int) -> int:
-                return max(align, budget // (width * n) // align * align)
-
-            def tiles(k: int) -> int:
-                """Fewest equal tiles of the runs whose chunk holds ``k`` steps (one where none can)."""
-                widest = budget // (n * max(1, -(-k // align)) * align) // WIDTH_PAD * WIDTH_PAD
-                return -(-m // widest) if widest else 1
-
-            width = padded_width(m)
-            if tiled and spec.is_random:
-                whole = tiles(T)
-                if m * (-(-T // steps(width)) - 1) > STEP_CALLS * T * (whole - 1):
-                    width = padded_width(-(-m // whole))
-                if _overlaps(spec, T * n):
-                    width = min(width, padded_width(-(-m // tiles(-(-OVERLAP_MIN_DRAW // n)))))
-            return width, min(steps(width if spec.is_random else 1), T)
-
         # a chunk the worker transforms is started one ahead, it and the chunk stepped meanwhile
-        # in half the budget each; where half the budget makes no such chunk, one takes it all
-        self.width, self.chunk_steps = geometry(CHUNK_VALUES // 2)
-        self._lookahead = spec.is_random and _overlaps(spec, self.chunk_steps * n)
-        if not self._lookahead:
-            self.width, self.chunk_steps = geometry(CHUNK_VALUES)
+        # in half the budget each; the tiles below make each such chunk draw enough for the worker
+        self._lookahead = _overlaps(spec, T * n)
+        budget = CHUNK_VALUES // 2 if self._lookahead else CHUNK_VALUES
+
+        def steps(width: int) -> int:
+            return max(align, budget // (width * n) // align * align)
+
+        def tiles(k: int) -> int:
+            """Fewest equal tiles of the runs whose chunk holds ``k`` steps (one where none can)."""
+            widest = budget // (n * max(1, -(-k // align)) * align) // WIDTH_PAD * WIDTH_PAD
+            return -(-m // widest) if widest else 1
+
+        self.width = padded_width(m)
+        if spec.is_random:
+            whole = tiles(T)
+            if m * (-(-T // steps(self.width)) - 1) > STEP_CALLS * T * (whole - 1):
+                self.width = padded_width(-(-m // whole))
+            if self._lookahead:
+                self.width = min(self.width, padded_width(-(-m // tiles(-(-OVERLAP_MIN_DRAW // n)))))
+        self.chunk_steps = min(steps(self.width if spec.is_random else 1), T)
         self.tiles = max(1, -(-m // self.width))
-        self._overlap = spec.is_random and _overlaps(spec, self.chunk_steps * n)
         staged = spec.is_random and n < 8 and 4 * n * self.width <= STAGE_VALUES
         self._stage = np.empty((4, n, self.width)) if staged else None
         self._copies = 2 if dense else 1  # the dense covariance product writes a second chunk-sized array
@@ -564,10 +559,10 @@ class NoiseChunks:
         """Start the chunk of steps ``c0 + 1 ..`` of the tile at run ``lo``, in ``buf`` for the random kinds.
 
         The runs are filled in up to ``TRANSFORM_PARTS`` consecutive parts;
-        where the chunk overlaps, each part goes to the worker as soon as it
-        is filled, and otherwise it is transformed here right after its fill.
-        An error is held in the chunk for ``_finish`` to raise, after the
-        parts already handed over are stopped.
+        with the lookahead each part goes to the worker once filled, and
+        otherwise it is transformed here right after its fill. An error is
+        held in the chunk for ``_finish`` to raise, after the parts already
+        handed over are stopped.
         """
         spec, n, W = self.spec, self.spec.n, self.width
         kk = min(self.chunk_steps, self.T - c0)
@@ -590,7 +585,7 @@ class NoiseChunks:
                     t1 = perf_counter()
                     self._fill(runs[a:b], keys[a:b], c0)
                     fill_s += perf_counter() - t1
-                    if self._overlap:
+                    if self._lookahead:
                         chunk.parts.append((_WORKER.submit(_transform, spec, runs[a:b], chunk.scales), runs[a:b]))
                     else:
                         _transform(spec, runs[a:b], chunk.scales)

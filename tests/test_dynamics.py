@@ -552,7 +552,7 @@ class TestReproducibilityContract:
         for tile in (8, 16):
             self._force_tiles(monkeypatch, n, tile)
             self._force(monkeypatch, tile, n, staged=staged)
-            chunks = NoiseChunks(spec, self.T, m, 41, tiled=True)
+            chunks = NoiseChunks(spec, self.T, m, 41)
             assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (-(-m // tile), tile, self.T)
             assert (chunks._stage is not None) == staged
             rows = np.stack([g.T.copy() for g in chunks])  # (tiles * T, tile, n): each tile's steps in turn
@@ -585,15 +585,26 @@ class TestReproducibilityContract:
                 for t in times:
                     assert np.array_equal(ens.snapshots[t], ref.snapshots[t]), (m, tile, t)
 
-    def test_error_tracking_keeps_one_tile(self, monkeypatch):
-        # the ensemble's mean error needs every run at each step
+    @pytest.mark.parametrize("tile", [None, 8])
+    def test_error_tracking_takes_the_untracked_tiles(self, tile, monkeypatch):
+        # each tile adds its runs' sup errors into the step's sum, divided by m after the last
+        # tile: in one tile that is the mean of every run's error bit for bit, and in more
+        # tiles the same sum taken in another order
         spec = _contract_model("noisy", 2, _contract_noise(2)["gaussian_diagonal"])
-        ref = simulate_ensemble(spec, self.T, 37, master_seed=8)
-        self._force_tiles(monkeypatch, 2, 8)
-        assert simulate_ensemble(spec, self.T, 37, master_seed=8).engine["tiles"] == 5
-        tracked = simulate_ensemble(spec, self.T, 37, master_seed=8, track_mean_err=True)
-        assert tracked.engine["tiles"] == 1
+        times = range(self.T + 1)
+        if tile is not None:
+            self._force_tiles(monkeypatch, 2, tile)
+        ref = simulate_ensemble(spec, self.T, 37, master_seed=8, snapshot_times=times)
+        tracked = simulate_ensemble(spec, self.T, 37, master_seed=8, snapshot_times=times, track_mean_err=True)
+        assert tracked.engine == ref.engine and ref.engine["tiles"] == (1 if tile is None else 5)
         assert np.array_equal(tracked.terminal_states, ref.terminal_states)
+        for t in times:
+            assert np.array_equal(tracked.snapshots[t], ref.snapshots[t]), t
+        mean = np.array([np.abs(ref.snapshots[t] - spec.sigma_bar).max(axis=1).mean() for t in times])
+        if tile is None:
+            assert np.array_equal(tracked.mean_err_inf, mean)
+        else:
+            np.testing.assert_allclose(tracked.mean_err_inf, mean, rtol=4e-15, atol=0)
 
     @staticmethod
     def _overlap_every_chunk(monkeypatch):
@@ -838,25 +849,25 @@ class TestReproducibilityContract:
 
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy"])
     def test_the_worker_takes_only_long_gaussian_draws(self, kind, monkeypatch):
-        # a chunk goes to the worker in parts when its noise is Gaussian and each run draws at
-        # least OVERLAP_MIN_DRAW uniforms; any other is transformed in the same parts on the
-        # filling thread
+        # a chunk goes one ahead, its parts to the worker, when its noise is Gaussian and each
+        # run's horizon draws at least OVERLAP_MIN_DRAW uniforms; any other is transformed in
+        # the same parts on the filling thread
         from consensuslab import noise
 
-        n, m, T = 2, 37, noise.OVERLAP_MIN_DRAW // 2
+        n, m = 2, 37
         spec = self._worker_noise(n, kind)
-        blocks = [noise.sample_noise_block(spec, T, noise.substream(41, r)) for r in range(m)]
-        for k in (T - 4, T):
+        for T in (noise.OVERLAP_MIN_DRAW // n - 4, noise.OVERLAP_MIN_DRAW // n):
+            blocks = [noise.sample_noise_block(spec, T, noise.substream(41, r)) for r in range(m)]
             executor = self._Pool(eager=False)
-            self._force(monkeypatch, m, n, k)
             monkeypatch.setattr(noise, "_WORKER", executor)
             chunks = noise.NoiseChunks(spec, T, m, 41)
             rows = np.stack([g.T.copy() for g in chunks])
             monkeypatch.undo()
-            assert all(np.array_equal(rows[:, r], blocks[r]) for r in range(m)), k
-            overlap = kind.startswith("gaussian") and k * n >= noise.OVERLAP_MIN_DRAW
-            assert chunks.transform_parts == -(-T // k) * noise.TRANSFORM_PARTS, k
-            assert len(executor.futures) == (noise.TRANSFORM_PARTS if overlap else 0), k
+            assert all(np.array_equal(rows[:, r], blocks[r]) for r in range(m)), T
+            overlap = kind.startswith("gaussian") and T * n >= noise.OVERLAP_MIN_DRAW
+            assert chunks._lookahead == overlap and chunks.chunk_steps == T
+            assert chunks.transform_parts == noise.TRANSFORM_PARTS, T
+            assert len(executor.futures) == (noise.TRANSFORM_PARTS if overlap else 0), T
 
     @classmethod
     def _force_narrow(cls, monkeypatch, spec, tile) -> int:
@@ -891,7 +902,7 @@ class TestReproducibilityContract:
             k = self._force_narrow(monkeypatch, spec, tile)
             self._force(monkeypatch, tile, n, staged=staged)
             monkeypatch.setattr(noise, "_WORKER", executor)
-            chunks = noise.NoiseChunks(spec, self.T, m, 41, tiled=True)
+            chunks = noise.NoiseChunks(spec, self.T, m, 41)
             rows = np.stack([g.T.copy() for g in chunks])  # (tiles * T, tile, n): each tile's steps in turn
             monkeypatch.undo()
             assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (-(-m // tile), tile, k)
@@ -911,14 +922,15 @@ class TestReproducibilityContract:
 
         spec = self._worker_noise(2, kind)
         self._force_narrow(monkeypatch, spec, 8)
-        chunks = noise.NoiseChunks(spec, self.T, 37, 41, tiled=True)
-        assert (chunks.tiles, chunks.width, chunks._overlap) == (1, 40, False)
+        chunks = noise.NoiseChunks(spec, self.T, 37, 41)
+        assert (chunks.tiles, chunks.width, chunks._lookahead) == (1, 40, False)
 
     @pytest.mark.parametrize("family", ["noisy", "average"])
     def test_narrowed_gaussian_tiles_reproduce_the_one_tile_pass(self, family, monkeypatch):
         n, m, times = 2, 37, (0, 12, self.T)
         spec = _contract_model(family, n, _contract_noise(n)[_FAMILY_NOISE[family]])
-        ref = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
+        tracking = spec.sigma_bar is not None
+        ref = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times, track_mean_err=tracking)
         self._force_narrow(monkeypatch, spec.noise, 16)
         ens = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
         assert (ref.engine["tiles"], ens.engine["tiles"]) == (1, 3)
@@ -926,10 +938,13 @@ class TestReproducibilityContract:
         assert np.array_equal(ens.run0.states, ref.run0.states)
         for t in times:
             assert np.array_equal(ens.snapshots[t], ref.snapshots[t]), t
-        if spec.sigma_bar is not None:  # the ensemble's mean error needs every run at each step
-            tracked = simulate_ensemble(spec, self.T, m, master_seed=8, track_mean_err=True)
-            assert tracked.engine["tiles"] == 1
+        if tracking:  # a tracked pass takes the same tiles; only its error sum rounds in another order
+            tracked = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times, track_mean_err=True)
+            assert tracked.engine == ens.engine
             assert np.array_equal(tracked.terminal_states, ref.terminal_states)
+            for t in times:
+                assert np.array_equal(tracked.snapshots[t], ref.snapshots[t]), t
+            np.testing.assert_allclose(tracked.mean_err_inf, ref.mean_err_inf, rtol=4e-15, atol=0)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_process_transforms_every_part_itself(self, monkeypatch):

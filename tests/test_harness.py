@@ -3,6 +3,7 @@ import copy
 import csv
 import json
 import math
+import os
 import random
 import warnings
 from importlib import resources
@@ -781,6 +782,33 @@ class TestCLI:
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         assert cli.main(["run", "gaussian-dist", "--seed", "-3", "--out-dir", str(tmp_path)]) == 2
         assert "expected non-negative integer" in capsys.readouterr().err
+
+    def test_an_oversized_scenario_exits_two(self, tmp_path):
+        # a horizon of 10**12 asks the engine for a 14.6 TiB state record; under its own
+        # 2 GiB address-space limit the allocation fails whatever the host's overcommit
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import consensuslab
+
+        pytest.importorskip("resource")
+        doc = json.loads(resources.files("consensuslab").joinpath("catalog/gaussian-dist.json").read_text())
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(dict(doc, horizon=10**12)))
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+            "from consensuslab import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(consensuslab.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script, "run", str(p), "--out-dir", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: Unable to allocate") and "Traceback" not in done.stderr
 
     def test_stats_missing_file(self):
         assert cli.main(["stats", "missing.csv"]) == 2

@@ -224,13 +224,11 @@ class TestGaussianTransform:
 
 class TestNoiseChunks:
     def test_many_short_runs_take_two_whole_horizon_tiles(self):
-        # n = 2: k only needs k * n to be a multiple of 4, so one tile of all 50000 runs takes
-        # two 10-step chunks (8 MiB); two tiles of 25000 take one 20-step chunk each, one
+        # n = 2: k only needs k * n to be a multiple of 4, so one tile of all 50000 runs would
+        # take two 10-step chunks (8 MiB); two tiles of 25000 take one 20-step chunk each, one
         # Philox call per run for 20 more engine steps
         spec = NoiseSpec.gaussian(np.zeros(2), np.eye(2))
-        one = NoiseChunks(spec, 20, 50_000, 5)
-        assert (one.tiles, one.width, one.chunk_steps) == (1, 50_000, 10)
-        chunks = NoiseChunks(spec, 20, 50_000, 5, tiled=True)
+        chunks = NoiseChunks(spec, 20, 50_000, 5)
         assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (2, 25_000, 20)
         assert type(chunks.chunk_steps) is int
         assert chunks._stage is None  # four steps exceed STAGE_VALUES
@@ -255,36 +253,52 @@ class TestNoiseChunks:
         from consensuslab import load_catalog_scenario
 
         s = load_catalog_scenario(case_id)
-        chunks = NoiseChunks(s.model.noise, s.horizon, s.ensemble, s.master_seed, tiled=True)
+        chunks = NoiseChunks(s.model.noise, s.horizon, s.ensemble, s.master_seed)
         assert (chunks.tiles, chunks.chunk_steps) == (tiles, chunk_steps)
 
-    @pytest.mark.parametrize("kind, tiled, geometry", [
-        ("gaussian", True, (6, 504, 520)),
-        ("gaussian", False, (1, 3000, 174)),
-        ("rademacher", True, (1, 3000, 174)),
-        ("cauchy", True, (1, 3000, 174)),
+    @pytest.mark.parametrize("kind, geometry", [
+        ("gaussian", (6, 504, 520)),
+        ("rademacher", (1, 3000, 174)),
+        ("cauchy", (1, 3000, 174)),
     ])
-    def test_long_gaussian_runs_take_tiles_that_reach_the_worker(self, kind, tiled, geometry):
+    def test_long_gaussian_runs_take_tiles_that_reach_the_worker(self, kind, geometry):
         # m = 3000, n = 2, T = 1000: one tile's chunks draw 348 uniforms a run, short of
         # OVERLAP_MIN_DRAW; in half the budget, six tiles of 504 draw 1040, so the worker takes
-        # Gaussian chunks one ahead. Rademacher and Cauchy chunks never go to the worker, and an
-        # untiled pass keeps one tile and the whole budget
+        # Gaussian chunks one ahead. Rademacher and Cauchy chunks never go to the worker
         spec = {"gaussian": NoiseSpec.gaussian(np.zeros(2), np.eye(2)),
                 "rademacher": NoiseSpec.rademacher(2), "cauchy": NoiseSpec.cauchy(2)}[kind]
-        chunks = NoiseChunks(spec, 1000, 3000, 5, tiled=tiled)
+        chunks = NoiseChunks(spec, 1000, 3000, 5)
         assert (chunks.tiles, chunks.width, chunks.chunk_steps) == geometry
-        assert chunks._overlap == chunks._lookahead == (geometry[0] == 6)
+        assert chunks._lookahead == (geometry[0] == 6)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 1024])
+    def test_a_long_gaussian_horizon_always_reaches_the_worker(self, n, dense):
+        # the lookahead is decided from a run's whole horizon before the geometry: the tiles
+        # then make every full chunk draw the worker's minimum, two chunks in the budget
+        from consensuslab import noise
+
+        sigma = np.eye(n) + (0.5 * np.ones((n, n)) if dense else np.diag(np.linspace(0.1, 2.0, n)))
+        spec = NoiseSpec.gaussian(np.zeros(n), sigma)
+        least = noise.OVERLAP_MIN_DRAW
+        for T in sorted({(least - 1) // n, -(-least // n), 1000}):
+            for m in (1, 37, 3000, 50_000):
+                chunks = NoiseChunks(spec, T, m, 5)
+                assert chunks._lookahead == (T * n >= least), (T, m)
+                if chunks._lookahead:
+                    assert chunks.chunk_steps * n >= least, (T, m)
+                    assert 2 * chunks.width * chunks.chunk_steps * n <= noise.CHUNK_VALUES, (T, m)
 
     def test_wide_agents_take_two_lookahead_tiles(self):
         # n = 100, m = 500, T = 500: a whole horizon fits only 8 runs in half the budget, too
         # many tiles to save Philox calls; a run's 11-step draw reaches the worker in tiles of
         # up to 472 runs, so two tiles of 256 take 20-step chunks, one ahead of the other
-        chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(100), np.eye(100)), 500, 500, 3, tiled=True)
+        chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(100), np.eye(100)), 500, 500, 3)
         assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (2, 256, 20)
         assert chunks._lookahead
 
     def test_deterministic_noise_keeps_one_tile(self):
-        chunks = NoiseChunks(NoiseSpec.decaying(2, 0.5), 20, 50_000, 5, tiled=True)
+        chunks = NoiseChunks(NoiseSpec.decaying(2, 0.5), 20, 50_000, 5)
         assert chunks.tiles == 1 and chunks.philox_calls == 0
 
     def test_chunk_steps_is_a_python_int(self):
