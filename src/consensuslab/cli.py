@@ -117,8 +117,15 @@ def main(argv=None) -> int:
                 return 2
             with open(path, newline="") as fh:
                 rows = list(csv.reader(fh))
+            if len(rows) < 2:
+                raise ValueError(f"{path}: expected a header and at least one row")
             header, body = rows[0], rows[1:]
+            for line, r in enumerate(body, 2):
+                if len(r) != len(header):
+                    raise ValueError(f"{path}:{line}: {len(r)} fields where the header has {len(header)}")
             comps = [j for j, name in enumerate(header) if name.startswith("component_")]
+            if not comps:
+                raise ValueError(f"{path}: no component_ column")
             pts = np.array([[float(r[j]) for j in comps] for r in body])
             mean, cov = empirical_moments(pts)
             report = {

@@ -685,7 +685,9 @@ def _execute(
 
     ctx = RunContext(scenario=scenario, trajectory=trajectory, ensemble=ens)
     analysis_rows: dict = {}
+    analysis_s: dict = {}
     for item in scenario.analyses:
+        started = clock()
         try:
             if ens is None:
                 raise ScenarioFormatError(f"analysis {item['name']!r} needs a model")
@@ -693,6 +695,7 @@ def _execute(
         except Exception as exc:
             ok = False
             analysis_rows[item["name"]] = {"error": f"{type(exc).__name__}: {exc}"}
+        analysis_s[item["name"]] = analysis_s.get(item["name"], 0.0) + clock() - started
     analysed = clock()
 
     target_dir = Path(out_dir) if out_dir is not None else Path(scenario.outputs_dir or f"out/{scenario.scenario_id}")
@@ -710,6 +713,7 @@ def _execute(
 
     timing = {"checks_s": checked - t0, "engine": engine_s}
     timing["analyses_s"] = analysed - checked - sum(engine_s.values())  # the diagnostics too
+    timing["analyses"] = analysis_s  # each analysis item's share of analyses_s
     summary = RunSummary(
         scenario_id=scenario.scenario_id,
         master_seed=scenario.master_seed,

@@ -36,23 +36,23 @@ substream(master_seed, r))`` bit for bit whatever the chunk size, the
 tiling or the ensemble width.
 
 The runs of a random chunk are filled in ``TRANSFORM_PARTS`` consecutive
-parts of whole runs. Where it pays (``_overlaps`` of a run's ``T * n``
-uniforms), the chunk is started one ahead: chunk ``c + 1`` is filled, each
-part handed to one worker thread once filled, before the engine steps chunk
-``c``, each chunk in one of two buffers of half ``CHUNK_VALUES``, and the
-geometry below is sized with that half. When the engine reaches ``c + 1``,
-the filling thread takes back the parts the worker has not started, last
-first, and waits for the rest. Any other chunk has one buffer of the whole
-budget and each part is transformed on the filling thread right after its
-fill, so the worker is used exactly when a chunk goes one ahead.
-``ndtri``, the ufuncs and ``matmul`` release the GIL; re-keying Philox
-holds it once per run, so only the filling thread draws. The transform is
-elementwise (per run for ``_correlate``) with each step's ``time_scale``
-evaluated once, on the filling thread, so no byte depends on the thread. An
-error in starting a chunk (its fill, ``time_scale`` or a part's transform)
-is raised as it was at the chunk's first step, and closing the iteration
-early stops every part of the chunk ahead. A process forked after the
-worker started has no worker and takes back every part.
+parts of whole runs. Every Gaussian chunk is started one ahead: chunk
+``c + 1`` is filled, each part handed to one worker thread once filled,
+before the engine steps chunk ``c``, each chunk in one of two buffers of
+half ``CHUNK_VALUES``, and the geometry below is sized with that half. When
+the engine reaches ``c + 1``, the filling thread takes back the parts the
+worker has not started, last first, and waits for the rest. The Rademacher
+and Cauchy maps cost less than handing their parts over, so their chunks
+have one buffer of the whole budget and each part is transformed on the
+filling thread right after its fill. ``ndtri``, the ufuncs and ``matmul``
+release the GIL; re-keying Philox holds it once per run, so only the
+filling thread draws. The transform is elementwise (per run for
+``_correlate``) with each step's ``time_scale`` evaluated once, on the
+filling thread, so no byte depends on the thread. An error in starting a
+chunk (its fill, ``time_scale`` or a part's transform) is raised as it was
+at the chunk's first step, and closing the iteration early stops every part
+of the chunk ahead. A process forked after the worker started has no worker
+and takes back every part.
 
 The width is the run count padded with zero-noise runs to a multiple of
 ``WIDTH_PAD`` (``padded_width(m)``), one tile. Random runs may instead go
@@ -62,14 +62,15 @@ through the whole horizon in turn. The narrower of two widths wins:
 * the fewest tiles whose whole horizon is one chunk, where the Philox calls
   this saves, ``m * (chunks per run - 1)``, exceed ``STEP_CALLS`` times the
   engine steps it adds, ``T * (tiles - 1)``;
-* where a chunk goes one ahead, the fewest tiles whose chunk draws at least
-  ``OVERLAP_MIN_DRAW`` uniforms a run. At ``n < 1024`` a chunk of
-  ``ceil(1024 / n)`` steps fits about 100 runs or more in half the budget,
-  and at ``n >= 1024`` any chunk draws ``n``, so every such chunk but a
-  horizon's last reaches the worker's minimum. An extra tile-step costs
-  about 8-15 us; each chunk it buys moves at least 1024 uniforms of
-  ``ndtri``, about 22 us on the filling thread, to the worker and needs
-  fewer Philox calls.
+* where a Gaussian run's horizon draws at least ``OVERLAP_MIN_DRAW``
+  uniforms, the fewest tiles whose chunk draws that many. At ``n < 1024`` a
+  chunk of ``ceil(1024 / n)`` steps fits about 100 runs or more in half the
+  budget, and at ``n >= 1024`` any chunk draws ``n``. An extra tile-step
+  costs about 8-15 us; each chunk it saves is a Philox call per run and
+  hands the worker parts of at least 1024 uniforms a run, which it
+  transforms while the filling thread draws. A shorter horizon keeps the
+  first rule's width: narrowed to one chunk a run, ``epsilon-oscillator``
+  took six tiles, whose steps cost more than the worker saved.
 
 The distributional transforms are explicit, so ports to other stacks can
 match them distributionally:
@@ -441,27 +442,13 @@ STEP_CALLS = 4
 # Most run keys converted to Python ints at once.
 _KEY_SLICE = 2**10
 # Parts of whole runs a random chunk is filled in, each transformed once filled, on the
-# worker where that pays (see ``NoiseChunks``).
+# worker for Gaussian noise (see ``NoiseChunks``).
 TRANSFORM_PARTS = 8
 # The one thread that transforms noise alongside the Philox fill; it never fills.
 _WORKER = ThreadPoolExecutor(1, thread_name_prefix="consensuslab-noise")
-# Fewest uniforms each run's Philox call must draw per chunk for the worker to take the
-# chunk's transform (see ``_overlaps``); long-horizon Gaussian tiles are narrowed to reach it.
+# Fewest uniforms each run's Philox call draws per chunk of a long Gaussian horizon: its
+# runs are tiled narrow enough to reach it (see ``NoiseChunks``).
 OVERLAP_MIN_DRAW = 2**10
-
-
-def _overlaps(spec: NoiseSpec, draw: int) -> bool:
-    """Whether the worker transforms chunks of ``spec`` whose runs each draw ``draw`` uniforms in all.
-
-    Only the Gaussian inverse CDF costs more per value than the Philox draw;
-    the Rademacher and Cauchy maps cost a fraction of it, less than handing
-    their parts over. The filling thread leaves the GIL free only inside each
-    run's draw, so below ``OVERLAP_MIN_DRAW`` uniforms a draw the worker
-    mostly waits for it, and whether the overlap gains or loses changes from
-    one process to the next (measurements in CHANGES.md); ``NoiseChunks``
-    tiles the runs so that each chunk draws that many.
-    """
-    return spec.kind == GAUSSIAN and draw >= OVERLAP_MIN_DRAW
 
 
 @dataclass(eq=False)
@@ -483,7 +470,8 @@ class NoiseChunks:
     """Disturbances of steps 1..T for runs 0..m-1, drawn chunk by chunk and tile by tile.
 
     The module docstring sets out the geometry: chunks, stage, pad, tiles
-    and the lookahead. The runs go through in ``tiles`` tiles of ``width``
+    and the lookahead, which every Gaussian chunk and no other takes
+    (``_lookahead``). The runs go through in ``tiles`` tiles of ``width``
     columns: tile ``i`` holds runs ``i * width ..`` and, in the last tile,
     zero-noise pad runs up to the width. Iterating yields one array per step
     of each tile in turn, T per tile, broadcastable against an (n, width)
@@ -506,9 +494,9 @@ class NoiseChunks:
         n = spec.n
         dense = spec.kind == GAUSSIAN and spec._factor is not None and spec._factor.ndim == 2
         align = STEP_GROUP if dense else 4 // math.gcd(n, 4)
-        # a chunk the worker transforms is started one ahead, it and the chunk stepped meanwhile
-        # in half the budget each; the tiles below make each such chunk draw enough for the worker
-        self._lookahead = _overlaps(spec, T * n)
+        # a Gaussian chunk is started one ahead on the worker, it and the chunk stepped meanwhile
+        # in half the budget each; the tiles below narrow long horizons to draw OVERLAP_MIN_DRAW
+        self._lookahead = spec.kind == GAUSSIAN
         budget = CHUNK_VALUES // 2 if self._lookahead else CHUNK_VALUES
 
         def steps(width: int) -> int:
@@ -524,7 +512,7 @@ class NoiseChunks:
             whole = tiles(T)
             if m * (-(-T // steps(self.width)) - 1) > STEP_CALLS * T * (whole - 1):
                 self.width = padded_width(-(-m // whole))
-            if self._lookahead:
+            if self._lookahead and T * n >= OVERLAP_MIN_DRAW:
                 self.width = min(self.width, padded_width(-(-m // tiles(-(-OVERLAP_MIN_DRAW // n)))))
         self.chunk_steps = min(steps(self.width if spec.is_random else 1), T)
         self.tiles = max(1, -(-m // self.width))

@@ -415,6 +415,8 @@ class TestReproducibilityContract:
     They must not depend on the ensemble width m, on how the engine chunks
     its noise or on whether it stages it step-major; chunk sizes are forced
     through ``noise.CHUNK_VALUES`` and the stage through ``noise.STAGE_VALUES``.
+    A Gaussian chunk is one of two in that budget (it goes one ahead), so its
+    forced budget is doubled.
     """
 
     # one step past a multiple of 8, so 4- and 8-step chunking ends on a one-step chunk; at
@@ -424,12 +426,13 @@ class TestReproducibilityContract:
     REFERENCE_WIDTH = 16
 
     @staticmethod
-    def _force(monkeypatch, m, n, k=None, staged=None):
+    def _force(monkeypatch, m, n, k=None, staged=None, ahead=False):
+        """Force ``k``-step chunks at the padded width of ``m`` runs, each one of two in the budget if ``ahead``."""
         from consensuslab import noise
 
         w = noise.padded_width(m)
         if k is not None:
-            monkeypatch.setattr(noise, "CHUNK_VALUES", k * w * n)
+            monkeypatch.setattr(noise, "CHUNK_VALUES", (2 if ahead else 1) * k * w * n)
         if staged is not None:
             monkeypatch.setattr(noise, "STAGE_VALUES", 4 * n * w - (0 if staged else 1))
 
@@ -450,7 +453,7 @@ class TestReproducibilityContract:
         blocks = [sample_noise_block(spec, self.T, substream(41, r)) for r in range(max(self.WIDTHS))]
         for m in self.WIDTHS:
             for k in self._chunk_sizes(spec):
-                self._force(monkeypatch, m, n, k, staged)
+                self._force(monkeypatch, m, n, k, staged, ahead=spec.kind == "gaussian")
                 chunks = NoiseChunks(spec, self.T, m, 41)
                 assert chunks.chunk_steps == (self.T if k is None else k)
                 assert (chunks._stage is not None) == staged
@@ -482,8 +485,9 @@ class TestReproducibilityContract:
         # a multiple of 4 for a dense covariance factor, whose products group 4 steps
         from consensuslab.noise import NoiseChunks
 
-        self._force(monkeypatch, 3, n, forced)
-        chunks = NoiseChunks(_contract_noise(n)[kind], self.T, 3, 41)
+        spec = _contract_noise(n)[kind]
+        self._force(monkeypatch, 3, n, forced, ahead=spec.kind == "gaussian")
+        chunks = NoiseChunks(spec, self.T, 3, 41)
         assert chunks.chunk_steps == expected and type(chunks.chunk_steps) is int
 
     @pytest.mark.parametrize("n", [1, 2, 16, 100])
@@ -498,7 +502,7 @@ class TestReproducibilityContract:
             assert np.array_equal(ens.run0.terminal, reference[0]), m
         for k in self._chunk_sizes(spec.noise):
             for staged in (True, False):
-                self._force(monkeypatch, 9, n, k, staged)
+                self._force(monkeypatch, 9, n, k, staged, ahead=kind is not None and kind.startswith("gaussian"))
                 ens = simulate_ensemble(spec, self.T, 9, master_seed=8)
                 monkeypatch.undo()
                 assert np.array_equal(ens.terminal_states, reference[:9]), (k, staged)
@@ -532,12 +536,12 @@ class TestReproducibilityContract:
         assert np.array_equal(ens.terminal_states, X[:, :m].T)
 
     @staticmethod
-    def _force_tiles(monkeypatch, n, tile):
-        """Tile the runs whenever a run takes more than one chunk, ``tile`` runs to a tile."""
+    def _force_tiles(monkeypatch, n, tile, ahead=False):
+        """Tile the runs whenever a run takes more than one chunk, ``tile`` runs to a tile (see ``_force``)."""
         from consensuslab import noise
 
         whole = -(-TestReproducibilityContract.T // 4) * 4  # the horizon in whole Philox blocks at any n
-        monkeypatch.setattr(noise, "CHUNK_VALUES", tile * n * whole)
+        monkeypatch.setattr(noise, "CHUNK_VALUES", (2 if ahead else 1) * tile * n * whole)
         monkeypatch.setattr(noise, "STEP_CALLS", 0)
 
     @pytest.mark.parametrize("staged", [True, False])
@@ -550,7 +554,7 @@ class TestReproducibilityContract:
         m = 37
         blocks = [sample_noise_block(spec, self.T, substream(41, r)) for r in range(m)]
         for tile in (8, 16):
-            self._force_tiles(monkeypatch, n, tile)
+            self._force_tiles(monkeypatch, n, tile, ahead=spec.kind == "gaussian")
             self._force(monkeypatch, tile, n, staged=staged)
             chunks = NoiseChunks(spec, self.T, m, 41)
             assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (-(-m // tile), tile, self.T)
@@ -573,7 +577,7 @@ class TestReproducibilityContract:
             ref = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
             assert ref.engine["tiles"] == 1
             for tile in (8, 16):
-                self._force_tiles(monkeypatch, n, tile)
+                self._force_tiles(monkeypatch, n, tile, ahead=kind is not None and kind.startswith("gaussian"))
                 ens = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
                 monkeypatch.undo()
                 tiles = 1 if kind is None or m <= tile else -(-m // tile)
@@ -593,7 +597,7 @@ class TestReproducibilityContract:
         spec = _contract_model("noisy", 2, _contract_noise(2)["gaussian_diagonal"])
         times = range(self.T + 1)
         if tile is not None:
-            self._force_tiles(monkeypatch, 2, tile)
+            self._force_tiles(monkeypatch, 2, tile, ahead=True)
         ref = simulate_ensemble(spec, self.T, 37, master_seed=8, snapshot_times=times)
         tracked = simulate_ensemble(spec, self.T, 37, master_seed=8, snapshot_times=times, track_mean_err=True)
         assert tracked.engine == ref.engine and ref.engine["tiles"] == (1 if tile is None else 5)
@@ -607,11 +611,10 @@ class TestReproducibilityContract:
             np.testing.assert_allclose(tracked.mean_err_inf, mean, rtol=4e-15, atol=0)
 
     @staticmethod
-    def _overlap_every_chunk(monkeypatch):
-        """Hand every random chunk's transform to the worker, whatever its kind and draw."""
-        from consensuslab import noise
-
-        monkeypatch.setattr(noise, "_overlaps", lambda spec, draw: True)
+    def _ahead(chunks):
+        """Send every chunk of ``chunks`` one ahead to the worker, whatever its kind; its geometry stays."""
+        chunks._lookahead = True
+        return chunks
 
     class _Inline:
         """An executor whose tasks never start, so the filling thread takes every part back."""
@@ -642,7 +645,8 @@ class TestReproducibilityContract:
     def test_worker_transform_changes_no_byte(self, kind, staged, monkeypatch):
         # the worker transforms each part of a chunk while the next is filled; every part on
         # the filling thread, every part on the worker, or the default race between the two
-        # must give the same bytes: the run's own substream block
+        # must give the same bytes: the run's own substream block. Rademacher and Cauchy
+        # chunks are sent ahead here too, as every Gaussian chunk is
         from consensuslab import noise
 
         n, m = 5, 37
@@ -651,11 +655,11 @@ class TestReproducibilityContract:
         blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
         for k in self._chunk_sizes(spec):
             for executor in (None, self._Inline(), self._Pool(eager=True)):
-                self._force(monkeypatch, m, n, k, staged)
-                self._overlap_every_chunk(monkeypatch)
+                self._force(monkeypatch, m, n, k, staged, ahead=spec.kind == "gaussian")
                 if executor is not None:
                     monkeypatch.setattr(noise, "_WORKER", executor)
-                chunks = noise.NoiseChunks(spec, self.T, m, 41)
+                chunks = self._ahead(noise.NoiseChunks(spec, self.T, m, 41))
+                assert chunks.chunk_steps == (self.T if k is None else k)
                 assert (chunks._stage is not None) == staged
                 rows = np.stack([g.T.copy() for g in chunks])
                 for r in range(m):
@@ -672,11 +676,10 @@ class TestReproducibilityContract:
 
         calls = []
         spec = NoiseSpec.cauchy(2, scale=0.7, time_scale=lambda t: calls.append(t) or 1.0 / t)
-        self._force(monkeypatch, 37, 2, 4)
-        self._overlap_every_chunk(monkeypatch)
-        chunks = noise.NoiseChunks(spec, self.T, 37, 41)
+        self._force(monkeypatch, 37, 2, 2)
+        chunks = self._ahead(noise.NoiseChunks(spec, self.T, 37, 41))
         list(chunks)
-        # 13 chunks of up to 2 steps: a chunk the worker takes is one of two in the forced budget
+        # 13 chunks of up to 2 steps, each sent one ahead to the worker
         assert chunks.transform_parts == 13 * noise.TRANSFORM_PARTS
         assert calls == list(range(1, self.T + 1))
 
@@ -692,8 +695,7 @@ class TestReproducibilityContract:
         with pytest.raises(ArithmeticError, match="^no scale at step 13$"):
             noise.sample_noise_block(spec, self.T, noise.substream(41, 0))
         for executor in (None, self._Inline(), self._Pool(eager=True)):
-            self._force(monkeypatch, 37, 2, 4)
-            self._overlap_every_chunk(monkeypatch)
+            self._force(monkeypatch, 37, 2, 2, ahead=True)
             if executor is not None:
                 monkeypatch.setattr(noise, "_WORKER", executor)
             steps = iter(noise.NoiseChunks(spec, self.T, 37, 41))
@@ -726,7 +728,6 @@ class TestReproducibilityContract:
             started.clear()
             monkeypatch.setattr(noise, "_transform", transform_or_fail)
             monkeypatch.setattr(noise, "_WORKER", executor)
-            self._overlap_every_chunk(monkeypatch)
             with pytest.raises(FloatingPointError, match=f"^part {failing} failed$"):
                 next(iter(noise.NoiseChunks(spec, self.T, 37, 41)))
             monkeypatch.undo()
@@ -758,8 +759,7 @@ class TestReproducibilityContract:
         spec = self._worker_noise(2, "gaussian_diagonal")
         for executor in (None, self._Inline(), self._Pool(eager=True)):
             calls.clear()
-            self._force(monkeypatch, 37, 2, 2 * 4)
-            self._overlap_every_chunk(monkeypatch)
+            self._force(monkeypatch, 37, 2, 4, ahead=True)
             monkeypatch.setattr(noise.NoiseChunks, "_fill", fill_or_fail)
             monkeypatch.setattr(noise, "_transform", transform_or_fail)
             if executor is not None:
@@ -790,8 +790,7 @@ class TestReproducibilityContract:
         n, m = 2, 37
         spec = self._worker_noise(n, "gaussian_diagonal")
         executor = self._Pool(eager=False)
-        self._force(monkeypatch, m, n, 2 * 4)
-        self._overlap_every_chunk(monkeypatch)
+        self._force(monkeypatch, m, n, 4, ahead=True)
         monkeypatch.setattr(noise, "_transform", slow_transform)
         monkeypatch.setattr(noise, "_WORKER", executor)
         if how == "close":
@@ -818,8 +817,8 @@ class TestReproducibilityContract:
     @pytest.mark.parametrize("staged", [True, False])
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "time_scale"])
     def test_lookahead_chunks_change_no_byte(self, kind, staged, monkeypatch):
-        # a Gaussian chunk the worker takes is filled and handed over while the engine steps
-        # the one before, the two in buffers of half the budget; whether the worker runs every
+        # every Gaussian chunk is filled and handed to the worker while the engine steps the
+        # one before, the two in buffers of half the budget; whether the worker runs every
         # part, none or races the filling thread, each run's steps are its substream block
         from consensuslab import noise
 
@@ -828,8 +827,7 @@ class TestReproducibilityContract:
         blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
         for k in self._chunk_sizes(spec):
             for executor in (None, self._Inline(), self._Pool(eager=True), self._Pool(eager=False)):
-                self._force(monkeypatch, m, n, None if k is None else 2 * k, staged)
-                monkeypatch.setattr(noise, "OVERLAP_MIN_DRAW", 1)
+                self._force(monkeypatch, m, n, k, staged, ahead=True)
                 if executor is not None:
                     monkeypatch.setattr(noise, "_WORKER", executor)
                 chunks = noise.NoiseChunks(spec, self.T, m, 41)
@@ -848,26 +846,28 @@ class TestReproducibilityContract:
                 assert chunks.buffer_bytes_peak == chunk + ahead + stage
 
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy"])
-    def test_the_worker_takes_only_long_gaussian_draws(self, kind, monkeypatch):
-        # a chunk goes one ahead, its parts to the worker, when its noise is Gaussian and each
-        # run's horizon draws at least OVERLAP_MIN_DRAW uniforms; any other is transformed in
-        # the same parts on the filling thread
+    def test_every_gaussian_chunk_and_no_other_goes_to_the_worker(self, kind, monkeypatch):
+        # a Gaussian chunk goes one ahead, its parts to the worker, whatever its horizon: below
+        # OVERLAP_MIN_DRAW uniforms a run as well as at it. Any other is transformed in the
+        # same parts on the filling thread
         from consensuslab import noise
 
         n, m = 2, 37
         spec = self._worker_noise(n, kind)
-        for T in (noise.OVERLAP_MIN_DRAW // n - 4, noise.OVERLAP_MIN_DRAW // n):
+        gaussian = kind.startswith("gaussian")
+        for T in (self.T, noise.OVERLAP_MIN_DRAW // n - 4, noise.OVERLAP_MIN_DRAW // n):
             blocks = [noise.sample_noise_block(spec, T, noise.substream(41, r)) for r in range(m)]
-            executor = self._Pool(eager=False)
+            executor = self._Pool(eager=True)
             monkeypatch.setattr(noise, "_WORKER", executor)
             chunks = noise.NoiseChunks(spec, T, m, 41)
             rows = np.stack([g.T.copy() for g in chunks])
             monkeypatch.undo()
             assert all(np.array_equal(rows[:, r], blocks[r]) for r in range(m)), T
-            overlap = kind.startswith("gaussian") and T * n >= noise.OVERLAP_MIN_DRAW
-            assert chunks._lookahead == overlap and chunks.chunk_steps == T
+            assert chunks._lookahead == gaussian and chunks.chunk_steps == T
             assert chunks.transform_parts == noise.TRANSFORM_PARTS, T
-            assert len(executor.futures) == (noise.TRANSFORM_PARTS if overlap else 0), T
+            # every part ran on the worker, none was taken back
+            assert len(executor.futures) == (noise.TRANSFORM_PARTS if gaussian else 0), T
+            assert not any(f.cancelled() for f in executor.futures), T
 
     @classmethod
     def _force_narrow(cls, monkeypatch, spec, tile) -> int:
@@ -947,14 +947,13 @@ class TestReproducibilityContract:
             np.testing.assert_allclose(tracked.mean_err_inf, ref.mean_err_inf, rtol=4e-15, atol=0)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_process_transforms_every_part_itself(self, monkeypatch):
+    def test_a_forked_process_transforms_every_part_itself(self):
         # a process forked after the worker started has no worker thread: nothing starts the
         # parts it submits, so its filling thread takes each one back
         import signal
 
         from consensuslab import noise
 
-        self._overlap_every_chunk(monkeypatch)
         spec = self._worker_noise(3, "time_scale")
         blocks = np.stack([noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(37)])
         list(noise.NoiseChunks(spec, self.T, 37, 41))  # the worker thread exists from here on
@@ -968,7 +967,7 @@ class TestReproducibilityContract:
     def test_terminal_state_ignores_the_blas_thread_count(self):
         # OpenBLAS splits a wide product's columns between threads; with the padded width
         # every run's column still rounds as it does on one thread. The last two geometries
-        # are forced into tiles of 1000 and 8 runs.
+        # are forced into tiles of 1000 and 8 runs, each Gaussian chunk one of two in the budget.
         import subprocess
         import sys
         from pathlib import Path
@@ -978,7 +977,7 @@ class TestReproducibilityContract:
         script = (
             "import hashlib, numpy as np\n"
             "from consensuslab import ModelSpec, NoiseSpec, noise as nz, simulate_ensemble\n"
-            "for n, m, chunk in ((16, 7, None), (100, 500, None), (2, 4000, 2**14), (16, 37, 8 * 16 * 8)):\n"
+            "for n, m, chunk in ((16, 7, None), (100, 500, None), (2, 4000, 2**15), (16, 37, 2 * 8 * 16 * 8)):\n"
             "    if chunk:\n"
             "        nz.CHUNK_VALUES, nz.STEP_CALLS = chunk, 0\n"
             "    a = np.random.default_rng(4).uniform(0.1, 1.0, size=(n, n)) + 2.0 * np.eye(n)\n"

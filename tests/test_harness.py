@@ -257,6 +257,33 @@ class TestCompileBoundary:
             run_scenario(scenario, out_dir=tmp_path, horizon=1100)
 
 
+class TestSchemaMaxima:
+    """Sizes past the schema's maxima are refused at load, before anything is allocated for them."""
+
+    @pytest.mark.parametrize("field, largest", [("horizon", 10**7), ("ensemble", 10**6)])
+    def test_horizon_and_ensemble(self, field, largest):
+        assert getattr(load_scenario(dict(MINIMAL, **{field: largest})), field) == largest
+        with pytest.raises(ScenarioFormatError, match="maximum") as e:
+            load_scenario(dict(MINIMAL, **{field: largest + 1}))
+        assert e.value.pointer == f"/{field}"
+
+    def test_agent_count(self):
+        with pytest.raises(ScenarioFormatError, match="maximum") as e:
+            load_scenario(dict(MINIMAL, model=dict(MINIMAL["model"], n=10**4 + 1)))
+        assert e.value.pointer == "/model/n"
+
+    def test_a_check_horizon_of_a_billion_is_refused(self):
+        # model_rho_sequence would ask for 7.45 GiB of contraction figures
+        doc = copy.deepcopy(load_catalog_scenario("rho-harmonic").raw)
+        assert doc["checks"][0]["T"] == 10**5
+        doc["checks"][0]["T"] = 10**7
+        load_scenario(doc)
+        doc["checks"][0]["T"] = 10**9
+        with pytest.raises(ScenarioFormatError, match="maximum") as e:
+            load_scenario(doc)
+        assert e.value.pointer == "/checks/0/T"
+
+
 class TestCatalog:
     def test_required_cases_present(self):
         ids = catalog()
@@ -489,7 +516,7 @@ class TestRunScenario:
         model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
         doc = dict(MINIMAL, model=model, horizon=40, ensemble=30, analyses=[{"name": "moments"}])
         timing = run_scenario(load_scenario(doc), out_dir=tmp_path).timing
-        assert set(timing) == {"checks_s", "engine", "analyses_s", "write_s", "total_s"}
+        assert set(timing) == {"checks_s", "engine", "analyses_s", "analyses", "write_s", "total_s"}
         assert set(timing["engine"]) == {"fill_s", "transform_s", "step_s", "observe_s"}
         assert all(v > 0 for v in timing["engine"].values())
         phases = timing["checks_s"] + sum(timing["engine"].values()) + timing["analyses_s"] + timing["write_s"]
@@ -528,6 +555,32 @@ class TestRunScenario:
         assert abs(phases - timing["total_s"]) <= 1e-9
         assert text == json.dumps(doc, indent=2)  # the format json.dump(..., indent=2) writes
         validate_summary(doc)
+
+    @pytest.mark.parametrize("case_id", ["average-clt", "gaussian-dist", "rho-harmonic"])
+    def test_timing_has_one_entry_per_analysis_item(self, case_id, tmp_path):
+        # each item's seconds are a share of analyses_s, which also holds the diagnostics
+        scenario = load_catalog_scenario(case_id)
+        summary = run_scenario(scenario, out_dir=tmp_path)
+        timing = summary.timing
+        assert list(timing["analyses"]) == [item["name"] for item in scenario.analyses] == list(summary.analyses)
+        assert all(v > 0 for v in timing["analyses"].values())
+        assert sum(timing["analyses"].values()) <= timing["analyses_s"]
+        phases = timing["checks_s"] + sum(timing["engine"].values()) + timing["analyses_s"] + timing["write_s"]
+        assert abs(phases - timing["total_s"]) <= 1e-9
+        validate_summary(json.loads((tmp_path / "summary.json").read_text()))
+
+    def test_a_slow_analysis_shows_in_its_own_entry(self, tmp_path, monkeypatch):
+        import time
+
+        moments = harness._ANALYSES["moments"]
+        monkeypatch.setitem(harness._ANALYSES, "moments", lambda ctx, item: time.sleep(0.2) or moments(ctx, item))
+        noise = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
+        doc = dict(MINIMAL, model=model, horizon=40, ensemble=30,
+                   analyses=[{"name": "moments"}, {"name": "rank_one"}])
+        timing = run_scenario(load_scenario(doc), out_dir=tmp_path).timing
+        assert timing["analyses"]["moments"] >= 0.2 > timing["analyses"]["rank_one"]
+        assert timing["analyses_s"] >= 0.2
 
     def test_timing_without_a_model_has_an_idle_engine(self, tmp_path):
         timing = run_scenario(load_catalog_scenario("rho-harmonic"), out_dir=tmp_path).timing
@@ -784,8 +837,9 @@ class TestCLI:
         assert "expected non-negative integer" in capsys.readouterr().err
 
     def test_an_oversized_scenario_exits_two(self, tmp_path):
-        # a horizon of 10**12 asks the engine for a 14.6 TiB state record; under its own
-        # 2 GiB address-space limit the allocation fails whatever the host's overcommit
+        # 100 agents over the largest horizon the schema admits, 10**7 steps, ask the engine
+        # for a 7.45 GiB state record; under its own 2 GiB address-space limit the allocation
+        # fails whatever the host's overcommit
         import subprocess
         import sys
         from pathlib import Path
@@ -793,9 +847,11 @@ class TestCLI:
         import consensuslab
 
         pytest.importorskip("resource")
-        doc = json.loads(resources.files("consensuslab").joinpath("catalog/gaussian-dist.json").read_text())
+        n = 100
+        model = dict(MINIMAL["model"], n=n, A={"kind": "constant", "matrix": np.full((n, n), 1 / n).tolist()},
+                     E={"kind": "constant", "eps": [0.5] * n}, x0=[0.0] * n)
         p = tmp_path / "huge.json"
-        p.write_text(json.dumps(dict(doc, horizon=10**12)))
+        p.write_text(json.dumps(dict(MINIMAL, model=model, horizon=10**7)))
         script = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
@@ -808,10 +864,22 @@ class TestCLI:
         done = subprocess.run([sys.executable, "-c", script, "run", str(p), "--out-dir", str(tmp_path)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, done.stderr
-        assert done.stderr.startswith("error: Unable to allocate") and "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: Unable to allocate 7.45 GiB") and "Traceback" not in done.stderr
 
     def test_stats_missing_file(self):
         assert cli.main(["stats", "missing.csv"]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected a header and at least one row"),
+        ("run,component_0\r\n0,1.0\r\n1\r\n", ":3: 1 fields where the header has 2"),
+        ("run,x\r\n0,1.0\r\n1,2.0\r\n", "no component_ column"),
+    ], ids=["empty", "ragged", "no_components"])
+    def test_stats_on_an_unreadable_csv_exits_two(self, text, message, tmp_path, capsys):
+        p = tmp_path / "ensemble.csv"
+        p.write_text(text)
+        assert cli.main(["stats", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_tol_override_flag(self, tmp_path):
         rc = cli.main([

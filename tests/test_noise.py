@@ -223,38 +223,45 @@ class TestGaussianTransform:
 
 
 class TestNoiseChunks:
-    def test_many_short_runs_take_two_whole_horizon_tiles(self):
+    def test_many_short_runs_take_four_whole_horizon_tiles(self):
         # n = 2: k only needs k * n to be a multiple of 4, so one tile of all 50000 runs would
-        # take two 10-step chunks (8 MiB); two tiles of 25000 take one 20-step chunk each, one
-        # Philox call per run for 20 more engine steps
+        # take five 4-step chunks in half the budget (4 MiB, the other half for the chunk the
+        # worker transforms ahead); four tiles of 12504 take one 20-step chunk each, one Philox
+        # call per run for 60 more engine steps
         spec = NoiseSpec.gaussian(np.zeros(2), np.eye(2))
         chunks = NoiseChunks(spec, 20, 50_000, 5)
-        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (2, 25_000, 20)
-        assert type(chunks.chunk_steps) is int
+        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (4, 12_504, 20)
+        assert chunks._lookahead and type(chunks.chunk_steps) is int
         assert chunks._stage is None  # four steps exceed STAGE_VALUES
 
     def test_many_runs_engine_makes_one_philox_call_per_run(self):
+        from consensuslab import noise
+
         a = np.array([[0.7, 0.3], [0.4, 0.6]])
         spec = ModelSpec.noisy(a, [0.5, 0.4], 1.0, NoiseSpec.gaussian(np.zeros(2), np.eye(2)), np.zeros(2))
         engine = simulate_ensemble(spec, 20, 50_000, 401, snapshot_times=[10, 20]).engine
-        assert engine["tiles"] == 2 and engine["philox_calls"] == 50_000
+        assert (engine["tiles"], engine["chunk_steps"], engine["philox_calls"]) == (4, 20, 50_000)
         assert engine["uniforms_drawn"] == 20 * 2 * 50_000
-        assert engine["noise_buffer_bytes_peak"] == 8 * 20 * 2 * 25_000
+        assert engine["transform_parts"] == 4 * noise.TRANSFORM_PARTS
+        # a tile's chunk and the next tile's, started ahead: half the budget each, and the pad
+        assert engine["noise_buffer_bytes_peak"] == 2 * 8 * 20 * 2 * 12_504
+        assert engine["noise_buffer_bytes_peak"] <= 8 * noise.CHUNK_VALUES + 2 * 8 * 20 * 2 * noise.WIDTH_PAD
 
     @pytest.mark.parametrize("case_id, tiles, chunk_steps", [
         ("cauchy-invariant", 2, 200), ("average-clt", 6, 520), ("gaussian-dist", 6, 520),
-        ("epsilon-oscillator", 1, 348),
+        ("epsilon-oscillator", 1, 172),
     ])
     def test_catalog_tiles(self, case_id, tiles, chunk_steps):
         # tiling pays where a run takes more than one chunk and the extra engine steps are few,
-        # or where Gaussian runs then draw enough a chunk for the worker, each of the two
-        # lookahead chunks in half the budget; epsilon-oscillator's runs draw 1000 uniforms in
-        # all, too few for it
+        # or where long Gaussian horizons then draw enough a chunk for the worker. Every
+        # Gaussian chunk goes one ahead, in half the budget: epsilon-oscillator's runs draw
+        # 1000 uniforms in all, too few to narrow, so its one tile takes 172-step chunks
         from consensuslab import load_catalog_scenario
 
         s = load_catalog_scenario(case_id)
         chunks = NoiseChunks(s.model.noise, s.horizon, s.ensemble, s.master_seed)
         assert (chunks.tiles, chunks.chunk_steps) == (tiles, chunk_steps)
+        assert chunks._lookahead == (s.model.noise.kind == "gaussian")
 
     @pytest.mark.parametrize("kind, geometry", [
         ("gaussian", (6, 504, 520)),
@@ -274,8 +281,8 @@ class TestNoiseChunks:
     @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 1024])
     def test_a_long_gaussian_horizon_always_reaches_the_worker(self, n, dense):
-        # the lookahead is decided from a run's whole horizon before the geometry: the tiles
-        # then make every full chunk draw the worker's minimum, two chunks in the budget
+        # every Gaussian chunk goes one ahead, two chunks in the budget; where a run's whole
+        # horizon draws the worker's minimum, the tiles make every full chunk draw it too
         from consensuslab import noise
 
         sigma = np.eye(n) + (0.5 * np.ones((n, n)) if dense else np.diag(np.linspace(0.1, 2.0, n)))
@@ -284,10 +291,10 @@ class TestNoiseChunks:
         for T in sorted({(least - 1) // n, -(-least // n), 1000}):
             for m in (1, 37, 3000, 50_000):
                 chunks = NoiseChunks(spec, T, m, 5)
-                assert chunks._lookahead == (T * n >= least), (T, m)
-                if chunks._lookahead:
+                assert chunks._lookahead, (T, m)
+                if T * n >= least:
                     assert chunks.chunk_steps * n >= least, (T, m)
-                    assert 2 * chunks.width * chunks.chunk_steps * n <= noise.CHUNK_VALUES, (T, m)
+                assert 2 * chunks.width * chunks.chunk_steps * n <= noise.CHUNK_VALUES, (T, m)
 
     def test_wide_agents_take_two_lookahead_tiles(self):
         # n = 100, m = 500, T = 500: a whole horizon fits only 8 runs in half the budget, too
