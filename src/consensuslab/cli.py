@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``run`` a scenario (file or catalog id), ``check`` only its
-hypothesis conditions, ``reproduce`` a catalog case and gate on its
-acceptance predicate, ``list`` the catalog, and ``stats`` to re-analyze a
-saved ensemble CSV. Exit codes: 0 success, 1 assertion or check failure,
-2 usage or configuration error.
+hypothesis conditions, ``reproduce`` a catalog case and gate on the
+expectations its manifest entry lists, ``list`` the catalog, and ``stats``
+to re-analyze a saved ensemble CSV. Exit codes: 0 success, 1 assertion or
+check failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     p_check.add_argument("scenario", help="path to scenario JSON, or a catalog id")
     _add_common(p_check)
 
-    p_rep = sub.add_parser("reproduce", help="run a catalog case and assert its acceptance predicate")
+    p_rep = sub.add_parser("reproduce", help="run a catalog case and check its expectations")
     p_rep.add_argument("case_id", help="catalog id (see `list`)")
     p_rep.add_argument("--out-dir", default=None)
 

@@ -11,11 +11,11 @@ scenario plus its master seed, so re-running reproduces the CSV bytes.
 from __future__ import annotations
 
 import json
-import math
 import time
 from bisect import bisect_left
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -52,13 +52,13 @@ _TIME_SCALE_KINDS = ("constant", "inverse_t", "geometric")
 _LEARNING_KINDS = ("linear", "scaled_tanh", "scaled_sign")
 
 
-def _load_schema(name: str) -> dict:
-    path = resources.files("consensuslab") / "schemas" / name
-    return json.loads(path.read_text())
+def _packaged(folder: str, name: str) -> dict:
+    """A JSON document shipped in the package's ``folder``."""
+    return json.loads((resources.files("consensuslab") / folder / name).read_text())
 
 
-_SCENARIO_SCHEMA = _load_schema("scenario.schema.json")
-_SUMMARY_SCHEMA = _load_schema("summary.schema.json")
+_SCENARIO_SCHEMA = _packaged("schemas", "scenario.schema.json")
+_SUMMARY_SCHEMA = _packaged("schemas", "summary.schema.json")
 
 
 @dataclass(eq=False)
@@ -184,6 +184,14 @@ def _compile_model(doc: Optional[dict], horizon: int) -> Optional[ModelSpec]:
                          include_target=sigma_bar is not None, **fields)
 
 
+def _validate(value, schema: dict, at: tuple = ()) -> None:
+    """Raise a ``ScenarioFormatError`` at the pointer of the first violation, ``at`` its prefix."""
+    e = jsonschema.exceptions.best_match(jsonschema.Draft7Validator(schema).iter_errors(value))
+    if e is not None:
+        pointer = "/" + "/".join(str(x) for x in (*at, *e.absolute_path))
+        raise ScenarioFormatError(f"schema violation: {e.message}", pointer)
+
+
 def load_scenario(source) -> Scenario:
     """Parse and validate a scenario from a dict, JSON text, or a path.
 
@@ -208,13 +216,7 @@ def load_scenario(source) -> Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
 
-    validator = jsonschema.Draft7Validator(_SCENARIO_SCHEMA)
-    errors = list(validator.iter_errors(doc))
-    if errors:
-        e = jsonschema.exceptions.best_match(errors)
-        pointer = "/" + "/".join(str(x) for x in e.absolute_path)
-        raise ScenarioFormatError(f"schema violation: {e.message}", pointer)
-
+    _validate(doc, _SCENARIO_SCHEMA)
     horizon = int(doc.get("horizon", 100))
     ensemble = int(doc.get("ensemble", 1))
     master_seed = int(doc.get("master_seed", 0))
@@ -363,25 +365,28 @@ def _an_periodicity(ctx: RunContext, params: dict) -> dict:
     return {"period": p}
 
 
-def _sample_at(ctx: RunContext, t) -> st.EmpiricalSample:
-    """The ensemble at time ``t``, the horizon when None; a time outside 0..horizon is a scenario error."""
-    T = ctx.ensemble.t_final
-    if t is not None and not 0 <= int(t) <= T:
+def _step(t, T: int) -> int:
+    """A time an analysis names, as a step of 0..T; a fractional time or one outside is a scenario error."""
+    step = int(t)
+    if step != t:
+        raise ScenarioFormatError(f"time {t!r} is not a whole step")
+    if not 0 <= step <= T:
         raise ScenarioFormatError(f"time {t} lies outside the horizon 0..{T}")
-    return ctx.ensemble.to_empirical(None if t is None else int(t))
+    return step
 
 
-def _ens_points(ctx: RunContext, params: dict) -> np.ndarray:
-    return _sample_at(ctx, params.get("at")).points
+def _sample_at(ctx: RunContext, t) -> st.EmpiricalSample:
+    """The ensemble at time ``t``, the horizon when None."""
+    return ctx.ensemble.to_empirical(None if t is None else _step(t, ctx.ensemble.t_final))
 
 
 def _an_moments(ctx: RunContext, params: dict) -> dict:
-    mean, cov = st.empirical_moments(_ens_points(ctx, params))
+    mean, cov = st.empirical_moments(_sample_at(ctx, params.get("at")).points)
     return {"mean": mean, "cov": cov}
 
 
 def _an_ks(ctx: RunContext, params: dict) -> dict:
-    pts = _ens_points(ctx, params)
+    pts = _sample_at(ctx, params.get("at")).points
     coord = int(params.get("coordinate", 0))
     dist = params.get("dist", "cauchy")
     if dist == "cauchy":
@@ -398,7 +403,7 @@ def _an_ks(ctx: RunContext, params: dict) -> dict:
 
 
 def _an_ks_best_fit_normal(ctx: RunContext, params: dict) -> dict:
-    pts = _ens_points(ctx, params)
+    pts = _sample_at(ctx, params.get("at")).points
     m = pts.shape[0]
     level = float(params.get("level", 0.01))
     crit = st.ks_critical_value(m, level)
@@ -413,24 +418,25 @@ def _an_ks_best_fit_normal(ctx: RunContext, params: dict) -> dict:
 
 
 def _an_drift(ctx: RunContext, params: dict) -> dict:
-    samples = {int(t): _sample_at(ctx, t) for t in params["times"]}
+    samples = {s.t_final: s for s in (_sample_at(ctx, t) for t in params["times"])}
     report = st.distribution_drift(samples, decay_ratio=float(params.get("decay_ratio", 0.5)))
     out = report.to_json()
     out["max_distance"] = report.max_distance()
     return out
 
 
-def _constant_model_pieces(ctx: RunContext):
+def _constant_average_model(ctx: RunContext, name: str):
+    """The model and its step-1 ``(a, e, M, rho)``, for an analysis of constant average-family updates."""
     spec = ctx.scenario.model
+    if spec.family is not ModelFamily.AVERAGE:
+        raise ScenarioFormatError(f"{name} applies to the average family")
     if not isinstance(spec.schedule_A, Constant) or not isinstance(spec.schedule_E, Constant):
-        raise ScenarioFormatError("this analysis needs constant A and E schedules")
+        raise ScenarioFormatError(f"{name} needs constant A and E schedules")
     return _model_at_t1(ctx.scenario)
 
 
 def _an_clt_check(ctx: RunContext, params: dict) -> dict:
-    spec, _, e, b, _ = _constant_model_pieces(ctx)
-    if spec.family is not ModelFamily.AVERAGE:
-        raise ScenarioFormatError("clt_check applies to the average family")
+    spec, _, e, b, _ = _constant_average_model(ctx, "clt_check")
     if spec.noise.kind == "gaussian":
         sigma = spec.noise.sigma
     elif spec.noise.kind == "rademacher":
@@ -461,14 +467,12 @@ def _an_clt_check(ctx: RunContext, params: dict) -> dict:
 
 
 def _an_rank_one(ctx: RunContext, params: dict) -> dict:
-    _, cov = st.empirical_moments(_ens_points(ctx, params))
+    _, cov = st.empirical_moments(_sample_at(ctx, params.get("at")).points)
     return {"score": st.rank_one_score(cov)}
 
 
 def _an_product_limit(ctx: RunContext, params: dict) -> dict:
-    spec, _, _, b, _ = _constant_model_pieces(ctx)
-    if spec.family is not ModelFamily.AVERAGE:
-        raise ScenarioFormatError("product_limit applies to the average family's update matrices")
+    _, _, _, b, _ = _constant_average_model(ctx, "product_limit")
     c, converged = product_limit(
         b, t_max=int(params.get("t_max", 1000)), rank_one_tol=float(params.get("rank_one_tol", 1e-10))
     )
@@ -487,14 +491,21 @@ def _an_oscillation_final(ctx: RunContext, params: dict) -> dict:
     return {"oscillation": oscillation(ctx.trajectory.states[-1])}
 
 
+def _an_contraction_envelope(ctx: RunContext, params: dict) -> dict:
+    """Run 0 contracts at every step: ``err_inf[t] <= rho_t * err_inf[t-1] + 1e-12`` for t = 1..T."""
+    err, rho = ctx.trajectory.err_inf, ctx.trajectory.rho[1:]
+    if err.size < 2 or np.isnan(rho).any() or np.isnan(err).any():
+        raise ValueError("the contraction envelope needs a step, and a rho_t and err_inf at every step")
+    excess = err[1:] - rho * err[:-1]
+    t = int(np.argmax(excess))
+    return {"holds": bool(excess[t] <= 1e-12), "max_excess": float(excess[t]), "step": t + 1}
+
+
 def _an_mean_error_checkpoints(ctx: RunContext, params: dict) -> dict:
     curve = ctx.ensemble.mean_err_inf
     if curve is None:
         raise ScenarioFormatError("mean-error tracking was not enabled for this run")
-    times = [int(t) for t in params["times"]]
-    T = ctx.ensemble.t_final
-    if any(t < 0 or t > T for t in times):
-        raise ScenarioFormatError(f"mean-error checkpoint times must lie in 0..{T}, got {times}")
+    times = [_step(t, ctx.ensemble.t_final) for t in params["times"]]
     vals = [float(curve[t]) for t in times]
     monotone = all(vals[k + 1] < vals[k] for k in range(len(vals) - 1))
     return {"times": times, "values": vals, "monotone_decreasing": monotone, "final": vals[-1]}
@@ -511,6 +522,7 @@ _ANALYSES: dict[str, Callable] = {
     "rank_one": _an_rank_one,
     "product_limit": _an_product_limit,
     "oscillation_final": _an_oscillation_final,
+    "contraction_envelope": _an_contraction_envelope,
     "mean_error_checkpoints": _an_mean_error_checkpoints,
 }
 
@@ -590,8 +602,9 @@ def _resolve(
     """The scenario a run makes: its horizon, ensemble and seed, and every item's overrides merged.
 
     ``overrides`` maps ``name.param`` to a value; a key naming no check or
-    analysis of the scenario is an error. A changed horizon recompiles the
-    model from its document, since the oscillating rate table spans it.
+    analysis of the scenario, or a value the scenario schema refuses, is an
+    error. A changed horizon recompiles the model from its document, since
+    the oscillating rate table spans it.
     """
     known = [item["name"] for item in scenario.checks + scenario.analyses]
     merged: dict = {}
@@ -603,15 +616,20 @@ def _resolve(
             )
         merged.setdefault(name, {})[param] = value
     T = scenario.horizon if horizon is None else int(horizon)
+    m = scenario.ensemble if ensemble is None else int(ensemble)
+    checks = [{**item, **merged.get(item["name"], {})} for item in scenario.checks]
+    for name, value, given in (("horizon", T, horizon), ("ensemble", m, ensemble), ("checks", checks, merged or None)):
+        if given is not None:
+            _validate(value, _SCENARIO_SCHEMA["properties"][name], (name,))
     model = scenario.model
     if T != scenario.horizon and "model" in scenario.raw:
         model = _compile_model(scenario.raw["model"], T)
     return replace(
         scenario,
         horizon=T,
-        ensemble=scenario.ensemble if ensemble is None else int(ensemble),
+        ensemble=m,
         master_seed=scenario.master_seed if master_seed is None else int(master_seed),
-        checks=[{**item, **merged.get(item["name"], {})} for item in scenario.checks],
+        checks=checks,
         analyses=[{**item, **merged.get(item["name"], {})} for item in scenario.analyses],
         model=model,
     )
@@ -648,18 +666,16 @@ def _execute(
     engine_s = dict.fromkeys(("fill_s", "transform_s", "step_s", "observe_s"), 0.0)
     if scenario.model is not None:
         # the scenario's own snapshot times must lie in 0..T; a time an analysis reads is
-        # recorded where it does, and otherwise reported in that analysis's row
+        # recorded where it is a step of 0..T, and otherwise reported in that analysis's row
         outside = sorted(t for t in scenario.snapshot_times if not 0 <= t <= T)
         if outside:
             ok = False
             diagnostics["snapshot_times_outside"] = outside
         times = set(scenario.snapshot_times)
         for item in scenario.analyses:
-            if item["name"] == "drift":
-                with suppress(TypeError, ValueError):
-                    times.update(int(t) for t in item.get("times", []))
-            elif isinstance(item.get("at"), int):
-                times.add(item["at"])
+            wanted = item.get("times", []) if item["name"] == "drift" else [item.get("at")]
+            with suppress(TypeError, ValueError, OverflowError):
+                times.update(_step(t, T) for t in wanted if t is not None)
         ens = simulate_ensemble(
             scenario.model, T, scenario.ensemble, scenario.master_seed,
             snapshot_times=sorted(t for t in times if 0 <= t <= T),
@@ -777,174 +793,75 @@ def run_scenario(
 # Catalog
 
 
-def _catalog_manifest() -> dict:
-    path = resources.files("consensuslab") / "catalog" / "manifest.json"
-    return json.loads(path.read_text())
+_CASES = {case["id"]: case for case in _packaged("catalog", "manifest.json")["cases"]}
 
 
 def catalog() -> list[str]:
     """Identifiers of the built-in reproducible cases, in manifest order."""
-    return [c["id"] for c in _catalog_manifest()["cases"]]
+    return list(_CASES)
 
 
 def catalog_description(case_id: str) -> str:
-    for c in _catalog_manifest()["cases"]:
-        if c["id"] == case_id:
-            return c["demonstrates"]
-    raise KeyError(case_id)
+    return _CASES[case_id]["demonstrates"]
 
 
 def load_catalog_scenario(case_id: str) -> Scenario:
-    if case_id not in catalog():
+    if case_id not in _CASES:
         raise ScenarioFormatError(f"unknown catalog id {case_id!r}; known: {catalog()}")
-    path = resources.files("consensuslab") / "catalog" / f"{case_id}.json"
-    return load_scenario(json.loads(path.read_text()))
+    return load_scenario(_packaged("catalog", f"{case_id}.json"))
 
 
-# Acceptance predicates for `reproduce`: one per catalog case, each returns
-# (passed, detail) given the finished summary and the run context.
+# Acceptance for `reproduce`: each manifest case lists under ``expect`` the
+# rows its finished summary must meet. A row's ``path`` reads
+# ``checks.<name>.<field>``, ``analyses.<name>.<field>`` or
+# ``diagnostics.<field>``, nested fields joined by dots, and ``<field>[*]``
+# means every element of a list. A missing or null value fails every op, and
+# so does ``[*]`` over a missing or empty list.
 
-
-def _get(summary: RunSummary, name: str) -> dict:
-    return summary.analyses.get(name, {})
-
-
-def _check_row(summary: RunSummary, name: str) -> dict:
-    return next((row for row in summary.checks if row.get("name") == name), {})
-
-
-def _check_ok(summary: RunSummary, name: str) -> bool:
-    return bool(_check_row(summary, name).get("satisfied"))
-
-
-def _pred_base_3agent(summary, ctx):
-    env_ok = True
-    traj = ctx.trajectory
-    rho = 0.7
-    for t in range(traj.horizon + 1):
-        if traj.err_inf[t] > rho**t * traj.err_inf[0] + 1e-12:
-            env_ok = False
-            break
-    ct = _get(summary, "consensus_time").get("time")
-    ok = _check_ok(summary, "base_rates") and env_ok and ct is not None and ct <= 39
-    return ok, f"envelope={env_ok}, consensus_time={ct}"
-
-
-def _pred_rho_harmonic(summary, ctx):
-    w = _check_row(summary, "product_to_zero").get("witness")
-    if w is None:
-        return False, "missing check"
-    exact = abs(w["partial_product"] * (w["T"] + 1) - 1.0) < 1e-10
-    return _check_ok(summary, "product_to_zero") and exact, f"partial={w['partial_product']:g}, exact={exact}"
-
-
-def _pred_rho_exp(summary, ctx):
-    w = _check_row(summary, "product_to_zero").get("witness")
-    if w is None:
-        return False, "missing check"
-    limit = math.exp(-(math.pi**2) / 6.0)
-    close = abs(w["partial_product"] - limit) < 1e-4
-    stalled = not _check_ok(summary, "product_to_zero")
-    return stalled and close, f"partial={w['partial_product']:.6f}, limit={limit:.6f}, stalled={stalled}"
-
-
-def _pred_noisy_decay(summary, ctx):
-    ct = _get(summary, "consensus_time").get("time")
-    final_err = float(ctx.trajectory.err_inf[-1])
-    ok = ct is not None and final_err < 1e-3
-    return ok, f"consensus_time={ct}, final_err={final_err:.2e}"
-
-
-def _pred_gaussian_dist(summary, ctx):
-    d = _get(summary, "drift").get("max_distance")
-    ok = d is not None and d < 0.05
-    return ok, f"drift={d}"
-
-
-def _pred_rademacher_dist(summary, ctx):
-    d = _get(summary, "drift").get("max_distance")
-    ks = _get(summary, "ks_best_fit_normal")
-    stats_ok = ks and all(row["exceeds_critical"] for row in ks["per_coordinate"])
-    ok = d is not None and d < 0.05 and stats_ok
-    return ok, f"drift={d}, non_gaussian={stats_ok}"
-
-
-def _pred_epsilon_oscillator(summary, ctx):
-    drift = _get(summary, "drift").get("max_distance")
-    ll1b_violated = not _check_ok(summary, "ll1b")
-    ok = drift is not None and drift > 0.1 and ll1b_violated and _check_ok(summary, "ll1")
-    return ok, f"drift={drift}, increment_sum_divergent={ll1b_violated}"
-
-
-def _pred_cauchy(summary, ctx):
-    ks = _get(summary, "ks")
-    ok = bool(ks.get("below_critical"))
-    return ok, f"ks={ks.get('statistic')}, critical={ks.get('critical')}"
-
-
-def _pred_nonlinear_tanh(summary, ctx):
-    ct = _get(summary, "consensus_time").get("time")
-    traj = ctx.trajectory
-    contract_ok = True
-    for t in range(1, traj.horizon + 1):
-        if traj.err_inf[t] > traj.rho[t] * traj.err_inf[t - 1] + 1e-12:
-            contract_ok = False
-            break
-    ok = _check_ok(summary, "nonlinear_bounds") and ct is not None and contract_ok
-    return ok, f"consensus_time={ct}, per_step_contraction={contract_ok}"
-
-
-def _pred_signum(summary, ctx):
-    p = _get(summary, "periodicity").get("period")
-    return p == 2, f"period={p}"
-
-
-def _pred_average_consensus(summary, ctx):
-    pl = _get(summary, "product_limit")
-    osc_final = _get(summary, "oscillation_final").get("oscillation")
-    ok = (
-        _check_ok(summary, "average_rates")
-        and pl.get("converged")
-        and pl.get("max_row_pair_l1", 1.0) < 1e-10
-        and pl.get("stationarity_residual", 1.0) < 1e-8
-        and osc_final is not None
-        and osc_final < 1e-9
-    )
-    return ok, f"product_limit={pl.get('converged')}, nu_residual={pl.get('stationarity_residual')}, osc={osc_final}"
-
-
-def _pred_average_clt(summary, ctx):
-    r = _get(summary, "clt_check")
-    ok = bool(r.get("within_tol"))
-    return ok, f"max_rel_err={r.get('max_rel_err')}, rank_one_score={r.get('rank_one_score')}"
-
-
-def _pred_average_line(summary, ctx):
-    s = _get(summary, "rank_one").get("score")
-    ok = s is not None and s < 0.05
-    return ok, f"rank_one_score={s}"
-
-
-_PREDICATES = {
-    "base-3agent": _pred_base_3agent,
-    "rho-harmonic": _pred_rho_harmonic,
-    "rho-exp-nonzero": _pred_rho_exp,
-    "noisy-decay": _pred_noisy_decay,
-    "gaussian-dist": _pred_gaussian_dist,
-    "rademacher-dist": _pred_rademacher_dist,
-    "epsilon-oscillator": _pred_epsilon_oscillator,
-    "cauchy-invariant": _pred_cauchy,
-    "nonlinear-tanh": _pred_nonlinear_tanh,
-    "signum-periodic": _pred_signum,
-    "average-consensus": _pred_average_consensus,
-    "average-clt": _pred_average_clt,
-    "average-line": _pred_average_line,
+_OPS: dict[str, Callable] = {
+    "eq": lambda v, row: v == row["bound"],
+    "lt": lambda v, row: v < row["bound"],
+    "le": lambda v, row: v <= row["bound"],
+    "gt": lambda v, row: v > row["bound"],
+    "not_null": lambda v, row: True,
+    "close_to": lambda v, row: abs(v - row["bound"]) < (
+        row["abs_tol"] if "abs_tol" in row else row["rel_tol"] * abs(row["bound"])),
 }
 
 
+def _values(node, keys: list) -> list:
+    """The values at ``keys`` below ``node``: one, or one per element past a ``[*]``; None where missing."""
+    for i, key in enumerate(keys):
+        node = node.get(key.removesuffix("[*]")) if isinstance(node, dict) else None
+        if key.endswith("[*]"):
+            if not isinstance(node, list) or not node:
+                return [None]
+            return [v for item in node for v in _values(item, keys[i + 1:])]
+    return [node]
+
+
+def _verdict(expect: list, summary: RunSummary, ctx: Optional[RunContext] = None) -> tuple[bool, str]:
+    """Whether ``summary`` meets every row of ``expect``, and each row's actual value against its bound."""
+    doc = {"checks": {row["name"]: row for row in summary.checks},
+           "analyses": summary.analyses, "diagnostics": summary.diagnostics}
+    passed, detail = True, []
+    for row in expect:
+        values = _values(doc, row["path"].split("."))
+        held = all(v is not None and _OPS[row["op"]](v, row) for v in values)
+        passed = passed and held
+        actual = values if "[*]" in row["path"] else values[0]
+        bound = "".join(f" {row[k]!r}" if k == "bound" else f" ({k} {row[k]!r})"
+                        for k in ("bound", "abs_tol", "rel_tol") if k in row)
+        detail.append(f"{'' if held else 'FAILED '}{row['path']}={actual!r} {row['op']}{bound}")
+    return passed, "; ".join(detail)
+
+
+# the verdict of each catalog case, called as (summary, ctx) -> (passed, detail)
+_PREDICATES = {case_id: partial(_verdict, case["expect"]) for case_id, case in _CASES.items()}
+
+
 def reproduce(case_id: str, out_dir=None) -> tuple[RunSummary, bool, str]:
-    """Run a catalog case and evaluate its acceptance predicate."""
-    scenario = load_catalog_scenario(case_id)
-    summary, ctx = _execute(scenario, out_dir=out_dir)
+    """Run a catalog case and check it against the expectations its manifest entry lists."""
+    summary, ctx = _execute(load_catalog_scenario(case_id), out_dir=out_dir)
     passed, detail = _PREDICATES[case_id](summary, ctx)
-    return summary, bool(passed), detail
+    return summary, passed, detail

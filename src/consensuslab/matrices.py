@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .errors import InvalidWeightError
+from .errors import InvalidWeightError, StructureError
 
 # Tolerance for row-sum and nonnegativity checks.
 TOL_ROW = 1e-9
@@ -74,7 +74,7 @@ class RowSumMatrix:
         sums = a.sum(axis=1)
         s = float(sums.mean())
         if float(np.max(np.abs(sums - s))) > TOL_ROW:
-            raise ValueError(f"row sums must agree within {TOL_ROW}, got {sums}")
+            raise StructureError(f"row sums must agree within {TOL_ROW}, got {sums}")
         object.__setattr__(self, "entries", _freeze(a))
         object.__setattr__(self, "common_row_sum", s)
 

@@ -13,6 +13,7 @@ import pytest
 
 import consensuslab.cli as cli
 from consensuslab import (
+    ConsensusLabError,
     InconsistentDeclarationError,
     ModelSpec,
     Table,
@@ -28,6 +29,7 @@ from consensuslab import (
     sample_noise_block,
     scaled_tanh_learning,
     simulate,
+    StructureError,
     validate_summary,
 )
 from consensuslab import dynamics, harness
@@ -257,6 +259,52 @@ class TestCompileBoundary:
             run_scenario(scenario, out_dir=tmp_path, horizon=1100)
 
 
+class TestRuntimeFuzz:
+    """Mutated catalog documents, small enough to run, raise a library error or end in a valid summary."""
+
+    VALUES = TestCompileBoundary.MUTATIONS + (math.inf, 2.5, 3, 7.0, 60, 61, [3, 2.5], [10, 20], 1e-3, "model")
+    PARAMS = ("at", "times", "T", "tol", "level", "max_period", "rho", "grid", "dist", "coordinate")
+
+    def test_mutated_documents_run_or_raise_library_errors(self, tmp_path):
+        docs = [s.raw for s in map(load_catalog_scenario, catalog())]
+        rng = random.Random(401)
+        outcomes = {"raised": 0, "ok": 0, "error_rows": 0}
+        for k in range(1000):
+            doc = copy.deepcopy(rng.choice(docs))
+            items = doc.get("checks", []) + doc.get("analyses", [])
+            for _ in range(rng.randint(1, 3)):
+                if items and rng.random() < 0.5:  # a parameter, old or new, of a check or analysis
+                    rng.choice(items)[rng.choice(self.PARAMS)] = copy.deepcopy(rng.choice(self.VALUES))
+                    continue
+                path = rng.choice(list(TestCompileBoundary._paths(doc)))
+                if path[0] not in ("schema_version", "id", "horizon", "ensemble"):
+                    node = doc
+                    with contextlib.suppress(LookupError, TypeError):  # an earlier mutation may have replaced a parent
+                        for key in path[:-1]:
+                            node = node[key]
+                        node[path[-1]] = copy.deepcopy(rng.choice(self.VALUES))
+            doc.update(horizon=rng.randint(0, 60), ensemble=rng.randint(1, 40))
+            try:
+                with np.errstate(all="ignore"):
+                    summary = run_scenario(load_scenario(doc), out_dir=tmp_path / str(k))
+            except ConsensusLabError:
+                outcomes["raised"] += 1
+                continue
+            validate_summary(json.loads((tmp_path / str(k) / "summary.json").read_text()))
+            if any("error" in row for row in summary.checks + list(summary.analyses.values())):
+                assert not summary.ok, doc
+                outcomes["error_rows"] += 1
+            outcomes["ok"] += summary.ok
+        assert all(outcomes.values()), outcomes
+
+    def test_rates_whose_averaging_map_loses_its_row_sums_raise_a_library_error(self, tmp_path):
+        # B = A + E/n - diag(E) at a rate of 1e308 cancels to rows summing to 0 and 1
+        doc = copy.deepcopy(load_catalog_scenario("average-line").raw)
+        doc["model"]["E"]["eps"] = [1e308, 0.2]
+        with pytest.raises(StructureError, match="row sums must agree"):
+            run_scenario(load_scenario(dict(doc, horizon=10, ensemble=4)), out_dir=tmp_path)
+
+
 class TestSchemaMaxima:
     """Sizes past the schema's maxima are refused at load, before anything is allocated for them."""
 
@@ -282,6 +330,37 @@ class TestSchemaMaxima:
         with pytest.raises(ScenarioFormatError, match="maximum") as e:
             load_scenario(doc)
         assert e.value.pointer == "/checks/0/T"
+
+    @pytest.mark.parametrize("argv, pointer, message", [
+        (["run", "base-3agent", "--horizon", "100000000"], "/horizon", "greater than the maximum of 10000000"),
+        (["run", "base-3agent", "--ensemble", "10000000"], "/ensemble", "greater than the maximum of 1000000"),
+        (["check", "base-3agent", "--horizon", "-1"], "/horizon", "less than the minimum of 0"),
+        (["run", "base-3agent", "--ensemble", "0"], "/ensemble", "less than the minimum of 1"),
+        (["run", "rho-harmonic", "--tol", "product_to_zero.T=1000000000"], "/checks/0/T",
+         "greater than the maximum of 10000000"),
+        (["run", "epsilon-oscillator", "--tol", "ll1b.T=1e9"], "/checks/1/T", "greater than the maximum"),
+    ])
+    def test_an_override_past_the_schema_is_refused_before_any_work(self, argv, pointer, message, tmp_path,
+                                                                     capsys, monkeypatch):
+        reached = []
+        for name in ("simulate_ensemble", "model_rho_sequence", "rho_harmonic"):
+            monkeypatch.setattr(harness, name, lambda *args, name=name, **kwargs: reached.append(name))
+        compile_model = harness._compile_model
+        monkeypatch.setattr(harness, "_compile_model", lambda *args: reached.append("compile") or compile_model(*args))
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: schema violation: ") and message in err
+        assert err.rstrip().endswith(f"(at {pointer})")
+        # the model was compiled once, at load, and not again for the overridden horizon
+        assert reached == ["compile"] and not any(tmp_path.iterdir())
+
+    def test_overrides_at_the_maxima_resolve(self, monkeypatch):
+        scenario = load_catalog_scenario("base-3agent")
+        resolved = harness._resolve(scenario, horizon=10**7, ensemble=10**6, overrides={"ll1.T": 10**7})
+        assert (resolved.horizon, resolved.ensemble, resolved.checks[1]["T"]) == (10**7, 10**6, 10**7)
+        # without an override nothing is validated again
+        monkeypatch.setattr(harness, "_validate", lambda *args: pytest.fail("validated without an override"))
+        assert harness._resolve(scenario).horizon == scenario.horizon
 
 
 class TestCatalog:
@@ -763,6 +842,34 @@ class TestResolvedRun:
         assert list(summary.analyses["drift"]) == ["error"] and summary.analyses["drift"]["error"].startswith(error)
         assert "error" not in summary.analyses["moments"]
         assert json.loads((tmp_path / "summary.json").read_text())["analyses"]["drift"] == summary.analyses["drift"]
+
+    @pytest.mark.parametrize("analysis, overrides, time", [
+        ({"name": "drift", "times": [5.5, 10.9, 20]}, None, 5.5),
+        ({"name": "drift", "times": [5, 20]}, {"drift.times": [2.7, 20]}, 2.7),
+        ({"name": "mean_error_checkpoints", "times": [2, 12.5]}, None, 12.5),
+        ({"name": "moments", "at": 7.5}, None, 7.5),
+    ], ids=["drift", "drift-override", "mean_error_checkpoints", "at"])
+    def test_a_fractional_time_is_the_analysis_row(self, analysis, overrides, time, tmp_path):
+        noise = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
+        doc = dict(MINIMAL, model=model, horizon=20, ensemble=20, analyses=[analysis, {"name": "rank_one"}])
+        summary = run_scenario(load_scenario(doc), out_dir=tmp_path, overrides=overrides)
+        assert not summary.ok
+        assert summary.analyses[analysis["name"]] == {"error": f"ScenarioFormatError: time {time} is not a whole step"}
+        assert "error" not in summary.analyses["rank_one"]
+
+    def test_integral_float_times_are_whole_steps(self, tmp_path):
+        noise = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
+        summaries = []
+        for kind in (int, float):
+            analyses = [{"name": "drift", "times": [kind(5), kind(10), kind(20)]},
+                        {"name": "moments", "at": kind(7)},
+                        {"name": "mean_error_checkpoints", "times": [kind(2), kind(20)]}]
+            doc = dict(MINIMAL, model=model, horizon=20, ensemble=20, analyses=analyses)
+            summaries.append(run_scenario(load_scenario(doc), out_dir=tmp_path / kind.__name__))
+        assert all(s.ok for s in summaries)
+        assert summaries[0].analyses == summaries[1].analyses
 
     def test_snapshot_times_outside_the_horizon_are_reported(self, tmp_path):
         noise = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
