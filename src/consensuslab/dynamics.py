@@ -334,7 +334,8 @@ def _step(M, X, e, f, sigma_bar, g, average: bool, out: Optional[np.ndarray] = N
     ``f``, or ``e g`` for the average family, whose ``M`` is the averaging
     map of ``(A, e)``. The expressions are kept in this exact form (not
     folded into ``(A - E) X``) so every family reproduces its bytes; the
-    feedback is added into the product in place, which rounds as the sum does.
+    feedback is formed in ``ref - X`` and added into the product, both in
+    place, which rounds as the expression does.
     The product goes into ``out`` where given, a block the shape of ``X``
     that is not ``X``, and into a new array otherwise.
     """
@@ -342,8 +343,8 @@ def _step(M, X, e, f, sigma_bar, g, average: bool, out: Optional[np.ndarray] = N
     if average:
         Y += e[:, None] * g
         return Y
-    ref = sigma_bar if g is None else g if sigma_bar is None else sigma_bar + g
-    Y += e[:, None] * (ref - X) if f is None else _apply_learning(f, ref - X)
+    diff = (sigma_bar if g is None else g if sigma_bar is None else sigma_bar + g) - X
+    Y += np.multiply(e[:, None], diff, out=diff) if f is None else _apply_learning(f, diff)
     return Y
 
 
@@ -493,13 +494,14 @@ def simulate_ensemble(
     unaffected by batching or parallel execution. Run 0's states and
     per-step diagnostics come from the same pass as the terminal block, so
     ``run0.terminal`` equals ``terminal_states[0]`` bit for bit. Requested
-    ``snapshot_times`` record full (m, n) state blocks along the way.
-    The noise comes from ``noise.NoiseChunks``, whose geometry (chunks,
-    stage, pad and column tiles) the ``noise`` module docstring sets out;
-    its memory is ``noise.CHUNK_VALUES`` values and one stage whatever
-    ``T`` is. The runs are stepped tile by tile, each tile through all
-    ``T`` steps; with ``track_mean_err`` each tile adds its runs' sup
-    errors into the step's sum, divided by ``m`` after the last tile.
+    ``snapshot_times`` record full (m, n) state blocks along the way; the
+    snapshot at ``T`` is the terminal block itself. The noise comes from
+    ``noise.NoiseChunks``, whose geometry (chunks, stage, pad and column
+    tiles) the ``noise`` module docstring sets out; its memory is one chunk
+    budget, one stage and one tile's keys whatever ``T`` and ``m`` are. The
+    runs are stepped tile by tile, each tile through all ``T`` steps; with
+    ``track_mean_err`` each tile adds its runs' sup errors into the step's
+    sum, divided by ``m`` after the last tile.
     Run 0's path and rho come from the first tile. The state block has
     the noise's width, a multiple of ``noise.WIDTH_PAD``, so that ``M @ X``
     rounds every run's column the same way at any ``m`` and any tiling;
@@ -530,15 +532,15 @@ def simulate_ensemble(
     states = np.empty((T + 1, n))
     rho = np.full(T + 1, np.nan)
     mean_err = np.zeros(T + 1) if track_mean_err else None
-    snaps = {t: np.empty((m, n)) for t in sorted(snapset)}
     terminal = np.empty((m, n))
+    snaps = {t: terminal if t == T else np.empty((m, n)) for t in sorted(snapset)}
 
     def observe(t: int):
         if lo == 0:
             states[t] = X[:, 0]
         if track_mean_err:
             mean_err[t] += np.abs(X[:, :runs] - sbar).max(axis=0).sum()
-        if t in snaps:
+        if t in snaps and t < T:  # the horizon's snapshot is the terminal block
             snaps[t][lo : lo + runs] = X[:, :runs].T
 
     clock = time.perf_counter

@@ -40,7 +40,7 @@ from .dynamics import (
     simulate_ensemble,
 )
 from .errors import ScenarioFormatError
-from .matrices import dobrushin, oscillation, product_limit
+from .matrices import StochasticMatrix, dobrushin, oscillation, product_limit
 from .noise import NoiseSpec, epsilon_oscillator_sequence
 from .schedules import Constant, Table, rho_exp_inverse_square, rho_harmonic
 
@@ -131,11 +131,12 @@ def _finite(value) -> np.ndarray:
 
 
 def _compile_matrix_schedule(doc: dict):
+    """A constant matrix or a table of them, each refused here unless finite and row-stochastic."""
     kind = doc.get("kind")
     if kind == "constant":
-        return Constant(_finite(doc["matrix"]))
+        return Constant(StochasticMatrix(doc["matrix"]))
     if kind == "table":
-        return Table([_finite(m) for m in doc["matrices"]], t0=0)
+        return Table([StochasticMatrix(m) for m in doc["matrices"]], t0=0)
     raise ValueError(f"unknown weights-schedule kind {kind!r}; known for A: ('constant', 'table')")
 
 
@@ -603,8 +604,9 @@ def _resolve(
 
     ``overrides`` maps ``name.param`` to a value; a key naming no check or
     analysis of the scenario, or a value the scenario schema refuses, is an
-    error. A changed horizon recompiles the model from its document, since
-    the oscillating rate table spans it.
+    error, and so is a horizon, ensemble or seed with a fraction. A changed
+    horizon recompiles the model from its document, since the oscillating
+    rate table spans it.
     """
     known = [item["name"] for item in scenario.checks + scenario.analyses]
     merged: dict = {}
@@ -615,6 +617,10 @@ def _resolve(
                 f"override {key!r} names no check or analysis parameter; known names: {known}"
             )
         merged.setdefault(name, {})[param] = value
+    for name, value in (("horizon", horizon), ("ensemble", ensemble), ("master_seed", master_seed)):
+        with _invalid(name, f"/{name}"):
+            if value is not None and int(value) != value:
+                raise ValueError(f"{value!r} is not a whole number")
     T = scenario.horizon if horizon is None else int(horizon)
     m = scenario.ensemble if ensemble is None else int(ensemble)
     checks = [{**item, **merged.get(item["name"], {})} for item in scenario.checks]

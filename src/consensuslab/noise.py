@@ -21,19 +21,20 @@ The simulation engine (``NoiseChunks``) relies on this to draw noise in
 chunks of ``k`` steps, ``k * n`` a multiple of four (``k`` itself a multiple
 of ``STEP_GROUP`` for a dense covariance factor, see ``_correlate``), with
 ``k * n`` times the width at most ``CHUNK_VALUES`` (the smallest such ``k``
-when even that is too many values). It derives every run's key once, all
-runs in one vectorised pass of the ``SeedSequence`` hash (``run_keys``,
-checked against numpy at run 0), points one reused generator at each run in
-turn to fill that run's rows of a run-major ``(width, k, n)`` buffer, one
-Philox call per run and chunk, and transforms the chunk (see below). When a
-run's row is shorter than a cache line (``n < 8``) and four steps fit in
-``STAGE_VALUES``, every four steps of the chunk are copied into a
+when even that is too many values). It derives a tile's run keys when the
+tile's first chunk starts, in one vectorised pass of the ``SeedSequence``
+hash (``run_keys``, checked against numpy at the tile's first run), points
+one reused generator at each run in turn to fill that run's rows of a
+run-major ``(width, k, n)`` buffer, one Philox call per run and chunk, and
+transforms the chunk (see below). When a run's row is shorter than a cache
+line (``n < 8``), every four steps of the chunk are copied into a
 step-major ``(4, n, width)`` stage, so a step reads its noise contiguously.
 Deterministic kinds compute their rows chunk by chunk and share them
-between runs. Memory stays at ``CHUNK_VALUES`` plus one stage whatever the
-horizon, and run ``r``'s rows equal ``sample_noise_block(spec, T,
-substream(master_seed, r))`` bit for bit whatever the chunk size, the
-tiling or the ensemble width.
+between runs. Memory stays at one chunk budget (``CHUNK_VALUES``), one
+stage and one tile's keys whatever the horizon and the ensemble size, and
+run ``r``'s rows equal ``sample_noise_block(spec, T, substream(master_seed,
+r))`` bit for bit whatever the chunk size, the tiling or the ensemble
+width.
 
 The runs of a random chunk are filled in ``TRANSFORM_PARTS`` consecutive
 parts of whole runs. Every Gaussian chunk is started one ahead: chunk
@@ -57,7 +58,7 @@ and takes back every part.
 The width is the run count padded with zero-noise runs to a multiple of
 ``WIDTH_PAD`` (``padded_width(m)``), one tile. Random runs may instead go
 through in equal column tiles, each padded to ``WIDTH_PAD`` and stepped
-through the whole horizon in turn. The narrower of two widths wins:
+through the whole horizon in turn. The narrowest of three widths wins:
 
 * the fewest tiles whose whole horizon is one chunk, where the Philox calls
   this saves, ``m * (chunks per run - 1)``, exceed ``STEP_CALLS`` times the
@@ -70,7 +71,9 @@ through the whole horizon in turn. The narrower of two widths wins:
   hands the worker parts of at least 1024 uniforms a run, which it
   transforms while the filling thread draws. A shorter horizon keeps the
   first rule's width: narrowed to one chunk a run, ``epsilon-oscillator``
-  took six tiles, whose steps cost more than the worker saved.
+  took six tiles, whose steps cost more than the worker saved;
+* at ``n < 8``, the fewest tiles whose four steps fit the stage's
+  ``STAGE_VALUES``.
 
 The distributional transforms are explicit, so ports to other stacks can
 match them distributionally:
@@ -262,21 +265,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def run_keys(master_seed: int, m: int) -> np.ndarray:
-    """Philox keys of runs 0..m-1 as an (m, 2) uint64 array.
+def run_keys(master_seed: int, count: int, first: int = 0) -> np.ndarray:
+    """Philox keys of runs ``first .. first + count - 1`` as a (count, 2) uint64 array.
 
-    Row ``r`` is ``SeedSequence(master_seed, spawn_key=(r,))
+    Row ``i`` is ``SeedSequence(master_seed, spawn_key=(first + i,))
     .generate_state(2, np.uint64)``, the key of ``substream(master_seed,
-    r)``, computed for every run at once with numpy's hash on uint32
-    arrays. The entropy is the seed's 32-bit words, zero-padded to the
-    pool size, then the run index as one word; only that last word
+    first + i)``, computed for every run at once with numpy's hash on
+    uint32 arrays. The entropy is the seed's 32-bit words, zero-padded to
+    the pool size, then the run index as one word; only that last word
     differs between runs. Row 0 is checked against numpy itself.
     """
     seed = operator.index(master_seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    if not 0 <= m < 2**32:
-        raise ValueError(f"run count must lie in [0, 2**32), got {m}")
+    if not (0 <= first and 0 <= count and first + count < 2**32):
+        raise ValueError(f"run count must keep the runs in [0, 2**32), got {count} from run {first}")
     words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
     words = [np.array([w], dtype=np.uint32) for w in words + [0] * (_POOL - len(words))]
 
@@ -293,17 +296,17 @@ def run_keys(master_seed: int, m: int) -> np.ndarray:
     # The run word's mixing round, then generate_state(2, np.uint64): word i
     # of the output hashes pool word i, and words (0, 1), (2, 3) are the
     # low and high halves of the two keys.
-    runs = np.arange(m, dtype=np.uint32)
-    keys = np.empty((m, 2), dtype=np.uint64)
+    runs = np.arange(first, first + count, dtype=np.uint32)
+    keys = np.empty((count, 2), dtype=np.uint64)
     out = keys.view(np.uint32)
     swap = int(sys.byteorder == "big")
     hash_b = _hash_consts(_INIT_B, _MULT_B)
     for i in range(_POOL):
         out[:, i ^ swap] = _hashmix(_mix(mixer[i], _hashmix(runs, next(hash_a))), next(hash_b))
 
-    ref = np.random.SeedSequence(master_seed, spawn_key=(0,)).generate_state(2, np.uint64)
-    if m and not np.array_equal(keys[0], ref):
-        raise AssertionError("vectorised SeedSequence hash disagrees with numpy at run 0")
+    ref = np.random.SeedSequence(master_seed, spawn_key=(first,)).generate_state(2, np.uint64)
+    if count and not np.array_equal(keys[0], ref):
+        raise AssertionError(f"vectorised SeedSequence hash disagrees with numpy at run {first}")
     return keys
 
 
@@ -473,10 +476,13 @@ class NoiseChunks:
     and the lookahead, which every Gaussian chunk and no other takes
     (``_lookahead``). The runs go through in ``tiles`` tiles of ``width``
     columns: tile ``i`` holds runs ``i * width ..`` and, in the last tile,
-    zero-noise pad runs up to the width. Iterating yields one array per step
-    of each tile in turn, T per tile, broadcastable against an (n, width)
-    block of states: an (n, width) array for the random kinds, whose pad
-    columns are zero, and an (n, 1) column shared by every run otherwise.
+    zero-noise pad runs up to the width. A tile's run keys are derived when
+    its first chunk starts, so the memory is one chunk budget, one stage and
+    one tile's keys whatever the horizon and the ensemble size. Iterating
+    yields one array per step of each tile in turn, T per tile,
+    broadcastable against an (n, width) block of states: an (n, width) array
+    for the random kinds, whose pad columns are zero, and an (n, 1) column
+    shared by every run otherwise.
     An array is valid until the next one is taken, because the buffers are
     refilled in place.
 
@@ -514,10 +520,12 @@ class NoiseChunks:
                 self.width = padded_width(-(-m // whole))
             if self._lookahead and T * n >= OVERLAP_MIN_DRAW:
                 self.width = min(self.width, padded_width(-(-m // tiles(-(-OVERLAP_MIN_DRAW // n)))))
+            if n < 8:  # a tile's four steps fit the stage
+                widest = STAGE_VALUES // (4 * n) // WIDTH_PAD * WIDTH_PAD
+                self.width = min(self.width, padded_width(-(-m // -(-m // widest))))
         self.chunk_steps = min(steps(self.width if spec.is_random else 1), T)
         self.tiles = max(1, -(-m // self.width))
-        staged = spec.is_random and n < 8 and 4 * n * self.width <= STAGE_VALUES
-        self._stage = np.empty((4, n, self.width)) if staged else None
+        self._stage = np.empty((4, n, self.width)) if spec.is_random and n < 8 else None
         self._copies = 2 if dense else 1  # the dense covariance product writes a second chunk-sized array
         self.uniforms_drawn = 0
         self.philox_calls = 0
@@ -526,7 +534,8 @@ class NoiseChunks:
         self.fill_s = 0.0
         self.transform_s = 0.0
         if spec.is_random:
-            self._keys = run_keys(master_seed, m)
+            # the keys of the tile being started; none yet, but a bad seed is refused here
+            self._seed, self._runs, self._keys = master_seed, m, run_keys(master_seed, 0)
             self._bitgen = np.random.Philox(0)
             self._gen = np.random.Generator(self._bitgen)
 
@@ -562,7 +571,8 @@ class NoiseChunks:
             if not spec.is_random:  # (1, kk, n), shared by every run
                 chunk.block = _rows(spec, ts, None)[None]
             else:
-                keys = self._keys[lo : lo + W]
+                keys = run_keys(self._seed, min(W, self._runs - lo), lo) if c0 == 0 else self._keys
+                self._keys = None if c0 + kk == self.T else keys  # kept from a tile's first chunk to its last
                 chunk.block = buf[: W * kk * n].reshape(W, kk, n)
                 runs = chunk.block[: len(keys)]
                 chunk.block[len(keys) :] = 0.0

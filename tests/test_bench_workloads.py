@@ -61,6 +61,18 @@ def test_full_workload_documents_fit_the_schema(workload):
     assert (scenario.model.n, scenario.ensemble, scenario.horizon) == workloads.SIZES[workload]["full"]
 
 
+@pytest.mark.parametrize("workload, geometry", [(workloads.WIDE_AGENTS, (2, 256, 20)),
+                                                (workloads.MANY_RUNS, (7, 7144, 20))])
+def test_full_workload_engine_geometry(workload, geometry):
+    # (tiles, width, chunk_steps): many_runs' tiles are as wide as four steps of the stage allow
+    from consensuslab.noise import NoiseChunks
+
+    (doc,) = workloads.generate(workload, 401, "full")
+    scenario = load_scenario(doc)
+    chunks = NoiseChunks(scenario.model.noise, scenario.horizon, scenario.ensemble, scenario.master_seed)
+    assert (chunks.tiles, chunks.width, chunks.chunk_steps) == geometry
+
+
 def test_the_catalog_gate_passes_the_fast_cases(tmp_path, monkeypatch):
     child = _load_child(monkeypatch)
     assert set(harness._PREDICATES) == set(harness.catalog())

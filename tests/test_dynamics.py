@@ -311,6 +311,21 @@ class TestSimulateEnsemble:
         assert ens.snapshots[0].shape == (6, 2)
         assert np.array_equal(ens.snapshots[25], ens.terminal_states)
 
+    def test_the_horizon_snapshot_is_the_terminal_block(self, pair2):
+        # an earlier snapshot is its own (m, n) block, byte for byte the states a shorter pass ends in
+        a, eps = pair2
+        spec = ModelSpec.noisy(a, eps, 1.0, NoiseSpec.gaussian(np.zeros(2), np.eye(2)), np.zeros(2))
+        ens = simulate_ensemble(spec, 20, m=40, master_seed=3, snapshot_times=[0, 10, 20])
+        assert ens.snapshots[20] is ens.terminal_states
+        assert list(ens.snapshots) == [0, 10, 20]
+        for t in (0, 10):
+            assert ens.snapshots[t] is not ens.terminal_states
+            expected = simulate_ensemble(spec, t, m=40, master_seed=3).terminal_states
+            assert ens.snapshots[t].tobytes() == expected.tobytes(), t
+        assert np.array_equal(ens.to_empirical(20).points, ens.terminal_states)
+        zero = simulate_ensemble(spec, 0, m=3, master_seed=3, snapshot_times=[0])
+        assert zero.snapshots[0] is zero.terminal_states and np.array_equal(zero.terminal_states, np.zeros((3, 2)))
+
     def test_snapshot_range_validated(self, pair2):
         a, eps = pair2
         spec = ModelSpec.average(a, eps, NoiseSpec.zero(2), np.zeros(2))
@@ -413,10 +428,11 @@ class TestReproducibilityContract:
     """Run r's noise and states are a pure function of (spec, T, master_seed, r).
 
     They must not depend on the ensemble width m, on how the engine chunks
-    its noise or on whether it stages it step-major; chunk sizes are forced
-    through ``noise.CHUNK_VALUES`` and the stage through ``noise.STAGE_VALUES``.
-    A Gaussian chunk is one of two in that budget (it goes one ahead), so its
-    forced budget is doubled.
+    its noise or on how it tiles the runs; chunk sizes are forced through
+    ``noise.CHUNK_VALUES``, and tiles of 8 runs through ``noise.STAGE_VALUES``
+    (at n < 8 a tile's four steps fit the stage). A Gaussian chunk is one of
+    two in the chunk budget (it goes one ahead), so its forced budget is
+    doubled.
     """
 
     # one step past a multiple of 8, so 4- and 8-step chunking ends on a one-step chunk; at
@@ -426,15 +442,35 @@ class TestReproducibilityContract:
     REFERENCE_WIDTH = 16
 
     @staticmethod
-    def _force(monkeypatch, m, n, k=None, staged=None, ahead=False):
-        """Force ``k``-step chunks at the padded width of ``m`` runs, each one of two in the budget if ``ahead``."""
+    def _force(monkeypatch, m, n, k=None, stage_tiles=False, ahead=False):
+        """Force ``k``-step chunks at the padded width of ``m`` runs, each one of two in the budget if ``ahead``.
+
+        With ``stage_tiles`` the stage holds four steps of 8 runs, so at
+        ``n < 8`` the runs go through in tiles of 8 and the chunks are sized
+        at that width.
+        """
         from consensuslab import noise
 
-        w = noise.padded_width(m)
+        w = noise.WIDTH_PAD if stage_tiles else noise.padded_width(m)
         if k is not None:
             monkeypatch.setattr(noise, "CHUNK_VALUES", (2 if ahead else 1) * k * w * n)
-        if staged is not None:
-            monkeypatch.setattr(noise, "STAGE_VALUES", 4 * n * w - (0 if staged else 1))
+        if stage_tiles:
+            monkeypatch.setattr(noise, "STAGE_VALUES", 4 * n * w)
+
+    @staticmethod
+    def _run_rows(chunks) -> np.ndarray:
+        """Every column's steps as (tiles * width, T, n): each tile's runs in turn, its pad runs after them."""
+        rows = np.stack([g.T.copy() for g in chunks])  # (tiles * T, width, n): each tile's steps in turn
+        T, W, n = chunks.T, chunks.width, chunks.spec.n
+        return rows.reshape(chunks.tiles, T, W, n).transpose(0, 2, 1, 3).reshape(-1, T, n)
+
+    @staticmethod
+    def _parts(chunks, m: int) -> int:
+        """Transform parts of a pass: per chunk of each tile, ``TRANSFORM_PARTS`` or the tile's runs if fewer."""
+        from consensuslab import noise
+
+        per_tile = sum(min(noise.TRANSFORM_PARTS, m - lo) for lo in range(0, m, chunks.width))
+        return -(-chunks.T // chunks.chunk_steps) * per_tile
 
     @staticmethod
     def _chunk_sizes(spec):
@@ -443,25 +479,25 @@ class TestReproducibilityContract:
         align = 4 if dense else 4 // math.gcd(spec.n, 4)
         return (align, 3 * align, None)  # None: the default, the whole horizon here
 
-    @pytest.mark.parametrize("staged", [True, False])
+    @pytest.mark.parametrize("stage_tiles", [True, False])
     @pytest.mark.parametrize("n", [2, 4, 5])
     @pytest.mark.parametrize("kind", [k for k in _contract_noise() if k != "gaussian_identity"])
-    def test_engine_noise_rows_are_the_run_substream_block(self, kind, n, staged, monkeypatch):
+    def test_engine_noise_rows_are_the_run_substream_block(self, kind, n, stage_tiles, monkeypatch):
         from consensuslab.noise import NoiseChunks, padded_width, sample_noise_block, substream
 
         spec = _contract_noise(n)[kind]
         blocks = [sample_noise_block(spec, self.T, substream(41, r)) for r in range(max(self.WIDTHS))]
         for m in self.WIDTHS:
             for k in self._chunk_sizes(spec):
-                self._force(monkeypatch, m, n, k, staged, ahead=spec.kind == "gaussian")
+                self._force(monkeypatch, m, n, k, stage_tiles, ahead=spec.kind == "gaussian")
                 chunks = NoiseChunks(spec, self.T, m, 41)
                 assert chunks.chunk_steps == (self.T if k is None else k)
-                assert (chunks._stage is not None) == staged
-                rows = np.stack([g.T.copy() for g in chunks])  # (T, padded width, n)
-                assert rows.shape == (self.T, padded_width(m), n)
+                assert chunks._stage is not None  # every small-n random pass is staged
+                assert (chunks.tiles, chunks.width) == ((-(-m // 8), 8) if stage_tiles else (1, padded_width(m)))
+                rows = self._run_rows(chunks)
                 for r in range(m):
-                    assert np.array_equal(rows[:, r], blocks[r]), (m, k, r)
-                assert not rows[:, m:].any()  # the pad runs get zero noise
+                    assert np.array_equal(rows[r], blocks[r]), (m, k, r)
+                assert not rows[m:].any()  # the pad runs get zero noise
                 assert chunks.uniforms_drawn == self.T * n * m
                 monkeypatch.undo()
 
@@ -501,11 +537,11 @@ class TestReproducibilityContract:
             assert np.array_equal(ens.terminal_states, reference[:m]), m
             assert np.array_equal(ens.run0.terminal, reference[0]), m
         for k in self._chunk_sizes(spec.noise):
-            for staged in (True, False):
-                self._force(monkeypatch, 9, n, k, staged, ahead=kind is not None and kind.startswith("gaussian"))
+            for stage_tiles in (True, False):
+                self._force(monkeypatch, 9, n, k, stage_tiles, ahead=kind is not None and kind.startswith("gaussian"))
                 ens = simulate_ensemble(spec, self.T, 9, master_seed=8)
                 monkeypatch.undo()
-                assert np.array_equal(ens.terminal_states, reference[:9]), (k, staged)
+                assert np.array_equal(ens.terminal_states, reference[:9]), (k, stage_tiles)
 
     @pytest.mark.parametrize("n", [1, 2, 16])
     @pytest.mark.parametrize("family", list(_FAMILY_NOISE))
@@ -544,23 +580,26 @@ class TestReproducibilityContract:
         monkeypatch.setattr(noise, "CHUNK_VALUES", (2 if ahead else 1) * tile * n * whole)
         monkeypatch.setattr(noise, "STEP_CALLS", 0)
 
-    @pytest.mark.parametrize("staged", [True, False])
+    @pytest.mark.parametrize("by_stage", [True, False])
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("kind", [k for k in _contract_noise() if k != "gaussian_identity"])
-    def test_tiled_noise_rows_are_the_run_substream_block(self, kind, n, staged, monkeypatch):
+    def test_tiled_noise_rows_are_the_run_substream_block(self, kind, n, by_stage, monkeypatch):
+        # the tiles come from the whole-horizon rule, or from the stage, which holds four steps of a tile
+        from consensuslab import noise
         from consensuslab.noise import NoiseChunks, sample_noise_block, substream
 
         spec = _contract_noise(n)[kind]
         m = 37
         blocks = [sample_noise_block(spec, self.T, substream(41, r)) for r in range(m)]
         for tile in (8, 16):
-            self._force_tiles(monkeypatch, n, tile, ahead=spec.kind == "gaussian")
-            self._force(monkeypatch, tile, n, staged=staged)
+            if by_stage:
+                monkeypatch.setattr(noise, "STAGE_VALUES", 4 * n * tile)
+            else:
+                self._force_tiles(monkeypatch, n, tile, ahead=spec.kind == "gaussian")
             chunks = NoiseChunks(spec, self.T, m, 41)
             assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (-(-m // tile), tile, self.T)
-            assert (chunks._stage is not None) == staged
-            rows = np.stack([g.T.copy() for g in chunks])  # (tiles * T, tile, n): each tile's steps in turn
-            rows = rows.reshape(chunks.tiles, self.T, tile, n).transpose(0, 2, 1, 3).reshape(-1, self.T, n)
+            assert chunks._stage.shape == (4, n, tile)
+            rows = self._run_rows(chunks)
             for r in range(m):
                 assert np.array_equal(rows[r], blocks[r]), (tile, r)
             assert not rows[m:].any()  # the last tile's pad runs get zero noise
@@ -640,9 +679,9 @@ class TestReproducibilityContract:
         spec = _contract_noise(n)["gaussian_dense" if kind == "time_scale" else kind]
         return spec if kind == "time_scale" else replace(spec, time_scale=None)
 
-    @pytest.mark.parametrize("staged", [True, False])
+    @pytest.mark.parametrize("stage_tiles", [True, False])
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy", "time_scale"])
-    def test_worker_transform_changes_no_byte(self, kind, staged, monkeypatch):
+    def test_worker_transform_changes_no_byte(self, kind, stage_tiles, monkeypatch):
         # the worker transforms each part of a chunk while the next is filled; every part on
         # the filling thread, every part on the worker, or the default race between the two
         # must give the same bytes: the run's own substream block. Rademacher and Cauchy
@@ -655,17 +694,17 @@ class TestReproducibilityContract:
         blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
         for k in self._chunk_sizes(spec):
             for executor in (None, self._Inline(), self._Pool(eager=True)):
-                self._force(monkeypatch, m, n, k, staged, ahead=spec.kind == "gaussian")
+                self._force(monkeypatch, m, n, k, stage_tiles, ahead=spec.kind == "gaussian")
                 if executor is not None:
                     monkeypatch.setattr(noise, "_WORKER", executor)
                 chunks = self._ahead(noise.NoiseChunks(spec, self.T, m, 41))
                 assert chunks.chunk_steps == (self.T if k is None else k)
-                assert (chunks._stage is not None) == staged
-                rows = np.stack([g.T.copy() for g in chunks])
+                assert chunks.tiles == (5 if stage_tiles else 1)
+                rows = self._run_rows(chunks)
                 for r in range(m):
-                    assert np.array_equal(rows[:, r], blocks[r]), (k, executor, r)
-                assert not rows[:, m:].any()
-                parts = -(-self.T // chunks.chunk_steps) * noise.TRANSFORM_PARTS
+                    assert np.array_equal(rows[r], blocks[r]), (k, executor, r)
+                assert not rows[m:].any()
+                parts = self._parts(chunks, m)
                 assert chunks.transform_parts == parts
                 if isinstance(executor, self._Pool):  # every part went to the worker and ran there
                     assert len(executor.futures) == parts and not any(f.cancelled() for f in executor.futures)
@@ -814,9 +853,9 @@ class TestReproducibilityContract:
             assert raised.value.t == 5
         assert all(f.done() for f in executor.futures)
 
-    @pytest.mark.parametrize("staged", [True, False])
+    @pytest.mark.parametrize("stage_tiles", [True, False])
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "time_scale"])
-    def test_lookahead_chunks_change_no_byte(self, kind, staged, monkeypatch):
+    def test_lookahead_chunks_change_no_byte(self, kind, stage_tiles, monkeypatch):
         # every Gaussian chunk is filled and handed to the worker while the engine steps the
         # one before, the two in buffers of half the budget; whether the worker runs every
         # part, none or races the filling thread, each run's steps are its substream block
@@ -827,23 +866,22 @@ class TestReproducibilityContract:
         blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
         for k in self._chunk_sizes(spec):
             for executor in (None, self._Inline(), self._Pool(eager=True), self._Pool(eager=False)):
-                self._force(monkeypatch, m, n, k, staged, ahead=True)
+                self._force(monkeypatch, m, n, k, stage_tiles, ahead=True)
                 if executor is not None:
                     monkeypatch.setattr(noise, "_WORKER", executor)
                 chunks = noise.NoiseChunks(spec, self.T, m, 41)
-                assert chunks._lookahead and (chunks._stage is not None) == staged
+                assert chunks._lookahead and chunks.tiles == (5 if stage_tiles else 1)
                 assert chunks.chunk_steps == (self.T if k is None else k)
-                rows = np.stack([g.T.copy() for g in chunks])
+                rows = self._run_rows(chunks)
                 monkeypatch.undo()
                 for r in range(m):
-                    assert np.array_equal(rows[:, r], blocks[r]), (k, executor, r)
-                assert not rows[:, m:].any()
-                assert chunks.transform_parts == -(-self.T // chunks.chunk_steps) * noise.TRANSFORM_PARTS
+                    assert np.array_equal(rows[r], blocks[r]), (k, executor, r)
+                assert not rows[m:].any()
+                assert chunks.transform_parts == self._parts(chunks, m)
                 # the chunk stepped and the one ahead, each at most half the forced budget
                 chunk = 8 * chunks.width * chunks.chunk_steps * n * chunks._copies
-                ahead = 0 if k is None else chunk
-                stage = 0 if chunks._stage is None else chunks._stage.nbytes
-                assert chunks.buffer_bytes_peak == chunk + ahead + stage
+                ahead = 0 if k is None and chunks.tiles == 1 else chunk
+                assert chunks.buffer_bytes_peak == chunk + ahead + chunks._stage.nbytes
 
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy"])
     def test_every_gaussian_chunk_and_no_other_goes_to_the_worker(self, kind, monkeypatch):
@@ -885,13 +923,14 @@ class TestReproducibilityContract:
         monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * k * spec.n * tile)
         return k
 
-    @pytest.mark.parametrize("staged", [True, False])
+    @pytest.mark.parametrize("stage_agrees", [True, False])
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "time_scale"])
-    def test_narrowed_gaussian_tiles_send_every_chunk_to_the_worker(self, kind, n, staged, monkeypatch):
+    def test_narrowed_gaussian_tiles_send_every_chunk_to_the_worker(self, kind, n, stage_agrees, monkeypatch):
         # long-horizon Gaussian runs are tiled narrow enough that each run draws the worker's
         # minimum per chunk; a dense factor's 12-step chunks of 25 steps leave a one-step
-        # chunk, which it multiplies on its own (STEP_GROUP)
+        # chunk, which it multiplies on its own (STEP_GROUP). A stage of four steps of the
+        # same tile changes nothing
         from consensuslab import noise
 
         m = 37
@@ -900,14 +939,14 @@ class TestReproducibilityContract:
         for tile in (8, 16):
             executor = self._Pool(eager=True)
             k = self._force_narrow(monkeypatch, spec, tile)
-            self._force(monkeypatch, tile, n, staged=staged)
+            if stage_agrees:
+                monkeypatch.setattr(noise, "STAGE_VALUES", 4 * n * tile)
             monkeypatch.setattr(noise, "_WORKER", executor)
             chunks = noise.NoiseChunks(spec, self.T, m, 41)
-            rows = np.stack([g.T.copy() for g in chunks])  # (tiles * T, tile, n): each tile's steps in turn
+            rows = self._run_rows(chunks)
             monkeypatch.undo()
             assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (-(-m // tile), tile, k)
-            assert (chunks._stage is not None) == staged
-            rows = rows.reshape(chunks.tiles, self.T, tile, n).transpose(0, 2, 1, 3).reshape(-1, self.T, n)
+            assert chunks._stage.shape == (4, n, tile)
             for r in range(m):
                 assert np.array_equal(rows[r], blocks[r]), (tile, r)
             assert not rows[m:].any()
@@ -998,6 +1037,27 @@ class TestReproducibilityContract:
             digests.append(done.stdout)
         assert digests[0] == digests[1]
         assert [line.split()[0] for line in digests[0].splitlines()] == ["1", "1", "4", "5"]
+
+
+def test_many_runs_memory_is_the_results_and_one_tile():
+    # many_runs' shape: the traced peak is the terminal block, the one earlier snapshot and
+    # under 1 MiB for everything else (a tile's stage, state blocks, step temporaries and run
+    # keys). The noise chunks live in their own mappings, which noise_buffer_bytes_peak bounds
+    import tracemalloc
+
+    n, m, T = 2, 50_000, 20
+    a = np.array([[0.7, 0.3], [0.4, 0.6]])
+    spec = ModelSpec.noisy(a, [0.5, 0.4], 1.0, NoiseSpec.gaussian(np.zeros(n), np.eye(n)), np.zeros(n))
+    simulate_ensemble(spec, T, 10, master_seed=401, snapshot_times=[10, T])  # first-call allocations
+    tracemalloc.start()
+    try:
+        ens = simulate_ensemble(spec, T, m, master_seed=401, snapshot_times=[10, T])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * m * n
+    assert peak < 2 * block + 2**20, peak
+    assert ens.engine["noise_buffer_bytes_peak"] == 5_029_376
 
 
 @pytest.mark.parametrize("tiled", [False, True])

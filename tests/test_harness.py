@@ -245,6 +245,16 @@ class TestCompileBoundary:
         assert e.pointer == ("/model/noise" if part in ("mu", "sigma") else f"/model/{part}")
         assert "finite" in str(e)
 
+    @pytest.mark.parametrize("row", [[0.5, 0.0, 0.0], [1.5, -0.25, -0.25]], ids=["row-sum", "negative"])
+    def test_a_weights_matrix_that_is_not_row_stochastic_is_refused_at_load(self, row):
+        doc = copy.deepcopy(load_catalog_scenario("base-3agent").raw)
+        doc["model"]["A"]["matrix"][0] = row
+        with pytest.raises(ScenarioFormatError, match="invalid A") as e:
+            load_scenario(doc)
+        assert e.value.pointer == "/model/A"
+        matrices = [[[0.6, 0.4], [0.3, 0.7]], [[0.5, 0.0], [0.3, 0.7]]]  # the second entry's first row
+        assert _load_error(A={"kind": "table", "matrices": matrices}).pointer == "/model/A"
+
     def test_a_geometric_time_scale_that_overflows_is_refused(self, tmp_path):
         # 2.0**t leaves the float range at t = 1024, inside a horizon of 1100
         noise = {"kind": "gaussian", "time_scale": {"kind": "geometric", "rate": 2.0}}
@@ -353,6 +363,15 @@ class TestSchemaMaxima:
         assert err.rstrip().endswith(f"(at {pointer})")
         # the model was compiled once, at load, and not again for the overridden horizon
         assert reached == ["compile"] and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["horizon", "ensemble", "master_seed"])
+    def test_a_fractional_override_is_refused(self, name, tmp_path):
+        scenario = load_catalog_scenario("signum-periodic")
+        with pytest.raises(ScenarioFormatError, match="not a whole number") as e:
+            run_scenario(scenario, out_dir=tmp_path, **{name: 5.5})
+        assert e.value.pointer == f"/{name}" and not any(tmp_path.iterdir())
+        resolved = harness._resolve(scenario, **{name: 5.0})
+        assert getattr(resolved, name) == 5 and type(getattr(resolved, name)) is int
 
     def test_overrides_at_the_maxima_resolve(self, monkeypatch):
         scenario = load_catalog_scenario("base-3agent")

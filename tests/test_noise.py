@@ -66,11 +66,28 @@ class TestRunKeys:
             expected = np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)
             assert np.array_equal(keys[r], expected), r
 
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5, 10**30])
+    @pytest.mark.parametrize("first, count", [(0, 5), (1, 1), (2336, 700), (2**32 - 3, 2)])
+    def test_keys_from_a_first_run(self, seed, first, count):
+        keys = run_keys(seed, count, first)
+        assert keys.shape == (count, 2) and keys.dtype == np.uint64
+        for i in range(count):
+            expected = np.random.SeedSequence(seed, spawn_key=(first + i,)).generate_state(2, np.uint64)
+            assert np.array_equal(keys[i], expected), i
+        if first + count < 10_000:
+            assert np.array_equal(keys, run_keys(seed, first + count)[first:])
+
     def test_noise_chunks_use_the_substream_keys(self):
-        chunks = NoiseChunks(NoiseSpec.rademacher(2), 8, 40, 77)
-        for r in (0, 1, 17, 39):
-            key = substream(77, r).bit_generator.state["state"]["key"]
-            assert chunks._keys[r].tolist() == key.tolist()
+        # n = 7: the stage holds four steps of 2336 runs, so 5000 runs go through in three tiles,
+        # each keyed from its own first run
+        spec = NoiseSpec.rademacher(7)
+        chunks = NoiseChunks(spec, 8, 5000, 77)
+        assert (chunks.tiles, chunks.width) == (3, 1672)
+        steps = np.stack([g.copy() for g in chunks])  # (tiles * T, n, width)
+        for r in (0, 1, 1671, 1672, 3344, 4999):
+            tile, col = divmod(r, chunks.width)
+            rows = steps[tile * 8 : tile * 8 + 8, :, col]
+            assert np.array_equal(rows, sample_noise_block(spec, 8, substream(77, r))), r
 
     def test_no_runs(self):
         assert run_keys(5, 0).shape == (0, 2)
@@ -80,9 +97,10 @@ class TestRunKeys:
         with pytest.raises(ValueError, match="expected non-negative integer"):
             run_keys(seed, 3)
 
-    def test_run_count_must_fit_one_word(self):
+    @pytest.mark.parametrize("count, first", [(2**32, 0), (2, 2**32 - 2), (1, -1), (-1, 0)])
+    def test_run_count_must_fit_one_word(self, count, first):
         with pytest.raises(ValueError, match="run count"):
-            run_keys(0, 2**32)
+            run_keys(0, count, first)
 
     def test_negative_seed_fails_the_ensemble(self):
         spec = ModelSpec.noisy(np.eye(2), [0.5, 0.5], 1.0, NoiseSpec.gaussian(np.zeros(2), np.eye(2)), np.zeros(2))
@@ -223,16 +241,18 @@ class TestGaussianTransform:
 
 
 class TestNoiseChunks:
-    def test_many_short_runs_take_four_whole_horizon_tiles(self):
+    def test_many_short_runs_take_seven_staged_whole_horizon_tiles(self):
         # n = 2: k only needs k * n to be a multiple of 4, so one tile of all 50000 runs would
         # take five 4-step chunks in half the budget (4 MiB, the other half for the chunk the
-        # worker transforms ahead); four tiles of 12504 take one 20-step chunk each, one Philox
-        # call per run for 60 more engine steps
+        # worker transforms ahead); four tiles of 12504 would take one 20-step chunk each, but
+        # the stage holds four steps of at most 8192 runs, so seven tiles of 7144 do
+        from consensuslab import noise
+
         spec = NoiseSpec.gaussian(np.zeros(2), np.eye(2))
         chunks = NoiseChunks(spec, 20, 50_000, 5)
-        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (4, 12_504, 20)
+        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (7, 7144, 20)
         assert chunks._lookahead and type(chunks.chunk_steps) is int
-        assert chunks._stage is None  # four steps exceed STAGE_VALUES
+        assert chunks._stage.shape == (4, 2, 7144) and chunks._stage.size <= noise.STAGE_VALUES
 
     def test_many_runs_engine_makes_one_philox_call_per_run(self):
         from consensuslab import noise
@@ -240,28 +260,39 @@ class TestNoiseChunks:
         a = np.array([[0.7, 0.3], [0.4, 0.6]])
         spec = ModelSpec.noisy(a, [0.5, 0.4], 1.0, NoiseSpec.gaussian(np.zeros(2), np.eye(2)), np.zeros(2))
         engine = simulate_ensemble(spec, 20, 50_000, 401, snapshot_times=[10, 20]).engine
-        assert (engine["tiles"], engine["chunk_steps"], engine["philox_calls"]) == (4, 20, 50_000)
+        assert (engine["tiles"], engine["chunk_steps"], engine["philox_calls"]) == (7, 20, 50_000)
         assert engine["uniforms_drawn"] == 20 * 2 * 50_000
-        assert engine["transform_parts"] == 4 * noise.TRANSFORM_PARTS
-        # a tile's chunk and the next tile's, started ahead: half the budget each, and the pad
-        assert engine["noise_buffer_bytes_peak"] == 2 * 8 * 20 * 2 * 12_504
-        assert engine["noise_buffer_bytes_peak"] <= 8 * noise.CHUNK_VALUES + 2 * 8 * 20 * 2 * noise.WIDTH_PAD
+        assert engine["transform_parts"] == 7 * noise.TRANSFORM_PARTS == 56
+        # a tile's chunk and the next tile's, started ahead, with their pad, and the stage
+        assert engine["noise_buffer_bytes_peak"] == 2 * 8 * 20 * 2 * 7144 + 8 * 4 * 2 * 7144 == 5_029_376
+        assert engine["noise_buffer_bytes_peak"] <= 8 * (noise.CHUNK_VALUES + noise.STAGE_VALUES)
 
-    @pytest.mark.parametrize("case_id, tiles, chunk_steps", [
-        ("cauchy-invariant", 2, 200), ("average-clt", 6, 520), ("gaussian-dist", 6, 520),
-        ("epsilon-oscillator", 1, 172),
-    ])
-    def test_catalog_tiles(self, case_id, tiles, chunk_steps):
+    # (tiles, width, chunk_steps) of every catalog case with random noise
+    CATALOG_GEOMETRY = {
+        "cauchy-invariant": (2, 5000, 200), "average-clt": (6, 504, 520), "gaussian-dist": (6, 504, 520),
+        "epsilon-oscillator": (1, 3000, 172), "rademacher-dist": (1, 3000, 174), "average-line": (1, 2000, 262),
+    }
+
+    @pytest.mark.parametrize("case_id, geometry", CATALOG_GEOMETRY.items())
+    def test_catalog_tiles(self, case_id, geometry):
         # tiling pays where a run takes more than one chunk and the extra engine steps are few,
         # or where long Gaussian horizons then draw enough a chunk for the worker. Every
         # Gaussian chunk goes one ahead, in half the budget: epsilon-oscillator's runs draw
-        # 1000 uniforms in all, too few to narrow, so its one tile takes 172-step chunks
+        # 1000 uniforms in all, too few to narrow, so its one tile takes 172-step chunks. No
+        # catalog tile is too wide for the stage to hold four of its steps
         from consensuslab import load_catalog_scenario
 
         s = load_catalog_scenario(case_id)
         chunks = NoiseChunks(s.model.noise, s.horizon, s.ensemble, s.master_seed)
-        assert (chunks.tiles, chunks.chunk_steps) == (tiles, chunk_steps)
+        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == geometry
         assert chunks._lookahead == (s.model.noise.kind == "gaussian")
+
+    def test_every_random_catalog_case_has_its_geometry_pinned(self):
+        from consensuslab import catalog, load_catalog_scenario
+
+        models = [load_catalog_scenario(c).model for c in catalog()]
+        random_cases = {c for c, model in zip(catalog(), models) if model is not None and model.noise.is_random}
+        assert random_cases == set(self.CATALOG_GEOMETRY)
 
     @pytest.mark.parametrize("kind, geometry", [
         ("gaussian", (6, 504, 520)),
@@ -321,13 +352,18 @@ class TestNoiseChunks:
         assert (chunks._stage is not None) == staged
         assert chunks.buffer_bytes_peak == chunk + (8 * 4 * n * 8 if staged else 0)
 
-    def test_stage_is_bounded(self):
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_stage_is_bounded(self, n):
+        # at n < 8 a random tile is never wider than four steps of the stage, rounded down to WIDTH_PAD
         from consensuslab import noise
 
-        n = 2
-        wide = noise.STAGE_VALUES // (4 * n)  # a multiple of 8: the stage holds exactly four steps
-        assert NoiseChunks(NoiseSpec.rademacher(n), 8, wide, 1)._stage.size == noise.STAGE_VALUES
-        assert NoiseChunks(NoiseSpec.rademacher(n), 8, wide + 1, 1)._stage is None
+        wide = noise.STAGE_VALUES // (4 * n) // noise.WIDTH_PAD * noise.WIDTH_PAD
+        for m, tiles in ((wide, 1), (wide + 1, 2), (3 * wide + 1, 4), (50_000, -(-50_000 // wide))):
+            for spec in (NoiseSpec.rademacher(n), NoiseSpec.gaussian(np.zeros(n), np.eye(n))):
+                chunks = NoiseChunks(spec, 8, m, 1)
+                assert chunks.tiles == tiles and chunks.width <= wide, (m, spec.kind)
+                assert chunks._stage.shape == (4, n, chunks.width)
+                assert chunks._stage.size <= noise.STAGE_VALUES
 
     def test_timings_are_recorded(self):
         chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(3), np.eye(3)), 40, 20, 2)
