@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import jsonschema
+import orjson
 
 from . import conditions as cond
 from . import stats as st
@@ -557,26 +558,62 @@ def validate_summary(doc: dict) -> None:
     jsonschema.Draft7Validator(_SUMMARY_SCHEMA).validate(doc)
 
 
-# Most values formatted at once. Each slice of rows is stacked, converted
-# with one ``tolist`` and written with one ``%`` of a repeated row template,
-# so memory stays small at any width or run count.
+# Most values formatted at once, so memory stays small at any width or run
+# count. A slice's rows go to orjson as one float64 block where it writes
+# each value as ``repr`` does: both give the shortest digits that read back
+# (Ryu; Gay's dtoa), spelled alike for 0 and 1e-4 <= |x| < 1e16, where
+# ``repr`` uses no exponent. orjson writes NaN as ``null``, rewritten to
+# ``nan``, and ±inf as ``null`` too, so a run of rows holding ±inf, a nonzero
+# |x| < 1e-4 or |x| >= 1e16 goes through the ``%r`` row template instead.
+# Each orjson run's first row is checked against the template.
 _CSV_SLICE_VALUES = 2**10
+
+
+def _repr_lines(first: int, block: np.ndarray) -> bytes:
+    """Rows ``first ..`` of ``block``: the index, then each value's ``repr``."""
+    rows, cols = block.shape
+    values = np.column_stack([np.arange(first, first + rows), block]).ravel().tolist()
+    return (b"%d" + b",%r" * cols + b"\r\n") * rows % tuple(values)
+
+
+def _orjson_lines(first: int, block: np.ndarray) -> bytes:
+    """``_repr_lines`` of a block whose every value is 0, NaN or 1e-4 <= |x| < 1e16, formatted by orjson.
+
+    The first row is compared with ``_repr_lines``; an orjson that spells a
+    value differently raises ``AssertionError`` naming it.
+    """
+    rows = len(block)
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"null", b"nan")
+    parts = [None] * (2 * rows)
+    parts[::2], parts[1::2] = range(first, first + rows), text.split(b"],[")
+    lines = b"%d,%b\r\n" * rows % tuple(parts)
+    if not lines.startswith(_repr_lines(first, block[:1])):
+        values = block[0].tolist()
+        wrong = next((x for x, s in zip(values, parts[1].split(b",")) if b"%r" % x != s), values)
+        raise AssertionError(f"orjson spells {wrong!r} differently from repr")
+    return lines
 
 
 def _write_csv(path: Path, header: list, first: int, columns: tuple) -> None:
     """Write ``header``, then per row its index (counted from ``first``) and ``columns``.
 
     Floats are written as their ``repr`` and lines end in ``\r\n``, byte for
-    byte what ``csv.writer`` writes.
+    byte what ``csv.writer`` writes. Within a slice, each run of rows whose
+    every value is 0, NaN or 1e-4 <= |x| < 1e16 is formatted by orjson at
+    once, its first row checked against the ``%r`` template (an
+    ``AssertionError`` if they differ); the other rows go through the
+    template (see ``_CSV_SLICE_VALUES``).
     """
     rows, step = columns[0].shape[0], max(1, _CSV_SLICE_VALUES // len(header))
-    row = "%d" + ",%r" * (len(header) - 1) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
         for a in range(0, rows, step):
-            b = min(a + step, rows)
-            block = np.column_stack([np.arange(first + a, first + b), *(c[a:b] for c in columns)])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            block = np.column_stack([c[a : a + step] for c in columns]).astype(float, copy=False)
+            mag = np.abs(block)
+            slow = ((mag >= 1e16) | (mag < 1e-4) & (mag != 0.0)).any(axis=1)
+            cuts = [0, *(np.flatnonzero(np.diff(slow)) + 1).tolist(), len(block)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                fh.write((_repr_lines if slow[lo] else _orjson_lines)(first + a + lo, block[lo:hi]))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:

@@ -21,9 +21,10 @@ The simulation engine (``NoiseChunks``) relies on this to draw noise in
 chunks of ``k`` steps, ``k * n`` a multiple of four (``k`` itself a multiple
 of ``STEP_GROUP`` for a dense covariance factor, see ``_correlate``), with
 ``k * n`` times the width at most ``CHUNK_VALUES`` (the smallest such ``k``
-when even that is too many values). It derives a tile's run keys when the
-tile's first chunk starts, in one vectorised pass of the ``SeedSequence``
-hash (``run_keys``, checked against numpy at the tile's first run), points
+when even that is too many values). It mixes the seed into the
+``SeedSequence`` pool once (``seed_pool``), derives a tile's run keys when
+the tile's first chunk starts, in one vectorised pass of the run word's
+round (``run_keys``, checked against numpy at the tile's first run), points
 one reused generator at each run in turn to fill that run's rows of a
 run-major ``(width, k, n)`` buffer, one Philox call per run and chunk, and
 transforms the chunk (see below). When a run's row is shorter than a cache
@@ -265,21 +266,30 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def run_keys(master_seed: int, count: int, first: int = 0) -> np.ndarray:
-    """Philox keys of runs ``first .. first + count - 1`` as a (count, 2) uint64 array.
+@dataclass(frozen=True)
+class SeedPool:
+    """A master seed's ``SeedSequence`` pool mixed with its own words, before any run's word.
 
-    Row ``i`` is ``SeedSequence(master_seed, spawn_key=(first + i,))
-    .generate_state(2, np.uint64)``, the key of ``substream(master_seed,
-    first + i)``, computed for every run at once with numpy's hash on
-    uint32 arrays. The entropy is the seed's 32-bit words, zero-padded to
-    the pool size, then the run index as one word; only that last word
-    differs between runs. Row 0 is checked against numpy itself.
+    ``mixer`` holds the four pool words as 1-element uint32 arrays and
+    ``hash_a`` the xor constant of the next hashmix, the run word's first.
+    Nothing here depends on the runs, so an ensemble pass builds it once
+    (``seed_pool``) and ``run_keys`` reads it per tile.
+    """
+
+    seed: int
+    mixer: tuple
+    hash_a: int
+
+
+def seed_pool(master_seed: int) -> SeedPool:
+    """The pool of ``master_seed``: its 32-bit words, zero-padded to the pool size, mixed in.
+
+    A negative seed raises ``ValueError("expected non-negative integer")``,
+    numpy's message.
     """
     seed = operator.index(master_seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    if not (0 <= first and 0 <= count and first + count < 2**32):
-        raise ValueError(f"run count must keep the runs in [0, 2**32), got {count} from run {first}")
     words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
     words = [np.array([w], dtype=np.uint32) for w in words + [0] * (_POOL - len(words))]
 
@@ -292,6 +302,23 @@ def run_keys(master_seed: int, count: int, first: int = 0) -> np.ndarray:
     for w in words[_POOL:]:
         for dst in range(_POOL):
             mixer[dst] = _mix(mixer[dst], _hashmix(w, next(hash_a)))
+    return SeedPool(seed, tuple(mixer), next(hash_a)[0])
+
+
+def run_keys(master_seed, count: int, first: int = 0) -> np.ndarray:
+    """Philox keys of runs ``first .. first + count - 1`` as a (count, 2) uint64 array.
+
+    Row ``i`` is ``SeedSequence(master_seed, spawn_key=(first + i,))
+    .generate_state(2, np.uint64)``, the key of ``substream(master_seed,
+    first + i)``, computed for every run at once with numpy's hash on
+    uint32 arrays. ``master_seed`` is a seed or its ``seed_pool``. The
+    entropy is the seed's 32-bit words, zero-padded to the pool size, then
+    the run index as one word; only that last word differs between runs, so
+    only its round is computed here. Row 0 is checked against numpy itself.
+    """
+    pool = master_seed if isinstance(master_seed, SeedPool) else seed_pool(master_seed)
+    if not (0 <= first and 0 <= count and first + count < 2**32):
+        raise ValueError(f"run count must keep the runs in [0, 2**32), got {count} from run {first}")
 
     # The run word's mixing round, then generate_state(2, np.uint64): word i
     # of the output hashes pool word i, and words (0, 1), (2, 3) are the
@@ -300,11 +327,11 @@ def run_keys(master_seed: int, count: int, first: int = 0) -> np.ndarray:
     keys = np.empty((count, 2), dtype=np.uint64)
     out = keys.view(np.uint32)
     swap = int(sys.byteorder == "big")
-    hash_b = _hash_consts(_INIT_B, _MULT_B)
+    hash_a, hash_b = _hash_consts(pool.hash_a, _MULT_A), _hash_consts(_INIT_B, _MULT_B)
     for i in range(_POOL):
-        out[:, i ^ swap] = _hashmix(_mix(mixer[i], _hashmix(runs, next(hash_a))), next(hash_b))
+        out[:, i ^ swap] = _hashmix(_mix(pool.mixer[i], _hashmix(runs, next(hash_a))), next(hash_b))
 
-    ref = np.random.SeedSequence(master_seed, spawn_key=(first,)).generate_state(2, np.uint64)
+    ref = np.random.SeedSequence(pool.seed, spawn_key=(first,)).generate_state(2, np.uint64)
     if count and not np.array_equal(keys[0], ref):
         raise AssertionError(f"vectorised SeedSequence hash disagrees with numpy at run {first}")
     return keys
@@ -534,8 +561,8 @@ class NoiseChunks:
         self.fill_s = 0.0
         self.transform_s = 0.0
         if spec.is_random:
-            # the keys of the tile being started; none yet, but a bad seed is refused here
-            self._seed, self._runs, self._keys = master_seed, m, run_keys(master_seed, 0)
+            # the seed mixed once for every tile's keys, a bad seed refused here; no keys yet
+            self._pool, self._runs, self._keys = seed_pool(master_seed), m, None
             self._bitgen = np.random.Philox(0)
             self._gen = np.random.Generator(self._bitgen)
 
@@ -571,7 +598,7 @@ class NoiseChunks:
             if not spec.is_random:  # (1, kk, n), shared by every run
                 chunk.block = _rows(spec, ts, None)[None]
             else:
-                keys = run_keys(self._seed, min(W, self._runs - lo), lo) if c0 == 0 else self._keys
+                keys = run_keys(self._pool, min(W, self._runs - lo), lo) if c0 == 0 else self._keys
                 self._keys = None if c0 + kk == self.T else keys  # kept from a tile's first chunk to its last
                 chunk.block = buf[: W * kk * n].reshape(W, kk, n)
                 runs = chunk.block[: len(keys)]

@@ -565,6 +565,74 @@ class TestRunScenario:
         row = got.decode().splitlines()[1].split(",")
         assert row[0] == "200" and float(row[-2]) < 1e-12  # not the initial error of 1.0
 
+    def _written(self, tmp_path, pts, err, osc):
+        """The ensemble and trajectory CSVs of ``pts`` and the run-0 columns, each with its repr reference."""
+        rows, n = pts.shape
+        traj = Trajectory(states=pts, err_inf=err, osc=osc, rho=np.full(rows, np.nan), sigma_bar=None)
+        write_ensemble_csv(tmp_path / "e.csv", EnsembleSample(
+            terminal_states=pts, t_final=rows - 1, master_seed=0, run0=traj, engine={}))
+        write_trajectory_csv(tmp_path / "t.csv", traj)
+        comps = [f"component_{j}" for j in range(n)]
+        self._repr_reference(tmp_path / "e_ref.csv", ["run"] + comps, pts)
+        self._repr_reference(tmp_path / "t_ref.csv", ["t"] + comps + ["err_inf", "osc"],
+                             [list(x) + [e, o] for x, e, o in zip(pts, err, osc)])
+        return [((tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}_ref.csv").read_bytes())
+                for name in ("e", "t")]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 102])
+    def test_csv_bytes_of_random_bit_patterns_equal_the_repr_writer(self, tmp_path, width):
+        rng = np.random.default_rng(width)
+        edges = np.array([np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), np.nextafter(1e16, 0.0),
+                          np.nextafter(1e16, np.inf), 1e-4, 1e16, 0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf])
+        edges = np.concatenate([edges, -edges])
+        bits = rng.integers(0, 2**64, size=10**5, dtype=np.uint64, endpoint=False).view(np.float64)
+        # magnitudes log-uniform over 1e-5 .. 1e17, so many rows hold only values orjson writes
+        logu = rng.choice([-1.0, 1.0], size=10**4) * 10.0 ** rng.uniform(-5.0, 17.0, size=10**4)
+        fast = np.resize(logu[(np.abs(logu) >= 1e-4) & (np.abs(logu) < 1e16)], (len(edges), width))
+        first_col, last_col = fast.copy(), fast.copy()
+        first_col[:, 0], last_col[:, -1] = edges, edges[::-1]  # each edge in an otherwise orjson row
+        pts = np.concatenate([bits[: len(bits) // width * width].reshape(-1, width),
+                              logu[: len(logu) // width * width].reshape(-1, width)])
+        pts = np.concatenate([first_col, rng.permutation(pts), last_col])
+        nan_err = np.full(len(pts), np.nan)  # the err_inf of a family with no target
+        for got, want in self._written(tmp_path, pts, nan_err, rng.permutation(pts[:, 0])):
+            assert got == want
+
+    def test_csv_rows_take_orjson_unless_it_spells_a_value_differently(self, tmp_path, monkeypatch):
+        formatted = []
+        dumps = harness.orjson.dumps
+
+        def spy(block, option):
+            formatted.append(len(block))
+            return dumps(block, option=option)
+
+        monkeypatch.setattr(harness.orjson, "dumps", spy)
+        rng = np.random.default_rng(5)
+        # wide_agents' run 0: no target, so err_inf is NaN at every step; every row goes to orjson
+        pts = rng.uniform(0.01, 3.0, size=(300, 3)) * rng.choice([-1.0, 1.0], size=(300, 3))
+        for got, want in self._written(tmp_path, pts, np.full(300, np.nan), np.abs(pts[:, 0])):
+            assert got == want
+        assert sum(formatted) == 2 * 300
+        # rows holding +-inf, a nonzero |x| < 1e-4 or |x| >= 1e16 go through the template, in order
+        formatted.clear()
+        pts = rng.normal(size=(10, 2))
+        pts[2, 0], pts[5, 1], pts[7, 0], pts[8, 1] = np.inf, -np.inf, 3e-300, -2e16
+        pts[1, 1], pts[3, 0] = np.nan, 0.0  # written by orjson
+        write_ensemble_csv(tmp_path / "e.csv", EnsembleSample(
+            terminal_states=pts, t_final=9, master_seed=0, run0=None, engine={}))
+        self._repr_reference(tmp_path / "e_ref.csv", ["run", "component_0", "component_1"], pts)
+        assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "e_ref.csv").read_bytes()
+        assert formatted == [2, 2, 1, 1]  # rows 0-1, 3-4, 6 and 9
+
+    def test_csv_guard_refuses_an_orjson_that_spells_a_value_differently(self, tmp_path, monkeypatch):
+        dumps = harness.orjson.dumps
+        monkeypatch.setattr(harness.orjson, "dumps",
+                            lambda block, option: dumps(block, option=option).replace(b"0.25", b"0.26", 1))
+        pts = np.array([[0.5, 0.25], [1.5, 2.5]])
+        with pytest.raises(AssertionError, match="0.25"):
+            write_ensemble_csv(tmp_path / "e.csv", EnsembleSample(
+                terminal_states=pts, t_final=1, master_seed=0, run0=None, engine={}))
+
     def test_rerun_is_byte_identical(self, tmp_path):
         s = load_catalog_scenario("signum-periodic")
         run_scenario(s, out_dir=tmp_path / "a")

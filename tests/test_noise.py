@@ -11,7 +11,8 @@ from consensuslab import (
     simulate_ensemble,
     substream,
 )
-from consensuslab.noise import NoiseChunks, _transform, run_keys
+from consensuslab import noise
+from consensuslab.noise import NoiseChunks, _transform, run_keys, seed_pool
 
 
 class TestNoiseSpecValidation:
@@ -88,6 +89,27 @@ class TestRunKeys:
             tile, col = divmod(r, chunks.width)
             rows = steps[tile * 8 : tile * 8 + 8, :, col]
             assert np.array_equal(rows, sample_noise_block(spec, 8, substream(77, r))), r
+
+    @pytest.mark.parametrize("first", [0, 1, 777, 2**32 - 9])
+    def test_keys_from_a_seed_pool(self, first):
+        seed = 2**64 + 2**40 + 12345  # three 32-bit words
+        keys = run_keys(seed_pool(seed), 8, first)
+        for i in range(8):
+            expected = np.random.SeedSequence(seed, spawn_key=(first + i,)).generate_state(2, np.uint64)
+            assert np.array_equal(keys[i], expected), i
+        assert np.array_equal(keys, run_keys(seed, 8, first))
+
+    def test_an_ensemble_pass_mixes_the_seed_once(self, monkeypatch):
+        pools, firsts = [], []
+        real_pool, real_keys = noise.seed_pool, noise.run_keys
+        monkeypatch.setattr(noise, "seed_pool", lambda seed: pools.append(seed) or real_pool(seed))
+        monkeypatch.setattr(noise, "run_keys", lambda pool, count, first: firsts.append(first) or
+                            real_keys(pool, count, first))
+        spec = ModelSpec.noisy(np.eye(2), [0.5, 0.5], 1.0, NoiseSpec.rademacher(2), np.zeros(2))
+        ens = simulate_ensemble(spec, 4, 20_000, 2**70 + 3)
+        # n = 2: the stage holds four steps of 8192 runs, so three tiles, each keyed at its first run
+        assert ens.engine["tiles"] == 3 and pools == [2**70 + 3]
+        assert firsts == [0, 6672, 13344]
 
     def test_no_runs(self):
         assert run_keys(5, 0).shape == (0, 2)
