@@ -58,23 +58,15 @@ and takes back every part.
 
 The width is the run count padded with zero-noise runs to a multiple of
 ``WIDTH_PAD`` (``padded_width(m)``), one tile. Random runs may instead go
-through in equal column tiles, each padded to ``WIDTH_PAD`` and stepped
-through the whole horizon in turn. The narrowest of three widths wins:
-
-* the fewest tiles whose whole horizon is one chunk, where the Philox calls
-  this saves, ``m * (chunks per run - 1)``, exceed ``STEP_CALLS`` times the
-  engine steps it adds, ``T * (tiles - 1)``;
-* where a Gaussian run's horizon draws at least ``OVERLAP_MIN_DRAW``
-  uniforms, the fewest tiles whose chunk draws that many. At ``n < 1024`` a
-  chunk of ``ceil(1024 / n)`` steps fits about 100 runs or more in half the
-  budget, and at ``n >= 1024`` any chunk draws ``n``. An extra tile-step
-  costs about 8-15 us; each chunk it saves is a Philox call per run and
-  hands the worker parts of at least 1024 uniforms a run, which it
-  transforms while the filling thread draws. A shorter horizon keeps the
-  first rule's width: narrowed to one chunk a run, ``epsilon-oscillator``
-  took six tiles, whose steps cost more than the worker saved;
-* at ``n < 8``, the fewest tiles whose four steps fit the stage's
-  ``STAGE_VALUES``.
+through in ``t`` equal column tiles of width ``W = padded_width(ceil(m /
+t))``, each stepped through the whole horizon in turn. One rule picks
+``t``: the least cost ``m * ceil(T / k) + STEP_CALLS * T * ceil(m / W)``,
+Philox calls plus the tile-steps priced in calls, with ``k`` the chunk
+steps at width ``W``, ties to the fewest tiles. At ``n < 8`` a tile's four
+steps must fit the stage's ``STAGE_VALUES``, which bounds ``t`` below; it
+is bounded above by the fewest tiles whose whole horizon is one chunk
+(past it more tiles only add steps), or, where no tile of ``WIDTH_PAD``
+runs holds a whole horizon, by tiles of ``WIDTH_PAD`` runs.
 
 The distributional transforms are explicit, so ports to other stacks can
 match them distributionally:
@@ -466,9 +458,12 @@ def sample_noise_block(spec: NoiseSpec, T: int, stream: Optional[np.random.Gener
 CHUNK_VALUES = 2**20
 # Most values of the step-major stage of four steps (see ``NoiseChunks``): 512 KiB.
 STAGE_VALUES = 2**16
-# Philox calls one extra engine step costs (its fixed Python and kernel overhead, about
-# 7-17 us at width 8 against about 2.4 us a call), which sets when tiling the runs pays.
-STEP_CALLS = 4
+# Philox calls the tile rule prices a tile-step at (see the module docstring). Measured on the
+# random catalog cases (2 vCPUs, BLAS on one thread, medians of 9 alternating passes): a call
+# more tiles save took 1.2-4.7 us of fill, a tile-step they add 6-16 us with a constant schedule
+# and 35-36 us, 9-10 calls, with epsilon-oscillator's varying one, which each tile queries again.
+# A step is priced above both, so tiles must save more calls than a varying schedule's steps cost.
+STEP_CALLS = 12
 # Most run keys converted to Python ints at once.
 _KEY_SLICE = 2**10
 # Parts of whole runs a random chunk is filled in, each transformed once filled, on the
@@ -476,9 +471,6 @@ _KEY_SLICE = 2**10
 TRANSFORM_PARTS = 8
 # The one thread that transforms noise alongside the Philox fill; it never fills.
 _WORKER = ThreadPoolExecutor(1, thread_name_prefix="consensuslab-noise")
-# Fewest uniforms each run's Philox call draws per chunk of a long Gaussian horizon: its
-# runs are tiled narrow enough to reach it (see ``NoiseChunks``).
-OVERLAP_MIN_DRAW = 2**10
 
 
 @dataclass(eq=False)
@@ -502,10 +494,12 @@ class NoiseChunks:
     The module docstring sets out the geometry: chunks, stage, pad, tiles
     and the lookahead, which every Gaussian chunk and no other takes
     (``_lookahead``). The runs go through in ``tiles`` tiles of ``width``
-    columns: tile ``i`` holds runs ``i * width ..`` and, in the last tile,
-    zero-noise pad runs up to the width. A tile's run keys are derived when
-    its first chunk starts, so the memory is one chunk budget, one stage and
-    one tile's keys whatever the horizon and the ensemble size. Iterating
+    columns, the width of least cost in Philox calls and tile-steps (the
+    module docstring's one rule): tile ``i`` holds runs ``i * width ..``
+    and, in the last tile, zero-noise pad runs up to the width. A tile's
+    run keys are derived when its first chunk starts, so the memory is one
+    chunk budget, one stage and one tile's keys whatever the horizon and
+    the ensemble size. Iterating
     yields one array per step of each tile in turn, T per tile,
     broadcastable against an (n, width) block of states: an (n, width) array
     for the random kinds, whose pad columns are zero, and an (n, 1) column
@@ -528,28 +522,22 @@ class NoiseChunks:
         dense = spec.kind == GAUSSIAN and spec._factor is not None and spec._factor.ndim == 2
         align = STEP_GROUP if dense else 4 // math.gcd(n, 4)
         # a Gaussian chunk is started one ahead on the worker, it and the chunk stepped meanwhile
-        # in half the budget each; the tiles below narrow long horizons to draw OVERLAP_MIN_DRAW
+        # in half the budget each
         self._lookahead = spec.kind == GAUSSIAN
         budget = CHUNK_VALUES // 2 if self._lookahead else CHUNK_VALUES
 
         def steps(width: int) -> int:
             return max(align, budget // (width * n) // align * align)
 
-        def tiles(k: int) -> int:
-            """Fewest equal tiles of the runs whose chunk holds ``k`` steps (one where none can)."""
-            widest = budget // (n * max(1, -(-k // align)) * align) // WIDTH_PAD * WIDTH_PAD
-            return -(-m // widest) if widest else 1
-
         self.width = padded_width(m)
         if spec.is_random:
-            whole = tiles(T)
-            if m * (-(-T // steps(self.width)) - 1) > STEP_CALLS * T * (whole - 1):
-                self.width = padded_width(-(-m // whole))
-            if self._lookahead and T * n >= OVERLAP_MIN_DRAW:
-                self.width = min(self.width, padded_width(-(-m // tiles(-(-OVERLAP_MIN_DRAW // n)))))
-            if n < 8:  # a tile's four steps fit the stage
-                widest = STAGE_VALUES // (4 * n) // WIDTH_PAD * WIDTH_PAD
-                self.width = min(self.width, padded_width(-(-m // -(-m // widest))))
+            # the tile counts from the stage's bound (a tile's four steps fit it at n < 8) to the
+            # fewest whose whole horizon is one chunk, or whose tiles are WIDTH_PAD runs
+            whole = budget // (n * -(-max(T, 1) // align) * align) // WIDTH_PAD * WIDTH_PAD
+            least = -(-m // (STAGE_VALUES // (4 * n) // WIDTH_PAD * WIDTH_PAD)) if n < 8 else 1
+            counts = range(least, max(least, -(-m // max(whole, WIDTH_PAD))) + 1)
+            self.width = min((padded_width(-(-m // t)) for t in counts),
+                             key=lambda W: m * -(-T // steps(W)) + STEP_CALLS * T * -(-m // W))
         self.chunk_steps = min(steps(self.width if spec.is_random else 1), T)
         self.tiles = max(1, -(-m // self.width))
         self._stage = np.empty((4, n, self.width)) if spec.is_random and n < 8 else None

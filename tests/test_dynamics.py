@@ -885,52 +885,52 @@ class TestReproducibilityContract:
 
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy"])
     def test_every_gaussian_chunk_and_no_other_goes_to_the_worker(self, kind, monkeypatch):
-        # a Gaussian chunk goes one ahead, its parts to the worker, whatever its horizon: below
-        # OVERLAP_MIN_DRAW uniforms a run as well as at it. Any other is transformed in the
-        # same parts on the filling thread
+        # a Gaussian chunk goes one ahead, its parts to the worker, even where a run's whole
+        # horizon is one chunk. Any other is transformed in the same parts on the filling thread
         from consensuslab import noise
 
         n, m = 2, 37
         spec = self._worker_noise(n, kind)
         gaussian = kind.startswith("gaussian")
-        for T in (self.T, noise.OVERLAP_MIN_DRAW // n - 4, noise.OVERLAP_MIN_DRAW // n):
-            blocks = [noise.sample_noise_block(spec, T, noise.substream(41, r)) for r in range(m)]
-            executor = self._Pool(eager=True)
-            monkeypatch.setattr(noise, "_WORKER", executor)
-            chunks = noise.NoiseChunks(spec, T, m, 41)
-            rows = np.stack([g.T.copy() for g in chunks])
-            monkeypatch.undo()
-            assert all(np.array_equal(rows[:, r], blocks[r]) for r in range(m)), T
-            assert chunks._lookahead == gaussian and chunks.chunk_steps == T
-            assert chunks.transform_parts == noise.TRANSFORM_PARTS, T
-            # every part ran on the worker, none was taken back
-            assert len(executor.futures) == (noise.TRANSFORM_PARTS if gaussian else 0), T
-            assert not any(f.cancelled() for f in executor.futures), T
+        blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
+        executor = self._Pool(eager=True)
+        monkeypatch.setattr(noise, "_WORKER", executor)
+        chunks = noise.NoiseChunks(spec, self.T, m, 41)
+        rows = np.stack([g.T.copy() for g in chunks])
+        monkeypatch.undo()
+        assert all(np.array_equal(rows[:, r], blocks[r]) for r in range(m))
+        assert chunks._lookahead == gaussian and chunks.chunk_steps == self.T
+        assert chunks.transform_parts == noise.TRANSFORM_PARTS
+        # every part ran on the worker, none was taken back
+        assert len(executor.futures) == (noise.TRANSFORM_PARTS if gaussian else 0)
+        assert not any(f.cancelled() for f in executor.futures)
 
     @classmethod
     def _force_narrow(cls, monkeypatch, spec, tile) -> int:
-        """Make each run draw just over 8 steps a chunk for the worker; return the chunk steps that takes.
+        """Tile 37 runs ``tile`` to a tile, each run drawing just over 8 steps a chunk; return those steps.
 
-        A chunk of ``tile`` runs holds exactly those steps in half the budget,
-        as each of a worker chunk's two buffers does, and a whole horizon fits
-        no tile of 8 runs, so only the Gaussian rule narrows the tiles.
+        A chunk of ``tile`` runs holds exactly those steps in half the
+        budget, as each of a Gaussian chunk's two buffers does, so no tile of
+        8 runs holds a whole horizon. At one Philox call a tile-step these
+        tiles cost least: wider ones take more chunks a run, and narrower
+        ones save fewer calls than their extra steps cost.
         """
         from consensuslab import noise
 
         align = cls._chunk_sizes(spec)[0]
         k = -(-9 // align) * align
-        monkeypatch.setattr(noise, "OVERLAP_MIN_DRAW", 8 * spec.n + 1)
         monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * k * spec.n * tile)
+        monkeypatch.setattr(noise, "STEP_CALLS", 1)
         return k
 
     @pytest.mark.parametrize("stage_agrees", [True, False])
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "time_scale"])
     def test_narrowed_gaussian_tiles_send_every_chunk_to_the_worker(self, kind, n, stage_agrees, monkeypatch):
-        # long-horizon Gaussian runs are tiled narrow enough that each run draws the worker's
-        # minimum per chunk; a dense factor's 12-step chunks of 25 steps leave a one-step
-        # chunk, which it multiplies on its own (STEP_GROUP). A stage of four steps of the
-        # same tile changes nothing
+        # Gaussian runs tiled by the cost rule send every chunk of every tile to the worker, a
+        # chunk started ahead across each tile boundary too; a dense factor's 12-step chunks
+        # of 25 steps leave a one-step chunk, which it multiplies on its own (STEP_GROUP). A
+        # stage of four steps of the same tile changes nothing
         from consensuslab import noise
 
         m = 37
@@ -954,15 +954,6 @@ class TestReproducibilityContract:
             parts = -(-self.T // k) * sum(min(noise.TRANSFORM_PARTS, m - lo) for lo in range(0, m, tile))
             assert chunks.transform_parts == parts
             assert len(executor.futures) == parts and not any(f.cancelled() for f in executor.futures)
-
-    @pytest.mark.parametrize("kind", ["rademacher", "cauchy"])
-    def test_other_kinds_keep_their_tiles(self, kind, monkeypatch):
-        from consensuslab import noise
-
-        spec = self._worker_noise(2, kind)
-        self._force_narrow(monkeypatch, spec, 8)
-        chunks = noise.NoiseChunks(spec, self.T, 37, 41)
-        assert (chunks.tiles, chunks.width, chunks._lookahead) == (1, 40, False)
 
     @pytest.mark.parametrize("family", ["noisy", "average"])
     def test_narrowed_gaussian_tiles_reproduce_the_one_tile_pass(self, family, monkeypatch):
@@ -1083,3 +1074,19 @@ def test_noise_memory_is_bounded_by_a_chunk(tiled, monkeypatch):
     assert ens.engine["tiles"] == (25 if tiled else 1)
     assert peak < 8 * T * n * m / 4
     assert ens.engine["noise_buffer_bytes_peak"] <= 8 * 2**20
+
+
+def test_a_varying_rate_schedule_is_queried_once_a_step():
+    # each tile steps the whole horizon and queries a varying schedule again, so the tile
+    # rule prices a tile-step above what tiling epsilon-oscillator's runs would save
+    from consensuslab import load_catalog_scenario
+
+    s = load_catalog_scenario("epsilon-oscillator")
+    rate, queried = s.model.schedule_E, []
+
+    def counted(t):
+        queried.append(t)
+        return rate(t)
+
+    ens = simulate_ensemble(replace(s.model, schedule_E=counted), s.horizon, s.ensemble, s.master_seed)
+    assert queried == list(range(1, s.horizon + 1)) and ens.engine["tiles"] == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -291,23 +293,38 @@ class TestNoiseChunks:
 
     # (tiles, width, chunk_steps) of every catalog case with random noise
     CATALOG_GEOMETRY = {
-        "cauchy-invariant": (2, 5000, 200), "average-clt": (6, 504, 520), "gaussian-dist": (6, 504, 520),
+        "cauchy-invariant": (2, 5000, 200), "average-clt": (2, 1504, 174), "gaussian-dist": (2, 1504, 174),
         "epsilon-oscillator": (1, 3000, 172), "rademacher-dist": (1, 3000, 174), "average-line": (1, 2000, 262),
     }
 
     @pytest.mark.parametrize("case_id, geometry", CATALOG_GEOMETRY.items())
     def test_catalog_tiles(self, case_id, geometry):
-        # tiling pays where a run takes more than one chunk and the extra engine steps are few,
-        # or where long Gaussian horizons then draw enough a chunk for the worker. Every
-        # Gaussian chunk goes one ahead, in half the budget: epsilon-oscillator's runs draw
-        # 1000 uniforms in all, too few to narrow, so its one tile takes 172-step chunks. No
-        # catalog tile is too wide for the stage to hold four of its steps
+        # the least cost of Philox calls and tile-steps: a second tile pays where it halves a
+        # run's 86-step chunks (n = 2 in half the budget: 12 a run in gaussian-dist, 24 in
+        # average-clt) or takes a Cauchy run's 200 steps to one chunk, and not where it halves
+        # 6 chunks (epsilon-oscillator, the Rademacher cases). Every Gaussian chunk goes one
+        # ahead, in half the budget. No catalog tile is too wide for the stage to hold four
+        # of its steps
         from consensuslab import load_catalog_scenario
 
         s = load_catalog_scenario(case_id)
         chunks = NoiseChunks(s.model.noise, s.horizon, s.ensemble, s.master_seed)
         assert (chunks.tiles, chunks.width, chunks.chunk_steps) == geometry
         assert chunks._lookahead == (s.model.noise.kind == "gaussian")
+
+    @pytest.mark.parametrize("case_id", CATALOG_GEOMETRY)
+    def test_catalog_csvs_ignore_the_tiling(self, case_id, tmp_path, monkeypatch):
+        # the most tiles the rule allows and the fewest give every output byte alike
+        from consensuslab import load_catalog_scenario, run_scenario
+
+        s = load_catalog_scenario(case_id)
+        tiles = []
+        for step_calls in (0, 10**9):
+            monkeypatch.setattr(noise, "STEP_CALLS", step_calls)
+            tiles.append(run_scenario(s, out_dir=tmp_path / str(step_calls)).diagnostics["engine"]["tiles"])
+        assert tiles[0] > tiles[1]
+        for name in ("ensemble.csv", "trajectory.csv"):
+            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / str(10**9) / name).read_bytes(), name
 
     def test_every_random_catalog_case_has_its_geometry_pinned(self):
         from consensuslab import catalog, load_catalog_scenario
@@ -317,42 +334,52 @@ class TestNoiseChunks:
         assert random_cases == set(self.CATALOG_GEOMETRY)
 
     @pytest.mark.parametrize("kind, geometry", [
-        ("gaussian", (6, 504, 520)),
+        ("gaussian", (2, 1504, 174)),
         ("rademacher", (1, 3000, 174)),
         ("cauchy", (1, 3000, 174)),
     ])
-    def test_long_gaussian_runs_take_tiles_that_reach_the_worker(self, kind, geometry):
-        # m = 3000, n = 2, T = 1000: one tile's chunks draw 348 uniforms a run, short of
-        # OVERLAP_MIN_DRAW; in half the budget, six tiles of 504 draw 1040, so the worker takes
-        # Gaussian chunks one ahead. Rademacher and Cauchy chunks never go to the worker
+    def test_long_runs_take_their_least_cost_tiles(self, kind, geometry):
+        # m = 3000, n = 2, T = 1000: one tile's chunks hold 174 steps (86 for a Gaussian chunk,
+        # in half the budget), two tiles' 348 (174). At STEP_CALLS Philox calls a tile-step,
+        # the 18000 calls a second tile saves a Gaussian horizon outweigh its 1000 steps; the
+        # 9000 it saves Rademacher and Cauchy runs do not
         spec = {"gaussian": NoiseSpec.gaussian(np.zeros(2), np.eye(2)),
                 "rademacher": NoiseSpec.rademacher(2), "cauchy": NoiseSpec.cauchy(2)}[kind]
         chunks = NoiseChunks(spec, 1000, 3000, 5)
         assert (chunks.tiles, chunks.width, chunks.chunk_steps) == geometry
-        assert chunks._lookahead == (geometry[0] == 6)
+        assert chunks._lookahead == (kind == "gaussian")
 
-    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 1024])
-    def test_a_long_gaussian_horizon_always_reaches_the_worker(self, n, dense):
-        # every Gaussian chunk goes one ahead, two chunks in the budget; where a run's whole
-        # horizon draws the worker's minimum, the tiles make every full chunk draw it too
-        from consensuslab import noise
-
-        sigma = np.eye(n) + (0.5 * np.ones((n, n)) if dense else np.diag(np.linspace(0.1, 2.0, n)))
-        spec = NoiseSpec.gaussian(np.zeros(n), sigma)
-        least = noise.OVERLAP_MIN_DRAW
-        for T in sorted({(least - 1) // n, -(-least // n), 1000}):
-            for m in (1, 37, 3000, 50_000):
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 100])
+    @pytest.mark.parametrize("kind", ["diagonal", "dense", "rademacher", "cauchy"])
+    def test_tiles_are_the_least_cost(self, kind, n):
+        # brute force over every tile count whose tiles hold WIDTH_PAD runs or more and, at
+        # n < 8, fit the stage: the least Philox calls plus STEP_CALLS per tile-step, ties to
+        # the fewest tiles. A Gaussian chunk is one of two in the budget
+        spec = {"diagonal": NoiseSpec.gaussian(np.zeros(n), np.diag(np.linspace(0.5, 2.0, n))),
+                "dense": NoiseSpec.gaussian(np.zeros(n), np.eye(n) + 0.5 * np.ones((n, n))),
+                "rademacher": NoiseSpec.rademacher(n), "cauchy": NoiseSpec.cauchy(n)}[kind]
+        dense = spec._factor is not None and spec._factor.ndim == 2
+        assert dense == (kind == "dense" and n > 1)
+        align = noise.STEP_GROUP if dense else 4 // math.gcd(n, 4)
+        budget = noise.CHUNK_VALUES // (2 if spec.kind == "gaussian" else 1)
+        for m in (1, 37, 3000, 50_000):
+            for T in (1, 20, 1000):
+                best = None
+                for t in range(1, -(-m // noise.WIDTH_PAD) + 1):
+                    W = noise.padded_width(-(-m // t))
+                    if n < 8 and 4 * n * W > noise.STAGE_VALUES:
+                        continue
+                    k = max(align, budget // (W * n) // align * align)
+                    cost = m * -(-T // k) + noise.STEP_CALLS * T * -(-m // W)
+                    if best is None or cost < best[0]:
+                        best = (cost, -(-m // W), W, min(k, T))
                 chunks = NoiseChunks(spec, T, m, 5)
-                assert chunks._lookahead, (T, m)
-                if T * n >= least:
-                    assert chunks.chunk_steps * n >= least, (T, m)
-                assert 2 * chunks.width * chunks.chunk_steps * n <= noise.CHUNK_VALUES, (T, m)
+                assert (chunks.tiles, chunks.width, chunks.chunk_steps) == best[1:], (m, T)
 
     def test_wide_agents_take_two_lookahead_tiles(self):
-        # n = 100, m = 500, T = 500: a whole horizon fits only 8 runs in half the budget, too
-        # many tiles to save Philox calls; a run's 11-step draw reaches the worker in tiles of
-        # up to 472 runs, so two tiles of 256 take 20-step chunks, one ahead of the other
+        # n = 100, m = 500, T = 500: one tile of 504 takes 10-step chunks, 25000 Philox calls;
+        # two of 256 take 20-step chunks, 12500 calls for 500 more tile-steps, which STEP_CALLS
+        # prices below the calls saved; three of 168 would save 4000 calls for 500 more steps
         chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(100), np.eye(100)), 500, 500, 3)
         assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (2, 256, 20)
         assert chunks._lookahead
