@@ -123,11 +123,11 @@ def _compile_learning_fn(doc: dict) -> LearningFunction:
     raise ValueError(f"unknown learning_fn kind {kind!r}; known: {_LEARNING_KINDS}")
 
 
-def _finite(value) -> np.ndarray:
+def _finite(value, what: str = "entries") -> np.ndarray:
     """``value`` as a float array, refused if any entry is NaN or infinite."""
     a = np.asarray(value, dtype=float)
     if not np.isfinite(a).all():
-        raise ValueError("entries must be finite")
+        raise ValueError(f"{what} must be finite")
     return a
 
 
@@ -363,15 +363,21 @@ def _an_consensus_time(ctx: RunContext, params: dict) -> dict:
 
 
 def _an_periodicity(ctx: RunContext, params: dict) -> dict:
-    p = st.detect_periodicity(ctx.trajectory, int(params["max_period"]), float(params["tol"]))
+    p = st.detect_periodicity(ctx.trajectory, _whole(params["max_period"], "max_period"), float(params["tol"]))
     return {"period": p}
+
+
+def _whole(value, name: str, unit: str = "number") -> int:
+    """``value`` as an int; a fraction is a scenario error, and ``int`` refuses a non-number."""
+    whole = int(value)
+    if whole != value:
+        raise ScenarioFormatError(f"{name} {value!r} is not a whole {unit}")
+    return whole
 
 
 def _step(t, T: int) -> int:
     """A time an analysis names, as a step of 0..T; a fractional time or one outside is a scenario error."""
-    step = int(t)
-    if step != t:
-        raise ScenarioFormatError(f"time {t!r} is not a whole step")
+    step = _whole(t, "time", "step")
     if not 0 <= step <= T:
         raise ScenarioFormatError(f"time {t} lies outside the horizon 0..{T}")
     return step
@@ -389,13 +395,16 @@ def _an_moments(ctx: RunContext, params: dict) -> dict:
 
 def _an_ks(ctx: RunContext, params: dict) -> dict:
     pts = _sample_at(ctx, params.get("at")).points
-    coord = int(params.get("coordinate", 0))
+    coord = _whole(params.get("coordinate", 0), "coordinate")
+    if not 0 <= coord < pts.shape[1]:
+        raise ScenarioFormatError(f"coordinate {coord} lies outside the components 0..{pts.shape[1] - 1}")
     dist = params.get("dist", "cauchy")
     if dist == "cauchy":
-        scale = float(params.get("scale", 1.0))
+        scale = float(_finite(params.get("scale", 1.0), "scale"))
         cdf = lambda x: st.cauchy_cdf(x, scale)
     elif dist == "normal":
-        cdf = lambda x: st.normal_cdf(x, float(params.get("mu", 0.0)), float(params.get("sigma", 1.0)))
+        mu, sigma = (float(_finite(params.get(p, d), p)) for p, d in (("mu", 0.0), ("sigma", 1.0)))
+        cdf = lambda x: st.normal_cdf(x, mu, sigma)
     else:
         raise ScenarioFormatError(f"unknown reference dist {dist!r}; known: ('cauchy', 'normal')")
     stat = st.ks_statistic(pts[:, coord], cdf)

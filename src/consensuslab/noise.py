@@ -24,9 +24,11 @@ of ``STEP_GROUP`` for a dense covariance factor, see ``_correlate``), with
 when even that is too many values). It mixes the seed into the
 ``SeedSequence`` pool once (``seed_pool``), derives a tile's run keys when
 the tile's first chunk starts, in one vectorised pass of the run word's
-round (``run_keys``, checked against numpy at the tile's first run), points
-one reused generator at each run in turn to fill that run's rows of a
-run-major ``(width, k, n)`` buffer, one Philox call per run and chunk, and
+round (``run_keys``, checked against numpy at the tile's first run), and
+fills each run's rows of a run-major ``(width, k, n)`` buffer from one
+reused generator, one Philox call per run and chunk, after writing the
+run's key and counter in place through views of the generator's C state
+(``_philox_views``, whose layout is checked once per pass). Then it
 transforms the chunk (see below). When a run's row is shorter than a cache
 line (``n < 8``), every four steps of the chunk are copied into a
 step-major ``(4, n, width)`` stage, so a step reads its noise contiguously.
@@ -82,6 +84,7 @@ zero draw (probability ``2**-53``) cannot produce an infinity.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import operator
@@ -460,9 +463,11 @@ CHUNK_VALUES = 2**20
 STAGE_VALUES = 2**16
 # Philox calls the tile rule prices a tile-step at (see the module docstring). Measured on the
 # random catalog cases (2 vCPUs, BLAS on one thread, medians of 9 alternating passes): a call
-# more tiles save took 1.2-4.7 us of fill, a tile-step they add 6-16 us with a constant schedule
-# and 35-36 us, 9-10 calls, with epsilon-oscillator's varying one, which each tile queries again.
-# A step is priced above both, so tiles must save more calls than a varying schedule's steps cost.
+# more tiles save took 2.1-4.7 us of fill re-keyed through the state views (1.3-5.6 us through
+# numpy's ``state`` setter in the same alternation), a tile-step they add 6-16 us with a constant
+# schedule and 35-36 us, 7-17 calls, with epsilon-oscillator's varying one, which each tile
+# queries again. A step is priced near the varying schedule's, so tiles must save about as many
+# calls as its steps cost.
 STEP_CALLS = 12
 # Most run keys converted to Python ints at once.
 _KEY_SLICE = 2**10
@@ -481,6 +486,42 @@ class _Chunk:
     scales: Optional[np.ndarray] = None
     parts: list = field(default_factory=list)
     error: Optional[Exception] = None
+
+
+class _PhiloxHead(ctypes.Structure):
+    """The head of numpy's C ``philox_state``: pointers to the counter and key, then ``buffer_pos``."""
+
+    _fields_ = [("ctr", ctypes.c_void_p), ("key", ctypes.c_void_p), ("buffer_pos", ctypes.c_int)]
+
+
+def _philox_views(bitgen: np.random.Philox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of ``bitgen``'s key (2 words), counter (4 words) and ``buffer_pos``, counter words 1-3 zeroed.
+
+    Writing a key, a counter ``c`` in word 0 and ``buffer_pos = 4`` does
+    what the ``state`` setter does with them. The layout is checked: the
+    head and the counter and key it points to must lie inside ``bitgen``
+    before anything is read through the pointers, and a sentinel set
+    through the ``state`` setter must read back through the views; anything
+    else raises ``AssertionError``.
+    """
+    lo = id(bitgen)
+    hi = lo + bitgen.__sizeof__()  # the object's own bytes; ``sys.getsizeof`` adds the GC header before them
+    addr = bitgen.ctypes.state_address
+    head = _PhiloxHead.from_address(addr) if lo <= addr <= hi - ctypes.sizeof(_PhiloxHead) else None
+    if head is None or not (head.ctr and head.key and lo <= head.ctr <= hi - 32 and lo <= head.key <= hi - 16):
+        raise AssertionError(f"{type(bitgen).__name__} does not hold numpy's Philox state layout")
+    key = np.ctypeslib.as_array((ctypes.c_uint64 * 2).from_address(head.key))
+    ctr = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(head.ctr))
+    pos = np.ctypeslib.as_array((ctypes.c_int * 1).from_address(addr + _PhiloxHead.buffer_pos.offset))
+    # every byte of every word unlike a fresh generator's
+    sentinel = {"key": [0x0123456789ABCDEF, 0xFEDCBA9876543210],
+                "counter": [0x1122334455667788, 0x99AABBCCDDEEFF01, 0x2143658709BADCFE, 0xEFCDAB8967452301]}
+    bitgen.state = {"bit_generator": "Philox", "state": sentinel, "buffer": [0] * 4, "buffer_pos": 3,
+                    "has_uint32": 0, "uinteger": 0}
+    if (key.tolist(), ctr.tolist(), int(pos[0])) != (sentinel["key"], sentinel["counter"], 3):
+        raise AssertionError("numpy's Philox state does not read back through its views")
+    ctr[1:] = 0
+    return key, ctr, pos
 
 
 def _stop(parts: list) -> None:
@@ -553,17 +594,24 @@ class NoiseChunks:
             self._pool, self._runs, self._keys = seed_pool(master_seed), m, None
             self._bitgen = np.random.Philox(0)
             self._gen = np.random.Generator(self._bitgen)
+            self._key, self._ctr, self._pos = _philox_views(self._bitgen)
 
     def _fill(self, block: np.ndarray, keys: np.ndarray, c0: int) -> None:
-        """Uniforms of steps ``c0 + 1 ..`` of the runs with Philox ``keys`` (runs, 2) into ``block`` (runs, k, n)."""
-        inner = {"counter": [c0 * self.spec.n // 4, 0, 0, 0], "key": None}
-        state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
-                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        """Uniforms of steps ``c0 + 1 ..`` of the runs with Philox ``keys`` (runs, 2) into ``block`` (runs, k, n).
+
+        Each run is written into the generator's state views: its key, the
+        counter ``c0 * n / 4`` and an empty buffer, since a horizon's last
+        chunk may end part-way through a block and leave the rest buffered.
+        """
+        key, ctr, pos, random = self._key, self._ctr, self._pos, self._gen.random
+        count = c0 * self.spec.n // 4
         for a in range(0, len(keys), _KEY_SLICE):
-            for key, row in zip(keys[a : a + _KEY_SLICE].tolist(), block[a : a + _KEY_SLICE]):
-                inner["key"] = key
-                self._bitgen.state = state
-                self._gen.random(out=row)
+            for (k0, k1), row in zip(keys[a : a + _KEY_SLICE].tolist(), block[a : a + _KEY_SLICE]):
+                key[0] = k0
+                key[1] = k1
+                ctr[0] = count
+                pos[0] = 4
+                random(out=row)
         self.uniforms_drawn += block.size
         self.philox_calls += len(keys)
 

@@ -994,6 +994,32 @@ class TestCLI:
     def test_run_catalog_id(self, tmp_path):
         assert cli.main(["run", "signum-periodic", "--out-dir", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("argv, name, error", [
+        (["cauchy-invariant", "--tol", "ks.coordinate=-1"], "ks",
+         "ScenarioFormatError: coordinate -1 lies outside the components 0..0"),
+        (["cauchy-invariant", "--tol", "ks.coordinate=0.7"], "ks",
+         "ScenarioFormatError: coordinate 0.7 is not a whole number"),
+        (["cauchy-invariant", "--tol", 'ks.dist="normal"', "--tol", "ks.mu=NaN"], "ks", "ValueError: mu must be finite"),
+        (["cauchy-invariant", "--tol", "ks.scale=Infinity"], "ks", "ValueError: scale must be finite"),
+        (["signum-periodic", "--tol", "periodicity.max_period=8.9"], "periodicity",
+         "ScenarioFormatError: max_period 8.9 is not a whole number"),
+    ], ids=["negative-coordinate", "fractional-coordinate", "nan-mu", "infinite-scale", "fractional-max-period"])
+    def test_an_analysis_parameter_it_cannot_take_is_an_error_row(self, tmp_path, argv, name, error):
+        # each of these once analysed something else (the last component, component 0, a NaN
+        # statistic, period 8) and reported ok
+        assert cli.main(["run", *argv, "--ensemble", "200", "--out-dir", str(tmp_path)]) == 1
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["ok"] is False and doc["analyses"][name] == {"error": error}
+
+    @pytest.mark.parametrize("case_id, override, name", [
+        ("cauchy-invariant", "ks.coordinate=0.0", "ks"), ("signum-periodic", "periodicity.max_period=8.0", "periodicity"),
+    ])
+    def test_a_whole_float_parameter_is_its_integer(self, tmp_path, case_id, override, name):
+        assert cli.main(["run", case_id, "--ensemble", "200", "--out-dir", str(tmp_path / "a")]) == 0
+        assert cli.main(["run", case_id, "--ensemble", "200", "--tol", override, "--out-dir", str(tmp_path / "b")]) == 0
+        rows = [json.loads((tmp_path / side / "summary.json").read_text())["analyses"][name] for side in "ab"]
+        assert rows[0] == rows[1] and "error" not in rows[0]
+
     def test_check_failing_condition_exits_one(self, tmp_path):
         assert cli.main(["check", "rho-exp-nonzero", "--out-dir", str(tmp_path)]) == 1
 

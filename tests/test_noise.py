@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -418,6 +419,56 @@ class TestNoiseChunks:
         chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(3), np.eye(3)), 40, 20, 2)
         list(chunks)
         assert chunks.fill_s > 0 and chunks.transform_s > 0
+
+
+class TestPhiloxViews:
+    """The engine re-keys its one Philox generator per run through views of numpy's C state."""
+
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.SFC64, np.random.MT19937])
+    def test_other_generators_are_refused_untouched(self, bitgen):
+        # PCG64's key word is null; SFC64's and MT19937's first words are state, not pointers,
+        # which the guard refuses before reading through them, and nothing is written
+        bg = bitgen(1)
+        with pytest.raises(AssertionError, match="does not hold numpy's Philox state layout"):
+            noise._philox_views(bg)
+        assert np.array_equal(bg.random_raw(4), bitgen(1).random_raw(4))
+
+    def test_a_layout_that_does_not_read_back_is_refused(self, monkeypatch):
+        # counter and key swapped: both pointers lie inside the generator, the sentinel does not read back
+        swapped = [("key", ctypes.c_void_p), ("ctr", ctypes.c_void_p), ("buffer_pos", ctypes.c_int)]
+        monkeypatch.setattr(noise, "_PhiloxHead", type("Swapped", (ctypes.Structure,), {"_fields_": swapped}))
+        with pytest.raises(AssertionError, match="does not read back"):
+            noise._philox_views(np.random.Philox(0))
+
+    def test_views_rekey_like_the_state_setter(self):
+        bg = np.random.Philox(0)
+        key, ctr, pos = noise._philox_views(bg)
+        assert ctr.tolist()[1:] == [0, 0, 0]
+        gen = np.random.Generator(bg)
+        k = [0x9E3779B97F4A7C15, 0x243F6A8885A308D3]
+        for c in (0, 3, 2**40):
+            gen.random(3)  # leave part of a block buffered
+            key[0], key[1], ctr[0], pos[0] = k[0], k[1], c, 4
+            expected = np.random.Generator(np.random.Philox(key=np.array(k, dtype=np.uint64), counter=c))
+            assert np.array_equal(gen.random(9), expected.random(9)), c
+
+    @pytest.mark.parametrize("spec", [NoiseSpec.gaussian(np.zeros(3), np.eye(3)), NoiseSpec.cauchy(3)],
+                             ids=["gaussian", "cauchy"])
+    def test_interleaved_passes_keep_their_own_streams(self, spec, monkeypatch):
+        # 4-step chunks of 16 columns (a Gaussian chunk is one of two in the budget), so each pass
+        # re-keys its generator three times per run; T * n = 27 ends the last chunk mid-block
+        monkeypatch.setattr(noise, "CHUNK_VALUES", (2 if spec.kind == "gaussian" else 1) * 4 * 16 * 3)
+        T, m = 9, 11
+        a, b = NoiseChunks(spec, T, m, 5), NoiseChunks(spec, T, m, 6)
+        assert (a.tiles, a.width, a.chunk_steps) == (b.tiles, b.width, b.chunk_steps) == (1, 16, 4)
+        for view_a, view_b in zip((a._key, a._ctr, a._pos), (b._key, b._ctr, b._pos)):
+            assert not np.shares_memory(view_a, view_b)
+        steps = [(ga.copy(), gb.copy()) for ga, gb in zip(a, b)]
+        for seed, side in ((5, 0), (6, 1)):
+            rows = np.stack([pair[side] for pair in steps])  # (T, n, width)
+            for r in range(m):
+                assert np.array_equal(rows[:, :, r], sample_noise_block(spec, T, substream(seed, r))), (seed, r)
+        assert a.philox_calls == b.philox_calls == 3 * m
 
 
 class TestEpsilonOscillator:
