@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import orjson
 
 from .errors import InconsistentDeclarationError
 from .matrices import contraction_factor, entries_of, matrix_inf_norm
@@ -43,23 +44,14 @@ class ConditionReport:
 
 
 def _sanitize(obj):
-    """Make a JSON-safe copy: numpy to python, non-finite floats to None."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and np.isfinite(obj).all():
-            return obj.tolist()
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        return x if np.isfinite(x) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    """A plain copy of ``obj`` as orjson writes it: numpy values become Python ones, non-finite floats None.
+
+    Dict keys become strings and tuples lists. An array orjson does not take
+    itself (a non-contiguous view, a 0-d array) goes through ``tolist``; any
+    other type orjson does not know raises ``TypeError``.
+    """
+    options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_NON_STR_KEYS
+    return orjson.loads(orjson.dumps(obj, default=np.ndarray.tolist, option=options))
 
 
 def check_base_rates(A, eps, beta=None, delta: Optional[float] = None) -> ConditionReport:

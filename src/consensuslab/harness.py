@@ -131,6 +131,11 @@ def _finite(value, what: str = "entries") -> np.ndarray:
     return a
 
 
+def _real(params: dict, name: str, default=None) -> float:
+    """A check or analysis parameter as a finite float, ``default`` where it is absent (required without one)."""
+    return float(_finite(params[name] if default is None else params.get(name, default), name))
+
+
 def _compile_matrix_schedule(doc: dict):
     """A constant matrix or a table of them, each refused here unless finite and row-stochastic."""
     kind = doc.get("kind")
@@ -250,7 +255,7 @@ def load_scenario(source) -> Scenario:
 
 def _rho_from_spec(scenario: Scenario, params: dict) -> np.ndarray:
     """rho_1..rho_T of a check's ``rho`` spec (the model's by default); ``T`` defaults to the horizon."""
-    T = int(params.get("T", scenario.horizon))
+    T = _whole(params.get("T", scenario.horizon), "T")
     doc = params.get("rho", {"kind": "model"})
     kind = doc.get("kind", "model")
     if kind == "model":
@@ -262,9 +267,9 @@ def _rho_from_spec(scenario: Scenario, params: dict) -> np.ndarray:
     if kind == "exp_inverse_square":
         return rho_exp_inverse_square(T)
     if kind == "constant":
-        return np.full(T, float(doc["value"]))
+        return np.full(T, _real(doc, "value"))
     if kind == "table":
-        values = np.asarray(doc["values"], dtype=float)
+        values = _finite(doc["values"], "values")
         if values.size < T:
             raise ScenarioFormatError(f"rho table has {values.size} values, the check needs T={T}")
         return values[:T]
@@ -285,7 +290,9 @@ def _model_at_t1(scenario: Scenario):
 
 def _check_base_rates(scenario: Scenario, params: dict) -> cond.ConditionReport:
     _, a, e, _, _ = _model_at_t1(scenario)
-    return cond.check_base_rates(a, e, beta=params.get("beta"), delta=params.get("delta"))
+    beta, delta = params.get("beta"), params.get("delta")
+    return cond.check_base_rates(a, e, beta=None if beta is None else _finite(beta, "beta"),
+                                 delta=None if delta is None else _real(params, "delta"))
 
 
 def _check_average_rates(scenario: Scenario, params: dict) -> cond.ConditionReport:
@@ -296,16 +303,16 @@ def _check_average_rates(scenario: Scenario, params: dict) -> cond.ConditionRepo
 def _check_product_to_zero(scenario: Scenario, params: dict) -> cond.ConditionReport:
     return cond.check_product_to_zero(
         _rho_from_spec(scenario, params),
-        product_tol=float(params.get("product_tol", cond.PRODUCT_TOL)),
-        decrement_tol=float(params.get("decrement_tol", cond.LOG_DECREMENT_TOL)),
+        product_tol=_real(params, "product_tol", cond.PRODUCT_TOL),
+        decrement_tol=_real(params, "decrement_tol", cond.LOG_DECREMENT_TOL),
     )
 
 
 def _check_ll1(scenario: Scenario, params: dict) -> cond.ConditionReport:
     return cond.check_ll1(
         _rho_from_spec(scenario, params),
-        sup_bound=float(params.get("sup_bound", cond.SUP_BOUND)),
-        growth_frac=float(params.get("growth_frac", cond.GROWTH_FRAC)),
+        sup_bound=_real(params, "sup_bound", cond.SUP_BOUND),
+        growth_frac=_real(params, "growth_frac", cond.GROWTH_FRAC),
     )
 
 
@@ -313,12 +320,12 @@ def _check_ll1b(scenario: Scenario, params: dict) -> cond.ConditionReport:
     spec = scenario.model
     if spec is None or spec.schedule_E is None:
         raise ScenarioFormatError("ll1b needs a model with rate schedules")
-    T = int(params.get("T", scenario.horizon))
+    T = _whole(params.get("T", scenario.horizon), "T")
     return cond.check_ll1b(
         spec.schedule_A,
         spec.schedule_E,
         T,
-        summability_tol=float(params.get("summability_tol", cond.SUMMABILITY_TOL)),
+        summability_tol=_real(params, "summability_tol", cond.SUMMABILITY_TOL),
     )
 
 
@@ -327,9 +334,10 @@ def _check_nonlinear_bounds(scenario: Scenario, params: dict) -> cond.ConditionR
     if spec is None or spec.family is not ModelFamily.NONLINEAR:
         raise ScenarioFormatError("nonlinear_bounds needs a nonlinear model")
     grid = params.get("grid")
-    if grid is not None and len(grid) == 3:
-        grid = np.linspace(float(grid[0]), float(grid[1]), int(grid[2]))
-    T = int(params.get("T", max(scenario.horizon, 1)))
+    if grid is not None:
+        grid = (np.linspace(*_finite(grid[:2], "grid"), _whole(grid[2], "grid point count")) if len(grid) == 3
+                else _finite(grid, "grid"))
+    T = _whole(params.get("T", max(scenario.horizon, 1)), "T")
     return cond.check_nonlinear_bounds(spec.learning_fn, spec.schedule_A, T, grid=grid)
 
 
@@ -358,12 +366,14 @@ def _an_consensus_time(ctx: RunContext, params: dict) -> dict:
     target = params.get("target", "sigma_bar")
     if target == "sigma_bar":
         target = ctx.scenario.model.sigma_bar
-    t = st.consensus_time(ctx.trajectory, target, float(params["tol"]))
-    return {"time": t, "tol": float(params["tol"])}
+    elif target is not None:
+        target = _finite(target, "target")
+    tol = _real(params, "tol")
+    return {"time": st.consensus_time(ctx.trajectory, target, tol), "tol": tol}
 
 
 def _an_periodicity(ctx: RunContext, params: dict) -> dict:
-    p = st.detect_periodicity(ctx.trajectory, _whole(params["max_period"], "max_period"), float(params["tol"]))
+    p = st.detect_periodicity(ctx.trajectory, _whole(params["max_period"], "max_period"), _real(params, "tol"))
     return {"period": p}
 
 
@@ -400,15 +410,15 @@ def _an_ks(ctx: RunContext, params: dict) -> dict:
         raise ScenarioFormatError(f"coordinate {coord} lies outside the components 0..{pts.shape[1] - 1}")
     dist = params.get("dist", "cauchy")
     if dist == "cauchy":
-        scale = float(_finite(params.get("scale", 1.0), "scale"))
+        scale = _real(params, "scale", 1.0)
         cdf = lambda x: st.cauchy_cdf(x, scale)
     elif dist == "normal":
-        mu, sigma = (float(_finite(params.get(p, d), p)) for p, d in (("mu", 0.0), ("sigma", 1.0)))
+        mu, sigma = _real(params, "mu", 0.0), _real(params, "sigma", 1.0)
         cdf = lambda x: st.normal_cdf(x, mu, sigma)
     else:
         raise ScenarioFormatError(f"unknown reference dist {dist!r}; known: ('cauchy', 'normal')")
     stat = st.ks_statistic(pts[:, coord], cdf)
-    level = float(params.get("level", 0.01))
+    level = _real(params, "level", 0.01)
     crit = st.ks_critical_value(pts.shape[0], level)
     return {"statistic": stat, "critical": crit, "level": level, "below_critical": bool(stat < crit)}
 
@@ -416,7 +426,7 @@ def _an_ks(ctx: RunContext, params: dict) -> dict:
 def _an_ks_best_fit_normal(ctx: RunContext, params: dict) -> dict:
     pts = _sample_at(ctx, params.get("at")).points
     m = pts.shape[0]
-    level = float(params.get("level", 0.01))
+    level = _real(params, "level", 0.01)
     crit = st.ks_critical_value(m, level)
     per = []
     for j in range(pts.shape[1]):
@@ -430,7 +440,7 @@ def _an_ks_best_fit_normal(ctx: RunContext, params: dict) -> dict:
 
 def _an_drift(ctx: RunContext, params: dict) -> dict:
     samples = {s.t_final: s for s in (_sample_at(ctx, t) for t in params["times"])}
-    report = st.distribution_drift(samples, decay_ratio=float(params.get("decay_ratio", 0.5)))
+    report = st.distribution_drift(samples, decay_ratio=_real(params, "decay_ratio", 0.5))
     out = report.to_json()
     out["max_distance"] = report.max_distance()
     return out
@@ -454,8 +464,8 @@ def _an_clt_check(ctx: RunContext, params: dict) -> dict:
         sigma = np.eye(spec.n)
     else:
         raise ScenarioFormatError("clt_check needs gaussian or rademacher noise")
-    c, converged = product_limit(b, t_max=int(params.get("product_t_max", 4 * ctx.scenario.horizon)),
-                                 rank_one_tol=float(params.get("rank_one_tol", 1e-10)))
+    t_max = _whole(params.get("product_t_max", 4 * ctx.scenario.horizon), "product_t_max")
+    c, converged = product_limit(b, t_max=t_max, rank_one_tol=_real(params, "rank_one_tol", 1e-10))
     target = st.clt_target(c, e, sigma)
     ens = ctx.ensemble
     pts = ens.terminal_states
@@ -463,8 +473,8 @@ def _an_clt_check(ctx: RunContext, params: dict) -> dict:
     _, emp = st.empirical_moments(scaled)
     rel = np.abs(emp - target.covariance) / np.abs(target.covariance)
     score = st.rank_one_score(emp)
-    rel_tol = float(params.get("rel_tol", 0.15))
-    score_tol = float(params.get("score_tol", 0.05))
+    rel_tol = _real(params, "rel_tol", 0.15)
+    score_tol = _real(params, "score_tol", 0.05)
     return {
         "product_converged": bool(converged),
         "target_cov": target.covariance,
@@ -485,7 +495,7 @@ def _an_rank_one(ctx: RunContext, params: dict) -> dict:
 def _an_product_limit(ctx: RunContext, params: dict) -> dict:
     _, _, _, b, _ = _constant_average_model(ctx, "product_limit")
     c, converged = product_limit(
-        b, t_max=int(params.get("t_max", 1000)), rank_one_tol=float(params.get("rank_one_tol", 1e-10))
+        b, t_max=_whole(params.get("t_max", 1000), "t_max"), rank_one_tol=_real(params, "rank_one_tol", 1e-10)
     )
     nu = c.entries[0]
     residual = float(np.max(np.abs(nu @ b - nu)))
@@ -663,28 +673,22 @@ def _resolve(
                 f"override {key!r} names no check or analysis parameter; known names: {known}"
             )
         merged.setdefault(name, {})[param] = value
+    resolved = {"horizon": scenario.horizon, "ensemble": scenario.ensemble, "master_seed": scenario.master_seed}
     for name, value in (("horizon", horizon), ("ensemble", ensemble), ("master_seed", master_seed)):
-        with _invalid(name, f"/{name}"):
-            if value is not None and int(value) != value:
-                raise ValueError(f"{value!r} is not a whole number")
-    T = scenario.horizon if horizon is None else int(horizon)
-    m = scenario.ensemble if ensemble is None else int(ensemble)
+        if value is not None:
+            with _invalid(name, f"/{name}"):
+                if int(value) != value:
+                    raise ValueError(f"{value!r} is not a whole number")
+            resolved[name] = int(value)
+            _validate(resolved[name], _SCENARIO_SCHEMA["properties"][name], (name,))
     checks = [{**item, **merged.get(item["name"], {})} for item in scenario.checks]
-    for name, value, given in (("horizon", T, horizon), ("ensemble", m, ensemble), ("checks", checks, merged or None)):
-        if given is not None:
-            _validate(value, _SCENARIO_SCHEMA["properties"][name], (name,))
+    if merged:
+        _validate(checks, _SCENARIO_SCHEMA["properties"]["checks"], ("checks",))
     model = scenario.model
-    if T != scenario.horizon and "model" in scenario.raw:
-        model = _compile_model(scenario.raw["model"], T)
-    return replace(
-        scenario,
-        horizon=T,
-        ensemble=m,
-        master_seed=scenario.master_seed if master_seed is None else int(master_seed),
-        checks=checks,
-        analyses=[{**item, **merged.get(item["name"], {})} for item in scenario.analyses],
-        model=model,
-    )
+    if resolved["horizon"] != scenario.horizon and "model" in scenario.raw:
+        model = _compile_model(scenario.raw["model"], resolved["horizon"])
+    analyses = [{**item, **merged.get(item["name"], {})} for item in scenario.analyses]
+    return replace(scenario, **resolved, checks=checks, analyses=analyses, model=model)
 
 
 def _execute(
@@ -800,9 +804,9 @@ def _execute(
     )
     # The phases share clock boundaries, so they add up to total_s: write_s is
     # the rest, the CSV files, sanitising and summary.json. The summary is
-    # streamed with a slot object for its timing; when the encoder reaches the
-    # slot, everything before it is written, so the clock stops there and the
-    # timing fills the slot, nested where ``json.dump`` nests any dict value.
+    # encoded with a slot object for its timing; orjson calls ``default`` when
+    # it reaches the slot, after encoding everything before it, so the clock
+    # stops there and the timing dict ``default`` returns is encoded in place.
     slot = object()
 
     def fill_timing(o):
@@ -814,8 +818,7 @@ def _execute(
         return timing
 
     p = target_dir / "summary.json"
-    with open(p, "w") as fh:
-        json.dump({**summary.to_json(), "timing": slot}, fh, indent=2, allow_nan=False, default=fill_timing)
+    p.write_bytes(orjson.dumps({**summary.to_json(), "timing": slot}, default=fill_timing, option=orjson.OPT_INDENT_2))
     summary.outputs["summary_json"] = str(p)
     return summary, ctx
 

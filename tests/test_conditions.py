@@ -309,3 +309,19 @@ class TestSanitize:
         assert got == [[1.0, None], [None, 2.5]]
         assert _sanitize(np.array([1, 2])) == [1, 2]
         json.dumps(_sanitize([np.float64(np.inf), (np.array([0.5]),)]), allow_nan=False)
+
+    def test_arrays_orjson_does_not_take_come_back_as_their_tolist(self):
+        from consensuslab.conditions import _sanitize
+
+        def leaves(v):
+            return [w for u in v for w in leaves(u)] if isinstance(v, list) else [v]
+
+        a = np.arange(6.0).reshape(2, 3) / 7
+        # a transpose and a diagonal view are not C-contiguous; a 0-d array is a scalar
+        for x in (a.T, np.diagonal(a), np.array(2.5), np.array(3), a[:, ::2].T):
+            got, want = _sanitize({"x": x})["x"], x.tolist()
+            assert got == want
+            assert list(map(type, leaves(got))) == list(map(type, leaves(want)))
+        assert _sanitize(np.array(np.inf)) is None
+        with pytest.raises(TypeError):
+            _sanitize({"x": object()})

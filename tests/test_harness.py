@@ -325,6 +325,31 @@ class TestSchemaMaxima:
             load_scenario(dict(MINIMAL, **{field: largest + 1}))
         assert e.value.pointer == f"/{field}"
 
+    def test_master_seed_is_at_most_64_bits(self, tmp_path):
+        # summary.json is written by orjson, which takes integers of at most 64 bits
+        largest = 2**64 - 1
+        doc = dict(load_catalog_scenario("gaussian-dist").raw, horizon=5, ensemble=3, master_seed=largest,
+                   snapshot_times=[], analyses=[{"name": "moments"}])
+        summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
+        assert summary.ok and summary.master_seed == largest
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert written["master_seed"] == written["seed_provenance"]["master_seed"] == largest
+        with pytest.raises(ScenarioFormatError, match="maximum") as e:
+            load_scenario(dict(doc, master_seed=largest + 1))
+        assert e.value.pointer == "/master_seed"
+
+    @pytest.mark.parametrize("seed, message", [(2**64, "greater than the maximum"), (-1, "less than the minimum")])
+    def test_a_master_seed_override_past_the_schema_is_refused(self, seed, message, tmp_path, capsys):
+        scenario = load_catalog_scenario("base-3agent")
+        with pytest.raises(ScenarioFormatError, match=message) as e:
+            run_scenario(scenario, out_dir=tmp_path / "a", master_seed=seed)
+        assert e.value.pointer == "/master_seed"
+        # base-3agent draws no noise, so only the override's check refuses it
+        assert cli.main(["run", "base-3agent", "--seed", str(seed), "--out-dir", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.rstrip().endswith("(at /master_seed)")
+        assert not any(tmp_path.iterdir())
+
     def test_agent_count(self):
         with pytest.raises(ScenarioFormatError, match="maximum") as e:
             load_scenario(dict(MINIMAL, model=dict(MINIMAL["model"], n=10**4 + 1)))
@@ -640,12 +665,21 @@ class TestRunScenario:
         for name in ("trajectory.csv", "ensemble.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_summary_validates_against_schema(self, tmp_path):
-        summary = run_scenario(load_scenario(dict(MINIMAL, horizon=10)), out_dir=tmp_path)
+    @pytest.mark.parametrize("case_id", [None, *catalog()])
+    def test_summary_validates_against_schema(self, case_id, tmp_path):
+        def typed(x):  # each leaf with its type, so 1 == 1.0 and True == 1 do not pass
+            if isinstance(x, dict):
+                return {k: typed(v) for k, v in x.items()}
+            return [typed(v) for v in x] if isinstance(x, list) else (type(x), x)
+
+        scenario = load_scenario(dict(MINIMAL, horizon=10)) if case_id is None else load_catalog_scenario(case_id)
+        summary = run_scenario(scenario, out_dir=tmp_path)
         doc = json.loads((tmp_path / "summary.json").read_text())
         validate_summary(doc)
-        assert doc == {**summary.to_json(), "outputs": {k: v for k, v in summary.to_json()["outputs"].items() if k != "summary_json"}}
-        # every numeric field in the document is finite (json.dump was strict)
+        expected = summary.to_json()
+        expected["outputs"] = {k: v for k, v in expected["outputs"].items() if k != "summary_json"}
+        assert typed(doc) == typed(expected)
+        # every numeric field in the document is finite (orjson writes no NaN or Infinity)
         json.dumps(doc, allow_nan=False)
 
     def test_partial_failures_recorded(self, tmp_path):
@@ -702,14 +736,15 @@ class TestRunScenario:
         # phase: a slowed encoder's time shows in the file's write_s and total_s
         import time
 
-        iterencode = json.JSONEncoder.iterencode
+        dumps = harness.orjson.dumps
 
-        def slow(self, o, *args, **kwargs):
-            if isinstance(o, dict) and "scenario_id" in o:
+        def slow(obj, *args, **kwargs):
+            # the patch reaches every orjson call (sanitising, CSV rows); only the summary is slowed
+            if isinstance(obj, dict) and "scenario_id" in obj:
                 time.sleep(0.3)
-            return iterencode(self, o, *args, **kwargs)
+            return dumps(obj, *args, **kwargs)
 
-        monkeypatch.setattr(json.JSONEncoder, "iterencode", slow)
+        monkeypatch.setattr(harness.orjson, "dumps", slow)
         summary = run_scenario(load_catalog_scenario("signum-periodic"), out_dir=tmp_path)
         monkeypatch.undo()
         text = (tmp_path / "summary.json").read_text()
@@ -719,7 +754,7 @@ class TestRunScenario:
         assert timing["write_s"] >= 0.3 and timing["total_s"] >= 0.3
         phases = timing["checks_s"] + sum(timing["engine"].values()) + timing["analyses_s"] + timing["write_s"]
         assert abs(phases - timing["total_s"]) <= 1e-9
-        assert text == json.dumps(doc, indent=2)  # the format json.dump(..., indent=2) writes
+        assert text == dumps(doc, option=harness.orjson.OPT_INDENT_2).decode()  # orjson's 2-space layout
         validate_summary(doc)
 
     @pytest.mark.parametrize("case_id", ["average-clt", "gaussian-dist", "rho-harmonic"])
@@ -1003,13 +1038,39 @@ class TestCLI:
         (["cauchy-invariant", "--tol", "ks.scale=Infinity"], "ks", "ValueError: scale must be finite"),
         (["signum-periodic", "--tol", "periodicity.max_period=8.9"], "periodicity",
          "ScenarioFormatError: max_period 8.9 is not a whole number"),
-    ], ids=["negative-coordinate", "fractional-coordinate", "nan-mu", "infinite-scale", "fractional-max-period"])
+        (["base-3agent", "--tol", "consensus_time.tol=NaN"], "consensus_time", "ValueError: tol must be finite"),
+        (["signum-periodic", "--tol", "periodicity.tol=NaN"], "periodicity", "ValueError: tol must be finite"),
+        (["rho-harmonic", "--tol", "product_to_zero.decrement_tol=NaN"], "product_to_zero",
+         "ValueError: decrement_tol must be finite"),
+        (["average-consensus", "--tol", "product_limit.rank_one_tol=NaN"], "product_limit",
+         "ValueError: rank_one_tol must be finite"),
+        (["average-clt", "--horizon", "100", "--tol", "clt_check.rel_tol=NaN"], "clt_check",
+         "ValueError: rel_tol must be finite"),
+        (["average-consensus", "--tol", "product_limit.t_max=10.7"], "product_limit",
+         "ScenarioFormatError: t_max 10.7 is not a whole number"),
+        (["gaussian-dist", "--tol", "drift.decay_ratio=NaN"], "drift", "ValueError: decay_ratio must be finite"),
+        (["base-3agent", "--tol", "base_rates.beta=[1, 1, 1]", "--tol", "base_rates.delta=NaN"], "base_rates",
+         "ValueError: delta must be finite"),
+        (["base-3agent", "--tol", "base_rates.beta=[1, NaN, 1]", "--tol", "base_rates.delta=0.5"], "base_rates",
+         "ValueError: beta must be finite"),
+        (["base-3agent", "--tol", "ll1.sup_bound=NaN"], "ll1", "ValueError: sup_bound must be finite"),
+        (["rho-harmonic", "--tol", 'll1.rho={"kind": "constant", "value": NaN}'], "ll1",
+         "ValueError: value must be finite"),
+        (["nonlinear-tanh", "--tol", "nonlinear_bounds.grid=[-3.0, NaN, 100]"], "nonlinear_bounds",
+         "ValueError: grid must be finite"),
+        (["nonlinear-tanh", "--tol", "nonlinear_bounds.grid=[-3.0, 3.0, 100.5]"], "nonlinear_bounds",
+         "ScenarioFormatError: grid point count 100.5 is not a whole number"),
+    ], ids=["negative-coordinate", "fractional-coordinate", "nan-mu", "infinite-scale", "fractional-max-period",
+            "nan-consensus-tol", "nan-periodicity-tol", "nan-decrement-tol", "nan-rank-one-tol", "nan-rel-tol",
+            "fractional-t-max", "nan-decay-ratio", "nan-delta", "nan-beta",
+            "nan-sup-bound", "nan-rho-value", "nan-grid", "fractional-grid-count"])
     def test_an_analysis_parameter_it_cannot_take_is_an_error_row(self, tmp_path, argv, name, error):
-        # each of these once analysed something else (the last component, component 0, a NaN
-        # statistic, period 8) and reported ok
+        # each of these once analysed or checked something else (the last component, component 0,
+        # a NaN statistic, period 8, a null or flipped figure, a truncated count) and reported ok
         assert cli.main(["run", *argv, "--ensemble", "200", "--out-dir", str(tmp_path)]) == 1
         doc = json.loads((tmp_path / "summary.json").read_text())
-        assert doc["ok"] is False and doc["analyses"][name] == {"error": error}
+        rows = {**doc["analyses"], **{row.pop("name"): row for row in doc["checks"]}}
+        assert doc["ok"] is False and rows[name] == {"error": error}
 
     @pytest.mark.parametrize("case_id, override, name", [
         ("cauchy-invariant", "ks.coordinate=0.0", "ks"), ("signum-periodic", "periodicity.max_period=8.0", "periodicity"),
@@ -1054,7 +1115,7 @@ class TestCLI:
 
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         assert cli.main(["run", "gaussian-dist", "--seed", "-3", "--out-dir", str(tmp_path)]) == 2
-        assert "expected non-negative integer" in capsys.readouterr().err
+        assert "-3 is less than the minimum of 0 (at /master_seed)" in capsys.readouterr().err
 
     def test_an_oversized_scenario_exits_two(self, tmp_path):
         # 100 agents over the largest horizon the schema admits, 10**7 steps, ask the engine
