@@ -123,8 +123,18 @@ def _compile_learning_fn(doc: dict) -> LearningFunction:
     raise ValueError(f"unknown learning_fn kind {kind!r}; known: {_LEARNING_KINDS}")
 
 
+def _no_booleans(value, pointer: str) -> None:
+    """Refuse a boolean anywhere in ``value``, a JSON document or a part of one, at its pointer below ``pointer``."""
+    if isinstance(value, bool):
+        raise ScenarioFormatError(f"{value!r} is not a number", pointer)
+    for key, v in value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ():
+        if isinstance(v, (bool, dict, list)):
+            _no_booleans(v, f"{pointer}/{key}")
+
+
 def _finite(value, what: str = "entries") -> np.ndarray:
-    """``value`` as a float array, refused if any entry is NaN or infinite."""
+    """``value`` as a float array, refused if any entry is a boolean, NaN or infinite."""
+    _no_booleans(value, what)
     a = np.asarray(value, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
@@ -224,6 +234,7 @@ def load_scenario(source) -> Scenario:
             raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
 
     _validate(doc, _SCENARIO_SCHEMA)
+    _no_booleans(doc.get("model"), "/model")  # no model field is boolean, and numpy reads one as 0 or 1
     horizon = int(doc.get("horizon", 100))
     ensemble = int(doc.get("ensemble", 1))
     master_seed = int(doc.get("master_seed", 0))
@@ -297,7 +308,9 @@ def _check_base_rates(scenario: Scenario, params: dict) -> cond.ConditionReport:
 
 def _check_average_rates(scenario: Scenario, params: dict) -> cond.ConditionReport:
     _, a, e, _, _ = _model_at_t1(scenario)
-    return cond.check_average_rates(a, e, strict=bool(params.get("strict", True)))
+    if not isinstance(strict := params.get("strict", True), bool):
+        raise ScenarioFormatError(f"strict {strict!r} is not a boolean")
+    return cond.check_average_rates(a, e, strict=strict)
 
 
 def _check_product_to_zero(scenario: Scenario, params: dict) -> cond.ConditionReport:
@@ -378,9 +391,9 @@ def _an_periodicity(ctx: RunContext, params: dict) -> dict:
 
 
 def _whole(value, name: str, unit: str = "number") -> int:
-    """``value`` as an int; a fraction is a scenario error, and ``int`` refuses a non-number."""
+    """``value`` as an int; a fraction or a boolean is a scenario error, and ``int`` refuses a non-number."""
     whole = int(value)
-    if whole != value:
+    if whole != value or isinstance(value, bool):
         raise ScenarioFormatError(f"{name} {value!r} is not a whole {unit}")
     return whole
 

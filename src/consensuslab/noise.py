@@ -40,23 +40,20 @@ r))`` bit for bit whatever the chunk size, the tiling or the ensemble
 width.
 
 The runs of a random chunk are filled in ``TRANSFORM_PARTS`` consecutive
-parts of whole runs. Every Gaussian chunk is started one ahead: chunk
-``c + 1`` is filled, each part handed to one worker thread once filled,
-before the engine steps chunk ``c``, each chunk in one of two buffers of
-half ``CHUNK_VALUES``, and the geometry below is sized with that half. When
-the engine reaches ``c + 1``, the filling thread takes back the parts the
-worker has not started, last first, and waits for the rest. The Rademacher
-and Cauchy maps cost less than handing their parts over, so their chunks
-have one buffer of the whole budget and each part is transformed on the
-filling thread right after its fill. ``ndtri``, the ufuncs and ``matmul``
-release the GIL; re-keying Philox holds it once per run, so only the
-filling thread draws. The transform is elementwise (per run for
+parts, each handed to one worker thread once filled. Every chunk is started
+one ahead, before the engine steps the chunk before it, in one of two
+buffers of half ``CHUNK_VALUES``, which sizes the geometry below. When the
+engine reaches a chunk, the filling thread takes back the parts the worker
+has not started, last first, and waits for the rest. ``ndtri``, the ufuncs
+and ``matmul`` release the GIL; re-keying Philox holds it once per run, so
+only the filling thread draws. The transform is elementwise (per run for
 ``_correlate``) with each step's ``time_scale`` evaluated once, on the
-filling thread, so no byte depends on the thread. An error in starting a
-chunk (its fill, ``time_scale`` or a part's transform) is raised as it was
-at the chunk's first step, and closing the iteration early stops every part
-of the chunk ahead. A process forked after the worker started has no worker
-and takes back every part.
+filling thread, so no byte depends on the thread. Deterministic rows call
+the spec's Python code, so they are computed there too. An error in
+starting a chunk (its fill, its rows, ``time_scale`` or a part's transform)
+is raised as it was at the chunk's first step, and closing the iteration
+early stops every part of the chunk ahead. A process forked after the
+worker started has no worker and takes back every part.
 
 The width is the run count padded with zero-noise runs to a multiple of
 ``WIDTH_PAD`` (``padded_width(m)``), one tile. Random runs may instead go
@@ -457,7 +454,7 @@ def sample_noise_block(spec: NoiseSpec, T: int, stream: Optional[np.random.Gener
 
 
 # Most noise values the engine's chunk buffers hold (steps * padded width * n): 8 MiB of
-# doubles, half each for a chunk the worker transforms and the one stepped before it.
+# doubles, half each for the chunk stepped and the one started ahead of it.
 CHUNK_VALUES = 2**20
 # Most values of the step-major stage of four steps (see ``NoiseChunks``): 512 KiB.
 STAGE_VALUES = 2**16
@@ -471,8 +468,8 @@ STAGE_VALUES = 2**16
 STEP_CALLS = 12
 # Most run keys converted to Python ints at once.
 _KEY_SLICE = 2**10
-# Parts of whole runs a random chunk is filled in, each transformed once filled, on the
-# worker for Gaussian noise (see ``NoiseChunks``).
+# Parts of whole runs a random chunk is filled in, each transformed on the worker once filled
+# (see ``NoiseChunks``).
 TRANSFORM_PARTS = 8
 # The one thread that transforms noise alongside the Philox fill; it never fills.
 _WORKER = ThreadPoolExecutor(1, thread_name_prefix="consensuslab-noise")
@@ -533,18 +530,16 @@ class NoiseChunks:
     """Disturbances of steps 1..T for runs 0..m-1, drawn chunk by chunk and tile by tile.
 
     The module docstring sets out the geometry: chunks, stage, pad, tiles
-    and the lookahead, which every Gaussian chunk and no other takes
-    (``_lookahead``). The runs go through in ``tiles`` tiles of ``width``
-    columns, the width of least cost in Philox calls and tile-steps (the
-    module docstring's one rule): tile ``i`` holds runs ``i * width ..``
-    and, in the last tile, zero-noise pad runs up to the width. A tile's
-    run keys are derived when its first chunk starts, so the memory is one
-    chunk budget, one stage and one tile's keys whatever the horizon and
-    the ensemble size. Iterating
-    yields one array per step of each tile in turn, T per tile,
-    broadcastable against an (n, width) block of states: an (n, width) array
-    for the random kinds, whose pad columns are zero, and an (n, 1) column
-    shared by every run otherwise.
+    and the chunk started ahead. The runs go through in ``tiles`` tiles of
+    ``width`` columns, the width of least cost in Philox calls and
+    tile-steps (the module docstring's one rule): tile ``i`` holds runs
+    ``i * width ..`` and, in the last tile, zero-noise pad runs up to the
+    width. A tile's run keys are derived when its first chunk starts, so
+    the memory is one chunk budget, one stage and one tile's keys whatever
+    the horizon and the ensemble size. Iterating yields one array per step
+    of each tile in turn, T per tile, broadcastable against an (n, width)
+    block of states: an (n, width) array for the random kinds, whose pad
+    columns are zero, and an (n, 1) column shared by every run otherwise.
     An array is valid until the next one is taken, because the buffers are
     refilled in place.
 
@@ -562,10 +557,7 @@ class NoiseChunks:
         n = spec.n
         dense = spec.kind == GAUSSIAN and spec._factor is not None and spec._factor.ndim == 2
         align = STEP_GROUP if dense else 4 // math.gcd(n, 4)
-        # a Gaussian chunk is started one ahead on the worker, it and the chunk stepped meanwhile
-        # in half the budget each
-        self._lookahead = spec.kind == GAUSSIAN
-        budget = CHUNK_VALUES // 2 if self._lookahead else CHUNK_VALUES
+        budget = CHUNK_VALUES // 2  # for the chunk stepped and the one started ahead
 
         def steps(width: int) -> int:
             return max(align, budget // (width * n) // align * align)
@@ -618,11 +610,9 @@ class NoiseChunks:
     def _start(self, lo: int, c0: int, buf: Optional[np.ndarray]) -> _Chunk:
         """Start the chunk of steps ``c0 + 1 ..`` of the tile at run ``lo``, in ``buf`` for the random kinds.
 
-        The runs are filled in up to ``TRANSFORM_PARTS`` consecutive parts;
-        with the lookahead each part goes to the worker once filled, and
-        otherwise it is transformed here right after its fill. An error is
-        held in the chunk for ``_finish`` to raise, after the parts already
-        handed over are stopped.
+        Random runs are filled in up to ``TRANSFORM_PARTS`` parts, each
+        handed to the worker once filled. An error is held in the chunk for
+        ``_finish`` to raise, after the parts handed over are stopped.
         """
         spec, n, W = self.spec, self.spec.n, self.width
         kk = min(self.chunk_steps, self.T - c0)
@@ -646,10 +636,7 @@ class NoiseChunks:
                     t1 = perf_counter()
                     self._fill(runs[a:b], keys[a:b], c0)
                     fill_s += perf_counter() - t1
-                    if self._lookahead:
-                        chunk.parts.append((_WORKER.submit(_transform, spec, runs[a:b], chunk.scales), runs[a:b]))
-                    else:
-                        _transform(spec, runs[a:b], chunk.scales)
+                    chunk.parts.append((_WORKER.submit(_transform, spec, runs[a:b], chunk.scales), runs[a:b]))
                 self.transform_parts += parts
         except Exception as exc:
             _stop(chunk.parts)
@@ -684,20 +671,19 @@ class NoiseChunks:
         spec, n, W, k, stage = self.spec, self.spec.n, self.width, self.chunk_steps, self._stage
         # A mapping of its own goes back to the OS when freed; a heap block would stay as a
         # hole that smaller allocations split, making peak RSS vary from run to run.
-        size = 8 * W * k * n
-        buffers = [np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)) if spec.is_random and size else None
-                   for _ in range(2 if self._lookahead else 1)]
-        plan = list(product(range(0, self.tiles * W, W), range(0, self.T, max(1, k))))
-        ahead = None  # the chunk started before the one being stepped was used
+        buffers = [np.frombuffer(mmap.mmap(-1, 8 * W * k * n, flags=mmap.MAP_PRIVATE)) if spec.is_random and k else None
+                   for _ in range(2)]
+        plan = product(range(0, self.tiles * W, W), range(0, self.T, max(1, k)))
+        started = (self._start(lo, c0, buffers[i % 2]) for i, (lo, c0) in enumerate(plan))  # chunk i in buffer i % 2
+        ahead = None
         try:
-            for i, (lo, c0) in enumerate(plan):
-                block = self._finish(ahead if ahead is not None else self._start(lo, c0, buffers[0]))
-                ahead = None
-                # the next chunk starts before this one's steps with a lookahead, else after them
-                if self._lookahead and i + 1 < len(plan):
-                    ahead = self._start(*plan[i + 1], buffers[(i + 1) % 2])
-                held = self._copies * (block.nbytes + (0 if ahead is None else ahead.block.nbytes))
-                self.buffer_bytes_peak = max(self.buffer_bytes_peak, held + (0 if stage is None else stage.nbytes))
+            ahead = next(started, None)
+            while ahead is not None:
+                block = self._finish(ahead)
+                ahead = next(started, None)  # started before this chunk's steps
+                ahead_bytes = 0 if ahead is None or ahead.block is None else ahead.block.nbytes  # None: start failed
+                held = self._copies * (block.nbytes + ahead_bytes) + (0 if stage is None else stage.nbytes)
+                self.buffer_bytes_peak = max(self.buffer_bytes_peak, held)
                 kk = block.shape[1]
                 if stage is None:
                     for j in range(kk):

@@ -13,6 +13,7 @@ from consensuslab import (
     NoiseSpec,
     ScheduleError,
     Table,
+    TableExhaustedError,
     linear_learning,
     scaled_sign_learning,
     scaled_tanh_learning,
@@ -430,9 +431,8 @@ class TestReproducibilityContract:
     They must not depend on the ensemble width m, on how the engine chunks
     its noise or on how it tiles the runs; chunk sizes are forced through
     ``noise.CHUNK_VALUES``, and tiles of 8 runs through ``noise.STAGE_VALUES``
-    (at n < 8 a tile's four steps fit the stage). A Gaussian chunk is one of
-    two in the chunk budget (it goes one ahead), so its forced budget is
-    doubled.
+    (at n < 8 a tile's four steps fit the stage). Every chunk is one of two
+    in the chunk budget (it goes one ahead), so a forced budget is doubled.
     """
 
     # one step past a multiple of 8, so 4- and 8-step chunking ends on a one-step chunk; at
@@ -442,8 +442,8 @@ class TestReproducibilityContract:
     REFERENCE_WIDTH = 16
 
     @staticmethod
-    def _force(monkeypatch, m, n, k=None, stage_tiles=False, ahead=False):
-        """Force ``k``-step chunks at the padded width of ``m`` runs, each one of two in the budget if ``ahead``.
+    def _force(monkeypatch, m, n, k=None, stage_tiles=False):
+        """Force ``k``-step chunks at the padded width of ``m`` runs, each one of two in the budget.
 
         With ``stage_tiles`` the stage holds four steps of 8 runs, so at
         ``n < 8`` the runs go through in tiles of 8 and the chunks are sized
@@ -453,7 +453,7 @@ class TestReproducibilityContract:
 
         w = noise.WIDTH_PAD if stage_tiles else noise.padded_width(m)
         if k is not None:
-            monkeypatch.setattr(noise, "CHUNK_VALUES", (2 if ahead else 1) * k * w * n)
+            monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * k * w * n)
         if stage_tiles:
             monkeypatch.setattr(noise, "STAGE_VALUES", 4 * n * w)
 
@@ -489,7 +489,7 @@ class TestReproducibilityContract:
         blocks = [sample_noise_block(spec, self.T, substream(41, r)) for r in range(max(self.WIDTHS))]
         for m in self.WIDTHS:
             for k in self._chunk_sizes(spec):
-                self._force(monkeypatch, m, n, k, stage_tiles, ahead=spec.kind == "gaussian")
+                self._force(monkeypatch, m, n, k, stage_tiles)
                 chunks = NoiseChunks(spec, self.T, m, 41)
                 assert chunks.chunk_steps == (self.T if k is None else k)
                 assert chunks._stage is not None  # every small-n random pass is staged
@@ -522,7 +522,7 @@ class TestReproducibilityContract:
         from consensuslab.noise import NoiseChunks
 
         spec = _contract_noise(n)[kind]
-        self._force(monkeypatch, 3, n, forced, ahead=spec.kind == "gaussian")
+        self._force(monkeypatch, 3, n, forced)
         chunks = NoiseChunks(spec, self.T, 3, 41)
         assert chunks.chunk_steps == expected and type(chunks.chunk_steps) is int
 
@@ -538,7 +538,7 @@ class TestReproducibilityContract:
             assert np.array_equal(ens.run0.terminal, reference[0]), m
         for k in self._chunk_sizes(spec.noise):
             for stage_tiles in (True, False):
-                self._force(monkeypatch, 9, n, k, stage_tiles, ahead=kind is not None and kind.startswith("gaussian"))
+                self._force(monkeypatch, 9, n, k, stage_tiles)
                 ens = simulate_ensemble(spec, self.T, 9, master_seed=8)
                 monkeypatch.undo()
                 assert np.array_equal(ens.terminal_states, reference[:9]), (k, stage_tiles)
@@ -572,12 +572,12 @@ class TestReproducibilityContract:
         assert np.array_equal(ens.terminal_states, X[:, :m].T)
 
     @staticmethod
-    def _force_tiles(monkeypatch, n, tile, ahead=False):
+    def _force_tiles(monkeypatch, n, tile):
         """Tile the runs whenever a run takes more than one chunk, ``tile`` runs to a tile (see ``_force``)."""
         from consensuslab import noise
 
         whole = -(-TestReproducibilityContract.T // 4) * 4  # the horizon in whole Philox blocks at any n
-        monkeypatch.setattr(noise, "CHUNK_VALUES", (2 if ahead else 1) * tile * n * whole)
+        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * tile * n * whole)
         monkeypatch.setattr(noise, "STEP_CALLS", 0)
 
     @pytest.mark.parametrize("by_stage", [True, False])
@@ -595,7 +595,7 @@ class TestReproducibilityContract:
             if by_stage:
                 monkeypatch.setattr(noise, "STAGE_VALUES", 4 * n * tile)
             else:
-                self._force_tiles(monkeypatch, n, tile, ahead=spec.kind == "gaussian")
+                self._force_tiles(monkeypatch, n, tile)
             chunks = NoiseChunks(spec, self.T, m, 41)
             assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (-(-m // tile), tile, self.T)
             assert chunks._stage.shape == (4, n, tile)
@@ -616,7 +616,7 @@ class TestReproducibilityContract:
             ref = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
             assert ref.engine["tiles"] == 1
             for tile in (8, 16):
-                self._force_tiles(monkeypatch, n, tile, ahead=kind is not None and kind.startswith("gaussian"))
+                self._force_tiles(monkeypatch, n, tile)
                 ens = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
                 monkeypatch.undo()
                 tiles = 1 if kind is None or m <= tile else -(-m // tile)
@@ -636,7 +636,7 @@ class TestReproducibilityContract:
         spec = _contract_model("noisy", 2, _contract_noise(2)["gaussian_diagonal"])
         times = range(self.T + 1)
         if tile is not None:
-            self._force_tiles(monkeypatch, 2, tile, ahead=True)
+            self._force_tiles(monkeypatch, 2, tile)
         ref = simulate_ensemble(spec, self.T, 37, master_seed=8, snapshot_times=times)
         tracked = simulate_ensemble(spec, self.T, 37, master_seed=8, snapshot_times=times, track_mean_err=True)
         assert tracked.engine == ref.engine and ref.engine["tiles"] == (1 if tile is None else 5)
@@ -648,12 +648,6 @@ class TestReproducibilityContract:
             assert np.array_equal(tracked.mean_err_inf, mean)
         else:
             np.testing.assert_allclose(tracked.mean_err_inf, mean, rtol=4e-15, atol=0)
-
-    @staticmethod
-    def _ahead(chunks):
-        """Send every chunk of ``chunks`` one ahead to the worker, whatever its kind; its geometry stays."""
-        chunks._lookahead = True
-        return chunks
 
     class _Inline:
         """An executor whose tasks never start, so the filling thread takes every part back."""
@@ -684,8 +678,7 @@ class TestReproducibilityContract:
     def test_worker_transform_changes_no_byte(self, kind, stage_tiles, monkeypatch):
         # the worker transforms each part of a chunk while the next is filled; every part on
         # the filling thread, every part on the worker, or the default race between the two
-        # must give the same bytes: the run's own substream block. Rademacher and Cauchy
-        # chunks are sent ahead here too, as every Gaussian chunk is
+        # must give the same bytes: the run's own substream block
         from consensuslab import noise
 
         n, m = 5, 37
@@ -694,10 +687,10 @@ class TestReproducibilityContract:
         blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
         for k in self._chunk_sizes(spec):
             for executor in (None, self._Inline(), self._Pool(eager=True)):
-                self._force(monkeypatch, m, n, k, stage_tiles, ahead=spec.kind == "gaussian")
+                self._force(monkeypatch, m, n, k, stage_tiles)
                 if executor is not None:
                     monkeypatch.setattr(noise, "_WORKER", executor)
-                chunks = self._ahead(noise.NoiseChunks(spec, self.T, m, 41))
+                chunks = noise.NoiseChunks(spec, self.T, m, 41)
                 assert chunks.chunk_steps == (self.T if k is None else k)
                 assert chunks.tiles == (5 if stage_tiles else 1)
                 rows = self._run_rows(chunks)
@@ -716,7 +709,7 @@ class TestReproducibilityContract:
         calls = []
         spec = NoiseSpec.cauchy(2, scale=0.7, time_scale=lambda t: calls.append(t) or 1.0 / t)
         self._force(monkeypatch, 37, 2, 2)
-        chunks = self._ahead(noise.NoiseChunks(spec, self.T, 37, 41))
+        chunks = noise.NoiseChunks(spec, self.T, 37, 41)
         list(chunks)
         # 13 chunks of up to 2 steps, each sent one ahead to the worker
         assert chunks.transform_parts == 13 * noise.TRANSFORM_PARTS
@@ -734,7 +727,7 @@ class TestReproducibilityContract:
         with pytest.raises(ArithmeticError, match="^no scale at step 13$"):
             noise.sample_noise_block(spec, self.T, noise.substream(41, 0))
         for executor in (None, self._Inline(), self._Pool(eager=True)):
-            self._force(monkeypatch, 37, 2, 2, ahead=True)
+            self._force(monkeypatch, 37, 2, 2)
             if executor is not None:
                 monkeypatch.setattr(noise, "_WORKER", executor)
             steps = iter(noise.NoiseChunks(spec, self.T, 37, 41))
@@ -798,13 +791,13 @@ class TestReproducibilityContract:
         spec = self._worker_noise(2, "gaussian_diagonal")
         for executor in (None, self._Inline(), self._Pool(eager=True)):
             calls.clear()
-            self._force(monkeypatch, 37, 2, 4, ahead=True)
+            self._force(monkeypatch, 37, 2, 4)
             monkeypatch.setattr(noise.NoiseChunks, "_fill", fill_or_fail)
             monkeypatch.setattr(noise, "_transform", transform_or_fail)
             if executor is not None:
                 monkeypatch.setattr(noise, "_WORKER", executor)
             chunks = noise.NoiseChunks(spec, self.T, 37, 41)
-            assert chunks._lookahead and chunks.chunk_steps == 4
+            assert chunks.chunk_steps == 4
             steps = iter(chunks)
             for _ in range(8):
                 next(steps)
@@ -829,7 +822,7 @@ class TestReproducibilityContract:
         n, m = 2, 37
         spec = self._worker_noise(n, "gaussian_diagonal")
         executor = self._Pool(eager=False)
-        self._force(monkeypatch, m, n, 4, ahead=True)
+        self._force(monkeypatch, m, n, 4)
         monkeypatch.setattr(noise, "_transform", slow_transform)
         monkeypatch.setattr(noise, "_WORKER", executor)
         if how == "close":
@@ -854,10 +847,10 @@ class TestReproducibilityContract:
         assert all(f.done() for f in executor.futures)
 
     @pytest.mark.parametrize("stage_tiles", [True, False])
-    @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "time_scale"])
+    @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy", "time_scale"])
     def test_lookahead_chunks_change_no_byte(self, kind, stage_tiles, monkeypatch):
-        # every Gaussian chunk is filled and handed to the worker while the engine steps the
-        # one before, the two in buffers of half the budget; whether the worker runs every
+        # every chunk is filled and handed to the worker while the engine steps the one
+        # before, the two in buffers of half the budget; whether the worker runs every
         # part, none or races the filling thread, each run's steps are its substream block
         from consensuslab import noise
 
@@ -866,11 +859,11 @@ class TestReproducibilityContract:
         blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
         for k in self._chunk_sizes(spec):
             for executor in (None, self._Inline(), self._Pool(eager=True), self._Pool(eager=False)):
-                self._force(monkeypatch, m, n, k, stage_tiles, ahead=True)
+                self._force(monkeypatch, m, n, k, stage_tiles)
                 if executor is not None:
                     monkeypatch.setattr(noise, "_WORKER", executor)
                 chunks = noise.NoiseChunks(spec, self.T, m, 41)
-                assert chunks._lookahead and chunks.tiles == (5 if stage_tiles else 1)
+                assert chunks.tiles == (5 if stage_tiles else 1)
                 assert chunks.chunk_steps == (self.T if k is None else k)
                 rows = self._run_rows(chunks)
                 monkeypatch.undo()
@@ -883,34 +876,52 @@ class TestReproducibilityContract:
                 ahead = 0 if k is None and chunks.tiles == 1 else chunk
                 assert chunks.buffer_bytes_peak == chunk + ahead + chunks._stage.nbytes
 
-    @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy"])
-    def test_every_gaussian_chunk_and_no_other_goes_to_the_worker(self, kind, monkeypatch):
-        # a Gaussian chunk goes one ahead, its parts to the worker, even where a run's whole
-        # horizon is one chunk. Any other is transformed in the same parts on the filling thread
+    @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy", "time_scale"])
+    def test_every_random_chunk_goes_to_the_worker(self, kind, monkeypatch):
+        # every random chunk goes one ahead, its parts to the worker, even where a run's whole
+        # horizon is one chunk, whatever the noise class: no part is transformed inline
         from consensuslab import noise
 
         n, m = 2, 37
         spec = self._worker_noise(n, kind)
-        gaussian = kind.startswith("gaussian")
         blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
-        executor = self._Pool(eager=True)
-        monkeypatch.setattr(noise, "_WORKER", executor)
-        chunks = noise.NoiseChunks(spec, self.T, m, 41)
-        rows = np.stack([g.T.copy() for g in chunks])
-        monkeypatch.undo()
-        assert all(np.array_equal(rows[:, r], blocks[r]) for r in range(m))
-        assert chunks._lookahead == gaussian and chunks.chunk_steps == self.T
-        assert chunks.transform_parts == noise.TRANSFORM_PARTS
-        # every part ran on the worker, none was taken back
-        assert len(executor.futures) == (noise.TRANSFORM_PARTS if gaussian else 0)
-        assert not any(f.cancelled() for f in executor.futures)
+        for k in (4, None):  # several chunks, and the whole horizon in one
+            executor = self._Pool(eager=True)
+            self._force(monkeypatch, m, n, k)
+            monkeypatch.setattr(noise, "_WORKER", executor)
+            chunks = noise.NoiseChunks(spec, self.T, m, 41)
+            rows = np.stack([g.T.copy() for g in chunks])
+            monkeypatch.undo()
+            assert all(np.array_equal(rows[:, r], blocks[r]) for r in range(m))
+            assert chunks.chunk_steps == (self.T if k is None else k)
+            assert chunks.transform_parts == self._parts(chunks, m)
+            # every part ran on the worker, none was taken back
+            assert len(executor.futures) == chunks.transform_parts
+            assert not any(f.cancelled() for f in executor.futures)
+
+    def test_a_short_table_raises_at_the_first_step_of_its_chunk_ahead(self, monkeypatch):
+        # 4-step chunks of a 10-row table: chunk 9..12 is started ahead when the engine takes
+        # step 5 and runs past the table there, but its error waits for step 9
+        from consensuslab import noise
+
+        table = np.arange(20.0).reshape(10, 2)
+        spec = NoiseSpec.custom(table)
+        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * 4 * 2)  # deterministic rows are one column, shared
+        chunks = noise.NoiseChunks(spec, self.T, 3, 41)
+        assert (chunks.tiles, chunks.chunk_steps) == (1, 4)
+        steps = iter(chunks)
+        for t in range(1, 9):
+            assert np.array_equal(next(steps), table[t - 1][:, None]), t
+        with pytest.raises(TableExhaustedError, match="asked for t=12$") as raised:
+            next(steps)
+        assert raised.value.t == 12
 
     @classmethod
     def _force_narrow(cls, monkeypatch, spec, tile) -> int:
         """Tile 37 runs ``tile`` to a tile, each run drawing just over 8 steps a chunk; return those steps.
 
         A chunk of ``tile`` runs holds exactly those steps in half the
-        budget, as each of a Gaussian chunk's two buffers does, so no tile of
+        budget, as each of a chunk's two buffers does, so no tile of
         8 runs holds a whole horizon. At one Philox call a tile-step these
         tiles cost least: wider ones take more chunks a run, and narrower
         ones save fewer calls than their extra steps cost.

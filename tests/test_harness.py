@@ -255,6 +255,22 @@ class TestCompileBoundary:
         matrices = [[[0.6, 0.4], [0.3, 0.7]], [[0.5, 0.0], [0.3, 0.7]]]  # the second entry's first row
         assert _load_error(A={"kind": "table", "matrices": matrices}).pointer == "/model/A"
 
+    @pytest.mark.parametrize("path, value, pointer", [
+        (("E", "eps", 0), True, "/model/E/eps/0"),
+        (("A", "matrix", 0), [True, False, False], "/model/A/matrix/0/0"),
+        (("E",), {"kind": "constant", "value": [0.3, False, 0.7]}, "/model/E/value/1"),
+    ], ids=["eps", "matrix-row", "rate-value"])
+    def test_a_boolean_in_the_model_is_refused_at_its_pointer(self, path, value, pointer):
+        # numpy reads true as 1.0 and false as 0.0, so each of these once loaded and ran
+        doc = copy.deepcopy(load_catalog_scenario("base-3agent").raw)
+        node = doc["model"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioFormatError, match="^(True|False) is not a number") as e:
+            load_scenario(doc)
+        assert e.value.pointer == pointer
+
     def test_a_geometric_time_scale_that_overflows_is_refused(self, tmp_path):
         # 2.0**t leaves the float range at t = 1024, inside a horizon of 1100
         noise = {"kind": "gaussian", "time_scale": {"kind": "geometric", "rate": 2.0}}
@@ -1060,10 +1076,23 @@ class TestCLI:
          "ValueError: grid must be finite"),
         (["nonlinear-tanh", "--tol", "nonlinear_bounds.grid=[-3.0, 3.0, 100.5]"], "nonlinear_bounds",
          "ScenarioFormatError: grid point count 100.5 is not a whole number"),
+        (["base-3agent", "--tol", "consensus_time.tol=true"], "consensus_time",
+         "ScenarioFormatError: True is not a number (at tol)"),
+        (["average-consensus", "--tol", "product_limit.t_max=true"], "product_limit",
+         "ScenarioFormatError: t_max True is not a whole number"),
+        (["base-3agent", "--tol", "base_rates.beta=[1, true, 1]", "--tol", "base_rates.delta=0.5"], "base_rates",
+         "ScenarioFormatError: True is not a number (at beta/1)"),
+        (["rho-harmonic", "--tol", 'll1.rho={"kind": "table", "values": [0.5, false]}'], "ll1",
+         "ScenarioFormatError: False is not a number (at values/1)"),
+        (["nonlinear-tanh", "--tol", "nonlinear_bounds.grid=[-3.0, true, 100]"], "nonlinear_bounds",
+         "ScenarioFormatError: True is not a number (at grid/1)"),
+        (["average-consensus", "--tol", 'average_rates.strict="no"'], "average_rates",
+         "ScenarioFormatError: strict 'no' is not a boolean"),
     ], ids=["negative-coordinate", "fractional-coordinate", "nan-mu", "infinite-scale", "fractional-max-period",
             "nan-consensus-tol", "nan-periodicity-tol", "nan-decrement-tol", "nan-rank-one-tol", "nan-rel-tol",
             "fractional-t-max", "nan-decay-ratio", "nan-delta", "nan-beta",
-            "nan-sup-bound", "nan-rho-value", "nan-grid", "fractional-grid-count"])
+            "nan-sup-bound", "nan-rho-value", "nan-grid", "fractional-grid-count",
+            "boolean-tol", "boolean-t-max", "boolean-beta", "boolean-rho-value", "boolean-grid", "string-strict"])
     def test_an_analysis_parameter_it_cannot_take_is_an_error_row(self, tmp_path, argv, name, error):
         # each of these once analysed or checked something else (the last component, component 0,
         # a NaN statistic, period 8, a null or flipped figure, a truncated count) and reported ok
@@ -1071,6 +1100,17 @@ class TestCLI:
         doc = json.loads((tmp_path / "summary.json").read_text())
         rows = {**doc["analyses"], **{row.pop("name"): row for row in doc["checks"]}}
         assert doc["ok"] is False and rows[name] == {"error": error}
+
+    @pytest.mark.parametrize("strict", ["true", "false"])
+    def test_a_boolean_strict_is_taken_and_any_other_value_is_the_check_error(self, strict, tmp_path):
+        # a truthy non-boolean once named strict mode: check exited 0 with "strict": true
+        argv = ["check", "average-consensus", "--out-dir", str(tmp_path)]
+        assert cli.main([*argv, "--tol", f"average_rates.strict={strict}"]) == 0
+        row = json.loads((tmp_path / "summary.json").read_text())["checks"][0]
+        assert row["witness"]["strict"] is (strict == "true")
+        assert cli.main([*argv, "--tol", 'average_rates.strict="no"']) == 1
+        row = json.loads((tmp_path / "summary.json").read_text())["checks"][0]
+        assert row == {"name": "average_rates", "error": "ScenarioFormatError: strict 'no' is not a boolean"}
 
     @pytest.mark.parametrize("case_id, override, name", [
         ("cauchy-invariant", "ks.coordinate=0.0", "ks"), ("signum-periodic", "periodicity.max_period=8.0", "periodicity"),

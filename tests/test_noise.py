@@ -268,15 +268,15 @@ class TestGaussianTransform:
 class TestNoiseChunks:
     def test_many_short_runs_take_seven_staged_whole_horizon_tiles(self):
         # n = 2: k only needs k * n to be a multiple of 4, so one tile of all 50000 runs would
-        # take five 4-step chunks in half the budget (4 MiB, the other half for the chunk the
-        # worker transforms ahead); four tiles of 12504 would take one 20-step chunk each, but
+        # take five 4-step chunks in half the budget (4 MiB, the other half for the chunk
+        # started ahead); four tiles of 12504 would take one 20-step chunk each, but
         # the stage holds four steps of at most 8192 runs, so seven tiles of 7144 do
         from consensuslab import noise
 
         spec = NoiseSpec.gaussian(np.zeros(2), np.eye(2))
         chunks = NoiseChunks(spec, 20, 50_000, 5)
         assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (7, 7144, 20)
-        assert chunks._lookahead and type(chunks.chunk_steps) is int
+        assert type(chunks.chunk_steps) is int
         assert chunks._stage.shape == (4, 2, 7144) and chunks._stage.size <= noise.STAGE_VALUES
 
     def test_many_runs_engine_makes_one_philox_call_per_run(self):
@@ -294,24 +294,23 @@ class TestNoiseChunks:
 
     # (tiles, width, chunk_steps) of every catalog case with random noise
     CATALOG_GEOMETRY = {
-        "cauchy-invariant": (2, 5000, 200), "average-clt": (2, 1504, 174), "gaussian-dist": (2, 1504, 174),
-        "epsilon-oscillator": (1, 3000, 172), "rademacher-dist": (1, 3000, 174), "average-line": (1, 2000, 262),
+        "cauchy-invariant": (4, 2504, 200), "average-clt": (2, 1504, 174), "gaussian-dist": (2, 1504, 174),
+        "epsilon-oscillator": (1, 3000, 172), "rademacher-dist": (2, 1504, 174), "average-line": (1, 2000, 130),
     }
 
     @pytest.mark.parametrize("case_id, geometry", CATALOG_GEOMETRY.items())
     def test_catalog_tiles(self, case_id, geometry):
-        # the least cost of Philox calls and tile-steps: a second tile pays where it halves a
-        # run's 86-step chunks (n = 2 in half the budget: 12 a run in gaussian-dist, 24 in
-        # average-clt) or takes a Cauchy run's 200 steps to one chunk, and not where it halves
-        # 6 chunks (epsilon-oscillator, the Rademacher cases). Every Gaussian chunk goes one
-        # ahead, in half the budget. No catalog tile is too wide for the stage to hold four
-        # of its steps
+        # the least cost of Philox calls and tile-steps, every chunk in half the budget: a
+        # second tile pays where it halves a run's 86-step chunks (n = 2: 12 a run in
+        # gaussian-dist and rademacher-dist, 24 in average-clt), and four take a Cauchy run's
+        # 200 steps to one chunk. Halving epsilon-oscillator's 6 chunks saves 9000 calls for
+        # 1000 more steps, and average-line's 12 saves 12000 for 1500: neither pays. No
+        # catalog tile is too wide for the stage to hold four of its steps
         from consensuslab import load_catalog_scenario
 
         s = load_catalog_scenario(case_id)
         chunks = NoiseChunks(s.model.noise, s.horizon, s.ensemble, s.master_seed)
         assert (chunks.tiles, chunks.width, chunks.chunk_steps) == geometry
-        assert chunks._lookahead == (s.model.noise.kind == "gaussian")
 
     @pytest.mark.parametrize("case_id", CATALOG_GEOMETRY)
     def test_catalog_csvs_ignore_the_tiling(self, case_id, tmp_path, monkeypatch):
@@ -334,35 +333,48 @@ class TestNoiseChunks:
         random_cases = {c for c, model in zip(catalog(), models) if model is not None and model.noise.is_random}
         assert random_cases == set(self.CATALOG_GEOMETRY)
 
+    def test_no_catalog_case_tiles_a_varying_schedule(self):
+        # simulate_ensemble queries the schedules again for every tile, so a catalog case whose
+        # weights or rates vary by step keeps one tile, whatever the engine's geometry
+        from consensuslab import Constant, catalog, load_catalog_scenario
+
+        varying = []
+        for case_id in catalog():
+            s = load_catalog_scenario(case_id)
+            schedules = () if s.model is None else (s.model.schedule_A, s.model.schedule_E)
+            if all(f is None or isinstance(f, Constant) for f in schedules):
+                continue
+            varying.append(case_id)
+            assert NoiseChunks(s.model.noise, s.horizon, s.ensemble, s.master_seed).tiles == 1, case_id
+        assert "epsilon-oscillator" in varying
+
     @pytest.mark.parametrize("kind, geometry", [
         ("gaussian", (2, 1504, 174)),
-        ("rademacher", (1, 3000, 174)),
-        ("cauchy", (1, 3000, 174)),
+        ("rademacher", (2, 1504, 174)),
+        ("cauchy", (2, 1504, 174)),
     ])
     def test_long_runs_take_their_least_cost_tiles(self, kind, geometry):
-        # m = 3000, n = 2, T = 1000: one tile's chunks hold 174 steps (86 for a Gaussian chunk,
-        # in half the budget), two tiles' 348 (174). At STEP_CALLS Philox calls a tile-step,
-        # the 18000 calls a second tile saves a Gaussian horizon outweigh its 1000 steps; the
-        # 9000 it saves Rademacher and Cauchy runs do not
+        # m = 3000, n = 2, T = 1000: in half the budget one tile's chunks hold 86 steps, two
+        # tiles' 174. At STEP_CALLS Philox calls a tile-step, the 18000 calls a second tile
+        # saves outweigh its 1000 steps, whatever the noise class
         spec = {"gaussian": NoiseSpec.gaussian(np.zeros(2), np.eye(2)),
                 "rademacher": NoiseSpec.rademacher(2), "cauchy": NoiseSpec.cauchy(2)}[kind]
         chunks = NoiseChunks(spec, 1000, 3000, 5)
         assert (chunks.tiles, chunks.width, chunks.chunk_steps) == geometry
-        assert chunks._lookahead == (kind == "gaussian")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 100])
     @pytest.mark.parametrize("kind", ["diagonal", "dense", "rademacher", "cauchy"])
     def test_tiles_are_the_least_cost(self, kind, n):
         # brute force over every tile count whose tiles hold WIDTH_PAD runs or more and, at
         # n < 8, fit the stage: the least Philox calls plus STEP_CALLS per tile-step, ties to
-        # the fewest tiles. A Gaussian chunk is one of two in the budget
+        # the fewest tiles. Every chunk is one of two in the budget
         spec = {"diagonal": NoiseSpec.gaussian(np.zeros(n), np.diag(np.linspace(0.5, 2.0, n))),
                 "dense": NoiseSpec.gaussian(np.zeros(n), np.eye(n) + 0.5 * np.ones((n, n))),
                 "rademacher": NoiseSpec.rademacher(n), "cauchy": NoiseSpec.cauchy(n)}[kind]
         dense = spec._factor is not None and spec._factor.ndim == 2
         assert dense == (kind == "dense" and n > 1)
         align = noise.STEP_GROUP if dense else 4 // math.gcd(n, 4)
-        budget = noise.CHUNK_VALUES // (2 if spec.kind == "gaussian" else 1)
+        budget = noise.CHUNK_VALUES // 2
         for m in (1, 37, 3000, 50_000):
             for T in (1, 20, 1000):
                 best = None
@@ -383,7 +395,6 @@ class TestNoiseChunks:
         # prices below the calls saved; three of 168 would save 4000 calls for 500 more steps
         chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(100), np.eye(100)), 500, 500, 3)
         assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (2, 256, 20)
-        assert chunks._lookahead
 
     def test_deterministic_noise_keeps_one_tile(self):
         chunks = NoiseChunks(NoiseSpec.decaying(2, 0.5), 20, 50_000, 5)
@@ -455,9 +466,9 @@ class TestPhiloxViews:
     @pytest.mark.parametrize("spec", [NoiseSpec.gaussian(np.zeros(3), np.eye(3)), NoiseSpec.cauchy(3)],
                              ids=["gaussian", "cauchy"])
     def test_interleaved_passes_keep_their_own_streams(self, spec, monkeypatch):
-        # 4-step chunks of 16 columns (a Gaussian chunk is one of two in the budget), so each pass
+        # 4-step chunks of 16 columns (each chunk one of two in the budget), so each pass
         # re-keys its generator three times per run; T * n = 27 ends the last chunk mid-block
-        monkeypatch.setattr(noise, "CHUNK_VALUES", (2 if spec.kind == "gaussian" else 1) * 4 * 16 * 3)
+        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * 4 * 16 * 3)
         T, m = 9, 11
         a, b = NoiseChunks(spec, T, m, 5), NoiseChunks(spec, T, m, 6)
         assert (a.tiles, a.width, a.chunk_steps) == (b.tiles, b.width, b.chunk_steps) == (1, 16, 4)
