@@ -673,9 +673,9 @@ def _resolve(
 
     ``overrides`` maps ``name.param`` to a value; a key naming no check or
     analysis of the scenario, or a value the scenario schema refuses, is an
-    error, and so is a horizon, ensemble or seed with a fraction. A changed
-    horizon recompiles the model from its document, since the oscillating
-    rate table spans it.
+    error, and so is a horizon, ensemble or seed with a fraction or a
+    boolean. A changed horizon recompiles the model from its document,
+    since the oscillating rate table spans it.
     """
     known = [item["name"] for item in scenario.checks + scenario.analyses]
     merged: dict = {}
@@ -690,9 +690,7 @@ def _resolve(
     for name, value in (("horizon", horizon), ("ensemble", ensemble), ("master_seed", master_seed)):
         if value is not None:
             with _invalid(name, f"/{name}"):
-                if int(value) != value:
-                    raise ValueError(f"{value!r} is not a whole number")
-            resolved[name] = int(value)
+                resolved[name] = _whole(value, name)
             _validate(resolved[name], _SCENARIO_SCHEMA["properties"][name], (name,))
     checks = [{**item, **merged.get(item["name"], {})} for item in scenario.checks]
     if merged:

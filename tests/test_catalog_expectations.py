@@ -2,15 +2,20 @@
 
 The thirteen cases run once. Each expectation row is then pushed across its
 bound in a copy of the finished summary, and the case's verdict must flip,
-so no row is vacuous.
+so no row is vacuous. The same runs' CSV files must keep the SHA-256
+digests recorded in ``data/catalog_digests.json``, so a change to any
+catalog byte is a diff of that file.
 """
 
 import copy
+import hashlib
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from consensuslab import harness, load_catalog_scenario, load_scenario, run_scenario
 
@@ -57,6 +62,28 @@ def test_the_manifest_uses_every_op_and_every_case_has_a_verdict():
         assert ("bound" in row) == (row["op"] != "not_null")
         assert len({"abs_tol", "rel_tol"} & set(row)) == (row["op"] == "close_to")
     assert list(harness._PREDICATES) == list(EXPECT) == harness.catalog()
+
+
+DIGESTS = Path(__file__).parent / "data" / "catalog_digests.json"
+
+
+def _stack() -> dict:
+    """The versions the catalog bytes depend on: numpy (Philox, BLAS calls), scipy (``ndtri``) and the BLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def test_every_case_keeps_its_csv_digests(finished):
+    digests = {case_id: {Path(summary.outputs[key]).name: hashlib.sha256(Path(summary.outputs[key]).read_bytes())
+                         .hexdigest() for key in ("trajectory_csv", "ensemble_csv") if key in summary.outputs}
+               for case_id, (summary, _, _) in finished.items()}
+    replacement = json.dumps({"stack": _stack(), "cases": digests}, indent=2)
+    recorded = json.loads(DIGESTS.read_text())
+    if recorded["stack"] != _stack():
+        pytest.skip(f"digests recorded on {recorded['stack']}, not on this stack: {replacement}")
+    differ = sorted(case_id for case_id in digests.keys() | recorded["cases"].keys()
+                    if digests.get(case_id) != recorded["cases"].get(case_id))
+    assert not differ, f"catalog CSV bytes differ in {differ}; a declared change replaces {DIGESTS.name} by\n{replacement}"
 
 
 @pytest.mark.parametrize("case_id", list(EXPECT))

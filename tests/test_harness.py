@@ -414,6 +414,14 @@ class TestSchemaMaxima:
         resolved = harness._resolve(scenario, **{name: 5.0})
         assert getattr(resolved, name) == 5 and type(getattr(resolved, name)) is int
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("name", ["horizon", "ensemble", "master_seed"])
+    def test_a_boolean_override_is_refused(self, name, value, tmp_path):
+        # True == 1 and False == 0, so only the type tells a flag from a count
+        with pytest.raises(ScenarioFormatError, match=f"{value} is not a whole number") as e:
+            run_scenario(load_catalog_scenario("base-3agent"), out_dir=tmp_path, **{name: value})
+        assert e.value.pointer == f"/{name}" and not any(tmp_path.iterdir())
+
     def test_overrides_at_the_maxima_resolve(self, monkeypatch):
         scenario = load_catalog_scenario("base-3agent")
         resolved = harness._resolve(scenario, horizon=10**7, ensemble=10**6, overrides={"ll1.T": 10**7})
