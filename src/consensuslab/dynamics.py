@@ -20,9 +20,9 @@ There is one simulation path. ``simulate_ensemble`` steps ``m`` seeded
 runs in one pass and returns both the sample path of run 0 (states and
 per-step diagnostics) and the ``m`` terminal states, a sample of the law
 of the state. ``simulate`` is its ``m = 1`` view. Simulation is
-deterministic given ``(spec, T, seed)``; every run's randomness derives
-from ``(master_seed, run_index)`` only, so results never depend on
-execution order or batching.
+deterministic given ``(spec, T, seed)``; every run's randomness is
+addressed by ``(master_seed, run_index, step)`` only, so results never
+depend on execution order or batching.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ class EnsembleSample:
     ``terminal_states[0]``. ``snapshots`` maps requested intermediate times
     to (m, n) state blocks; ``mean_err_inf`` is the ensemble mean of the
     sup-error per step when it was tracked. ``engine`` holds the pass's
-    counts: ``runs``, ``steps``, and ``uniforms_drawn``, ``tiles``,
+    counts: ``runs``, ``steps``, and ``uniforms_drawn``,
     ``philox_calls``, ``transform_parts``, ``chunk_steps`` and
     ``noise_buffer_bytes_peak`` as ``noise.NoiseChunks`` counts them.
     ``timing`` holds its seconds per layer: ``fill_s`` (Philox uniforms),
@@ -470,8 +470,8 @@ def simulate(spec: ModelSpec, T: int, seed: int, keep_states: bool = True) -> Tr
     """One trajectory of length T, deterministic given (spec, T, seed).
 
     This is run 0 of an ensemble of size one (``simulate_ensemble(spec, T,
-    1, seed).run0``), so its randomness comes from the substream ``(seed,
-    run=0)``. With ``keep_states=False`` only the terminal state is kept
+    1, seed).run0``), so its noise is run 0's of any ensemble seeded with
+    ``seed``. With ``keep_states=False`` only the terminal state is kept
     (diagnostics are still full length).
     """
     run0 = simulate_ensemble(spec, T, 1, seed).run0
@@ -486,29 +486,25 @@ def simulate_ensemble(
     snapshot_times: Sequence[int] = (),
     track_mean_err: bool = False,
 ) -> EnsembleSample:
-    """Terminal states of m independent runs driven by per-run substreams,
-    plus the full trajectory of run 0.
+    """Terminal states of m independent seeded runs, plus the full trajectory of run 0.
 
-    Run ``r`` draws all of its noise from ``substream(master_seed, r)``, so
-    the result is a pure function of ``(spec, T, m, master_seed)`` and is
-    unaffected by batching or parallel execution. Run 0's states and
-    per-step diagnostics come from the same pass as the terminal block, so
-    ``run0.terminal`` equals ``terminal_states[0]`` bit for bit. Requested
-    ``snapshot_times`` record full (m, n) state blocks along the way; the
-    snapshot at ``T`` is the terminal block itself. The noise comes from
-    ``noise.NoiseChunks``, whose geometry (chunks, stage, pad and column
-    tiles) the ``noise`` module docstring sets out; its memory is one chunk
-    budget, one stage and one tile's keys whatever ``T`` and ``m`` are. The
-    runs are stepped tile by tile, each tile through all ``T`` steps; with
-    ``track_mean_err`` each tile adds its runs' sup errors into the step's
-    sum, divided by ``m`` after the last tile.
-    Run 0's path and rho come from the first tile. The state block has
-    the noise's width, a multiple of ``noise.WIDTH_PAD``, so that ``M @ X``
-    rounds every run's column the same way at any ``m`` and any tiling;
-    the pad columns start at ``x0``, get zero random noise and are never
-    reported. Each step's ``M @ X`` goes into the block the step before
-    left behind, so stepping allocates no new state block. ``engine``
-    reports what the pass did and ``timing`` where its time went.
+    Run ``r``'s noise is addressed by ``(master_seed, r, step)`` (see the
+    ``noise`` module docstring), so the result is a pure function of
+    ``(spec, T, m, master_seed)``, run ``r``'s states of ``(spec, T,
+    master_seed, r)``, unaffected by batching or parallel execution. Run
+    0's states and per-step diagnostics come from the same pass as the
+    terminal block, so ``run0.terminal`` equals ``terminal_states[0]`` bit
+    for bit. Requested ``snapshot_times`` record full (m, n) state blocks
+    along the way; the snapshot at ``T`` is the terminal block itself. The
+    noise comes from ``noise.NoiseChunks``, whose memory is one chunk
+    budget and one stage whatever ``T`` is. Every run goes through one
+    pass of all ``T`` steps, so a schedule is queried once a step. The
+    state block has the noise's width, a multiple of ``noise.WIDTH_PAD``,
+    so that ``M @ X`` rounds every run's column the same way at any ``m``;
+    the pad columns are further runs, stepped and never reported. Each
+    step's ``M @ X`` goes into the block the step before left behind, so
+    stepping allocates no new state block. ``engine`` reports what the
+    pass did and ``timing`` where its time went.
     """
     start = time.perf_counter()
     if T < 0:
@@ -525,42 +521,37 @@ def simulate_ensemble(
         raise ValueError("error tracking needs a family with a consensus target")
 
     chunks = NoiseChunks(spec.noise, T, m, master_seed)
-    W = chunks.width
     steps = iter(chunks)  # closed on the way out, so no noise part outlives an error
     noise = repeat(None) if spec.family is ModelFamily.BASE else steps
 
     states = np.empty((T + 1, n))
     rho = np.full(T + 1, np.nan)
-    mean_err = np.zeros(T + 1) if track_mean_err else None
+    mean_err = np.empty(T + 1) if track_mean_err else None
     terminal = np.empty((m, n))
     snaps = {t: terminal if t == T else np.empty((m, n)) for t in sorted(snapset)}
 
     def observe(t: int):
-        if lo == 0:
-            states[t] = X[:, 0]
+        states[t] = X[:, 0]
         if track_mean_err:
-            mean_err[t] += np.abs(X[:, :runs] - sbar).max(axis=0).sum()
+            mean_err[t] = np.abs(X[:, :m] - sbar).max(axis=0).mean()
         if t in snaps and t < T:  # the horizon's snapshot is the terminal block
-            snaps[t][lo : lo + runs] = X[:, :runs].T
+            snaps[t][...] = X[:, :m].T
 
     clock = time.perf_counter
-    observe_s = 0.0
     average = spec.family is ModelFamily.AVERAGE
+    X = np.repeat(spec.x0[:, None], chunks.width, axis=1)
+    spare = np.empty_like(X)
+    observed = clock()
+    observe(0)
+    observe_s = clock() - observed
     with closing(steps):
-        for lo in range(0, m, W):  # one tile of runs lo .. lo + runs, stepped through every step
-            runs = min(W, m - lo)
-            X = np.repeat(spec.x0[:, None], W, axis=1)
-            spare = np.empty_like(X)
+        for t, g, (_, e, M, rho_t) in zip(range(1, T + 1), noise, _schedule(spec, T)):
+            X, spare = _step(M, X, e, spec.learning_fn, sbar, g, average, out=spare), X
+            rho[t] = rho_t
             observed = clock()
-            observe(0)
+            observe(t)
             observe_s += clock() - observed
-            for t, g, (_, e, M, rho_t) in zip(range(1, T + 1), noise, _schedule(spec, T)):
-                X, spare = _step(M, X, e, spec.learning_fn, sbar, g, average, out=spare), X
-                rho[t] = rho_t
-                observed = clock()
-                observe(t)
-                observe_s += clock() - observed
-            terminal[lo : lo + runs] = X[:, :runs].T
+    terminal[...] = X[:, :m].T
 
     observed = clock()
     err = np.abs(states - sbar).max(axis=1) if sbar is not None else np.full(T + 1, np.nan)
@@ -582,7 +573,6 @@ def simulate_ensemble(
             "runs": m,
             "steps": T,
             "uniforms_drawn": chunks.uniforms_drawn,
-            "tiles": chunks.tiles,
             "philox_calls": chunks.philox_calls,
             "transform_parts": chunks.transform_parts,
             "chunk_steps": chunks.chunk_steps,
@@ -590,5 +580,5 @@ def simulate_ensemble(
         },
         timing=timing,
         snapshots=snaps,
-        mean_err_inf=None if mean_err is None else mean_err / m,
+        mean_err_inf=mean_err,
     )

@@ -808,7 +808,7 @@ def _execute(
         timing=timing,
         seed_provenance={
             "master_seed": scenario.master_seed,
-            "stream": "philox(seed_sequence(master_seed, spawn_key=(run,)))",
+            "stream": "philox(key=seed_sequence(master_seed), counter=(0, step, 0, 0))[run * n + component]",
         },
         outputs=outputs,
         ok=ok,

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference_noise
 
 from consensuslab import (
     LearningFunction,
@@ -429,102 +430,93 @@ class TestReproducibilityContract:
     """Run r's noise and states are a pure function of (spec, T, master_seed, r).
 
     They must not depend on the ensemble width m, on how the engine chunks
-    its noise or on how it tiles the runs; chunk sizes are forced through
-    ``noise.CHUNK_VALUES``, and tiles of 8 runs through ``noise.STAGE_VALUES``
-    (at n < 8 a tile's four steps fit the stage). Every chunk is one of two
-    in the chunk budget (it goes one ahead), so a forced budget is doubled.
+    its noise or on the thread that transforms it; chunk sizes are forced
+    through ``noise.CHUNK_VALUES``. Every chunk is one of two in the chunk
+    budget (it goes one ahead), so a forced budget is doubled. Noise rows
+    are compared with ``reference_noise``, the addressing one run and one
+    step at a time.
     """
 
-    # one step past a multiple of 8, so 4- and 8-step chunking ends on a one-step chunk; at
-    # n = 5 a plain chunk-sized ``z @ F.T`` rounds that row unlike the whole-horizon product
+    # one step past a multiple of 8, so 4- and 8-step chunking ends on a one-step chunk
     T = 25
     WIDTHS = (1, 2, 3, 7, 9)
     REFERENCE_WIDTH = 16
 
     @staticmethod
-    def _force(monkeypatch, m, n, k=None, stage_tiles=False):
-        """Force ``k``-step chunks at the padded width of ``m`` runs, each one of two in the budget.
-
-        With ``stage_tiles`` the stage holds four steps of 8 runs, so at
-        ``n < 8`` the runs go through in tiles of 8 and the chunks are sized
-        at that width.
-        """
+    def _force(monkeypatch, m, n, k=None):
+        """Force ``k``-step chunks at the padded width of ``m`` runs, each one of two in the budget."""
         from consensuslab import noise
 
-        w = noise.WIDTH_PAD if stage_tiles else noise.padded_width(m)
         if k is not None:
-            monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * k * w * n)
-        if stage_tiles:
-            monkeypatch.setattr(noise, "STAGE_VALUES", 4 * n * w)
+            monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * k * noise.padded_width(m) * n)
 
     @staticmethod
     def _run_rows(chunks) -> np.ndarray:
-        """Every column's steps as (tiles * width, T, n): each tile's runs in turn, its pad runs after them."""
-        rows = np.stack([g.T.copy() for g in chunks])  # (tiles * T, width, n): each tile's steps in turn
-        T, W, n = chunks.T, chunks.width, chunks.spec.n
-        return rows.reshape(chunks.tiles, T, W, n).transpose(0, 2, 1, 3).reshape(-1, T, n)
+        """Every column's steps as (width, T, n): the runs, then the pad runs."""
+        return np.stack([g.copy() for g in chunks]).transpose(2, 0, 1)
 
     @staticmethod
-    def _parts(chunks, m: int) -> int:
-        """Transform parts of a pass: per chunk of each tile, ``TRANSFORM_PARTS`` or the tile's runs if fewer."""
+    def _parts(chunks) -> int:
+        """Transform parts of a pass: per chunk, ``TRANSFORM_PARTS`` or the chunk's steps if fewer."""
         from consensuslab import noise
 
-        per_tile = sum(min(noise.TRANSFORM_PARTS, m - lo) for lo in range(0, m, chunks.width))
-        return -(-chunks.T // chunks.chunk_steps) * per_tile
+        k = chunks.chunk_steps
+        return sum(min(noise.TRANSFORM_PARTS, min(k, chunks.T - c0)) for c0 in range(0, chunks.T, k))
 
-    @staticmethod
-    def _chunk_sizes(spec):
-        """Chunk sizes the alignment allows: ``k * n`` a multiple of 4, ``k`` too for a dense factor."""
-        dense = spec._factor is not None and spec._factor.ndim == 2
-        align = 4 if dense else 4 // math.gcd(spec.n, 4)
-        return (align, 3 * align, None)  # None: the default, the whole horizon here
+    @classmethod
+    def _expect_reference(cls, rows, spec, m: int, seed: int = 41):
+        """Each run's rows are the reference's: bit for bit, or within rounding for a dense factor."""
+        for r in range(m):
+            expected = reference_noise.run_noise(spec, cls.T, seed, r)
+            if reference_noise.dense(spec):
+                np.testing.assert_allclose(rows[r], expected, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(rows[r], expected), r
 
-    @pytest.mark.parametrize("stage_tiles", [True, False])
-    @pytest.mark.parametrize("n", [2, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
     @pytest.mark.parametrize("kind", [k for k in _contract_noise() if k != "gaussian_identity"])
-    def test_engine_noise_rows_are_the_run_substream_block(self, kind, n, stage_tiles, monkeypatch):
-        from consensuslab.noise import NoiseChunks, padded_width, sample_noise_block, substream
+    def test_engine_noise_rows_ignore_width_and_chunking(self, kind, n, monkeypatch):
+        from consensuslab.noise import NoiseChunks, padded_width
 
         spec = _contract_noise(n)[kind]
-        blocks = [sample_noise_block(spec, self.T, substream(41, r)) for r in range(max(self.WIDTHS))]
+        reference = self._run_rows(NoiseChunks(spec, self.T, self.REFERENCE_WIDTH, 41))
+        self._expect_reference(reference, spec, self.REFERENCE_WIDTH)
         for m in self.WIDTHS:
-            for k in self._chunk_sizes(spec):
-                self._force(monkeypatch, m, n, k, stage_tiles)
+            for k in (1, 3, None):
+                self._force(monkeypatch, m, n, k)
                 chunks = NoiseChunks(spec, self.T, m, 41)
                 assert chunks.chunk_steps == (self.T if k is None else k)
-                assert chunks._stage is not None  # every small-n random pass is staged
-                assert (chunks.tiles, chunks.width) == ((-(-m // 8), 8) if stage_tiles else (1, padded_width(m)))
+                assert chunks.width == padded_width(m)
                 rows = self._run_rows(chunks)
-                for r in range(m):
-                    assert np.array_equal(rows[r], blocks[r]), (m, k, r)
-                assert not rows[m:].any()  # the pad runs get zero noise
-                assert chunks.uniforms_drawn == self.T * n * m
+                assert np.array_equal(rows, reference[: chunks.width]), (m, k)
+                assert chunks.uniforms_drawn == self.T * n * chunks.width and chunks.philox_calls == self.T
                 monkeypatch.undo()
 
     @pytest.mark.parametrize(
-        "kind, n, forced, expected",
+        "kind, n, forced",
         [
-            ("rademacher", 2, 2, 2),
-            ("rademacher", 2, 3, 2),
-            ("rademacher", 2, 6, 6),
-            ("gaussian_diagonal", 4, 1, 1),
-            ("cauchy", 4, 3, 3),
-            ("cauchy", 5, 3, 4),
-            ("cauchy", 5, 6, 4),
-            ("gaussian_dense", 2, 2, 4),
-            ("gaussian_dense", 2, 6, 4),
-            ("gaussian_dense", 4, 1, 4),
+            ("rademacher", 2, 2),
+            ("rademacher", 2, 3),
+            ("rademacher", 2, 6),
+            ("gaussian_diagonal", 4, 1),
+            ("cauchy", 4, 3),
+            ("cauchy", 5, 3),
+            ("cauchy", 5, 6),
+            ("gaussian_dense", 2, 2),
+            ("gaussian_dense", 2, 6),
+            ("gaussian_dense", 4, 1),
         ],
     )
-    def test_chunks_start_on_whole_philox_blocks(self, kind, n, forced, expected, monkeypatch):
-        # k * n must be a multiple of 4 (four doubles per Philox counter value), and k itself
-        # a multiple of 4 for a dense covariance factor, whose products group 4 steps
+    def test_chunks_hold_any_whole_number_of_steps(self, kind, n, forced, monkeypatch):
+        # every step restarts its own counter, so a chunk needs no alignment to Philox blocks
+        # or to the steps a dense factor's product groups
         from consensuslab.noise import NoiseChunks
 
         spec = _contract_noise(n)[kind]
         self._force(monkeypatch, 3, n, forced)
         chunks = NoiseChunks(spec, self.T, 3, 41)
-        assert chunks.chunk_steps == expected and type(chunks.chunk_steps) is int
+        assert chunks.chunk_steps == forced and type(chunks.chunk_steps) is int
+        self._expect_reference(self._run_rows(chunks), spec, 3)
 
     @pytest.mark.parametrize("n", [1, 2, 16, 100])
     @pytest.mark.parametrize("family", list(_FAMILY_NOISE))
@@ -536,27 +528,26 @@ class TestReproducibilityContract:
             ens = simulate_ensemble(spec, self.T, m, master_seed=8)
             assert np.array_equal(ens.terminal_states, reference[:m]), m
             assert np.array_equal(ens.run0.terminal, reference[0]), m
-        for k in self._chunk_sizes(spec.noise):
-            for stage_tiles in (True, False):
-                self._force(monkeypatch, 9, n, k, stage_tiles)
-                ens = simulate_ensemble(spec, self.T, 9, master_seed=8)
-                monkeypatch.undo()
-                assert np.array_equal(ens.terminal_states, reference[:9]), (k, stage_tiles)
+        for k in (1, 3, None):
+            self._force(monkeypatch, 9, n, k)
+            ens = simulate_ensemble(spec, self.T, 9, master_seed=8)
+            monkeypatch.undo()
+            assert np.array_equal(ens.terminal_states, reference[:9]), k
 
     @pytest.mark.parametrize("n", [1, 2, 16])
     @pytest.mark.parametrize("family", list(_FAMILY_NOISE))
     def test_the_engine_steps_as_the_public_step_functions_do(self, family, n):
         # the engine writes each step's product into a block it keeps, the public steps into a
         # new array; on the engine's block of runs and pad columns they give the same bytes
-        from consensuslab.noise import padded_width, sample_noise_block, substream
+        from consensuslab.noise import NoiseChunks, padded_width
 
         kind = _FAMILY_NOISE[family]
         spec = _contract_model(family, n, None if kind is None else _contract_noise(n)[kind])
         m = 5
         W = padded_width(m)
         noise = np.zeros((self.T, n, W))
-        for r in range(m if kind is not None else 0):
-            noise[:, :, r] = sample_noise_block(spec.noise, self.T, substream(8, r))
+        if kind is not None:
+            noise[...] = [g.copy() for g in NoiseChunks(spec.noise, self.T, m, 8)]
         X = np.repeat(spec.x0[:, None], W, axis=1)
         for t in range(1, self.T + 1):
             a, g = spec.schedule_A(t), noise[t - 1]
@@ -571,83 +562,43 @@ class TestReproducibilityContract:
         ens = simulate_ensemble(spec, self.T, m, master_seed=8)
         assert np.array_equal(ens.terminal_states, X[:, :m].T)
 
-    @staticmethod
-    def _force_tiles(monkeypatch, n, tile):
-        """Tile the runs whenever a run takes more than one chunk, ``tile`` runs to a tile (see ``_force``)."""
-        from consensuslab import noise
-
-        whole = -(-TestReproducibilityContract.T // 4) * 4  # the horizon in whole Philox blocks at any n
-        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * tile * n * whole)
-        monkeypatch.setattr(noise, "STEP_CALLS", 0)
-
-    @pytest.mark.parametrize("by_stage", [True, False])
-    @pytest.mark.parametrize("n", [2, 5])
-    @pytest.mark.parametrize("kind", [k for k in _contract_noise() if k != "gaussian_identity"])
-    def test_tiled_noise_rows_are_the_run_substream_block(self, kind, n, by_stage, monkeypatch):
-        # the tiles come from the whole-horizon rule, or from the stage, which holds four steps of a tile
-        from consensuslab import noise
-        from consensuslab.noise import NoiseChunks, sample_noise_block, substream
-
-        spec = _contract_noise(n)[kind]
-        m = 37
-        blocks = [sample_noise_block(spec, self.T, substream(41, r)) for r in range(m)]
-        for tile in (8, 16):
-            if by_stage:
-                monkeypatch.setattr(noise, "STAGE_VALUES", 4 * n * tile)
-            else:
-                self._force_tiles(monkeypatch, n, tile)
-            chunks = NoiseChunks(spec, self.T, m, 41)
-            assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (-(-m // tile), tile, self.T)
-            assert chunks._stage.shape == (4, n, tile)
-            rows = self._run_rows(chunks)
-            for r in range(m):
-                assert np.array_equal(rows[r], blocks[r]), (tile, r)
-            assert not rows[m:].any()  # the last tile's pad runs get zero noise
-            assert chunks.uniforms_drawn == self.T * n * m and chunks.philox_calls == m
-            monkeypatch.undo()
-
-    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
     @pytest.mark.parametrize("family", list(_FAMILY_NOISE))
-    def test_tiles_reproduce_the_one_tile_pass(self, family, n, monkeypatch):
+    def test_chunks_reproduce_the_one_chunk_pass(self, family, n, monkeypatch):
         kind = _FAMILY_NOISE[family]
         spec = _contract_model(family, n, None if kind is None else _contract_noise(n)[kind])
         times = (0, 7, 12, self.T)
         for m in self.WIDTHS + (37,):
             ref = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
-            assert ref.engine["tiles"] == 1
-            for tile in (8, 16):
-                self._force_tiles(monkeypatch, n, tile)
+            assert ref.engine["chunk_steps"] == self.T
+            for k in (1, 4):
+                self._force(monkeypatch, m, n, k)
                 ens = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
                 monkeypatch.undo()
-                tiles = 1 if kind is None or m <= tile else -(-m // tile)
-                assert ens.engine["tiles"] == tiles, (m, tile)
-                assert np.array_equal(ens.terminal_states, ref.terminal_states), (m, tile)
+                if kind is not None:  # deterministic steps are one shared column, so more fit a chunk
+                    assert ens.engine["chunk_steps"] == k, (m, k)
+                assert np.array_equal(ens.terminal_states, ref.terminal_states), (m, k)
                 for name in ("states", "err_inf", "osc", "rho"):
                     assert np.array_equal(getattr(ens.run0, name), getattr(ref.run0, name), equal_nan=True), name
                 assert list(ens.snapshots) == list(ref.snapshots)
                 for t in times:
-                    assert np.array_equal(ens.snapshots[t], ref.snapshots[t]), (m, tile, t)
+                    assert np.array_equal(ens.snapshots[t], ref.snapshots[t]), (m, k, t)
 
-    @pytest.mark.parametrize("tile", [None, 8])
-    def test_error_tracking_takes_the_untracked_tiles(self, tile, monkeypatch):
-        # each tile adds its runs' sup errors into the step's sum, divided by m after the last
-        # tile: in one tile that is the mean of every run's error bit for bit, and in more
-        # tiles the same sum taken in another order
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    def test_error_tracking_is_the_mean_of_every_run_error(self, k, monkeypatch):
+        # tracking the error changes no state, and each step's mean is every run's sup error
+        # averaged, whatever the chunking
         spec = _contract_model("noisy", 2, _contract_noise(2)["gaussian_diagonal"])
         times = range(self.T + 1)
-        if tile is not None:
-            self._force_tiles(monkeypatch, 2, tile)
+        self._force(monkeypatch, 37, 2, k)
         ref = simulate_ensemble(spec, self.T, 37, master_seed=8, snapshot_times=times)
         tracked = simulate_ensemble(spec, self.T, 37, master_seed=8, snapshot_times=times, track_mean_err=True)
-        assert tracked.engine == ref.engine and ref.engine["tiles"] == (1 if tile is None else 5)
+        assert tracked.engine == ref.engine and ref.engine["chunk_steps"] == (self.T if k is None else k)
         assert np.array_equal(tracked.terminal_states, ref.terminal_states)
         for t in times:
             assert np.array_equal(tracked.snapshots[t], ref.snapshots[t]), t
         mean = np.array([np.abs(ref.snapshots[t] - spec.sigma_bar).max(axis=1).mean() for t in times])
-        if tile is None:
-            assert np.array_equal(tracked.mean_err_inf, mean)
-        else:
-            np.testing.assert_allclose(tracked.mean_err_inf, mean, rtol=4e-15, atol=0)
+        assert np.array_equal(tracked.mean_err_inf, mean)
 
     class _Inline:
         """An executor whose tasks never start, so the filling thread takes every part back."""
@@ -673,35 +624,33 @@ class TestReproducibilityContract:
         spec = _contract_noise(n)["gaussian_dense" if kind == "time_scale" else kind]
         return spec if kind == "time_scale" else replace(spec, time_scale=None)
 
-    @pytest.mark.parametrize("stage_tiles", [True, False])
+    @pytest.mark.parametrize("m", [1, 9, 37])
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy", "time_scale"])
-    def test_worker_transform_changes_no_byte(self, kind, stage_tiles, monkeypatch):
+    def test_worker_transform_changes_no_byte(self, kind, m, monkeypatch):
         # the worker transforms each part of a chunk while the next is filled; every part on
         # the filling thread, every part on the worker, or the default race between the two
-        # must give the same bytes: the run's own substream block
+        # must give the same bytes, the reference's
         from consensuslab import noise
 
-        n, m = 5, 37
+        n = 5
         spec = self._worker_noise(n, kind)
         assert (spec.time_scale is not None) == (kind == "time_scale")
-        blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
-        for k in self._chunk_sizes(spec):
+        passes = []
+        for k in (1, 3, None):
             for executor in (None, self._Inline(), self._Pool(eager=True)):
-                self._force(monkeypatch, m, n, k, stage_tiles)
+                self._force(monkeypatch, m, n, k)
                 if executor is not None:
                     monkeypatch.setattr(noise, "_WORKER", executor)
                 chunks = noise.NoiseChunks(spec, self.T, m, 41)
                 assert chunks.chunk_steps == (self.T if k is None else k)
-                assert chunks.tiles == (5 if stage_tiles else 1)
-                rows = self._run_rows(chunks)
-                for r in range(m):
-                    assert np.array_equal(rows[r], blocks[r]), (k, executor, r)
-                assert not rows[m:].any()
-                parts = self._parts(chunks, m)
-                assert chunks.transform_parts == parts
+                passes.append(self._run_rows(chunks))
+                assert chunks.transform_parts == self._parts(chunks)
                 if isinstance(executor, self._Pool):  # every part went to the worker and ran there
-                    assert len(executor.futures) == parts and not any(f.cancelled() for f in executor.futures)
+                    assert len(executor.futures) == chunks.transform_parts
+                    assert not any(f.cancelled() for f in executor.futures)
                 monkeypatch.undo()
+        assert all(np.array_equal(rows, passes[0]) for rows in passes)
+        self._expect_reference(passes[0], spec, m)
 
     def test_time_scale_is_evaluated_once_per_step(self, monkeypatch):
         from consensuslab import noise
@@ -711,8 +660,8 @@ class TestReproducibilityContract:
         self._force(monkeypatch, 37, 2, 2)
         chunks = noise.NoiseChunks(spec, self.T, 37, 41)
         list(chunks)
-        # 13 chunks of up to 2 steps, each sent one ahead to the worker
-        assert chunks.transform_parts == 13 * noise.TRANSFORM_PARTS
+        # 13 chunks of up to 2 steps, each step a part sent one ahead to the worker
+        assert chunks.transform_parts == self.T
         assert calls == list(range(1, self.T + 1))
 
     def test_a_raising_time_scale_propagates(self, monkeypatch):
@@ -725,7 +674,7 @@ class TestReproducibilityContract:
 
         spec = NoiseSpec.gaussian(np.zeros(2), np.eye(2), time_scale=scale)
         with pytest.raises(ArithmeticError, match="^no scale at step 13$"):
-            noise.sample_noise_block(spec, self.T, noise.substream(41, 0))
+            noise.sample_noise_block(spec, self.T, np.random.default_rng(41))
         for executor in (None, self._Inline(), self._Pool(eager=True)):
             self._force(monkeypatch, 37, 2, 2)
             if executor is not None:
@@ -776,14 +725,14 @@ class TestReproducibilityContract:
 
         fill, transform, calls = noise.NoiseChunks._fill, noise._transform, []
 
-        def fill_or_fail(chunks, block, keys, c0):
+        def fill_or_fail(chunks, block, c0):
             if failing == "fill" and c0 == 8:
                 raise MemoryError("no fill at step 9")
-            fill(chunks, block, keys, c0)
+            fill(chunks, block, c0)
 
         def transform_or_fail(spec, u, scales):
             calls.append(u)
-            if failing == "transform" and len(calls) == 2 * noise.TRANSFORM_PARTS + 1:
+            if failing == "transform" and len(calls) == 2 * 4 + 1:  # a one-step part a step
                 raise FloatingPointError("no transform at step 9")
             return transform(spec, u, scales)
 
@@ -808,7 +757,7 @@ class TestReproducibilityContract:
     @pytest.mark.parametrize("how", ["close", "schedule_error"])
     def test_an_early_end_stops_every_part_of_the_chunk_ahead(self, how, monkeypatch):
         # at step 5 the third chunk's parts are with a slow worker; closing the steps, or a
-        # schedule error that ends the engine's pass mid-tile, leaves none of them running
+        # schedule error that ends the engine's pass mid-chunk, leaves none of them running
         import time
 
         from consensuslab import noise
@@ -829,7 +778,7 @@ class TestReproducibilityContract:
             steps = iter(noise.NoiseChunks(spec, self.T, m, 41))
             for _ in range(5):
                 next(steps)
-            assert len(executor.futures) == 3 * noise.TRANSFORM_PARTS
+            assert len(executor.futures) == 3 * 4  # a one-step part a step
             assert not all(f.done() for f in executor.futures)
             steps.close()
         else:
@@ -842,39 +791,37 @@ class TestReproducibilityContract:
             # the error's traceback keeps the engine's frame, and with it the steps, alive
             with pytest.raises(ScheduleError) as raised:
                 simulate_ensemble(replace(model, schedule_E=rates), self.T, m, master_seed=8)
-            assert len(executor.futures) == 3 * noise.TRANSFORM_PARTS
+            assert len(executor.futures) == 3 * 4
             assert raised.value.t == 5
         assert all(f.done() for f in executor.futures)
 
-    @pytest.mark.parametrize("stage_tiles", [True, False])
+    @pytest.mark.parametrize("m", [1, 9, 37])
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy", "time_scale"])
-    def test_lookahead_chunks_change_no_byte(self, kind, stage_tiles, monkeypatch):
+    def test_lookahead_chunks_change_no_byte(self, kind, m, monkeypatch):
         # every chunk is filled and handed to the worker while the engine steps the one
         # before, the two in buffers of half the budget; whether the worker runs every
-        # part, none or races the filling thread, each run's steps are its substream block
+        # part, none or races the filling thread, each run's steps are the reference's
         from consensuslab import noise
 
-        n, m = 5, 37
+        n = 5
         spec = self._worker_noise(n, kind)
-        blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
-        for k in self._chunk_sizes(spec):
+        passes = []
+        for k in (1, 3, None):
             for executor in (None, self._Inline(), self._Pool(eager=True), self._Pool(eager=False)):
-                self._force(monkeypatch, m, n, k, stage_tiles)
+                self._force(monkeypatch, m, n, k)
                 if executor is not None:
                     monkeypatch.setattr(noise, "_WORKER", executor)
                 chunks = noise.NoiseChunks(spec, self.T, m, 41)
-                assert chunks.tiles == (5 if stage_tiles else 1)
                 assert chunks.chunk_steps == (self.T if k is None else k)
-                rows = self._run_rows(chunks)
+                passes.append(self._run_rows(chunks))
                 monkeypatch.undo()
-                for r in range(m):
-                    assert np.array_equal(rows[r], blocks[r]), (k, executor, r)
-                assert not rows[m:].any()
-                assert chunks.transform_parts == self._parts(chunks, m)
-                # the chunk stepped and the one ahead, each at most half the forced budget
+                assert chunks.transform_parts == self._parts(chunks)
+                # the chunk stepped and the one ahead, each at most half the forced budget, and the stage
                 chunk = 8 * chunks.width * chunks.chunk_steps * n * chunks._copies
-                ahead = 0 if k is None and chunks.tiles == 1 else chunk
-                assert chunks.buffer_bytes_peak == chunk + ahead + chunks._stage.nbytes
+                ahead = 0 if k is None else chunk
+                assert chunks.buffer_bytes_peak == chunk + ahead + 8 * n * chunks.width
+        assert all(np.array_equal(rows, passes[0]) for rows in passes)
+        self._expect_reference(passes[0], spec, m)
 
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy", "time_scale"])
     def test_every_random_chunk_goes_to_the_worker(self, kind, monkeypatch):
@@ -884,17 +831,16 @@ class TestReproducibilityContract:
 
         n, m = 2, 37
         spec = self._worker_noise(n, kind)
-        blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
         for k in (4, None):  # several chunks, and the whole horizon in one
             executor = self._Pool(eager=True)
             self._force(monkeypatch, m, n, k)
             monkeypatch.setattr(noise, "_WORKER", executor)
             chunks = noise.NoiseChunks(spec, self.T, m, 41)
-            rows = np.stack([g.T.copy() for g in chunks])
+            rows = self._run_rows(chunks)
             monkeypatch.undo()
-            assert all(np.array_equal(rows[:, r], blocks[r]) for r in range(m))
+            self._expect_reference(rows, spec, m)
             assert chunks.chunk_steps == (self.T if k is None else k)
-            assert chunks.transform_parts == self._parts(chunks, m)
+            assert chunks.transform_parts == self._parts(chunks)
             # every part ran on the worker, none was taken back
             assert len(executor.futures) == chunks.transform_parts
             assert not any(f.cancelled() for f in executor.futures)
@@ -908,84 +854,13 @@ class TestReproducibilityContract:
         spec = NoiseSpec.custom(table)
         monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * 4 * 2)  # deterministic rows are one column, shared
         chunks = noise.NoiseChunks(spec, self.T, 3, 41)
-        assert (chunks.tiles, chunks.chunk_steps) == (1, 4)
+        assert chunks.chunk_steps == 4
         steps = iter(chunks)
         for t in range(1, 9):
             assert np.array_equal(next(steps), table[t - 1][:, None]), t
         with pytest.raises(TableExhaustedError, match="asked for t=12$") as raised:
             next(steps)
         assert raised.value.t == 12
-
-    @classmethod
-    def _force_narrow(cls, monkeypatch, spec, tile) -> int:
-        """Tile 37 runs ``tile`` to a tile, each run drawing just over 8 steps a chunk; return those steps.
-
-        A chunk of ``tile`` runs holds exactly those steps in half the
-        budget, as each of a chunk's two buffers does, so no tile of
-        8 runs holds a whole horizon. At one Philox call a tile-step these
-        tiles cost least: wider ones take more chunks a run, and narrower
-        ones save fewer calls than their extra steps cost.
-        """
-        from consensuslab import noise
-
-        align = cls._chunk_sizes(spec)[0]
-        k = -(-9 // align) * align
-        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * k * spec.n * tile)
-        monkeypatch.setattr(noise, "STEP_CALLS", 1)
-        return k
-
-    @pytest.mark.parametrize("stage_agrees", [True, False])
-    @pytest.mark.parametrize("n", [2, 5])
-    @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "time_scale"])
-    def test_narrowed_gaussian_tiles_send_every_chunk_to_the_worker(self, kind, n, stage_agrees, monkeypatch):
-        # Gaussian runs tiled by the cost rule send every chunk of every tile to the worker, a
-        # chunk started ahead across each tile boundary too; a dense factor's 12-step chunks
-        # of 25 steps leave a one-step chunk, which it multiplies on its own (STEP_GROUP). A
-        # stage of four steps of the same tile changes nothing
-        from consensuslab import noise
-
-        m = 37
-        spec = self._worker_noise(n, kind)
-        blocks = [noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(m)]
-        for tile in (8, 16):
-            executor = self._Pool(eager=True)
-            k = self._force_narrow(monkeypatch, spec, tile)
-            if stage_agrees:
-                monkeypatch.setattr(noise, "STAGE_VALUES", 4 * n * tile)
-            monkeypatch.setattr(noise, "_WORKER", executor)
-            chunks = noise.NoiseChunks(spec, self.T, m, 41)
-            rows = self._run_rows(chunks)
-            monkeypatch.undo()
-            assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (-(-m // tile), tile, k)
-            assert chunks._stage.shape == (4, n, tile)
-            for r in range(m):
-                assert np.array_equal(rows[r], blocks[r]), (tile, r)
-            assert not rows[m:].any()
-            # every chunk of every tile went in parts to the worker and ran there
-            parts = -(-self.T // k) * sum(min(noise.TRANSFORM_PARTS, m - lo) for lo in range(0, m, tile))
-            assert chunks.transform_parts == parts
-            assert len(executor.futures) == parts and not any(f.cancelled() for f in executor.futures)
-
-    @pytest.mark.parametrize("family", ["noisy", "average"])
-    def test_narrowed_gaussian_tiles_reproduce_the_one_tile_pass(self, family, monkeypatch):
-        n, m, times = 2, 37, (0, 12, self.T)
-        spec = _contract_model(family, n, _contract_noise(n)[_FAMILY_NOISE[family]])
-        tracking = spec.sigma_bar is not None
-        ref = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times, track_mean_err=tracking)
-        self._force_narrow(monkeypatch, spec.noise, 16)
-        ens = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times)
-        assert (ref.engine["tiles"], ens.engine["tiles"]) == (1, 3)
-        assert np.array_equal(ens.terminal_states, ref.terminal_states)
-        assert np.array_equal(ens.run0.states, ref.run0.states)
-        for t in times:
-            assert np.array_equal(ens.snapshots[t], ref.snapshots[t]), t
-        if tracking:  # a tracked pass takes the same tiles; only its error sum rounds in another order
-            tracked = simulate_ensemble(spec, self.T, m, master_seed=8, snapshot_times=times, track_mean_err=True)
-            assert tracked.engine == ens.engine
-            assert np.array_equal(tracked.terminal_states, ref.terminal_states)
-            for t in times:
-                assert np.array_equal(tracked.snapshots[t], ref.snapshots[t]), t
-            np.testing.assert_allclose(tracked.mean_err_inf, ref.mean_err_inf, rtol=4e-15, atol=0)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_process_transforms_every_part_itself(self):
@@ -996,19 +871,20 @@ class TestReproducibilityContract:
         from consensuslab import noise
 
         spec = self._worker_noise(3, "time_scale")
-        blocks = np.stack([noise.sample_noise_block(spec, self.T, noise.substream(41, r)) for r in range(37)])
-        list(noise.NoiseChunks(spec, self.T, 37, 41))  # the worker thread exists from here on
+        rows = self._run_rows(noise.NoiseChunks(spec, self.T, 37, 41))  # the worker thread exists from here on
         pid = os.fork()
         if pid == 0:
             signal.alarm(60)
-            rows = np.stack([g.T.copy() for g in noise.NoiseChunks(spec, self.T, 37, 41)])
-            os._exit(0 if np.array_equal(rows[:, :37].transpose(1, 0, 2), blocks) else 1)
+            forked = self._run_rows(noise.NoiseChunks(spec, self.T, 37, 41))
+            os._exit(0 if np.array_equal(forked, rows) else 1)
         assert os.waitpid(pid, 0)[1] == 0
 
     def test_terminal_state_ignores_the_blas_thread_count(self):
         # OpenBLAS splits a wide product's columns between threads; with the padded width
-        # every run's column still rounds as it does on one thread. The last two geometries
-        # are forced into tiles of 1000 and 8 runs, each Gaussian chunk one of two in the budget.
+        # every run's column still rounds as it does on one thread, and so does a dense
+        # noise factor's product of eight runs at these n (at n = 100 OpenBLAS splits that
+        # product too). The last two geometries are forced into chunks of 4 and 1 steps,
+        # each chunk one of two in the budget.
         import subprocess
         import sys
         from pathlib import Path
@@ -1018,15 +894,18 @@ class TestReproducibilityContract:
         script = (
             "import hashlib, numpy as np\n"
             "from consensuslab import ModelSpec, NoiseSpec, noise as nz, simulate_ensemble\n"
-            "for n, m, chunk in ((16, 7, None), (100, 500, None), (2, 4000, 2**15), (16, 37, 2 * 8 * 16 * 8)):\n"
+            "for n, m, chunk, dense in ((16, 7, None, False), (100, 500, None, False), (16, 500, None, True),\n"
+            "                           (2, 4000, 2 * 4 * 2 * 4000, True), (16, 37, 2 * 16 * 40, False)):\n"
             "    if chunk:\n"
-            "        nz.CHUNK_VALUES, nz.STEP_CALLS = chunk, 0\n"
-            "    a = np.random.default_rng(4).uniform(0.1, 1.0, size=(n, n)) + 2.0 * np.eye(n)\n"
+            "        nz.CHUNK_VALUES = chunk\n"
+            "    rng = np.random.default_rng(4)\n"
+            "    a = rng.uniform(0.1, 1.0, size=(n, n)) + 2.0 * np.eye(n)\n"
             "    a /= a.sum(axis=1, keepdims=True)\n"
-            "    noise = NoiseSpec.gaussian(np.zeros(n), np.eye(n))\n"
+            "    g = rng.normal(size=(n, n))\n"
+            "    noise = NoiseSpec.gaussian(np.zeros(n), g @ g.T + np.eye(n) if dense else np.eye(n))\n"
             "    spec = ModelSpec.average(a, 0.5 * np.diagonal(a), noise, np.zeros(n))\n"
             "    ens = simulate_ensemble(spec, 8, m, master_seed=11)\n"
-            "    print(ens.engine['tiles'], hashlib.sha256(ens.terminal_states.tobytes()).hexdigest())\n"
+            "    print(ens.engine['chunk_steps'], hashlib.sha256(ens.terminal_states.tobytes()).hexdigest())\n"
         )
         src = str(Path(consensuslab.__file__).resolve().parents[1])
         digests = []
@@ -1038,13 +917,14 @@ class TestReproducibilityContract:
             assert done.returncode == 0, done.stderr
             digests.append(done.stdout)
         assert digests[0] == digests[1]
-        assert [line.split()[0] for line in digests[0].splitlines()] == ["1", "1", "4", "5"]
+        assert [line.split()[0] for line in digests[0].splitlines()] == ["8", "5", "8", "4", "1"]
 
 
-def test_many_runs_memory_is_the_results_and_one_tile():
+def test_many_runs_memory_is_the_results_and_five_blocks_of_states():
     # many_runs' shape: the traced peak is the terminal block, the one earlier snapshot and
-    # under 1 MiB for everything else (a tile's stage, state blocks, step temporaries and run
-    # keys). The noise chunks live in their own mappings, which noise_buffer_bytes_peak bounds
+    # at most five more blocks of every run's states (the state block, its spare, the stage
+    # and two step temporaries). The noise chunks live in their own mappings, which
+    # noise_buffer_bytes_peak bounds
     import tracemalloc
 
     n, m, T = 2, 50_000, 20
@@ -1058,22 +938,21 @@ def test_many_runs_memory_is_the_results_and_one_tile():
     finally:
         tracemalloc.stop()
     block = 8 * m * n
-    assert peak < 2 * block + 2**20, peak
-    assert ens.engine["noise_buffer_bytes_peak"] == 5_029_376
+    assert peak < (2 + 5) * block, peak
+    assert ens.engine["noise_buffer_bytes_peak"] == 4_000_000
 
 
-@pytest.mark.parametrize("tiled", [False, True])
-def test_noise_memory_is_bounded_by_a_chunk(tiled, monkeypatch):
-    # a whole-horizon noise block would take 8*T*n*m bytes (64 MB here); tiled, the runs go
-    # through in 25 tiles of 8, each tile's whole horizon one chunk in half the budget, the
-    # worker transforming the next tile's chunk while the engine steps this one
+@pytest.mark.parametrize("chunk_steps", [None, 7])
+def test_noise_memory_is_bounded_by_a_chunk(chunk_steps, monkeypatch):
+    # a whole-horizon noise block would take 8*T*n*m bytes (64 MB here); the pass holds the
+    # chunk it steps and the one the worker transforms ahead of it, whatever their size
     import tracemalloc
 
     from consensuslab import noise
 
     n, m, T = 20, 200, 2000
-    if tiled:
-        monkeypatch.setattr(noise, "STEP_CALLS", 0)
+    if chunk_steps is not None:
+        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * chunk_steps * n * m)
     a = 0.5 * np.eye(n) + 0.5 / n
     spec = ModelSpec.average(a, np.full(n, 0.3), NoiseSpec.gaussian(np.zeros(n), np.eye(n)), np.zeros(n))
     tracemalloc.start()
@@ -1082,14 +961,14 @@ def test_noise_memory_is_bounded_by_a_chunk(tiled, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ens.engine["tiles"] == (25 if tiled else 1)
+    assert ens.engine["chunk_steps"] == (65 if chunk_steps is None else chunk_steps)
     assert peak < 8 * T * n * m / 4
-    assert ens.engine["noise_buffer_bytes_peak"] <= 8 * 2**20
+    assert ens.engine["noise_buffer_bytes_peak"] <= 8 * noise.CHUNK_VALUES + 8 * n * m
 
 
 def test_a_varying_rate_schedule_is_queried_once_a_step():
-    # each tile steps the whole horizon and queries a varying schedule again, so the tile
-    # rule prices a tile-step above what tiling epsilon-oscillator's runs would save
+    # 20000 runs of epsilon-oscillator's oscillating rates take 13-step chunks of 40 steps;
+    # the one pass over every run queries the schedule once a step
     from consensuslab import load_catalog_scenario
 
     s = load_catalog_scenario("epsilon-oscillator")
@@ -1099,5 +978,5 @@ def test_a_varying_rate_schedule_is_queried_once_a_step():
         queried.append(t)
         return rate(t)
 
-    ens = simulate_ensemble(replace(s.model, schedule_E=counted), s.horizon, s.ensemble, s.master_seed)
-    assert queried == list(range(1, s.horizon + 1)) and ens.engine["tiles"] == 1
+    ens = simulate_ensemble(replace(s.model, schedule_E=counted), 40, 20_000, s.master_seed)
+    assert queried == list(range(1, 41)) and ens.engine["chunk_steps"] == 13

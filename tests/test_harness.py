@@ -519,7 +519,7 @@ class TestRunScenario:
         traj = simulate(scenario.model, 20, seed=0)
         assert summary.ok
         assert summary.diagnostics == {
-            "engine": {"runs": 1, "steps": 20, "uniforms_drawn": 0, "tiles": 1, "philox_calls": 0,
+            "engine": {"runs": 1, "steps": 20, "uniforms_drawn": 0, "philox_calls": 0,
                        "transform_parts": 0, "chunk_steps": 20, "noise_buffer_bytes_peak": 0},
             "nonfinite_runs": 0,
             "first_nonfinite_step": None,
@@ -541,12 +541,11 @@ class TestRunScenario:
         del model["sigma_bar"]
         doc = dict(MINIMAL, model=model, horizon=30, ensemble=5)
         summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
-        # one tile and one 30-step chunk, so one Philox call per run, transformed a run at a
-        # time on the filling thread (Rademacher noise), and one 4-step stage, both 8 runs
-        # wide (5 runs and 3 zero-noise pad runs)
+        # one 30-step chunk, one Philox call a step, filled in 8 parts of whole steps, and a
+        # stage of one step, both 8 runs wide (5 runs and 3 pad runs, which draw their noise too)
         assert summary.diagnostics["engine"] == {
-            "runs": 5, "steps": 30, "uniforms_drawn": 30 * 2 * 5, "tiles": 1, "philox_calls": 5,
-            "transform_parts": 5, "chunk_steps": 30, "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 4 * 2 * 8,
+            "runs": 5, "steps": 30, "uniforms_drawn": 30 * 2 * 8, "philox_calls": 30,
+            "transform_parts": 8, "chunk_steps": 30, "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 2 * 8,
         }
         with open(tmp_path / "summary.json") as fh:
             assert json.load(fh)["diagnostics"]["engine"] == summary.diagnostics["engine"]

@@ -1,8 +1,6 @@
-import ctypes
-import math
-
 import numpy as np
 import pytest
+import reference_noise
 
 from consensuslab import (
     ModelSpec,
@@ -15,7 +13,23 @@ from consensuslab import (
     substream,
 )
 from consensuslab import noise
-from consensuslab.noise import NoiseChunks, _transform, run_keys, seed_pool
+from consensuslab.noise import NoiseChunks, _transform
+
+
+def _run_rows(chunks) -> np.ndarray:
+    """Every column's steps of a pass as (width, T, n): the runs, then the pad runs."""
+    return np.stack([g.copy() for g in chunks]).transpose(2, 0, 1)
+
+
+# one noise of each transform, a Gaussian with a diagonal factor and a mean, and with a dense factor
+def _kinds(n: int) -> dict:
+    g = np.random.default_rng(3).normal(size=(n, n))
+    return {
+        "gaussian": NoiseSpec.gaussian(np.linspace(-1.0, 2.0, n), np.diag(np.linspace(0.5, 2.0, n))),
+        "dense": NoiseSpec.gaussian(np.zeros(n), g @ g.T + np.eye(n)),
+        "rademacher": NoiseSpec.rademacher(n),
+        "cauchy": NoiseSpec.cauchy(n, scale=0.7, time_scale=lambda t: 1.0 / t),
+    }
 
 
 class TestNoiseSpecValidation:
@@ -60,72 +74,63 @@ class TestSubstreams:
         assert not np.array_equal(substream(1, 0).random(8), substream(2, 0).random(8))
 
 
-class TestRunKeys:
+class TestAddressing:
+    """Uniform (run r, step t, agent i) is position r * n + i of the stream at counter (0, t, 0, 0), one key a pass."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "dense", "rademacher", "cauchy"])
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**200 + 7])
-    def test_equal_to_seed_sequence_loop(self, seed):
-        m = 2000
-        keys = run_keys(seed, m)
-        assert keys.shape == (m, 2) and keys.dtype == np.uint64
-        for r in range(m):
-            expected = np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)
-            assert np.array_equal(keys[r], expected), r
+    def test_every_run_is_the_reference(self, seed, kind):
+        spec = _kinds(3)[kind]
+        rows = _run_rows(NoiseChunks(spec, 4, 11, seed))
+        for r in range(11):
+            expected = reference_noise.run_noise(spec, 4, seed, r)
+            if reference_noise.dense(spec):  # one run's product may round unlike eight runs'
+                np.testing.assert_allclose(rows[r], expected, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(rows[r], expected), r
 
-    @pytest.mark.parametrize("seed", [0, 2**32 + 5, 10**30])
-    @pytest.mark.parametrize("first, count", [(0, 5), (1, 1), (2336, 700), (2**32 - 3, 2)])
-    def test_keys_from_a_first_run(self, seed, first, count):
-        keys = run_keys(seed, count, first)
-        assert keys.shape == (count, 2) and keys.dtype == np.uint64
-        for i in range(count):
-            expected = np.random.SeedSequence(seed, spawn_key=(first + i,)).generate_state(2, np.uint64)
-            assert np.array_equal(keys[i], expected), i
-        if first + count < 10_000:
-            assert np.array_equal(keys, run_keys(seed, first + count)[first:])
+    @pytest.mark.parametrize("c0", [0, 5, 2**40])
+    def test_a_step_is_one_call_from_its_counter(self, c0):
+        chunks = NoiseChunks(NoiseSpec.cauchy(3), 1, 5, 9)
+        block = np.empty((2, chunks.width, 3))
+        chunks._fill(block, c0)
+        key = np.random.SeedSequence(9).generate_state(2, np.uint64)
+        for rows, t in zip(block, (c0 + 1, c0 + 2)):
+            stream = np.random.Generator(np.random.Philox(key=key, counter=np.array([0, t, 0, 0], dtype=np.uint64)))
+            assert np.array_equal(rows, stream.random(rows.shape)), t
+        assert (chunks.philox_calls, chunks.uniforms_drawn) == (2, block.size)
 
-    def test_noise_chunks_use_the_substream_keys(self):
-        # n = 7: the stage holds four steps of 2336 runs, so 5000 runs go through in three tiles,
-        # each keyed from its own first run
-        spec = NoiseSpec.rademacher(7)
-        chunks = NoiseChunks(spec, 8, 5000, 77)
-        assert (chunks.tiles, chunks.width) == (3, 1672)
-        steps = np.stack([g.copy() for g in chunks])  # (tiles * T, n, width)
-        for r in (0, 1, 1671, 1672, 3344, 4999):
-            tile, col = divmod(r, chunks.width)
-            rows = steps[tile * 8 : tile * 8 + 8, :, col]
-            assert np.array_equal(rows, sample_noise_block(spec, 8, substream(77, r))), r
+    def test_neighbouring_runs_steps_and_agents_are_uncorrelated(self):
+        # each of the three axes of the address moves to another Philox counter or block word
+        z = _run_rows(NoiseChunks(NoiseSpec.gaussian(np.zeros(2), np.eye(2)), 400, 400, 12)).transpose(1, 2, 0)
+        for a, b in ((z[:, :, :-1], z[:, :, 1:]), (z[:-1], z[1:]), (z[:, 0], z[:, 1])):
+            assert abs(np.mean(a * b)) < 5 / np.sqrt(a.size), a.shape
 
-    @pytest.mark.parametrize("first", [0, 1, 777, 2**32 - 9])
-    def test_keys_from_a_seed_pool(self, first):
-        seed = 2**64 + 2**40 + 12345  # three 32-bit words
-        keys = run_keys(seed_pool(seed), 8, first)
-        for i in range(8):
-            expected = np.random.SeedSequence(seed, spawn_key=(first + i,)).generate_state(2, np.uint64)
-            assert np.array_equal(keys[i], expected), i
-        assert np.array_equal(keys, run_keys(seed, 8, first))
+    @pytest.mark.parametrize("t", [1, 2, 1000, 2**40])
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "cauchy"])
+    def test_one_step_across_runs_has_the_law(self, kind, t):
+        # the limit laws are laws across runs, so every step's noise across the ensemble must
+        # have the noise's law, at any step the counter addresses
+        import scipy.stats
 
-    def test_an_ensemble_pass_mixes_the_seed_once(self, monkeypatch):
-        pools, firsts = [], []
-        real_pool, real_keys = noise.seed_pool, noise.run_keys
-        monkeypatch.setattr(noise, "seed_pool", lambda seed: pools.append(seed) or real_pool(seed))
-        monkeypatch.setattr(noise, "run_keys", lambda pool, count, first: firsts.append(first) or
-                            real_keys(pool, count, first))
-        spec = ModelSpec.noisy(np.eye(2), [0.5, 0.5], 1.0, NoiseSpec.rademacher(2), np.zeros(2))
-        ens = simulate_ensemble(spec, 4, 20_000, 2**70 + 3)
-        # n = 2: the stage holds four steps of 8192 runs, so three tiles, each keyed at its first run
-        assert ens.engine["tiles"] == 3 and pools == [2**70 + 3]
-        assert firsts == [0, 6672, 13344]
+        from consensuslab import ks_critical_value, ks_statistic
 
-    def test_no_runs(self):
-        assert run_keys(5, 0).shape == (0, 2)
+        spec = {"gaussian": NoiseSpec.gaussian([0.0], [[1.0]]), "rademacher": NoiseSpec.rademacher(1),
+                "cauchy": NoiseSpec.cauchy(1, scale=2.0)}[kind]
+        chunks = NoiseChunks(spec, 1, 20_000, 31)
+        u = np.empty((1, chunks.width, 1))
+        chunks._fill(u, t - 1)
+        g = _transform(spec, u, None).ravel()
+        if kind == "rademacher":
+            assert set(np.unique(g)) == {-1.0, 1.0} and abs(g.mean()) < 5 / np.sqrt(g.size)
+            return
+        cdf = scipy.stats.norm.cdf if kind == "gaussian" else lambda x: scipy.stats.cauchy.cdf(x, scale=2.0)
+        assert ks_statistic(g, cdf) < ks_critical_value(g.size, 0.01)
 
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
     def test_negative_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            run_keys(seed, 3)
-
-    @pytest.mark.parametrize("count, first", [(2**32, 0), (2, 2**32 - 2), (1, -1), (-1, 0)])
-    def test_run_count_must_fit_one_word(self, count, first):
-        with pytest.raises(ValueError, match="run count"):
-            run_keys(0, count, first)
+            NoiseChunks(NoiseSpec.rademacher(2), 3, 4, seed)
 
     def test_negative_seed_fails_the_ensemble(self):
         spec = ModelSpec.noisy(np.eye(2), [0.5, 0.5], 1.0, NoiseSpec.gaussian(np.zeros(2), np.eye(2)), np.zeros(2))
@@ -220,6 +225,10 @@ class TestSampling:
         t = np.arange(1, 7, dtype=float)[:, None]
         assert np.allclose(damped, raw / t)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "dense", "rademacher", "cauchy"])
+    def test_an_empty_horizon_is_an_empty_block(self, kind):
+        assert sample_noise_block(_kinds(3)[kind], 0, substream(5, 0)).shape == (0, 3)
+
     def test_random_kinds_need_a_stream(self):
         with pytest.raises(ValueError, match="stream"):
             sample_noise(NoiseSpec.rademacher(1), 1, None)
@@ -266,65 +275,45 @@ class TestGaussianTransform:
 
 
 class TestNoiseChunks:
-    def test_many_short_runs_take_seven_staged_whole_horizon_tiles(self):
-        # n = 2: k only needs k * n to be a multiple of 4, so one tile of all 50000 runs would
-        # take five 4-step chunks in half the budget (4 MiB, the other half for the chunk
-        # started ahead); four tiles of 12504 would take one 20-step chunk each, but
-        # the stage holds four steps of at most 8192 runs, so seven tiles of 7144 do
-        from consensuslab import noise
-
-        spec = NoiseSpec.gaussian(np.zeros(2), np.eye(2))
-        chunks = NoiseChunks(spec, 20, 50_000, 5)
-        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (7, 7144, 20)
-        assert type(chunks.chunk_steps) is int
-        assert chunks._stage.shape == (4, 2, 7144) and chunks._stage.size <= noise.STAGE_VALUES
-
-    def test_many_runs_engine_makes_one_philox_call_per_run(self):
-        from consensuslab import noise
-
+    def test_many_runs_engine_makes_one_philox_call_per_step(self):
+        # n = 2, m = 50000: a step is 100000 values, so half the budget holds 2 steps
         a = np.array([[0.7, 0.3], [0.4, 0.6]])
         spec = ModelSpec.noisy(a, [0.5, 0.4], 1.0, NoiseSpec.gaussian(np.zeros(2), np.eye(2)), np.zeros(2))
         engine = simulate_ensemble(spec, 20, 50_000, 401, snapshot_times=[10, 20]).engine
-        assert (engine["tiles"], engine["chunk_steps"], engine["philox_calls"]) == (7, 20, 50_000)
+        assert (engine["chunk_steps"], engine["philox_calls"]) == (2, 20)
         assert engine["uniforms_drawn"] == 20 * 2 * 50_000
-        assert engine["transform_parts"] == 7 * noise.TRANSFORM_PARTS == 56
-        # a tile's chunk and the next tile's, started ahead, with their pad, and the stage
-        assert engine["noise_buffer_bytes_peak"] == 2 * 8 * 20 * 2 * 7144 + 8 * 4 * 2 * 7144 == 5_029_376
-        assert engine["noise_buffer_bytes_peak"] <= 8 * (noise.CHUNK_VALUES + noise.STAGE_VALUES)
+        assert engine["transform_parts"] == 10 * 2  # a part a step, two steps a chunk
+        # the chunk stepped and the one started ahead, and the stage of one step
+        assert engine["noise_buffer_bytes_peak"] == 2 * 8 * 2 * 2 * 50_000 + 8 * 2 * 50_000 == 4_000_000
+        assert engine["noise_buffer_bytes_peak"] <= 8 * (noise.CHUNK_VALUES + 2 * 50_000)
 
-    # (tiles, width, chunk_steps) of every catalog case with random noise
+    # (width, chunk_steps) of every catalog case with random noise
     CATALOG_GEOMETRY = {
-        "cauchy-invariant": (4, 2504, 200), "average-clt": (2, 1504, 174), "gaussian-dist": (2, 1504, 174),
-        "epsilon-oscillator": (1, 3000, 172), "rademacher-dist": (2, 1504, 174), "average-line": (1, 2000, 130),
+        "cauchy-invariant": (10_000, 26), "average-clt": (3000, 43), "gaussian-dist": (3000, 43),
+        "epsilon-oscillator": (3000, 87), "rademacher-dist": (3000, 43), "average-line": (2000, 65),
     }
 
     @pytest.mark.parametrize("case_id, geometry", CATALOG_GEOMETRY.items())
-    def test_catalog_tiles(self, case_id, geometry):
-        # the least cost of Philox calls and tile-steps, every chunk in half the budget: a
-        # second tile pays where it halves a run's 86-step chunks (n = 2: 12 a run in
-        # gaussian-dist and rademacher-dist, 24 in average-clt), and four take a Cauchy run's
-        # 200 steps to one chunk. Halving epsilon-oscillator's 6 chunks saves 9000 calls for
-        # 1000 more steps, and average-line's 12 saves 12000 for 1500: neither pays. No
-        # catalog tile is too wide for the stage to hold four of its steps
+    def test_catalog_geometry(self, case_id, geometry):
         from consensuslab import load_catalog_scenario
 
         s = load_catalog_scenario(case_id)
         chunks = NoiseChunks(s.model.noise, s.horizon, s.ensemble, s.master_seed)
-        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == geometry
+        assert (chunks.width, chunks.chunk_steps) == geometry
 
     @pytest.mark.parametrize("case_id", CATALOG_GEOMETRY)
-    def test_catalog_csvs_ignore_the_tiling(self, case_id, tmp_path, monkeypatch):
-        # the most tiles the rule allows and the fewest give every output byte alike
+    def test_catalog_csvs_ignore_the_chunking(self, case_id, tmp_path, monkeypatch):
+        # three-step chunks give every output byte as the default chunks do
         from consensuslab import load_catalog_scenario, run_scenario
 
         s = load_catalog_scenario(case_id)
-        tiles = []
-        for step_calls in (0, 10**9):
-            monkeypatch.setattr(noise, "STEP_CALLS", step_calls)
-            tiles.append(run_scenario(s, out_dir=tmp_path / str(step_calls)).diagnostics["engine"]["tiles"])
-        assert tiles[0] > tiles[1]
+        steps = []
+        for name, chunk_values in (("default", noise.CHUNK_VALUES), ("three", 2 * 3 * s.model.n * s.ensemble)):
+            monkeypatch.setattr(noise, "CHUNK_VALUES", chunk_values)
+            steps.append(run_scenario(s, out_dir=tmp_path / name).diagnostics["engine"]["chunk_steps"])
+        assert steps == [self.CATALOG_GEOMETRY[case_id][1], 3]
         for name in ("ensemble.csv", "trajectory.csv"):
-            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / str(10**9) / name).read_bytes(), name
+            assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "three" / name).read_bytes(), name
 
     def test_every_random_catalog_case_has_its_geometry_pinned(self):
         from consensuslab import catalog, load_catalog_scenario
@@ -333,153 +322,86 @@ class TestNoiseChunks:
         random_cases = {c for c, model in zip(catalog(), models) if model is not None and model.noise.is_random}
         assert random_cases == set(self.CATALOG_GEOMETRY)
 
-    def test_no_catalog_case_tiles_a_varying_schedule(self):
-        # simulate_ensemble queries the schedules again for every tile, so a catalog case whose
-        # weights or rates vary by step keeps one tile, whatever the engine's geometry
-        from consensuslab import Constant, catalog, load_catalog_scenario
-
-        varying = []
-        for case_id in catalog():
-            s = load_catalog_scenario(case_id)
-            schedules = () if s.model is None else (s.model.schedule_A, s.model.schedule_E)
-            if all(f is None or isinstance(f, Constant) for f in schedules):
-                continue
-            varying.append(case_id)
-            assert NoiseChunks(s.model.noise, s.horizon, s.ensemble, s.master_seed).tiles == 1, case_id
-        assert "epsilon-oscillator" in varying
-
-    @pytest.mark.parametrize("kind, geometry", [
-        ("gaussian", (2, 1504, 174)),
-        ("rademacher", (2, 1504, 174)),
-        ("cauchy", (2, 1504, 174)),
-    ])
-    def test_long_runs_take_their_least_cost_tiles(self, kind, geometry):
-        # m = 3000, n = 2, T = 1000: in half the budget one tile's chunks hold 86 steps, two
-        # tiles' 174. At STEP_CALLS Philox calls a tile-step, the 18000 calls a second tile
-        # saves outweigh its 1000 steps, whatever the noise class
-        spec = {"gaussian": NoiseSpec.gaussian(np.zeros(2), np.eye(2)),
-                "rademacher": NoiseSpec.rademacher(2), "cauchy": NoiseSpec.cauchy(2)}[kind]
-        chunks = NoiseChunks(spec, 1000, 3000, 5)
-        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == geometry
-
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 100])
-    @pytest.mark.parametrize("kind", ["diagonal", "dense", "rademacher", "cauchy"])
-    def test_tiles_are_the_least_cost(self, kind, n):
-        # brute force over every tile count whose tiles hold WIDTH_PAD runs or more and, at
-        # n < 8, fit the stage: the least Philox calls plus STEP_CALLS per tile-step, ties to
-        # the fewest tiles. Every chunk is one of two in the budget
-        spec = {"diagonal": NoiseSpec.gaussian(np.zeros(n), np.diag(np.linspace(0.5, 2.0, n))),
-                "dense": NoiseSpec.gaussian(np.zeros(n), np.eye(n) + 0.5 * np.ones((n, n))),
-                "rademacher": NoiseSpec.rademacher(n), "cauchy": NoiseSpec.cauchy(n)}[kind]
-        dense = spec._factor is not None and spec._factor.ndim == 2
-        assert dense == (kind == "dense" and n > 1)
-        align = noise.STEP_GROUP if dense else 4 // math.gcd(n, 4)
-        budget = noise.CHUNK_VALUES // 2
+    @pytest.mark.parametrize("kind", ["gaussian", "dense", "rademacher", "cauchy", "decaying"])
+    def test_chunks_hold_the_most_whole_steps_of_half_the_budget(self, kind, n):
+        # a random step is padded_width(m) * n values, a deterministic one n values shared by
+        # every run; a step over half the budget is a chunk of its own
+        spec = NoiseSpec.decaying(n, 0.5) if kind == "decaying" else _kinds(n)[kind]
+        half = noise.CHUNK_VALUES // 2
         for m in (1, 37, 3000, 50_000):
+            step = (noise.padded_width(m) if spec.is_random else 1) * n
             for T in (1, 20, 1000):
-                best = None
-                for t in range(1, -(-m // noise.WIDTH_PAD) + 1):
-                    W = noise.padded_width(-(-m // t))
-                    if n < 8 and 4 * n * W > noise.STAGE_VALUES:
-                        continue
-                    k = max(align, budget // (W * n) // align * align)
-                    cost = m * -(-T // k) + noise.STEP_CALLS * T * -(-m // W)
-                    if best is None or cost < best[0]:
-                        best = (cost, -(-m // W), W, min(k, T))
                 chunks = NoiseChunks(spec, T, m, 5)
-                assert (chunks.tiles, chunks.width, chunks.chunk_steps) == best[1:], (m, T)
+                k = chunks.chunk_steps
+                assert chunks.width == noise.padded_width(m) and type(k) is int
+                assert 1 <= k <= T and (k == 1 or k * step <= half) and (k == T or (k + 1) * step > half), (m, T)
 
-    def test_wide_agents_take_two_lookahead_tiles(self):
-        # n = 100, m = 500, T = 500: one tile of 504 takes 10-step chunks, 25000 Philox calls;
-        # two of 256 take 20-step chunks, 12500 calls for 500 more tile-steps, which STEP_CALLS
-        # prices below the calls saved; three of 168 would save 4000 calls for 500 more steps
+    def test_wide_agents_take_five_step_chunks(self):
+        # n = 100, m = 500, T = 500: a step of 504 runs is 50400 values, five of them fit half the budget
         chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(100), np.eye(100)), 500, 500, 3)
-        assert (chunks.tiles, chunks.width, chunks.chunk_steps) == (2, 256, 20)
+        assert (chunks.width, chunks.chunk_steps) == (504, 5)
 
-    def test_deterministic_noise_keeps_one_tile(self):
+    def test_deterministic_noise_is_one_column_shared_by_every_run(self):
         chunks = NoiseChunks(NoiseSpec.decaying(2, 0.5), 20, 50_000, 5)
-        assert chunks.tiles == 1 and chunks.philox_calls == 0
+        for t, g in enumerate(chunks, 1):
+            assert g.shape == (2, 1) and np.array_equal(g, np.full((2, 1), 0.5**t)), t
+        assert chunks.philox_calls == chunks.uniforms_drawn == chunks.transform_parts == 0
 
     def test_chunk_steps_is_a_python_int(self):
         spec = ModelSpec.average(np.full((2, 2), 0.5), [0.3, 0.3], NoiseSpec.rademacher(2), np.zeros(2))
         ens = simulate_ensemble(spec, 30, 5, 3)
         assert type(ens.engine["chunk_steps"]) is int
 
-    @pytest.mark.parametrize("n, staged", [(2, True), (7, True), (8, False), (16, False)])
-    def test_buffer_peak_counts_the_chunk_and_the_stage(self, n, staged):
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 16])
+    def test_buffer_peak_counts_the_chunks_and_the_stage(self, n, monkeypatch):
+        # 5 runs padded to 8; one 12-step chunk, then 5-step chunks, the second started ahead
+        step, stage = 8 * 8 * n, 8 * n * 8
         chunks = NoiseChunks(NoiseSpec.cauchy(n), 12, 5, 9)
         list(chunks)
-        chunk = 8 * 12 * n * 8  # 5 runs padded to 8
-        assert (chunks._stage is not None) == staged
-        assert chunks.buffer_bytes_peak == chunk + (8 * 4 * n * 8 if staged else 0)
+        assert chunks.buffer_bytes_peak == 12 * step + stage
+        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * 5 * 8 * n)
+        chunks = NoiseChunks(NoiseSpec.cauchy(n), 12, 5, 9)
+        list(chunks)
+        assert chunks.chunk_steps == 5 and chunks.buffer_bytes_peak == 2 * 5 * step + stage
 
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_stage_is_bounded(self, n):
-        # at n < 8 a random tile is never wider than four steps of the stage, rounded down to WIDTH_PAD
-        from consensuslab import noise
+    def test_a_step_over_the_budget_is_a_chunk_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(noise, "CHUNK_VALUES", 2)
+        spec = NoiseSpec.rademacher(3)
+        chunks = NoiseChunks(spec, 6, 9, 4)
+        rows = _run_rows(chunks)
+        assert (chunks.chunk_steps, chunks.philox_calls, chunks.transform_parts) == (1, 6, 6)
+        for r in range(9):
+            assert np.array_equal(rows[r], reference_noise.run_noise(spec, 6, 4, r)), r
 
-        wide = noise.STAGE_VALUES // (4 * n) // noise.WIDTH_PAD * noise.WIDTH_PAD
-        for m, tiles in ((wide, 1), (wide + 1, 2), (3 * wide + 1, 4), (50_000, -(-50_000 // wide))):
-            for spec in (NoiseSpec.rademacher(n), NoiseSpec.gaussian(np.zeros(n), np.eye(n))):
-                chunks = NoiseChunks(spec, 8, m, 1)
-                assert chunks.tiles == tiles and chunks.width <= wide, (m, spec.kind)
-                assert chunks._stage.shape == (4, n, chunks.width)
-                assert chunks._stage.size <= noise.STAGE_VALUES
+    @pytest.mark.parametrize("kind", ["gaussian", "dense", "rademacher", "cauchy"])
+    def test_pad_columns_are_the_next_runs(self, kind):
+        # 37 runs padded to 40: columns 37..39 are runs 37..39 of a wider pass, never reported
+        spec = _kinds(3)[kind]
+        wide, padded = _run_rows(NoiseChunks(spec, 9, 48, 6)), _run_rows(NoiseChunks(spec, 9, 37, 6))
+        assert padded.shape == (40, 9, 3)
+        assert np.array_equal(padded, wide[:40])
 
     def test_timings_are_recorded(self):
         chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(3), np.eye(3)), 40, 20, 2)
         list(chunks)
         assert chunks.fill_s > 0 and chunks.transform_s > 0
 
-
-class TestPhiloxViews:
-    """The engine re-keys its one Philox generator per run through views of numpy's C state."""
-
-    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.SFC64, np.random.MT19937])
-    def test_other_generators_are_refused_untouched(self, bitgen):
-        # PCG64's key word is null; SFC64's and MT19937's first words are state, not pointers,
-        # which the guard refuses before reading through them, and nothing is written
-        bg = bitgen(1)
-        with pytest.raises(AssertionError, match="does not hold numpy's Philox state layout"):
-            noise._philox_views(bg)
-        assert np.array_equal(bg.random_raw(4), bitgen(1).random_raw(4))
-
-    def test_a_layout_that_does_not_read_back_is_refused(self, monkeypatch):
-        # counter and key swapped: both pointers lie inside the generator, the sentinel does not read back
-        swapped = [("key", ctypes.c_void_p), ("ctr", ctypes.c_void_p), ("buffer_pos", ctypes.c_int)]
-        monkeypatch.setattr(noise, "_PhiloxHead", type("Swapped", (ctypes.Structure,), {"_fields_": swapped}))
-        with pytest.raises(AssertionError, match="does not read back"):
-            noise._philox_views(np.random.Philox(0))
-
-    def test_views_rekey_like_the_state_setter(self):
-        bg = np.random.Philox(0)
-        key, ctr, pos = noise._philox_views(bg)
-        assert ctr.tolist()[1:] == [0, 0, 0]
-        gen = np.random.Generator(bg)
-        k = [0x9E3779B97F4A7C15, 0x243F6A8885A308D3]
-        for c in (0, 3, 2**40):
-            gen.random(3)  # leave part of a block buffered
-            key[0], key[1], ctr[0], pos[0] = k[0], k[1], c, 4
-            expected = np.random.Generator(np.random.Philox(key=np.array(k, dtype=np.uint64), counter=c))
-            assert np.array_equal(gen.random(9), expected.random(9)), c
-
-    @pytest.mark.parametrize("spec", [NoiseSpec.gaussian(np.zeros(3), np.eye(3)), NoiseSpec.cauchy(3)],
-                             ids=["gaussian", "cauchy"])
-    def test_interleaved_passes_keep_their_own_streams(self, spec, monkeypatch):
-        # 4-step chunks of 16 columns (each chunk one of two in the budget), so each pass
-        # re-keys its generator three times per run; T * n = 27 ends the last chunk mid-block
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    def test_interleaved_passes_keep_their_own_streams(self, kind, monkeypatch):
+        # 4-step chunks, so each pass sets its generator's counter for every step of its three
+        # chunks while the other pass sets its own
         monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * 4 * 16 * 3)
+        spec = _kinds(3)[kind]
         T, m = 9, 11
         a, b = NoiseChunks(spec, T, m, 5), NoiseChunks(spec, T, m, 6)
-        assert (a.tiles, a.width, a.chunk_steps) == (b.tiles, b.width, b.chunk_steps) == (1, 16, 4)
-        for view_a, view_b in zip((a._key, a._ctr, a._pos), (b._key, b._ctr, b._pos)):
-            assert not np.shares_memory(view_a, view_b)
+        assert (a.width, a.chunk_steps) == (b.width, b.chunk_steps) == (16, 4)
         steps = [(ga.copy(), gb.copy()) for ga, gb in zip(a, b)]
         for seed, side in ((5, 0), (6, 1)):
-            rows = np.stack([pair[side] for pair in steps])  # (T, n, width)
+            rows = np.stack([pair[side] for pair in steps]).transpose(2, 0, 1)
             for r in range(m):
-                assert np.array_equal(rows[:, :, r], sample_noise_block(spec, T, substream(seed, r))), (seed, r)
-        assert a.philox_calls == b.philox_calls == 3 * m
+                assert np.array_equal(rows[r], reference_noise.run_noise(spec, T, seed, r)), (seed, r)
+        assert a.philox_calls == b.philox_calls == T
 
 
 class TestEpsilonOscillator:
