@@ -10,6 +10,7 @@ are always part of the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,7 +18,7 @@ import orjson
 
 from .errors import InconsistentDeclarationError
 from .matrices import contraction_factor, entries_of, matrix_inf_norm
-from .schedules import Constant
+from .schedules import walk
 
 PRODUCT_TOL = 1e-6
 SUMMABILITY_TOL = 1e-3
@@ -230,30 +231,18 @@ def check_ll1b(
 
     Accumulates ``|A_t - A_{t-1}|_inf + |E_t - E_{t-1}|_inf`` for t = 1..T
     and compares the tail (t > T/2) against the head; a tail below
-    ``summability_tol`` is taken as evidence the series converges.
+    ``summability_tol`` is taken as evidence the series converges. It reads
+    t = 0..T through ``schedules.walk``, raising a run's ``ScheduleError``.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
-    a_const, e_const = isinstance(schedule_A, Constant), isinstance(schedule_E, Constant)
-    prev_a = entries_of(schedule_A(0))
-    prev_e = np.atleast_1d(np.asarray(schedule_E(0), dtype=float))
-    # a Constant schedule's increments are all its value minus itself (0.0 when finite): one norm
-    da = matrix_inf_norm(prev_a - prev_a)
-    de = float(np.max(np.abs(prev_e - prev_e)))
-    head = tail = 0.0
-    cut = T // 2
-    for t in range(1, T + 1):
-        if not a_const:
-            a = entries_of(schedule_A(t))
-            da, prev_a = matrix_inf_norm(a - prev_a), a
-        if not e_const:
-            e = np.atleast_1d(np.asarray(schedule_E(t), dtype=float))
-            de, prev_e = float(np.max(np.abs(e - prev_e))), e
-        alpha = da + de
-        if t > cut:
-            tail += alpha
-        else:
-            head += alpha
+    sums = [0.0, 0.0]  # the head (t <= T/2) and the tail
+    for t, ((prev_a, prev_e), (a, e)) in enumerate(pairwise(walk(schedule_A, schedule_E, 0, T)), 1):
+        # a repeated object's increment is 0.0 (walk's values are finite), so it is not computed
+        da = 0.0 if a is prev_a else matrix_inf_norm(a - prev_a)
+        de = 0.0 if e is prev_e else float(np.abs(e - prev_e).max())
+        sums[t > T // 2] += da + de
+    head, tail = sums
     total = head + tail
     satisfied = tail < summability_tol
     return ConditionReport(
@@ -284,7 +273,8 @@ def check_nonlinear_bounds(f, schedule_A, T: int, grid=None) -> ConditionReport:
     smallest declared bottom to the largest declared top. Every declaration
     is audited first: the function's sampled derivative values on the grid
     must lie inside its own declared range, and a function with no declared
-    range is rejected outright.
+    range is rejected outright. The weights are read at t = 1..T as
+    ``schedules.walk`` reads them for the engine.
     """
     fs = tuple(f) if isinstance(f, (list, tuple)) else (f,)
     if not all(getattr(fi, "has_declared_bounds", False) for fi in fs):
@@ -308,10 +298,7 @@ def check_nonlinear_bounds(f, schedule_A, T: int, grid=None) -> ConditionReport:
         lo, hi = min(lo, float(sampled.min())), max(hi, float(sampled.max()))
     deriv_inf = min(fi.deriv_inf for fi in fs)
     deriv_sup = max(fi.deriv_sup for fi in fs)
-    min_aii = np.inf
-    for t in range(1, T + 1):
-        d = np.diagonal(entries_of(schedule_A(t)))
-        min_aii = min(min_aii, float(d.min()))
+    min_aii = min((float(np.diagonal(a).min()) for a, _ in walk(schedule_A, None, 1, T)), default=np.inf)
     satisfied = deriv_inf > 0.0 and deriv_sup < 2.0 * min_aii
     return ConditionReport(
         "nonlinear_bounds",

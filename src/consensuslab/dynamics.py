@@ -38,16 +38,10 @@ import numpy as np
 
 from .conditions import nonlinear_rho
 from .errors import InconsistentDeclarationError, ScheduleError
-from .matrices import (
-    StochasticMatrix,
-    averaging_map,
-    contraction_factor,
-    dobrushin,
-    entries_of,
-)
+from .matrices import averaging_map, contraction_factor, dobrushin, entries_of
 # sample_noise_block and substream are unused here; bench/tracing.py wraps them by name in this module
 from .noise import NoiseChunks, NoiseSpec, sample_noise_block, substream
-from .schedules import Constant, as_schedule
+from .schedules import Constant, Table, as_schedule, matrix_at, rates_at, walk
 
 
 class ModelFamily(enum.Enum):
@@ -137,7 +131,8 @@ class ModelSpec:
     """Declarative description of one dynamics scenario.
 
     ``schedule_A`` and ``schedule_E`` map a step index ``t >= 1`` to the
-    weights matrix and learning rates used in that step. ``include_target``
+    weights matrix and learning rates used in that step; a ``Constant`` or
+    ``Table`` value that ``schedules.walk`` refuses is a ``ValueError`` here. ``include_target``
     only matters for the nonlinear family and selects whether the feedback
     argument carries the target (otherwise only the disturbance enters).
     """
@@ -164,10 +159,6 @@ class ModelSpec:
             raise ValueError(f"noise dimension {noise.n} does not match n={self.n}")
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "schedule_A", as_schedule(self.schedule_A))
-        if isinstance(self.schedule_A, Constant):
-            a = entries_of(self.schedule_A.value)
-            if a.shape != (self.n, self.n):
-                raise ValueError(f"weights matrix has shape {a.shape}, expected ({self.n}, {self.n})")
 
         fam = self.family
         if fam is ModelFamily.NONLINEAR:
@@ -197,6 +188,14 @@ class ModelSpec:
             object.__setattr__(self, "sigma_bar", float(self.sigma_bar))
         if fam is ModelFamily.BASE and noise.kind != "zero":
             raise ValueError("base family is deterministic; use zero noise")
+        # a Constant's or a Table's values are known now: a bad one is refused here, not at its step
+        for sched, at in ((self.schedule_A, matrix_at), (self.schedule_E, rates_at)):
+            t0, count = (sched.t0, len(sched)) if isinstance(sched, Table) else (1, int(isinstance(sched, Constant)))
+            try:
+                for t in range(t0, t0 + count):
+                    at(sched, t, self.n)
+            except ScheduleError as exc:
+                raise ValueError(str(exc)) from exc
 
     # Convenience constructors mirror how scenarios are usually written.
 
@@ -392,67 +391,29 @@ def step_average(A, eps, gamma, x) -> np.ndarray:
     return _view(averaging_map(A, e).entries, e, None, None, gamma, x, average=True)
 
 
-def _query_matrix(sched, t: int) -> np.ndarray:
-    try:
-        v = sched(t)
-    except ScheduleError:
-        raise
-    except Exception as exc:
-        raise ScheduleError(t, f"weights schedule failed at t={t}: {exc}") from exc
-    if isinstance(v, StochasticMatrix):
-        return v.entries
-    try:
-        return StochasticMatrix(v).entries
-    except ValueError as exc:
-        raise ScheduleError(t, f"weights schedule produced an invalid matrix at t={t}: {exc}") from exc
-
-
-def _query_eps(sched, t: int, n: int) -> np.ndarray:
-    """Rates of step ``t`` as an (n,) vector; a single value applies to every agent."""
-    try:
-        v = sched(t)
-    except ScheduleError:
-        raise
-    except Exception as exc:
-        raise ScheduleError(t, f"rate schedule failed at t={t}: {exc}") from exc
-    e = np.atleast_1d(np.asarray(v, dtype=float))
-    if e.shape == (1,) and n > 1:
-        e = np.full(n, e[0])
-    if e.shape != (n,) or not np.all(np.isfinite(e)):
-        raise ScheduleError(t, f"rate schedule produced an invalid value at t={t}: {v!r}")
-    return e
-
-
 def _schedule(spec: ModelSpec, T: int):
-    """Yield each step's ``(a_t, e_t, M_t, rho_t)`` for t = 1..T, validating every query.
+    """Yield each step's ``(a_t, e_t, M_t, rho_t)`` for t = 1..T, as ``schedules.walk`` reads the schedules.
 
     ``e_t`` is None for the nonlinear family. ``M_t`` is the averaging map
     of ``(a_t, e_t)`` for the average family and ``a_t`` otherwise;
     ``rho_t`` is its Dobrushin coefficient, the worst-case nonlinear figure
     (NaN where a learning function declares no derivative range) or the
-    contraction factor of ``(a_t, e_t)``. Constant schedules are queried once.
+    contraction factor of ``(a_t, e_t)``, reused while those repeat.
     """
-    a_const = isinstance(spec.schedule_A, Constant)
-    e_const = spec.schedule_E is None or isinstance(spec.schedule_E, Constant)
-    e = None
-    for t in range(1, T + 1):
-        if t == 1 or not a_const:
-            a = _query_matrix(spec.schedule_A, t)
-        if spec.schedule_E is not None and (t == 1 or not e_const):
-            e = _query_eps(spec.schedule_E, t, spec.n)
-        M, rho = a, np.nan
-        if spec.family is ModelFamily.AVERAGE:
-            M = averaging_map(a, e).entries
-            rho = dobrushin(M)
-        elif spec.family is not ModelFamily.NONLINEAR:
-            rho = contraction_factor(a, e)
-        else:
-            with suppress(InconsistentDeclarationError):  # no declared derivative range: NaN
-                rho = nonlinear_rho(spec.learning_fn, a)
-        if a_const and e_const:
-            yield from repeat((a, e, M, rho), T)
-            return
-        yield a, e, M, rho
+    step = None
+    for a, e in walk(spec.schedule_A, spec.schedule_E, 1, T, spec.n):
+        if step is None or a is not step[0] or e is not step[1]:
+            M, rho = a, np.nan
+            if spec.family is ModelFamily.AVERAGE:
+                M = averaging_map(a, e).entries
+                rho = dobrushin(M)
+            elif spec.family is not ModelFamily.NONLINEAR:
+                rho = contraction_factor(a, e)
+            else:
+                with suppress(InconsistentDeclarationError):  # no declared derivative range: NaN
+                    rho = nonlinear_rho(spec.learning_fn, a)
+            step = (a, e, M, rho)
+        yield step
 
 
 def model_rho_sequence(spec: ModelSpec, T: int) -> np.ndarray:

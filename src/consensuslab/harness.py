@@ -334,12 +334,8 @@ def _check_ll1b(scenario: Scenario, params: dict) -> cond.ConditionReport:
     if spec is None or spec.schedule_E is None:
         raise ScenarioFormatError("ll1b needs a model with rate schedules")
     T = _whole(params.get("T", scenario.horizon), "T")
-    return cond.check_ll1b(
-        spec.schedule_A,
-        spec.schedule_E,
-        T,
-        summability_tol=_real(params, "summability_tol", cond.SUMMABILITY_TOL),
-    )
+    return cond.check_ll1b(spec.schedule_A, spec.schedule_E, T,
+                           summability_tol=_real(params, "summability_tol", cond.SUMMABILITY_TOL))
 
 
 def _check_nonlinear_bounds(scenario: Scenario, params: dict) -> cond.ConditionReport:

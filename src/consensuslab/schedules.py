@@ -3,13 +3,23 @@
 A schedule is any callable mapping a step index ``t >= 0`` to a value. The
 classes below cover the forms scenarios use; anything else can be passed as
 a bare function.
+
+``matrix_at`` reads step t of a weights schedule (a finite, row-stochastic
+n×n matrix) and ``rates_at`` of a rate schedule (n finite rates, or one for
+all); any failure is a ``ScheduleError`` naming t. ``walk`` reads both over
+t0..T, a ``Constant`` once. The engine, ``check_ll1b`` and
+``check_nonlinear_bounds`` all walk, so no check passes on a schedule a run
+refuses; ``ModelSpec`` reads a ``Constant``'s or ``Table``'s values when built.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
+
 import numpy as np
 
-from .errors import TableExhaustedError
+from .errors import ScheduleError, TableExhaustedError
+from .matrices import StochasticMatrix
 
 
 class Constant:
@@ -53,6 +63,54 @@ def as_schedule(value):
     if callable(value):
         return value
     return Constant(value)
+
+
+def _query(schedule, t: int, what: str):
+    try:
+        return schedule(t)
+    except ScheduleError:
+        raise
+    except Exception as exc:
+        raise ScheduleError(t, f"{what} schedule failed at t={t}: {exc}") from exc
+
+
+def matrix_at(schedule, t: int, n: int | None = None) -> np.ndarray:
+    """Step ``t``'s weights: a finite, row-stochastic ``(n, n)`` array (any square shape if ``n`` is None)."""
+    v = _query(schedule, t, "weights")
+    try:
+        a = v.entries if isinstance(v, StochasticMatrix) else StochasticMatrix(v).entries
+        if n is not None and a.shape != (n, n):
+            raise ValueError(f"shape {a.shape}, expected {(n, n)}")
+    except (ValueError, TypeError) as exc:
+        raise ScheduleError(t, f"weights schedule produced an invalid matrix at t={t}: {exc}") from exc
+    return a
+
+
+def rates_at(schedule, t: int, n: int) -> np.ndarray:
+    """Step ``t``'s rates as n finite values; a single value applies to every agent."""
+    v = _query(schedule, t, "rate")
+    with suppress(ValueError, TypeError):
+        e = np.array(v, dtype=float, ndmin=1)
+        e = e.repeat(n) if e.shape == (1,) else e
+        if e.shape == (n,) and np.isfinite(e).all():
+            return e
+    raise ScheduleError(t, f"rate schedule produced an invalid value at t={t}: {v!r}, expected {n} finite rates or one")
+
+
+def walk(schedule_A, schedule_E, t0: int, T: int, n: int | None = None):
+    """Yield each step's ``(matrix_at(schedule_A, t, n), rates_at(schedule_E, t, n))`` for t = t0..T.
+
+    The rates are None without ``schedule_E``; ``n`` defaults to the first
+    matrix's. A ``Constant``'s one value is yielded, the same object, at every step.
+    """
+    a = e = None
+    for t in range(t0, T + 1):
+        if a is None or not isinstance(schedule_A, Constant):
+            a = matrix_at(schedule_A, t, n)
+            n = a.shape[0]
+        if schedule_E is not None and (e is None or not isinstance(schedule_E, Constant)):
+            e = rates_at(schedule_E, t, n)
+        yield a, e
 
 
 def rho_harmonic(T: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import InsufficientSampleError, StructureError
-from .matrices import entries_of, inf_norm, oscillation
+from .matrices import entries_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,13 +223,9 @@ def consensus_time(traj: TrajectoryLike, target: Optional[float], tol: float) ->
     if tol <= 0:
         raise ValueError("tol must be positive")
     s = _states(traj)
-    for t in range(s.shape[0]):
-        if target is None:
-            if oscillation(s[t]) <= tol:
-                return t
-        elif inf_norm(s[t] - target) <= tol:
-            return t
-    return None
+    gap = s.max(axis=1) - s.min(axis=1) if target is None else np.abs(s - target).max(axis=1)
+    hit = np.flatnonzero(gap <= tol)  # a NaN gap is never within tol
+    return int(hit[0]) if hit.size else None
 
 
 def detect_periodicity(traj: TrajectoryLike, max_period: int, tol: float) -> Optional[int]:

@@ -5,10 +5,14 @@
 non-finite state, and a pass of a catalog case that misses its verdict in
 ``harness._PREDICATES``. These tests read ``bench/workloads.py`` and
 ``bench/child.py`` as they are and apply the same gate, so a change that
-would fail the benchmark's check fails here first.
+would fail the benchmark's check fails here first. The tiny workloads'
+CSV files at seed 401 must keep the SHA-256 digests recorded in
+``data/workload_digests.json``, beside the catalog's.
 """
 
+import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -16,8 +20,10 @@ import numpy as np
 import pytest
 
 from consensuslab import harness, load_scenario, run_scenario
+from test_catalog_expectations import _stack
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+DIGESTS = Path(__file__).parent / "data" / "workload_digests.json"
 
 
 def _load_workloads():
@@ -52,6 +58,23 @@ def test_tiny_workload_passes_the_benchmark_check(workload, seed, tmp_path):
     n = ens.shape[1] - 1
     assert ens.shape[0] == summary.ensemble and np.isfinite(ens).all()
     assert np.isfinite(traj[-1, 1 : 1 + n]).all()  # run 0's terminal state
+
+
+def test_tiny_workloads_keep_their_csv_digests(tmp_path):
+    # the catalog digests' rule: on another numpy, scipy or BLAS the bytes may differ, so the test skips
+    digests = {}
+    for workload in (workloads.WIDE_AGENTS, workloads.MANY_RUNS):
+        (doc,) = workloads.generate(workload, 401, "tiny")
+        outputs = run_scenario(load_scenario(doc), out_dir=tmp_path / workload).outputs
+        digests[workload] = {Path(outputs[key]).name: hashlib.sha256(Path(outputs[key]).read_bytes()).hexdigest()
+                             for key in ("trajectory_csv", "ensemble_csv")}
+    replacement = json.dumps({"stack": _stack(), "workloads": digests}, indent=2)
+    recorded = json.loads(DIGESTS.read_text())
+    if recorded["stack"] != _stack():
+        pytest.skip(f"digests recorded on {recorded['stack']}, not on this stack: {replacement}")
+    differ = sorted(w for w in digests.keys() | recorded["workloads"].keys()
+                    if digests.get(w) != recorded["workloads"].get(w))
+    assert not differ, f"tiny workload CSV bytes differ in {differ}; a declared change replaces {DIGESTS.name} by\n{replacement}"
 
 
 @pytest.mark.parametrize("workload", [workloads.WIDE_AGENTS, workloads.MANY_RUNS])

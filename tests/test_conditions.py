@@ -6,6 +6,7 @@ import pytest
 
 from consensuslab import (
     InconsistentDeclarationError,
+    ScheduleError,
     check_average_rates,
     check_base_rates,
     check_ll1,
@@ -153,19 +154,23 @@ class TestLL1b:
         assert r.witness["partial_sum"] == 0.0
 
     def test_constant_schedules_give_the_witness_of_their_plain_callables(self):
-        # a Constant schedule's increments are taken once, not per step; the witness keeps every bit
+        # a Constant schedule is queried once and its increments are not computed; the witness keeps every bit
         T = 301
         a = np.array([[0.6, 0.4], [0.3, 0.7]])
         e = 0.3 + 0.1 * np.sin(np.arange(T + 1)) / np.arange(1, T + 2)
         pairs = [
             ((Constant(a), lambda t: e[t]), (lambda t: a, lambda t: e[t])),
             ((lambda t: a * (1 + 0 * t), Constant(0.3)), (lambda t: a * (1 + 0 * t), lambda t: 0.3)),
-            ((Constant(np.full((2, 2), np.nan)), Constant(0.3)), (lambda t: np.full((2, 2), np.nan), lambda t: 0.3)),
         ]
         for constant, plain in pairs:
             fast, slow = check_ll1b(*constant, T=T), check_ll1b(*plain, T=T)
             assert fast.satisfied == slow.satisfied
             assert repr(fast.witness) == repr(slow.witness)
+        # a NaN matrix is refused at the first step, as the engine refuses it, from either side
+        for schedule_A in (Constant(np.full((2, 2), np.nan)), lambda t: np.full((2, 2), np.nan)):
+            with pytest.raises(ScheduleError, match="at t=0: matrix entries must be finite") as raised:
+                check_ll1b(schedule_A, Constant(0.3), T=T)
+            assert raised.value.t == 0
 
     def test_harmonic_increments_diverge(self):
         # rate moves by 1/(10 t) every step: partial sums grow like ln(T)/10

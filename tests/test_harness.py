@@ -208,6 +208,22 @@ class TestCompileBoundary:
                 outcomes["rejected"] += 1
         assert outcomes["loaded"] and outcomes["rejected"] > 500
 
+    @pytest.mark.parametrize("case, part, table, message", [
+        ("nonlinear-tanh", "A", {"kind": "table", "matrices": [[[0.9, 0.1], [0.1, 0.9]]] * 3},
+         "weights schedule produced an invalid matrix at t=0: shape (2, 2), expected (3, 3)"),
+        ("base-3agent", "E", {"kind": "table", "values": [[0.3, 0.5, 0.7]] * 5 + [[0.3, 0.5]] * 5},
+         "rate schedule produced an invalid value at t=5: array([0.3, 0.5]), expected 3 finite rates or one"),
+    ], ids=["A-table-of-2x2-for-n=3", "E-table-of-2-rates-for-3"])
+    def test_a_table_value_of_the_wrong_shape_is_refused_at_load(self, case, part, table, message, tmp_path):
+        # every value of a table is read at load as a run would read it, not first at its step
+        doc = copy.deepcopy(load_catalog_scenario(case).raw)
+        doc["model"][part] = table
+        with pytest.raises(ScenarioFormatError) as e:
+            load_scenario(doc)
+        assert e.value.pointer == "/model" and message in str(e.value)
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert cli.main(["run", str(tmp_path / "bad.json"), "--out-dir", str(tmp_path / "out")]) == 2
+
     def test_a_learning_fn_on_noisy_feedback_is_an_error(self):
         e = _load_error(family="noisy_feedback", learning_fn={"kind": "linear", "slope": 0.5})
         assert e.pointer == "/model" and "nonlinear" in str(e)

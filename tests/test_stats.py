@@ -15,9 +15,11 @@ from consensuslab import (
     detect_periodicity,
     distribution_drift,
     empirical_moments,
+    inf_norm,
     ks_critical_value,
     ks_statistic,
     normal_cdf,
+    oscillation,
     product_limit,
     rank_one_score,
     scaled_sign_learning,
@@ -262,6 +264,19 @@ class TestConsensusTime:
     def test_tol_validated(self, trust3, rates3):
         with pytest.raises(ValueError):
             consensus_time(_base_traj(trust3, rates3), 1.0, 0.0)
+
+    def test_a_nan_row_is_never_within_tol(self):
+        s = np.array([[0.0, 1.0], [np.nan, 1.0], [1.0, np.nan], [1.0, 1.0 + 1e-9], [1.0, 1.0]])
+        assert consensus_time(s, None, 1e-6) == consensus_time(s, 1.0, 1e-6) == 3
+        assert consensus_time(s[:3], None, 1e-6) is consensus_time(s[:3], 1.0, 1e-6) is None
+
+    def test_every_row_is_read_as_its_sup_norm_and_spread(self):
+        # the first row whose per-row inf_norm (or oscillation) is within tol, row by row
+        s = np.cumsum(np.random.default_rng(3).normal(size=(200, 4)), axis=0) * np.geomspace(1, 1e-9, 200)[:, None]
+        for target, gap in ((None, lambda row: oscillation(row)), (0.0, lambda row: inf_norm(row))):
+            for tol in (1e-9, 1e-6, 1e-3, 1.0):
+                first = next((t for t, row in enumerate(s) if gap(row) <= tol), None)
+                assert consensus_time(s, target, tol) == first
 
 
 class TestPeriodicity:
