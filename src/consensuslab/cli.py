@@ -127,6 +127,10 @@ def main(argv=None) -> int:
             if not comps:
                 raise ValueError(f"{path}: no component_ column")
             pts = np.array([[float(r[j]) for j in comps] for r in body])
+            bad = np.argwhere(~np.isfinite(pts))  # a diverged run's values: no statistic holds
+            if bad.size:
+                i, j = bad[0].tolist()
+                raise ValueError(f"{path}:{i + 2}: {header[comps[j]]} is {float(pts[i, j])!r}, not finite")
             mean, cov = empirical_moments(pts)
             report = {
                 "rows": pts.shape[0],

@@ -272,9 +272,10 @@ class EnsembleSample:
     counts: ``runs``, ``steps``, and ``uniforms_drawn``,
     ``philox_calls``, ``transform_parts``, ``chunk_steps`` and
     ``noise_buffer_bytes_peak`` as ``noise.NoiseChunks`` counts them.
-    ``timing`` holds its seconds per layer: ``fill_s`` (Philox uniforms),
-    ``transform_s`` (the noise transform left after the fill, the wait for
-    the worker thread included, or the deterministic disturbances),
+    ``timing`` holds its seconds per layer: ``fill_s`` (the Philox draws
+    the stepping thread made itself), ``transform_s`` (the rest of its
+    noise work: starting chunks, its own transforms or the deterministic
+    disturbances, and its waits for the worker thread),
     ``observe_s`` (recording run 0, the error means and the snapshots) and
     ``step_s`` (the rest: the step kernel and its set-up).
     """

@@ -587,61 +587,57 @@ def validate_summary(doc: dict) -> None:
 
 
 # Most values formatted at once, so memory stays small at any width or run
-# count. A slice's rows go to orjson as one float64 block where it writes
-# each value as ``repr`` does: both give the shortest digits that read back
-# (Ryu; Gay's dtoa), spelled alike for 0 and 1e-4 <= |x| < 1e16, where
-# ``repr`` uses no exponent. orjson writes NaN as ``null``, rewritten to
-# ``nan``, and ±inf as ``null`` too, so a run of rows holding ±inf, a nonzero
-# |x| < 1e-4 or |x| >= 1e16 goes through the ``%r`` row template instead.
-# Each orjson run's first row is checked against the template.
+# count. A slice's values go to orjson flattened, in one call: orjson and
+# ``repr`` both give the shortest digits that read back (Ryu; Gay's dtoa),
+# spelled alike for 0 and 1e-4 <= |x| < 1e16, where ``repr`` uses no
+# exponent. orjson writes NaN as ``null``, rewritten to ``nan``, and ±inf as
+# ``null`` too, so each ±inf, nonzero |x| < 1e-4 and |x| >= 1e16 is written
+# by ``%r`` alone. Each slice's first orjson value is checked against ``%r``.
 _CSV_SLICE_VALUES = 2**10
 
 
-def _repr_lines(first: int, block: np.ndarray) -> bytes:
-    """Rows ``first ..`` of ``block``: the index, then each value's ``repr``."""
-    rows, cols = block.shape
-    values = np.column_stack([np.arange(first, first + rows), block]).ravel().tolist()
-    return (b"%d" + b",%r" * cols + b"\r\n") * rows % tuple(values)
+def _lines(first: int, block: np.ndarray) -> bytes:
+    """Rows ``first ..`` of ``block``: the index, then each value's ``repr``, lines ending in ``\r\n``.
 
-
-def _orjson_lines(first: int, block: np.ndarray) -> bytes:
-    """``_repr_lines`` of a block whose every value is 0, NaN or 1e-4 <= |x| < 1e16, formatted by orjson.
-
-    The first row is compared with ``_repr_lines``; an orjson that spells a
-    value differently raises ``AssertionError`` naming it.
+    The first value orjson writes is compared with its ``%r``; an orjson that
+    spells it differently raises ``AssertionError`` naming it.
     """
-    rows = len(block)
-    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"null", b"nan")
-    parts = [None] * (2 * rows)
-    parts[::2], parts[1::2] = range(first, first + rows), text.split(b"],[")
-    lines = b"%d,%b\r\n" * rows % tuple(parts)
-    if not lines.startswith(_repr_lines(first, block[:1])):
-        values = block[0].tolist()
-        wrong = next((x for x, s in zip(values, parts[1].split(b",")) if b"%r" % x != s), values)
-        raise AssertionError(f"orjson spells {wrong!r} differently from repr")
-    return lines
+    rows, cols = block.shape
+    values = block.ravel()
+    mag = np.abs(values)
+    slow = (mag >= 1e16) | (mag < 1e-4) & (mag != 0.0)
+    cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b"null", b"nan").split(b",")
+    for i in np.flatnonzero(~slow)[:1].tolist():
+        x = float(values[i])
+        if cells[i] != b"%r" % x:
+            raise AssertionError(f"orjson spells {x!r} differently from repr")
+    slow = np.flatnonzero(slow)
+    for i, x in zip(slow.tolist(), values[slow].tolist()):
+        cells[i] = b"%r" % x
+    line = [None] * (rows * (cols + 1))
+    line[:: cols + 1] = range(first, first + rows)
+    for j in range(min(rows, cols)):  # interleaved by the shorter axis: a column, or a row, a slice
+        if cols <= rows:
+            line[j + 1 :: cols + 1] = cells[j::cols]
+        else:
+            line[j * (cols + 1) + 1 : (j + 1) * (cols + 1)] = cells[j * cols : (j + 1) * cols]
+    return (b"%d" + b",%b" * cols + b"\r\n") * rows % tuple(line)
 
 
 def _write_csv(path: Path, header: list, first: int, columns: tuple) -> None:
     """Write ``header``, then per row its index (counted from ``first``) and ``columns``.
 
     Floats are written as their ``repr`` and lines end in ``\r\n``, byte for
-    byte what ``csv.writer`` writes. Within a slice, each run of rows whose
-    every value is 0, NaN or 1e-4 <= |x| < 1e16 is formatted by orjson at
-    once, its first row checked against the ``%r`` template (an
-    ``AssertionError`` if they differ); the other rows go through the
-    template (see ``_CSV_SLICE_VALUES``).
+    byte what ``csv.writer`` writes. Each slice of rows is formatted by one
+    orjson call and ``%r`` for the values orjson spells otherwise (see
+    ``_CSV_SLICE_VALUES``).
     """
     rows, step = columns[0].shape[0], max(1, _CSV_SLICE_VALUES // len(header))
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\r\n")
         for a in range(0, rows, step):
             block = np.column_stack([c[a : a + step] for c in columns]).astype(float, copy=False)
-            mag = np.abs(block)
-            slow = ((mag >= 1e16) | (mag < 1e-4) & (mag != 0.0)).any(axis=1)
-            cuts = [0, *(np.flatnonzero(np.diff(slow)) + 1).tolist(), len(block)]
-            for lo, hi in zip(cuts, cuts[1:]):
-                fh.write((_repr_lines if slow[lo] else _orjson_lines)(first + a + lo, block[lo:hi]))
+            fh.write(_lines(first + a, block))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -804,7 +800,8 @@ def _execute(
         timing=timing,
         seed_provenance={
             "master_seed": scenario.master_seed,
-            "stream": "philox(key=seed_sequence(master_seed), counter=(0, step, 0, 0))[run * n + component]",
+            "stream": "philox(key=seed_sequence(master_seed), counter=(0, step, 0, 0))[run * n + component]"
+                      " of standard_normal for gaussian noise, else of random",
         },
         outputs=outputs,
         ok=ok,

@@ -6,13 +6,15 @@ Every random draw in the package comes from a counter-based Philox stream
 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11). An
 ensemble pass seeded with ``master_seed`` draws under one key,
 ``SeedSequence(master_seed).generate_state(2, np.uint64)``, the key of
-``np.random.Philox(master_seed)``. The random kinds consume ``n`` uniform
-doubles per run and time step (deterministic kinds consume none): the
-uniform feeding component ``i`` of run ``r`` at step ``t`` is the double at
-position ``r * n + i`` of the stream that starts from the counter
-``(0, t, 0, 0)``. So a run's noise is a pure function of ``(spec, T,
-master_seed, r)``, whatever the number of sibling runs, the chunking or
-the thread that transforms it.
+``np.random.Philox(master_seed)``. The random kinds draw ``n`` values per
+run and time step (deterministic kinds draw none): numpy's ziggurat
+standard normals (Marsaglia & Tsang, J. Stat. Softw. 2000) for the
+Gaussian kind, uniform doubles for the others. The value feeding
+component ``i`` of run ``r`` at step ``t`` is value ``r * n + i`` of the
+stream that starts from the counter ``(0, t, 0, 0)`` with nothing
+buffered. So a run's noise is a pure function of ``(spec, T, master_seed,
+r)``, whatever the number of sibling runs, the chunking or the thread that
+draws it.
 
 The simulation engine (``NoiseChunks``) draws step ``t`` of a pass with one
 Philox call into a run-major ``(W, n)`` block, after setting the counter
@@ -20,39 +22,37 @@ through the generator's ``state``. ``W = padded_width(m)`` pads the ``m``
 runs to a multiple of ``WIDTH_PAD``; the pad columns are runs ``m .. W -
 1``, stepped like the others and never reported. A chunk holds ``k`` whole
 steps, ``k * W * n`` at most half of ``CHUNK_VALUES`` (one step when even
-that is too many values), and is filled in up to ``TRANSFORM_PARTS`` parts
-of whole steps, each handed to one worker thread once filled. Every chunk is
-started one ahead, before the engine steps the chunk before it, in one of
-two buffers. When the engine reaches a chunk, the filling thread takes
-back the parts the worker has not started, last first, and waits for the
-rest. ``ndtri``, the ufuncs and ``matmul`` release the GIL; setting the
-generator's state holds it, so only the filling thread draws. The
-transform is elementwise (per ``WIDTH_PAD`` runs of a step for
+that is too many values), cut into up to ``TRANSFORM_PARTS`` parts of whole
+steps. A part is one task: draw its steps, then transform them. Every chunk
+is started one ahead, before the engine steps the chunk before it, in one of
+two buffers, by handing each of its parts to the worker thread. When the
+engine reaches a chunk, the stepping thread takes back the parts the worker
+has not started, last first, runs them itself and waits for the rest. Each
+thread draws with a Philox generator of its own under the pass's key, so no
+byte depends on the thread; the draws, the ufuncs and ``matmul`` release
+the GIL. The transform is elementwise (per ``WIDTH_PAD`` runs of a step for
 ``_correlate``) with each step's ``time_scale`` evaluated once, on the
-filling thread, so no byte depends on the thread. Deterministic rows call
-the spec's Python code, so they are computed there too, one row a step
-shared by every run. An error in starting a chunk (its fill, its rows,
-``time_scale`` or a part's transform) is raised as it was at the chunk's
-first step, and closing the iteration early stops every part of the chunk
-ahead. A process forked after the worker started has no worker and takes
-back every part. Each step is copied once into an ``(n, W)`` stage, so the
-step kernel reads its noise contiguously. Memory stays at one chunk budget
-and one stage whatever the horizon.
+stepping thread as the chunk starts. Deterministic rows call the spec's
+Python code, so they are computed there too, one row a step shared by every
+run. An error in starting a chunk (its rows, ``time_scale``, or a part's
+draw or transform) is raised as it was at the chunk's first step, and
+closing the iteration early stops every part of the chunk ahead. A process
+forked after the worker started has no worker and takes back every part.
+Each step is copied once into an ``(n, W)`` stage, so the step kernel reads
+its noise contiguously. Memory stays at one chunk budget and one stage
+whatever the horizon.
 
 ``substream(master_seed, r)`` and ``sample_noise_block`` draw one run's
-noise from its own ``SeedSequence`` spawn through the same transforms; they
-are not the engine's addressing.
+noise from its own ``SeedSequence`` spawn through the same draws and
+transforms; they are not the engine's addressing.
 
 The distributional transforms are explicit, so ports to other stacks can
 match them distributionally:
 
-* gaussian: inverse normal CDF of the uniform, then the affine map
-  ``mu + F z`` where ``F F^T`` equals the requested covariance;
+* gaussian: the affine map ``mu + F z`` of the standard normals ``z``,
+  where ``F F^T`` equals the requested covariance;
 * rademacher: ``+1`` where the uniform is at least one half, else ``-1``;
 * cauchy: ``scale * tan(pi * (u - 1/2))``.
-
-Uniforms are clipped below at ``2**-54`` before the inverse normal CDF so a
-zero draw (probability ``2**-53``) cannot produce an infinity.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from time import perf_counter
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import TableExhaustedError
 
@@ -77,8 +76,6 @@ CUSTOM = "custom"
 
 _KINDS = (ZERO, DECAYING, GAUSSIAN, RADEMACHER, CAUCHY, CUSTOM)
 _RANDOM_KINDS = (GAUSSIAN, RADEMACHER, CAUCHY)
-
-_U_FLOOR = 2.0**-54
 
 
 def _covariance_factor(sigma: np.ndarray) -> np.ndarray:
@@ -109,8 +106,6 @@ class NoiseSpec:
     time_scale: Optional[Callable[[int], float]] = None
     # F, diag(F) if F is diagonal, or None if F is the identity
     _factor: Optional[np.ndarray] = field(init=False, default=None, repr=False)
-    # mu, or None where adding it changes no value
-    _shift: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -140,12 +135,7 @@ class NoiseSpec:
             if not np.count_nonzero(F - np.diag(np.diagonal(F))):
                 F = np.diagonal(F).copy()
                 F = None if np.all(F == 1.0) else F
-            # Adding a zero mean changes only -0.0 (to +0.0). ``ndtri`` never returns -0.0 and
-            # a positive diagonal makes none, so the add is skipped then; a dense product can
-            # round to -0.0, so it keeps the add
-            positive = F is None or (F.ndim == 1 and np.all(F > 0.0))
             object.__setattr__(self, "_factor", F)
-            object.__setattr__(self, "_shift", None if positive and not np.any(mu) else mu)
         elif self.kind == CAUCHY:
             scale = 1.0 if self.scale is None else float(self.scale)
             if not (scale > 0.0):
@@ -237,23 +227,25 @@ def _step_scales(spec: NoiseSpec, ts: np.ndarray) -> Optional[np.ndarray]:
     return np.array([float(spec.time_scale(int(t))) for t in ts])[:, None, None]
 
 
+def _draw(spec: NoiseSpec, stream: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` from ``stream`` in order: standard normals for the Gaussian kind, uniforms otherwise."""
+    (stream.standard_normal if spec.kind == GAUSSIAN else stream.random)(out=out)
+
+
 def _transform(spec: NoiseSpec, u: np.ndarray, scales: Optional[np.ndarray]) -> np.ndarray:
-    """Map a (steps, runs, n) block of uniforms to noise in place; ``scales`` from ``_step_scales``.
+    """Map a (steps, runs, n) block of ``_draw`` values to noise in place; ``scales`` from ``_step_scales``.
 
     This is the one transform: the engine's chunks and ``sample_noise_block``
     both go through it. It calls no Python code of the spec, so the engine
     may run it on its worker thread (see ``NoiseChunks``).
     """
-    if spec.kind == GAUSSIAN:
-        np.clip(u, _U_FLOOR, None, out=u)
-        ndtri(u, out=u)
+    if spec.kind == GAUSSIAN:  # mu + F z, the mean added even where it is zero: 0.0 + -0.0 is +0.0
         if spec._factor is not None:
             if spec._factor.ndim == 1:
                 u *= spec._factor
             else:
                 u[...] = _correlate(u, spec._factor)
-        if spec._shift is not None:
-            u += spec._shift
+        u += spec.mu
     elif spec.kind == RADEMACHER:
         u -= 0.5  # exact, and nonnegative exactly where u >= 1/2
         np.copysign(1.0, u, out=u)
@@ -272,15 +264,18 @@ def _transform(spec: NoiseSpec, u: np.ndarray, scales: Optional[np.ndarray]) -> 
 def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]) -> np.ndarray:
     """Disturbances of the consecutive steps ``ts`` as a (len(ts), 1, n) block.
 
-    Random kinds draw ``len(ts) * n`` uniforms from ``stream`` in step
-    order; deterministic kinds ignore it. Every public sampler is a view of
-    this one function, and the engine's deterministic chunks are its rows.
+    Random kinds draw ``len(ts) * n`` values from ``stream`` in step order
+    (see ``_draw``); deterministic kinds ignore it. Every public sampler is
+    a view of this one function, and the engine's deterministic chunks are
+    its rows.
     """
     k = len(ts)
     if spec.is_random:
         if stream is None:
             raise ValueError(f"{spec.kind} noise needs a random stream")
-        return _transform(spec, stream.random((k, 1, spec.n)), _step_scales(spec, ts))
+        g = np.empty((k, 1, spec.n))
+        _draw(spec, stream, g)
+        return _transform(spec, g, _step_scales(spec, ts))
     if spec.kind == ZERO:
         g = np.zeros((k, 1, spec.n))
     elif spec.kind == DECAYING:
@@ -301,10 +296,12 @@ def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]
 def sample_noise(spec: NoiseSpec, t: int, stream: Optional[np.random.Generator]) -> np.ndarray:
     """One disturbance vector for step ``t``.
 
-    Random kinds consume exactly ``spec.n`` uniforms from ``stream``;
-    deterministic kinds ignore it. The caller is responsible for having the
-    stream positioned at step ``t``: ``(t - 1) * n`` uniforms into a run's
-    ``substream``.
+    Random kinds draw exactly ``spec.n`` values from ``stream``: standard
+    normals for the Gaussian kind, uniforms otherwise; deterministic kinds
+    ignore it. The caller is responsible for having the stream positioned
+    at step ``t``, ``(t - 1) * n`` such values into a run's ``substream``. A
+    Gaussian stream is positioned by normals drawn: the ziggurat rejects a
+    few of its 64-bit words, so no count of uniforms or words places it.
     """
     return _rows(spec, np.array([t]), stream)[0, 0]
 
@@ -313,10 +310,11 @@ def sample_noise_block(spec: NoiseSpec, T: int, stream: Optional[np.random.Gener
     """Disturbances for steps 1..T as a (T, n) block.
 
     Row ``t - 1`` equals what ``sample_noise`` would produce at step ``t``
-    for a stream positioned ``(t - 1) * n`` uniforms in, because the block
-    draws its ``T * n`` uniforms in the same order (up to rounding for a
-    dense covariance factor, whose product BLAS may round differently for
-    a single row).
+    for a stream positioned ``(t - 1) * n`` values in (normals for the
+    Gaussian kind, uniforms otherwise), because the block draws its
+    ``T * n`` values in the same order (up to rounding for a dense
+    covariance factor, whose product BLAS may round differently for a
+    single row).
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -328,16 +326,16 @@ def sample_noise_block(spec: NoiseSpec, T: int, stream: Optional[np.random.Gener
 # many_runs' one block of 50000 runs reach 73.2 MB peak RSS (68.9 MB at this size) with no
 # pass time to show for it (2 vCPUs, OpenBLAS on one thread).
 CHUNK_VALUES = 2**19
-# Parts of whole steps a random chunk is filled in, each transformed on the worker once filled
-# (see ``NoiseChunks``).
+# Parts of whole steps a random chunk is cut into, each drawn and transformed by whichever
+# thread runs it (see ``NoiseChunks``).
 TRANSFORM_PARTS = 8
-# The one thread that transforms noise alongside the Philox fill; it never fills.
+# The one thread that runs parts of a chunk while the engine steps; it runs them in order.
 _WORKER = ThreadPoolExecutor(1, thread_name_prefix="consensuslab-noise")
 
 
 @dataclass(eq=False)
 class _Chunk:
-    """A started chunk: its noise, ``(future, (part, scales))`` pairs sent to the worker, and held error."""
+    """A started chunk: its noise, ``(future, (block, c0, scales))`` pairs sent to the worker, and held error."""
 
     block: Optional[np.ndarray] = None
     parts: list = field(default_factory=list)
@@ -362,12 +360,13 @@ class NoiseChunks:
     in place.
 
     ``chunk_steps`` is the steps of a chunk, at most T. ``uniforms_drawn``
-    (``width * n`` per random step), ``philox_calls`` (one per random step),
-    ``transform_parts`` (one per part) and ``buffer_bytes_peak`` (the
-    chunks held at once plus the stage) count what the iteration did.
-    ``fill_s`` times its Philox draws and ``transform_s`` the rest of each
-    chunk on the filling thread: its share of the transform and its wait
-    for the worker's. The engine reports them.
+    (the values drawn, ``width * n`` per random step), ``philox_calls``
+    (one per random step), ``transform_parts`` (one per part) and
+    ``buffer_bytes_peak`` (the chunks held at once plus the stage) count
+    what the iteration did, whichever thread drew. ``fill_s`` times the
+    stepping thread's own draws and ``transform_s`` the rest of its noise
+    work: starting chunks, its own transforms and its waits for the worker.
+    The engine reports them.
     """
 
     def __init__(self, spec: NoiseSpec, T: int, m: int, master_seed: int):
@@ -387,36 +386,39 @@ class NoiseChunks:
         self.transform_s = 0.0
         if spec.is_random:  # one key for the pass, a bad seed refused here
             key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
-            self._state = self._gen.bit_generator.state  # counter (0, 0, 0, 0), nothing buffered
+            # one generator for the stepping thread, one for the worker; each state counter (0, 0, 0, 0)
+            gens = [np.random.Generator(np.random.Philox(key=key)) for _ in range(2)]
+            self._mine, self._worker = [(gen, gen.bit_generator.state) for gen in gens]
 
-    def _fill(self, block: np.ndarray, c0: int) -> None:
-        """Uniforms of steps ``c0 + 1 ..`` into ``block`` (steps, width, n), one Philox call a step.
+    def _part(self, stream: tuple, block: np.ndarray, c0: int, scales: Optional[np.ndarray]) -> float:
+        """Draw steps ``c0 + 1 ..`` into ``block`` (steps, width, n) and transform them; returns the draw's seconds.
 
-        Step ``t`` restarts the stream at the counter ``(0, t, 0, 0)`` with
+        ``stream`` is a generator and its state, of the thread that runs the
+        part. Step ``t`` is one call from the counter ``(0, t, 0, 0)`` with
         nothing buffered, whatever the step before it drew.
         """
-        bitgen, state, random = self._gen.bit_generator, self._state, self._gen.random
+        gen, state = stream
+        t0 = perf_counter()
         for t, rows in enumerate(block, c0 + 1):
             state["state"]["counter"][1] = t
-            bitgen.state = state
-            random(out=rows)
-        self.uniforms_drawn += block.size
-        self.philox_calls += len(block)
+            gen.bit_generator.state = state
+            _draw(self.spec, gen, rows)
+        drawn = perf_counter() - t0
+        _transform(self.spec, block, scales)
+        return drawn
 
     def _start(self, c0: int, buf: Optional[np.ndarray]) -> _Chunk:
         """Start the chunk of steps ``c0 + 1 ..``, in ``buf`` for the random kinds.
 
-        Random steps are filled in up to ``TRANSFORM_PARTS`` parts of whole
-        steps, each handed to the worker once filled. An error is held in
-        the chunk for ``_finish`` to raise, after the parts handed over are
-        stopped.
+        Random steps are cut into up to ``TRANSFORM_PARTS`` parts of whole
+        steps, each handed to the worker; nothing is drawn here. An error is
+        held in the chunk for ``_finish`` to raise, after the parts handed
+        over are stopped.
         """
         spec, n, W = self.spec, self.spec.n, self.width
         kk = min(self.chunk_steps, self.T - c0)
         ts = np.arange(c0 + 1, c0 + kk + 1)
         t0 = perf_counter()
-        fill_s = 0.0
         chunk = _Chunk()
         try:
             if not spec.is_random:  # (kk, 1, n), shared by every run
@@ -427,39 +429,39 @@ class NoiseChunks:
                 parts = min(TRANSFORM_PARTS, kk)
                 cuts = [kk * i // parts for i in range(parts + 1)]
                 for a, b in zip(cuts, cuts[1:]):
-                    t1 = perf_counter()
-                    self._fill(chunk.block[a:b], c0 + a)
-                    fill_s += perf_counter() - t1
-                    part = (chunk.block[a:b], None if scales is None else scales[a:b])
-                    chunk.parts.append((_WORKER.submit(_transform, spec, *part), part))
+                    part = (chunk.block[a:b], c0 + a, None if scales is None else scales[a:b])
+                    chunk.parts.append((_WORKER.submit(self._part, self._worker, *part), part))
+                self.uniforms_drawn += chunk.block.size
+                self.philox_calls += kk
                 self.transform_parts += parts
         except Exception as exc:
             _stop(chunk.parts)
             chunk.error = exc
         finally:
-            self.fill_s += fill_s
-            self.transform_s += perf_counter() - t0 - fill_s
+            self.transform_s += perf_counter() - t0
         return chunk
 
     def _finish(self, chunk: _Chunk) -> np.ndarray:
-        """The chunk's noise, once every part is transformed; raises the chunk's held error.
+        """The chunk's noise, once every part is drawn and transformed; raises the chunk's held error.
 
         The parts the worker has not started are taken back, last first, and
-        transformed here, and the rest are waited for. No part is still
-        being written when this returns or raises.
+        run here with this thread's generator, and the rest are waited for.
+        No part is still being written when this returns or raises.
         """
         t0 = perf_counter()
+        fill_s = 0.0
         try:
             if chunk.error is not None:
                 raise chunk.error
             # the worker runs its parts in order, so the unstarted ones are at the end
             while chunk.parts and chunk.parts[-1][0].cancel():
-                _transform(self.spec, *chunk.parts.pop()[1])
+                fill_s += self._part(self._mine, *chunk.parts.pop()[1])
             for future, _ in chunk.parts:
                 future.result()
         finally:  # after an error, drop the parts not started and let a running one finish
             _stop(chunk.parts)
-            self.transform_s += perf_counter() - t0
+            self.fill_s += fill_s
+            self.transform_s += perf_counter() - t0 - fill_s
         return chunk.block
 
     def __iter__(self):

@@ -61,7 +61,7 @@ def test_tiny_workload_passes_the_benchmark_check(workload, seed, tmp_path):
 
 
 def test_tiny_workloads_keep_their_csv_digests(tmp_path):
-    # the catalog digests' rule: on another numpy, scipy or BLAS the bytes may differ, so the test skips
+    # the catalog digests' rule: on another numpy or BLAS the bytes may differ, so the test skips
     digests = {}
     for workload in (workloads.WIDE_AGENTS, workloads.MANY_RUNS):
         (doc,) = workloads.generate(workload, 401, "tiny")

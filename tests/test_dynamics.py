@@ -1,11 +1,11 @@
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import reference_noise
+from executors import Inline, Pool
 
 from consensuslab import (
     LearningFunction,
@@ -600,24 +600,6 @@ class TestReproducibilityContract:
         mean = np.array([np.abs(ref.snapshots[t] - spec.sigma_bar).max(axis=1).mean() for t in times])
         assert np.array_equal(tracked.mean_err_inf, mean)
 
-    class _Inline:
-        """An executor whose tasks never start, so the filling thread takes every part back."""
-
-        def submit(self, fn, *args):
-            return Future()
-
-    class _Pool:
-        """A one-thread executor that keeps its futures; ``eager``, it finishes each part before the next fill."""
-
-        def __init__(self, eager: bool):
-            self.pool, self.eager, self.futures = ThreadPoolExecutor(1), eager, []
-
-        def submit(self, fn, *args):
-            self.futures.append(self.pool.submit(fn, *args))
-            if self.eager:
-                wait(self.futures[-1:])
-            return self.futures[-1]
-
     @staticmethod
     def _worker_noise(n: int, kind: str) -> NoiseSpec:
         """The contract's noise of ``kind`` without its time_scale; ``time_scale`` is the dense Gaussian with it."""
@@ -647,7 +629,7 @@ class TestReproducibilityContract:
         spec = NoiseSpec.gaussian(np.zeros(2), np.eye(2), time_scale=scale)
         with pytest.raises(ArithmeticError, match="^no scale at step 13$"):
             noise.sample_noise_block(spec, self.T, np.random.default_rng(41))
-        for executor in (None, self._Inline(), self._Pool(eager=True)):
+        for executor in (None, Inline(), Pool(eager=True)):
             self._force(monkeypatch, 37, 2, 2)
             if executor is not None:
                 monkeypatch.setattr(noise, "_WORKER", executor)
@@ -677,43 +659,46 @@ class TestReproducibilityContract:
             return transform(spec, u, scales)
 
         spec = self._worker_noise(3, "gaussian_dense")
-        for executor in (self._Inline(), self._Pool(eager=True), self._Pool(eager=False)):
+        for executor in (Inline(), Pool(eager=True), Pool(eager=False)):
             started.clear()
             monkeypatch.setattr(noise, "_transform", transform_or_fail)
             monkeypatch.setattr(noise, "_WORKER", executor)
             with pytest.raises(FloatingPointError, match=f"^part {failing} failed$"):
                 next(iter(noise.NoiseChunks(spec, self.T, 37, 41)))
             monkeypatch.undo()
-            if isinstance(executor, self._Pool):
+            if isinstance(executor, Pool):
                 assert len(executor.futures) == noise.TRANSFORM_PARTS
                 assert all(f.done() for f in executor.futures)
 
-    @pytest.mark.parametrize("failing", ["fill", "transform"])
+    @pytest.mark.parametrize("failing", ["draw", "transform"])
     def test_an_error_in_the_chunk_ahead_waits_for_its_first_step(self, failing, monkeypatch):
-        # 4-step chunks: the third chunk (steps 9..12) is filled and handed to the worker when
-        # the engine takes step 5; an error in its fill or in a part's transform is held until
-        # step 9, as if the chunk had started there
+        # 4-step chunks: the third chunk (steps 9..12) is handed to the worker when the engine
+        # takes step 5; an error in a part's draw or transform, on whichever thread runs it, is
+        # held until step 9, as if the chunk had started there
         from consensuslab import noise
 
-        fill, transform, calls = noise.NoiseChunks._fill, noise._transform, []
+        draw, transform, calls = noise._draw, noise._transform, []
 
-        def fill_or_fail(chunks, block, c0):
-            if failing == "fill" and c0 == 8:
-                raise MemoryError("no fill at step 9")
-            fill(chunks, block, c0)
+        def draw_or_fail(spec, stream, out):
+            if failing == "draw":
+                calls.append(out)
+                if len(calls) == 2 * 4 + 1:  # each step drawn once
+                    raise MemoryError("no draw at step 9")
+            draw(spec, stream, out)
 
         def transform_or_fail(spec, u, scales):
-            calls.append(u)
-            if failing == "transform" and len(calls) == 2 * 4 + 1:  # a one-step part a step
-                raise FloatingPointError("no transform at step 9")
+            if failing == "transform":
+                calls.append(u)
+                if len(calls) == 2 * 4 + 1:  # a one-step part a step
+                    raise FloatingPointError("no transform at step 9")
             return transform(spec, u, scales)
 
-        error = {"fill": MemoryError, "transform": FloatingPointError}[failing]
+        error = {"draw": MemoryError, "transform": FloatingPointError}[failing]
         spec = self._worker_noise(2, "gaussian_diagonal")
-        for executor in (None, self._Inline(), self._Pool(eager=True)):
+        for executor in (None, Inline(), Pool(eager=True)):
             calls.clear()
             self._force(monkeypatch, 37, 2, 4)
-            monkeypatch.setattr(noise.NoiseChunks, "_fill", fill_or_fail)
+            monkeypatch.setattr(noise, "_draw", draw_or_fail)
             monkeypatch.setattr(noise, "_transform", transform_or_fail)
             if executor is not None:
                 monkeypatch.setattr(noise, "_WORKER", executor)
@@ -742,7 +727,7 @@ class TestReproducibilityContract:
 
         n, m = 2, 37
         spec = self._worker_noise(n, "gaussian_diagonal")
-        executor = self._Pool(eager=False)
+        executor = Pool(eager=False)
         self._force(monkeypatch, m, n, 4)
         monkeypatch.setattr(noise, "_transform", slow_transform)
         monkeypatch.setattr(noise, "_WORKER", executor)
@@ -770,9 +755,9 @@ class TestReproducibilityContract:
     @pytest.mark.parametrize("m", [1, 9, 37])
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy", "time_scale"])
     def test_lookahead_chunks_change_no_byte(self, kind, m, monkeypatch):
-        # every chunk is filled and handed to the worker while the engine steps the one
-        # before, the two in buffers of half the budget; whether the worker runs every
-        # part, none or races the filling thread, each run's steps are the reference's
+        # every chunk is handed to the worker while the engine steps the one before, the two
+        # in buffers of half the budget; whether the worker draws every part, none or races
+        # the stepping thread, each run's steps are the reference's
         from consensuslab import noise
 
         n = 5
@@ -780,7 +765,7 @@ class TestReproducibilityContract:
         assert (spec.time_scale is not None) == (kind == "time_scale")
         passes = []
         for k in (1, 3, None):
-            for executor in (None, self._Inline(), self._Pool(eager=True), self._Pool(eager=False)):
+            for executor in (None, Inline(), Pool(eager=True), Pool(eager=False)):
                 self._force(monkeypatch, m, n, k)
                 if executor is not None:
                     monkeypatch.setattr(noise, "_WORKER", executor)
@@ -789,7 +774,7 @@ class TestReproducibilityContract:
                 passes.append(self._run_rows(chunks))
                 monkeypatch.undo()
                 assert chunks.transform_parts == self._parts(chunks)
-                if isinstance(executor, self._Pool) and executor.eager:  # every part ran on the worker
+                if isinstance(executor, Pool) and executor.eager:  # every part ran on the worker
                     assert len(executor.futures) == chunks.transform_parts
                     assert not any(f.cancelled() for f in executor.futures)
                 # the chunk stepped and the one ahead, each at most half the forced budget, and the stage
@@ -800,17 +785,44 @@ class TestReproducibilityContract:
         self._expect_reference(passes[0], spec, m)
 
     @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy", "time_scale"])
+    @staticmethod
+    def _threads(monkeypatch) -> dict:
+        """Record the thread of every ``_draw`` (and its generator) and every ``_transform`` call."""
+        import threading
+
+        from consensuslab import noise
+
+        draw, transform, seen = noise._draw, noise._transform, {"draw": [], "stream": [], "transform": []}
+
+        def traced_draw(spec, stream, out):
+            seen["draw"].append(threading.get_ident())
+            seen["stream"].append(stream)
+            draw(spec, stream, out)
+
+        def traced_transform(spec, u, scales):
+            seen["transform"].append(threading.get_ident())
+            return transform(spec, u, scales)
+
+        monkeypatch.setattr(noise, "_draw", traced_draw)
+        monkeypatch.setattr(noise, "_transform", traced_transform)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy", "time_scale"])
     def test_every_random_chunk_goes_to_the_worker(self, kind, monkeypatch):
         # every random chunk goes one ahead, its parts to the worker, even where a run's whole
-        # horizon is one chunk, whatever the noise class: no part is transformed inline
+        # horizon is one chunk, whatever the noise class: the worker draws and transforms
+        # every part, and the stepping thread draws nothing
+        import threading
+
         from consensuslab import noise
 
         n, m = 2, 37
         spec = self._worker_noise(n, kind)
         for k in (4, None):  # several chunks, and the whole horizon in one
-            executor = self._Pool(eager=True)
+            executor = Pool(eager=True)
             self._force(monkeypatch, m, n, k)
             monkeypatch.setattr(noise, "_WORKER", executor)
+            seen = self._threads(monkeypatch)
             chunks = noise.NoiseChunks(spec, self.T, m, 41)
             rows = self._run_rows(chunks)
             monkeypatch.undo()
@@ -820,6 +832,36 @@ class TestReproducibilityContract:
             # every part ran on the worker, none was taken back
             assert len(executor.futures) == chunks.transform_parts
             assert not any(f.cancelled() for f in executor.futures)
+            assert len(seen["draw"]) == self.T and len(seen["transform"]) == chunks.transform_parts
+            assert threading.get_ident() not in seen["draw"] + seen["transform"]
+            assert all(stream is chunks._worker[0] for stream in seen["stream"])
+            assert chunks.fill_s == 0.0 and chunks.philox_calls == self.T
+
+    @pytest.mark.parametrize("kind", ["gaussian_diagonal", "gaussian_dense", "rademacher", "cauchy", "time_scale"])
+    def test_parts_taken_back_give_the_worker_s_bytes(self, kind, monkeypatch):
+        # an executor that never starts a part: the stepping thread takes every part back and
+        # draws and transforms it with its own generator, and every byte is the worker's
+        import threading
+
+        from consensuslab import noise
+
+        n, m = 3, 37
+        spec = self._worker_noise(n, kind)
+        for k in (4, None):
+            passes = []
+            for executor in (Pool(eager=True), Inline()):
+                self._force(monkeypatch, m, n, k)
+                monkeypatch.setattr(noise, "_WORKER", executor)
+                seen = self._threads(monkeypatch)
+                chunks = noise.NoiseChunks(spec, self.T, m, 41)
+                passes.append(self._run_rows(chunks))
+                monkeypatch.undo()
+            assert len(seen["draw"]) == self.T and len(seen["transform"]) == chunks.transform_parts
+            assert set(seen["draw"] + seen["transform"]) == {threading.get_ident()}
+            assert all(stream is chunks._mine[0] for stream in seen["stream"])
+            assert chunks.fill_s > 0.0 and chunks.philox_calls == self.T
+            assert np.array_equal(passes[1], passes[0]), k
+            self._expect_reference(passes[1], spec, m)
 
     def test_a_short_table_raises_at_the_first_step_of_its_chunk_ahead(self, monkeypatch):
         # 4-step chunks of a 10-row table: chunk 9..12 is started ahead when the engine takes

@@ -662,22 +662,27 @@ class TestRunScenario:
         for got, want in self._written(tmp_path, pts, nan_err, rng.permutation(pts[:, 0])):
             assert got == want
 
-    def test_csv_rows_take_orjson_unless_it_spells_a_value_differently(self, tmp_path, monkeypatch):
+    def test_csv_values_take_orjson_unless_it_spells_them_differently(self, tmp_path, monkeypatch):
         formatted = []
         dumps = harness.orjson.dumps
 
-        def spy(block, option):
-            formatted.append(len(block))
-            return dumps(block, option=option)
+        def spy(values, option):
+            formatted.append(values.shape)
+            return dumps(values, option=option)
 
         monkeypatch.setattr(harness.orjson, "dumps", spy)
         rng = np.random.default_rng(5)
-        # wide_agents' run 0: no target, so err_inf is NaN at every step; every row goes to orjson
+        # wide_agents' run 0: no target, so err_inf is NaN at every step; one dump a slice
         pts = rng.uniform(0.01, 3.0, size=(300, 3)) * rng.choice([-1.0, 1.0], size=(300, 3))
         for got, want in self._written(tmp_path, pts, np.full(300, np.nan), np.abs(pts[:, 0])):
             assert got == want
-        assert sum(formatted) == 2 * 300
-        # rows holding +-inf, a nonzero |x| < 1e-4 or |x| >= 1e16 go through the template, in order
+        slices = []
+        for cols in (3, 5):  # the ensemble's components, then the trajectory's columns
+            step = harness._CSV_SLICE_VALUES // (cols + 1)
+            slices += [(cols * min(step, 300 - a),) for a in range(0, 300, step)]
+        assert formatted == slices and len(slices) == 4
+        # +-inf, a nonzero |x| < 1e-4 and |x| >= 1e16 are written by %r alone, in the one dump of
+        # their slice; the values beside them keep orjson's spelling
         formatted.clear()
         pts = rng.normal(size=(10, 2))
         pts[2, 0], pts[5, 1], pts[7, 0], pts[8, 1] = np.inf, -np.inf, 3e-300, -2e16
@@ -686,16 +691,18 @@ class TestRunScenario:
             terminal_states=pts, t_final=9, master_seed=0, run0=None, engine={}))
         self._repr_reference(tmp_path / "e_ref.csv", ["run", "component_0", "component_1"], pts)
         assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "e_ref.csv").read_bytes()
-        assert formatted == [2, 2, 1, 1]  # rows 0-1, 3-4, 6 and 9
+        assert formatted == [(20,)]
 
-    def test_csv_guard_refuses_an_orjson_that_spells_a_value_differently(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("pts", [[[0.25, 0.5], [1.5, 2.5]], [[1e-5, 0.25], [1.5, 2.5]]],
+                             ids=["first_value", "first_orjson_value"])
+    def test_csv_guard_refuses_an_orjson_that_spells_a_value_differently(self, tmp_path, monkeypatch, pts):
+        # the slice's first value orjson writes is checked, past a value written by %r
         dumps = harness.orjson.dumps
         monkeypatch.setattr(harness.orjson, "dumps",
-                            lambda block, option: dumps(block, option=option).replace(b"0.25", b"0.26", 1))
-        pts = np.array([[0.5, 0.25], [1.5, 2.5]])
-        with pytest.raises(AssertionError, match="0.25"):
+                            lambda values, option: dumps(values, option=option).replace(b"0.25", b"0.26", 1))
+        with pytest.raises(AssertionError, match="^orjson spells 0.25 differently from repr$"):
             write_ensemble_csv(tmp_path / "e.csv", EnsembleSample(
-                terminal_states=pts, t_final=1, master_seed=0, run0=None, engine={}))
+                terminal_states=np.array(pts), t_final=1, master_seed=0, run0=None, engine={}))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         s = load_catalog_scenario("signum-periodic")
@@ -1217,13 +1224,16 @@ class TestCLI:
         ("", "expected a header and at least one row"),
         ("run,component_0\r\n0,1.0\r\n1\r\n", ":3: 1 fields where the header has 2"),
         ("run,x\r\n0,1.0\r\n1,2.0\r\n", "no component_ column"),
-    ], ids=["empty", "ragged", "no_components"])
+        ("run,component_0,component_1\r\n0,1.0,2.0\r\n1,nan,2.0\r\n2,3.0,inf\r\n", ":3: component_0 is nan, not finite"),
+        ("run,component_0,component_1\r\n0,1.0,2.0\r\n1,3.0,-inf\r\n", ":3: component_1 is -inf, not finite"),
+    ], ids=["empty", "ragged", "no_components", "nan", "inf"])
     def test_stats_on_an_unreadable_csv_exits_two(self, text, message, tmp_path, capsys):
         p = tmp_path / "ensemble.csv"
         p.write_text(text)
         assert cli.main(["stats", str(p)]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and message in err
+        assert out == "" and "Warning" not in err
 
     def test_tol_override_flag(self, tmp_path):
         rc = cli.main([

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import reference_noise
+from executors import Inline, Pool
 
 from consensuslab import (
     ModelSpec,
@@ -75,7 +76,7 @@ class TestSubstreams:
 
 
 class TestAddressing:
-    """Uniform (run r, step t, agent i) is position r * n + i of the stream at counter (0, t, 0, 0), one key a pass."""
+    """Value (run r, step t, agent i) is value r * n + i of the stream at counter (0, t, 0, 0), one key a pass."""
 
     @pytest.mark.parametrize("kind", ["gaussian", "dense", "rademacher", "cauchy"])
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**200 + 7])
@@ -90,15 +91,20 @@ class TestAddressing:
                 assert np.array_equal(rows[r], expected), r
 
     @pytest.mark.parametrize("c0", [0, 5, 2**40])
-    def test_a_step_is_one_call_from_its_counter(self, c0):
-        chunks = NoiseChunks(NoiseSpec.cauchy(3), 1, 5, 9)
-        block = np.empty((2, chunks.width, 3))
-        chunks._fill(block, c0)
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    def test_a_step_is_one_call_from_its_counter(self, kind, c0):
+        # either thread's generator draws a step as one call from its counter: standard
+        # normals for the Gaussian kind, uniforms for the others
+        spec = NoiseSpec.gaussian(np.zeros(3), np.eye(3)) if kind == "gaussian" else NoiseSpec.cauchy(3)
+        chunks = NoiseChunks(spec, 1, 5, 9)
         key = np.random.SeedSequence(9).generate_state(2, np.uint64)
-        for rows, t in zip(block, (c0 + 1, c0 + 2)):
-            stream = np.random.Generator(np.random.Philox(key=key, counter=np.array([0, t, 0, 0], dtype=np.uint64)))
-            assert np.array_equal(rows, stream.random(rows.shape)), t
-        assert (chunks.philox_calls, chunks.uniforms_drawn) == (2, block.size)
+        for stream in (chunks._mine, chunks._worker):
+            block = np.empty((2, chunks.width, 3))
+            chunks._part(stream, block, c0, None)
+            for rows, t in zip(block, (c0 + 1, c0 + 2)):
+                gen = np.random.Generator(np.random.Philox(key=key, counter=np.array([0, t, 0, 0], dtype=np.uint64)))
+                draw = gen.standard_normal if kind == "gaussian" else gen.random
+                assert np.array_equal(rows, _transform(spec, draw((1, *rows.shape)), None)[0]), t
 
     def test_neighbouring_runs_steps_and_agents_are_uncorrelated(self):
         # each of the three axes of the address moves to another Philox counter or block word
@@ -118,9 +124,9 @@ class TestAddressing:
         spec = {"gaussian": NoiseSpec.gaussian([0.0], [[1.0]]), "rademacher": NoiseSpec.rademacher(1),
                 "cauchy": NoiseSpec.cauchy(1, scale=2.0)}[kind]
         chunks = NoiseChunks(spec, 1, 20_000, 31)
-        u = np.empty((1, chunks.width, 1))
-        chunks._fill(u, t - 1)
-        g = _transform(spec, u, None).ravel()
+        g = np.empty((1, chunks.width, 1))
+        chunks._part(chunks._mine, g, t - 1, None)
+        g = g.ravel()
         if kind == "rademacher":
             assert set(np.unique(g)) == {-1.0, 1.0} and abs(g.mean()) < 5 / np.sqrt(g.size)
             return
@@ -163,6 +169,12 @@ class TestSampling:
         s = substream(42, 0)
         seq = np.array([sample_noise(spec, t, s) for t in range(1, 10)])
         assert np.allclose(blk, seq, rtol=0, atol=1e-12)
+
+    def test_gaussian_draws_are_standard_normals_of_the_stream(self):
+        # mu + F z with z the stream's next standard normals, as the engine draws a step
+        mu, sd = np.array([0.5, -1.0, 0.0]), np.array([1.0, 2.0, 0.5])
+        blk = sample_noise_block(NoiseSpec.gaussian(mu, np.diag(sd**2)), 7, substream(3, 0))
+        assert np.array_equal(blk, substream(3, 0).standard_normal((7, 3)) * sd + mu)
 
     def test_rademacher_balance(self):
         spec = NoiseSpec.rademacher(2)
@@ -235,43 +247,49 @@ class TestSampling:
 
 
 class TestGaussianTransform:
-    """``_transform`` equals the explicit ``ndtri(clip(u)) * diag(F) + mu``, signed zeros included.
+    """``_transform`` of standard normals ``z`` equals the explicit ``mu + F z``, signed zeros included.
 
-    The transform skips multiplying by a unit diagonal and adding a zero
-    mean; both skips must leave every byte as the explicit formula has it.
+    The transform skips multiplying by a unit diagonal and keeps a diagonal
+    factor as its diagonal; neither may change a byte of the explicit
+    formula. Ziggurat normals include -0.0, which only adding the mean turns
+    to +0.0 where the mean is +0.0.
     """
 
     @staticmethod
-    def _uniforms():
-        u = np.random.default_rng(6).random((3, 5, 4))
-        u[0, 0] = 0.5  # ndtri(1/2) = +0.0
-        u[1, 2, 1] = 0.0  # clipped below at 2**-54
-        u[2, 4, 3] = 0.5 - 2.0**-54
-        return u
+    def _normals():
+        z = np.random.default_rng(6).standard_normal((3, 8, 4))  # eight runs: one product a step
+        z[0, 0] = -0.0
+        z[1, 2, 1] = 0.0
+        z[2, 4] = [-0.0, 0.0, -0.0, 1.0]
+        return z
 
-    @pytest.mark.parametrize("diag", [[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 0.5, 1.5]], ids=["unit", "non_unit"])
+    @pytest.mark.parametrize("factor", [[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 0.5, 1.5], "dense"],
+                             ids=["unit", "non_unit", "dense"])
     @pytest.mark.parametrize("mu", [[0.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0], [0.5, -1.0, 0.0, 3.0]],
                              ids=["zero", "signed_zero", "nonzero"])
-    def test_matches_the_explicit_formula(self, diag, mu):
-        from scipy.special import ndtri
-
-        u = self._uniforms()
-        spec = NoiseSpec.gaussian(mu, np.diag(np.square(diag)))
-        expected = ndtri(np.clip(u, 2.0**-54, None)) * np.array(diag) + np.array(mu)
-        got = _transform(spec, u.copy(), None)  # no time_scale, so no step scales
+    def test_matches_the_explicit_formula(self, factor, mu):
+        z = self._normals()
+        if factor == "dense":
+            sigma = np.array([[2.0, 0.5, 0.0, 0.1], [0.5, 1.0, 0.2, 0.0], [0.0, 0.2, 1.5, 0.3], [0.1, 0.0, 0.3, 1.0]])
+            F = np.linalg.cholesky(sigma)
+            expected = np.array([step @ F.T for step in z]) + np.array(mu)
+        else:
+            sigma = np.diag(np.square(factor))
+            expected = z * np.array(factor) + np.array(mu)
+        spec = NoiseSpec.gaussian(mu, sigma)
+        got = _transform(spec, z.copy(), None)  # no time_scale, so no step scales
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+        if factor != "dense" and not np.any(np.signbit(mu)):
+            assert not np.signbit(got[0, 0]).any()  # -0.0 + +0.0 is +0.0
 
     def test_no_ops_are_decided_once(self):
         unit = NoiseSpec.gaussian(np.zeros(3), np.eye(3))
-        assert unit._factor is None and unit._shift is None
+        assert unit._factor is None
         scaled = NoiseSpec.gaussian(np.zeros(3), np.diag([1.0, 4.0, 9.0]))
-        assert np.array_equal(scaled._factor, [1.0, 2.0, 3.0]) and scaled._shift is None
-        shifted = NoiseSpec.gaussian([0.0, 1.0, 0.0], np.eye(3))
-        assert shifted._factor is None and np.array_equal(shifted._shift, [0.0, 1.0, 0.0])
-        # a dense product may round a zero row to -0.0, which adding +0.0 turns to +0.0
+        assert np.array_equal(scaled._factor, [1.0, 2.0, 3.0])
         dense = NoiseSpec.gaussian(np.zeros(2), [[2.0, 0.5], [0.5, 1.0]])
-        assert dense._factor.ndim == 2 and dense._shift is not None
+        assert dense._factor.ndim == 2
 
 
 class TestNoiseChunks:
@@ -382,26 +400,47 @@ class TestNoiseChunks:
         assert padded.shape == (40, 9, 3)
         assert np.array_equal(padded, wide[:40])
 
-    def test_timings_are_recorded(self):
-        chunks = NoiseChunks(NoiseSpec.gaussian(np.zeros(3), np.eye(3)), 40, 20, 2)
+    def test_timings_are_the_stepping_thread_s(self, monkeypatch):
+        # parts taken back are drawn here, so their draws are timed; the worker's are not
+        spec = NoiseSpec.gaussian(np.zeros(3), np.eye(3))
+        monkeypatch.setattr(noise, "_WORKER", Inline())
+        chunks = NoiseChunks(spec, 40, 20, 2)
         list(chunks)
         assert chunks.fill_s > 0 and chunks.transform_s > 0
+        monkeypatch.setattr(noise, "_WORKER", Pool(eager=True))
+        chunks = NoiseChunks(spec, 40, 20, 2)
+        list(chunks)
+        assert chunks.fill_s == 0.0 and chunks.transform_s > 0
 
+    @pytest.mark.parametrize("executor", ["worker", "taken_back", "eager_worker", "racing_worker"])
     @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
-    def test_interleaved_passes_keep_their_own_streams(self, kind, monkeypatch):
-        # 4-step chunks, so each pass sets its generator's counter for every step of its three
-        # chunks while the other pass sets its own
+    def test_interleaved_passes_keep_their_own_streams(self, kind, executor, monkeypatch):
+        # 4-step chunks, so each pass sets its generators' counters for every step of its three
+        # chunks while the other pass sets its own, on the worker, the stepping thread or both,
+        # with the interpreter lock changing hands as often as it can
+        import sys
+
         monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * 4 * 16 * 3)
+        if executor != "worker":
+            monkeypatch.setattr(noise, "_WORKER", {"taken_back": Inline, "eager_worker": lambda: Pool(True),
+                                                   "racing_worker": lambda: Pool(False)}[executor]())
         spec = _kinds(3)[kind]
         T, m = 9, 11
         a, b = NoiseChunks(spec, T, m, 5), NoiseChunks(spec, T, m, 6)
         assert (a.width, a.chunk_steps) == (b.width, b.chunk_steps) == (16, 4)
-        steps = [(ga.copy(), gb.copy()) for ga, gb in zip(a, b)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            steps = [(ga.copy(), gb.copy()) for ga, gb in zip(a, b)]
+        finally:
+            sys.setswitchinterval(switch)
         for seed, side in ((5, 0), (6, 1)):
             rows = np.stack([pair[side] for pair in steps]).transpose(2, 0, 1)
             for r in range(m):
                 assert np.array_equal(rows[r], reference_noise.run_noise(spec, T, seed, r)), (seed, r)
         assert a.philox_calls == b.philox_calls == T
+        if executor == "eager_worker":  # every draw on the worker
+            assert a.fill_s == b.fill_s == 0.0
 
 
 class TestEpsilonOscillator:
