@@ -120,13 +120,18 @@ def main(argv=None) -> int:
             if len(rows) < 2:
                 raise ValueError(f"{path}: expected a header and at least one row")
             header, body = rows[0], rows[1:]
-            for line, r in enumerate(body, 2):
-                if len(r) != len(header):
-                    raise ValueError(f"{path}:{line}: {len(r)} fields where the header has {len(header)}")
             comps = [j for j, name in enumerate(header) if name.startswith("component_")]
             if not comps:
                 raise ValueError(f"{path}: no component_ column")
-            pts = np.array([[float(r[j]) for j in comps] for r in body])
+            pts = np.empty((len(body), len(comps)))
+            for line, r in enumerate(body, 2):
+                if len(r) != len(header):
+                    raise ValueError(f"{path}:{line}: {len(r)} fields where the header has {len(header)}")
+                for k, j in enumerate(comps):
+                    try:
+                        pts[line - 2, k] = float(r[j])
+                    except ValueError:
+                        raise ValueError(f"{path}:{line}: {header[j]} is {r[j]!r}, not a number") from None
             bad = np.argwhere(~np.isfinite(pts))  # a diverged run's values: no statistic holds
             if bad.size:
                 i, j = bad[0].tolist()

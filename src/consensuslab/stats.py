@@ -5,6 +5,10 @@ transport distance, Kolmogorov-Smirnov) together with a rank-one check of
 the joint covariance; at the small dimensions this package targets, the
 pair pins down the limit geometry without a multidimensional transport
 solver.
+
+The normal CDF is a numpy port of Cephes' ``ndtr`` (S. L. Moshier), the
+algorithm scipy compiles: W. J. Cody's rational Chebyshev approximations to
+erf and erfc (Math. Comp. 23, 1969), with ``exp(-z^2)`` in one call as scipy's.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InsufficientSampleError, StructureError
 from .matrices import entries_of
@@ -132,11 +135,62 @@ def cauchy_cdf(x, scale: float = 1.0):
     return 0.5 + np.arctan(np.asarray(x, dtype=float) / scale) / np.pi
 
 
+# Cephes ndtr.c, highest power first: erf(t) = t T(t^2)/U(t^2) for |t| < 1; erfc(w) = exp(-w^2) P(w)/Q(w) for
+# 1 <= w < 8 and exp(-w^2) R(w)/S(w) from 8 up. T is halved, so Horner's rule gives 0.5 erf(t) to the bit.
+_T = tuple(0.5 * c for c in (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051,
+                             55592.30130103949))
+_U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095, 49267.39426086359)
+_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814, 196.5208329560771,
+      526.4451949954773, 934.5285271719576, 1027.5518868951572, 557.5353353693994)
+_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055, 1823.9091668790973,
+      2246.3376081871097, 1656.6630919416134, 557.5353408177277)
+_R = (0.5641895835477551, 1.275366707599781, 5.019050422511805, 6.160210979930536, 7.4097426995044895,
+      2.9788666537210022)
+_S = (1.0, 2.2605286322011726, 9.396035249380015, 12.048953980809666, 17.08144507475659, 9.608968090632859,
+      3.369076451000815)
+
+
+def _polevl(t, coef, out=None):
+    """Horner's rule in place, in the order of Cephes' ``polevl``."""
+    out = np.multiply(t, coef[0], out=out)
+    for c in coef[1:-1]:
+        out += c
+        out *= t
+    out += coef[-1]
+    return out
+
+
+def _ndtr(x):
+    """Cephes ``ndtr`` of a fresh float array ``x``, which it overwrites and returns flat."""
+    x = np.ravel(x)
+    x *= math.sqrt(0.5)
+    far = (x >= 1.0) | (x <= -1.0)  # NaN stays near, and the erf rational passes it through
+    w = np.minimum(np.abs(x[far]), 27.0)  # keeps inf out of the rationals; 27^2 is past the cut below
+    ex = np.exp(-(w * w))
+    r = 0.5 * (_polevl(w, _P) * ex / _polevl(w, _Q))
+    tail = w >= 8.0
+    r[tail] = 0.5 * (_polevl(w[tail], _R) * ex[tail] / _polevl(w[tail], _S))
+    r[w * w > 709.782712893384] = 0.0  # Cephes' erfc is 0 where exp(-w^2) underflows, past log(DBL_MAX)
+    np.subtract(1.0, r, out=r, where=x[far] > 0.0)
+    # Cephes' 0.5 (1 - erf z) for 1/sqrt2 <= z < 1 is 0.5 + 0.5 erf(x) to the bit (erf z > 0.5 makes 1 - erf z
+    # exact), so one erf branch runs in place, 8192 values a time: its 64 KiB temporaries are reused, not faulted in
+    x[far] = 0.0  # keeps the erf branch finite there; overwritten below
+    for lo in range(0, x.size, 8192):
+        t = x[lo : lo + 8192]
+        s = t * t
+        e = _polevl(s, _T) * t
+        e /= _polevl(s, _U, out=t)
+        np.add(e, 0.5, out=t)
+    x[far] = r
+    return x
+
+
 def normal_cdf(x, mu: float = 0.0, sigma: float = 1.0):
     """CDF of the normal law with the given mean and standard deviation, which must be positive."""
     if not sigma > 0.0:
         raise ValueError(f"normal sigma must be positive, got {sigma!r}")
-    return ndtr((np.asarray(x, dtype=float) - mu) / sigma)
+    z = (np.asarray(x, dtype=float) - mu) / sigma  # a fresh array, for _ndtr to overwrite
+    return _ndtr(z).reshape(np.shape(z))[()]
 
 
 def clt_target(C, eps, Sigma, row_tol: float = 1e-8) -> CLTTarget:

@@ -1226,7 +1226,8 @@ class TestCLI:
         ("run,x\r\n0,1.0\r\n1,2.0\r\n", "no component_ column"),
         ("run,component_0,component_1\r\n0,1.0,2.0\r\n1,nan,2.0\r\n2,3.0,inf\r\n", ":3: component_0 is nan, not finite"),
         ("run,component_0,component_1\r\n0,1.0,2.0\r\n1,3.0,-inf\r\n", ":3: component_1 is -inf, not finite"),
-    ], ids=["empty", "ragged", "no_components", "nan", "inf"])
+        ("run,component_0\r\n0,1.0\r\n1,abc\r\n", ":3: component_0 is 'abc', not a number"),
+    ], ids=["empty", "ragged", "no_components", "nan", "inf", "non_numeric"])
     def test_stats_on_an_unreadable_csv_exits_two(self, text, message, tmp_path, capsys):
         p = tmp_path / "ensemble.csv"
         p.write_text(text)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import ndtr
 
 from consensuslab import (
     EmpiricalSample,
@@ -140,6 +141,64 @@ class TestKS:
             normal_cdf(0.0, 0.0, width)
         with pytest.raises(ValueError, match="must be positive"):
             cauchy_cdf(0.0, width)
+
+
+class TestNormalCdf:
+    """``normal_cdf`` against ``scipy.special.ndtr``, the same Cephes algorithm compiled.
+
+    Everywhere the two agree within 2**-52 absolute; wherever ndtr exceeds 1e-300 they also agree
+    within 2**-49 relative (8 units of 2**-52; 2.6 units were seen over 10**6 uniform points).
+    """
+
+    SQRT2 = float(np.sqrt(2.0))
+
+    @staticmethod
+    def _assert_matches_ndtr(x):
+        got, want = normal_cdf(x), ndtr(x)
+        gap = np.abs(got - want)
+        assert gap.max() <= 2.0**-52
+        tiny = want <= 1e-300
+        assert np.all(gap[~tiny] <= 2.0**-49 * want[~tiny])
+        assert np.all(got[tiny] <= 1e-300)
+
+    def test_dense_grid(self):
+        self._assert_matches_ndtr(np.linspace(-38.0, 38.0, 400_001))
+
+    @pytest.mark.parametrize("z", [1.0 / np.sqrt(2.0), 1.0, 8.0])
+    def test_both_sides_of_each_branch_boundary(self, z):
+        edge = z * self.SQRT2  # |x| / sqrt2 = z
+        near = np.array([edge * (1 + k * 2.0**-40) for k in range(-64, 65)] + [edge - 1e-9, edge + 1e-9])
+        steps = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+        x = np.concatenate([near, steps])
+        self._assert_matches_ndtr(np.concatenate([x, -x]))
+
+    def test_infinities_and_nan(self):
+        y = normal_cdf(np.array([np.inf, -np.inf, np.nan]))
+        assert y[0] == 1.0 and y[1] == 0.0 and np.isnan(y[2])
+        assert normal_cdf(np.inf) == 1.0 and normal_cdf(-np.inf) == 0.0 and np.isnan(normal_cdf(np.nan))
+        assert normal_cdf(1e300) == 1.0 and normal_cdf(-1e300) == 0.0
+
+    def test_a_scalar_gives_the_array_value_as_a_float64(self):
+        x = np.linspace(-12.0, 12.0, 97)
+        y = normal_cdf(x)
+        for v, w in zip(x, y):
+            got = normal_cdf(float(v))
+            assert type(got) is np.float64 and got == w
+        grid = normal_cdf(x.reshape(97, 1).T)
+        assert grid.shape == (1, 97) and np.array_equal(grid.ravel(), y)
+        assert normal_cdf([]).shape == (0,)
+
+    def test_the_input_is_left_alone_and_mu_sigma_standardise_it(self):
+        x = np.linspace(-5.0, 7.0, 1001)
+        keep = x.copy()
+        y = normal_cdf(x, 1.0, 2.0)
+        assert np.array_equal(x, keep)
+        assert np.array_equal(y, normal_cdf((x - 1.0) / 2.0))
+
+    def test_symmetry(self):
+        # one rounding of a value in [0.5, 1] apart: half an ulp of 1
+        x = np.linspace(0.0, 38.0, 400_001)
+        assert np.max(np.abs(normal_cdf(-x) - (1.0 - normal_cdf(x)))) <= 2.0**-53
 
 
 class TestCLTTarget:
