@@ -10,6 +10,7 @@ scenario plus its master seed, so re-running reproduces the CSV bytes.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from bisect import bisect_left
@@ -84,12 +85,12 @@ def _compile_time_scale(doc: Optional[dict], horizon: int):
         return None
     kind = doc.get("kind")
     if kind == "constant":
-        v = float(doc.get("value", 1.0))
+        v = _real(doc.get("value", 1.0), "time_scale value")
         return lambda t: v
     if kind == "inverse_t":
         return lambda t: 1.0 / t
     if kind == "geometric":
-        r = float(doc["rate"])
+        r = _real(doc["rate"], "geometric rate")
 
         def overflows(t: int) -> bool:
             try:
@@ -141,9 +142,9 @@ def _finite(value, what: str = "entries") -> np.ndarray:
     return a
 
 
-def _real(params: dict, name: str, default=None) -> float:
-    """A check or analysis parameter as a finite float, ``default`` where it is absent (required without one)."""
-    return float(_finite(params[name] if default is None else params.get(name, default), name))
+def _real(value, name: str) -> float:
+    """A number of a scenario as a finite float."""
+    return float(_finite(value, name))
 
 
 def _compile_matrix_schedule(doc: dict):
@@ -217,7 +218,8 @@ def load_scenario(source) -> Scenario:
     violations surface as ``ScenarioFormatError`` carrying a JSON pointer
     to the offending field; a missing file, unknown check, analysis, or
     generator names raise it too, the latter listing the known ones, and
-    so does a model that does not compile, at the pointer of its part.
+    so do a parameter a check or analysis does not take, a repeated item
+    name and a model that does not compile, each at its pointer.
     """
     if isinstance(source, dict):
         doc = source
@@ -240,12 +242,7 @@ def load_scenario(source) -> Scenario:
     master_seed = int(doc.get("master_seed", 0))
     checks = [dict(c) for c in doc.get("checks", [])]
     analyses = [dict(a) for a in doc.get("analyses", [])]
-    for c in checks:
-        if c["name"] not in _CHECKS:
-            raise ScenarioFormatError(f"unknown check {c['name']!r}; known: {tuple(_CHECKS)}", "/checks")
-    for a in analyses:
-        if a["name"] not in _ANALYSES:
-            raise ScenarioFormatError(f"unknown analysis {a['name']!r}; known: {tuple(_ANALYSES)}", "/analyses")
+    _refuse_bad_items(checks, analyses)
 
     model = _compile_model(doc.get("model"), horizon)
     snapshot_times = tuple(int(t) for t in doc.get("snapshot_times", []))
@@ -264,11 +261,10 @@ def load_scenario(source) -> Scenario:
     )
 
 
-def _rho_from_spec(scenario: Scenario, params: dict) -> np.ndarray:
-    """rho_1..rho_T of a check's ``rho`` spec (the model's by default); ``T`` defaults to the horizon."""
-    T = _whole(params.get("T", scenario.horizon), "T")
-    doc = params.get("rho", {"kind": "model"})
-    kind = doc.get("kind", "model")
+def _rho_from_spec(scenario: Scenario, T, doc: Optional[dict]) -> np.ndarray:
+    """rho_1..rho_T of a check's ``rho`` spec ``doc`` (the model's by default); ``T`` defaults to the horizon."""
+    T = _whole(scenario.horizon if T is None else T, "T")
+    kind = "model" if doc is None else doc.get("kind", "model")
     if kind == "model":
         if scenario.model is None:
             raise ScenarioFormatError("rho kind 'model' needs a model in the scenario")
@@ -278,7 +274,7 @@ def _rho_from_spec(scenario: Scenario, params: dict) -> np.ndarray:
     if kind == "exp_inverse_square":
         return rho_exp_inverse_square(T)
     if kind == "constant":
-        return np.full(T, _real(doc, "value"))
+        return np.full(T, _real(doc["value"], "value"))
     if kind == "table":
         values = _finite(doc["values"], "values")
         if values.size < T:
@@ -299,54 +295,47 @@ def _model_at_t1(scenario: Scenario):
     return spec, *next(_schedule(spec, 1))
 
 
-def _check_base_rates(scenario: Scenario, params: dict) -> cond.ConditionReport:
+def _check_base_rates(scenario: Scenario, *, beta=None, delta=None) -> cond.ConditionReport:
     _, a, e, _, _ = _model_at_t1(scenario)
-    beta, delta = params.get("beta"), params.get("delta")
     return cond.check_base_rates(a, e, beta=None if beta is None else _finite(beta, "beta"),
-                                 delta=None if delta is None else _real(params, "delta"))
+                                 delta=None if delta is None else _real(delta, "delta"))
 
 
-def _check_average_rates(scenario: Scenario, params: dict) -> cond.ConditionReport:
+def _check_average_rates(scenario: Scenario, *, strict=True) -> cond.ConditionReport:
     _, a, e, _, _ = _model_at_t1(scenario)
-    if not isinstance(strict := params.get("strict", True), bool):
+    if not isinstance(strict, bool):
         raise ScenarioFormatError(f"strict {strict!r} is not a boolean")
     return cond.check_average_rates(a, e, strict=strict)
 
 
-def _check_product_to_zero(scenario: Scenario, params: dict) -> cond.ConditionReport:
-    return cond.check_product_to_zero(
-        _rho_from_spec(scenario, params),
-        product_tol=_real(params, "product_tol", cond.PRODUCT_TOL),
-        decrement_tol=_real(params, "decrement_tol", cond.LOG_DECREMENT_TOL),
-    )
+def _check_product_to_zero(scenario: Scenario, *, T=None, rho=None, product_tol=cond.PRODUCT_TOL,
+                           decrement_tol=cond.LOG_DECREMENT_TOL) -> cond.ConditionReport:
+    return cond.check_product_to_zero(_rho_from_spec(scenario, T, rho), product_tol=_real(product_tol, "product_tol"),
+                                      decrement_tol=_real(decrement_tol, "decrement_tol"))
 
 
-def _check_ll1(scenario: Scenario, params: dict) -> cond.ConditionReport:
-    return cond.check_ll1(
-        _rho_from_spec(scenario, params),
-        sup_bound=_real(params, "sup_bound", cond.SUP_BOUND),
-        growth_frac=_real(params, "growth_frac", cond.GROWTH_FRAC),
-    )
+def _check_ll1(scenario: Scenario, *, T=None, rho=None, sup_bound=cond.SUP_BOUND,
+               growth_frac=cond.GROWTH_FRAC) -> cond.ConditionReport:
+    return cond.check_ll1(_rho_from_spec(scenario, T, rho), sup_bound=_real(sup_bound, "sup_bound"),
+                          growth_frac=_real(growth_frac, "growth_frac"))
 
 
-def _check_ll1b(scenario: Scenario, params: dict) -> cond.ConditionReport:
+def _check_ll1b(scenario: Scenario, *, T=None, summability_tol=cond.SUMMABILITY_TOL) -> cond.ConditionReport:
     spec = scenario.model
     if spec is None or spec.schedule_E is None:
         raise ScenarioFormatError("ll1b needs a model with rate schedules")
-    T = _whole(params.get("T", scenario.horizon), "T")
-    return cond.check_ll1b(spec.schedule_A, spec.schedule_E, T,
-                           summability_tol=_real(params, "summability_tol", cond.SUMMABILITY_TOL))
+    return cond.check_ll1b(spec.schedule_A, spec.schedule_E, _whole(scenario.horizon if T is None else T, "T"),
+                           summability_tol=_real(summability_tol, "summability_tol"))
 
 
-def _check_nonlinear_bounds(scenario: Scenario, params: dict) -> cond.ConditionReport:
+def _check_nonlinear_bounds(scenario: Scenario, *, grid=None, T=None) -> cond.ConditionReport:
     spec = scenario.model
     if spec is None or spec.family is not ModelFamily.NONLINEAR:
         raise ScenarioFormatError("nonlinear_bounds needs a nonlinear model")
-    grid = params.get("grid")
     if grid is not None:
         grid = (np.linspace(*_finite(grid[:2], "grid"), _whole(grid[2], "grid point count")) if len(grid) == 3
                 else _finite(grid, "grid"))
-    T = _whole(params.get("T", max(scenario.horizon, 1)), "T")
+    T = _whole(max(scenario.horizon, 1) if T is None else T, "T")
     return cond.check_nonlinear_bounds(spec.learning_fn, spec.schedule_A, T, grid=grid)
 
 
@@ -371,18 +360,17 @@ class RunContext:
     ensemble: Optional[EnsembleSample]
 
 
-def _an_consensus_time(ctx: RunContext, params: dict) -> dict:
-    target = params.get("target", "sigma_bar")
+def _an_consensus_time(ctx: RunContext, *, tol, target="sigma_bar") -> dict:
     if target == "sigma_bar":
         target = ctx.scenario.model.sigma_bar
     elif target is not None:
         target = _finite(target, "target")
-    tol = _real(params, "tol")
+    tol = _real(tol, "tol")
     return {"time": st.consensus_time(ctx.trajectory, target, tol), "tol": tol}
 
 
-def _an_periodicity(ctx: RunContext, params: dict) -> dict:
-    p = st.detect_periodicity(ctx.trajectory, _whole(params["max_period"], "max_period"), _real(params, "tol"))
+def _an_periodicity(ctx: RunContext, *, max_period, tol) -> dict:
+    p = st.detect_periodicity(ctx.trajectory, _whole(max_period, "max_period"), _real(tol, "tol"))
     return {"period": p}
 
 
@@ -407,35 +395,35 @@ def _sample_at(ctx: RunContext, t) -> st.EmpiricalSample:
     return ctx.ensemble.to_empirical(None if t is None else _step(t, ctx.ensemble.t_final))
 
 
-def _an_moments(ctx: RunContext, params: dict) -> dict:
-    mean, cov = st.empirical_moments(_sample_at(ctx, params.get("at")).points)
+def _an_moments(ctx: RunContext, *, at=None) -> dict:
+    mean, cov = st.empirical_moments(_sample_at(ctx, at).points)
     return {"mean": mean, "cov": cov}
 
 
-def _an_ks(ctx: RunContext, params: dict) -> dict:
-    pts = _sample_at(ctx, params.get("at")).points
-    coord = _whole(params.get("coordinate", 0), "coordinate")
+def _an_ks(ctx: RunContext, *, at=None, coordinate=0, dist="cauchy", scale=1.0, mu=0.0, sigma=1.0,
+           level=0.01) -> dict:
+    pts = _sample_at(ctx, at).points
+    coord = _whole(coordinate, "coordinate")
     if not 0 <= coord < pts.shape[1]:
         raise ScenarioFormatError(f"coordinate {coord} lies outside the components 0..{pts.shape[1] - 1}")
-    dist = params.get("dist", "cauchy")
     if dist == "cauchy":
-        scale = _real(params, "scale", 1.0)
+        scale = _real(scale, "scale")
         cdf = lambda x: st.cauchy_cdf(x, scale)
     elif dist == "normal":
-        mu, sigma = _real(params, "mu", 0.0), _real(params, "sigma", 1.0)
+        mu, sigma = _real(mu, "mu"), _real(sigma, "sigma")
         cdf = lambda x: st.normal_cdf(x, mu, sigma)
     else:
         raise ScenarioFormatError(f"unknown reference dist {dist!r}; known: ('cauchy', 'normal')")
     stat = st.ks_statistic(pts[:, coord], cdf)
-    level = _real(params, "level", 0.01)
+    level = _real(level, "level")
     crit = st.ks_critical_value(pts.shape[0], level)
     return {"statistic": stat, "critical": crit, "level": level, "below_critical": bool(stat < crit)}
 
 
-def _an_ks_best_fit_normal(ctx: RunContext, params: dict) -> dict:
-    pts = _sample_at(ctx, params.get("at")).points
+def _an_ks_best_fit_normal(ctx: RunContext, *, at=None, level=0.01) -> dict:
+    pts = _sample_at(ctx, at).points
     m = pts.shape[0]
-    level = _real(params, "level", 0.01)
+    level = _real(level, "level")
     crit = st.ks_critical_value(m, level)
     per = []
     for j in range(pts.shape[1]):
@@ -447,9 +435,9 @@ def _an_ks_best_fit_normal(ctx: RunContext, params: dict) -> dict:
     return {"critical": crit, "level": level, "per_coordinate": per}
 
 
-def _an_drift(ctx: RunContext, params: dict) -> dict:
-    samples = {s.t_final: s for s in (_sample_at(ctx, t) for t in params["times"])}
-    report = st.distribution_drift(samples, decay_ratio=_real(params, "decay_ratio", 0.5))
+def _an_drift(ctx: RunContext, *, times, decay_ratio=0.5) -> dict:
+    samples = {s.t_final: s for s in (_sample_at(ctx, t) for t in times)}
+    report = st.distribution_drift(samples, decay_ratio=_real(decay_ratio, "decay_ratio"))
     out = report.to_json()
     out["max_distance"] = report.max_distance()
     return out
@@ -465,7 +453,7 @@ def _constant_average_model(ctx: RunContext, name: str):
     return _model_at_t1(ctx.scenario)
 
 
-def _an_clt_check(ctx: RunContext, params: dict) -> dict:
+def _an_clt_check(ctx: RunContext, *, product_t_max=None, rank_one_tol=1e-10, rel_tol=0.15, score_tol=0.05) -> dict:
     spec, _, e, b, _ = _constant_average_model(ctx, "clt_check")
     if spec.noise.kind == "gaussian":
         sigma = spec.noise.sigma
@@ -473,8 +461,8 @@ def _an_clt_check(ctx: RunContext, params: dict) -> dict:
         sigma = np.eye(spec.n)
     else:
         raise ScenarioFormatError("clt_check needs gaussian or rademacher noise")
-    t_max = _whole(params.get("product_t_max", 4 * ctx.scenario.horizon), "product_t_max")
-    c, converged = product_limit(b, t_max=t_max, rank_one_tol=_real(params, "rank_one_tol", 1e-10))
+    t_max = _whole(4 * ctx.scenario.horizon if product_t_max is None else product_t_max, "product_t_max")
+    c, converged = product_limit(b, t_max=t_max, rank_one_tol=_real(rank_one_tol, "rank_one_tol"))
     target = st.clt_target(c, e, sigma)
     ens = ctx.ensemble
     pts = ens.terminal_states
@@ -482,8 +470,8 @@ def _an_clt_check(ctx: RunContext, params: dict) -> dict:
     _, emp = st.empirical_moments(scaled)
     rel = np.abs(emp - target.covariance) / np.abs(target.covariance)
     score = st.rank_one_score(emp)
-    rel_tol = _real(params, "rel_tol", 0.15)
-    score_tol = _real(params, "score_tol", 0.05)
+    rel_tol = _real(rel_tol, "rel_tol")
+    score_tol = _real(score_tol, "score_tol")
     return {
         "product_converged": bool(converged),
         "target_cov": target.covariance,
@@ -496,16 +484,14 @@ def _an_clt_check(ctx: RunContext, params: dict) -> dict:
     }
 
 
-def _an_rank_one(ctx: RunContext, params: dict) -> dict:
-    _, cov = st.empirical_moments(_sample_at(ctx, params.get("at")).points)
+def _an_rank_one(ctx: RunContext, *, at=None) -> dict:
+    _, cov = st.empirical_moments(_sample_at(ctx, at).points)
     return {"score": st.rank_one_score(cov)}
 
 
-def _an_product_limit(ctx: RunContext, params: dict) -> dict:
+def _an_product_limit(ctx: RunContext, *, t_max=1000, rank_one_tol=1e-10) -> dict:
     _, _, _, b, _ = _constant_average_model(ctx, "product_limit")
-    c, converged = product_limit(
-        b, t_max=_whole(params.get("t_max", 1000), "t_max"), rank_one_tol=_real(params, "rank_one_tol", 1e-10)
-    )
+    c, converged = product_limit(b, t_max=_whole(t_max, "t_max"), rank_one_tol=_real(rank_one_tol, "rank_one_tol"))
     nu = c.entries[0]
     residual = float(np.max(np.abs(nu @ b - nu)))
     pair = 2.0 * dobrushin(c.entries)
@@ -517,11 +503,11 @@ def _an_product_limit(ctx: RunContext, params: dict) -> dict:
     }
 
 
-def _an_oscillation_final(ctx: RunContext, params: dict) -> dict:
+def _an_oscillation_final(ctx: RunContext) -> dict:
     return {"oscillation": oscillation(ctx.trajectory.states[-1])}
 
 
-def _an_contraction_envelope(ctx: RunContext, params: dict) -> dict:
+def _an_contraction_envelope(ctx: RunContext) -> dict:
     """Run 0 contracts at every step: ``err_inf[t] <= rho_t * err_inf[t-1] + 1e-12`` for t = 1..T."""
     err, rho = ctx.trajectory.err_inf, ctx.trajectory.rho[1:]
     if err.size < 2 or np.isnan(rho).any() or np.isnan(err).any():
@@ -531,11 +517,11 @@ def _an_contraction_envelope(ctx: RunContext, params: dict) -> dict:
     return {"holds": bool(excess[t] <= 1e-12), "max_excess": float(excess[t]), "step": t + 1}
 
 
-def _an_mean_error_checkpoints(ctx: RunContext, params: dict) -> dict:
+def _an_mean_error_checkpoints(ctx: RunContext, *, times) -> dict:
     curve = ctx.ensemble.mean_err_inf
     if curve is None:
         raise ScenarioFormatError("mean-error tracking was not enabled for this run")
-    times = [_step(t, ctx.ensemble.t_final) for t in params["times"]]
+    times = [_step(t, ctx.ensemble.t_final) for t in times]
     vals = [float(curve[t]) for t in times]
     monotone = all(vals[k + 1] < vals[k] for k in range(len(vals) - 1))
     return {"times": times, "values": vals, "monotone_decreasing": monotone, "final": vals[-1]}
@@ -555,6 +541,33 @@ _ANALYSES: dict[str, Callable] = {
     "contraction_envelope": _an_contraction_envelope,
     "mean_error_checkpoints": _an_mean_error_checkpoints,
 }
+
+
+def _params(fn: Callable) -> tuple:
+    """The parameters a check or analysis takes: its keyword-only arguments, the one list of them."""
+    return tuple(p.name for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY)
+
+
+def _refuse_bad_items(checks: list, analyses: list) -> None:
+    """Refuse an item that names no check or analysis, repeats a name, or has a field its function does not take."""
+    for group, what, table, items in (("checks", "check", _CHECKS, checks),
+                                      ("analyses", "analysis", _ANALYSES, analyses)):
+        names = [item["name"] for item in items]
+        for i, (name, item) in enumerate(zip(names, items)):
+            if name not in table:
+                raise ScenarioFormatError(f"unknown {what} {name!r}; known: {tuple(table)}", f"/{group}")
+            if name in names[:i]:  # rows and overrides address an item by its name
+                raise ScenarioFormatError(f"{what} {name!r} is repeated", f"/{group}/{i}/name")
+            known = _params(table[name])
+            unknown = [p for p in item if p not in (*known, "name")]
+            if unknown:
+                raise ScenarioFormatError(f"{what} {name!r} takes no parameter {unknown[0]!r}; known: {known}",
+                                          f"/{group}/{i}/{unknown[0]}")
+
+
+def _call(table: dict, first, item: dict):
+    """The check or analysis of ``table`` that ``item`` names, run on ``first`` with the item's other fields."""
+    return table[item["name"]](first, **{k: v for k, v in item.items() if k != "name"})
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +677,10 @@ def _resolve(
     """The scenario a run makes: its horizon, ensemble and seed, and every item's overrides merged.
 
     ``overrides`` maps ``name.param`` to a value; a key naming no check or
-    analysis of the scenario, or a value the scenario schema refuses, is an
-    error, and so is a horizon, ensemble or seed with a fraction or a
-    boolean. A changed horizon recompiles the model from its document,
-    since the oscillating rate table spans it.
+    analysis of the scenario or a parameter it does not take, or a value
+    the scenario schema refuses, is an error, and so is a horizon, ensemble
+    or seed with a fraction or a boolean. A changed horizon recompiles the
+    model from its document, since the oscillating rate table spans it.
     """
     known = [item["name"] for item in scenario.checks + scenario.analyses]
     merged: dict = {}
@@ -685,12 +698,13 @@ def _resolve(
                 resolved[name] = _whole(value, name)
             _validate(resolved[name], _SCENARIO_SCHEMA["properties"][name], (name,))
     checks = [{**item, **merged.get(item["name"], {})} for item in scenario.checks]
+    analyses = [{**item, **merged.get(item["name"], {})} for item in scenario.analyses]
     if merged:
+        _refuse_bad_items(checks, analyses)
         _validate(checks, _SCENARIO_SCHEMA["properties"]["checks"], ("checks",))
     model = scenario.model
     if resolved["horizon"] != scenario.horizon and "model" in scenario.raw:
         model = _compile_model(scenario.raw["model"], resolved["horizon"])
-    analyses = [{**item, **merged.get(item["name"], {})} for item in scenario.analyses]
     return replace(scenario, **resolved, checks=checks, analyses=analyses, model=model)
 
 
@@ -712,7 +726,7 @@ def _execute(
     check_rows = []
     for item in scenario.checks:
         try:
-            report = _CHECKS[item["name"]](scenario, item)
+            report = _call(_CHECKS, scenario, item)
             check_rows.append(report.to_json())
         except Exception as exc:
             ok = False
@@ -766,11 +780,11 @@ def _execute(
         try:
             if ens is None:
                 raise ScenarioFormatError(f"analysis {item['name']!r} needs a model")
-            analysis_rows[item["name"]] = _ANALYSES[item["name"]](ctx, item)
+            analysis_rows[item["name"]] = _call(_ANALYSES, ctx, item)
         except Exception as exc:
             ok = False
             analysis_rows[item["name"]] = {"error": f"{type(exc).__name__}: {exc}"}
-        analysis_s[item["name"]] = analysis_s.get(item["name"], 0.0) + clock() - started
+        analysis_s[item["name"]] = clock() - started
     analysed = clock()
 
     target_dir = Path(out_dir) if out_dir is not None else Path(scenario.outputs_dir or f"out/{scenario.scenario_id}")

@@ -23,21 +23,20 @@ runs to a multiple of ``WIDTH_PAD``; the pad columns are runs ``m .. W -
 1``, stepped like the others and never reported. A chunk holds ``k`` whole
 steps, ``k * W * n`` at most half of ``CHUNK_VALUES`` (one step when even
 that is too many values), cut into up to ``TRANSFORM_PARTS`` parts of whole
-steps. A part is one task: draw its steps, then transform them. Every chunk
-is started one ahead, before the engine steps the chunk before it, in one of
+steps. A part is one task: draw its steps, then transform them, elementwise
+(per ``WIDTH_PAD`` runs of a step for ``_correlate``). Every random chunk is
+started one ahead, before the engine steps the chunk before it, in one of
 two buffers, by handing each of its parts to the worker thread. When the
 engine reaches a chunk, the stepping thread takes back the parts the worker
 has not started, last first, runs them itself and waits for the rest. Each
 thread draws with a Philox generator of its own under the pass's key, so no
 byte depends on the thread; the draws, the ufuncs and ``matmul`` release
-the GIL. The transform is elementwise (per ``WIDTH_PAD`` runs of a step for
-``_correlate``) with each step's ``time_scale`` evaluated once, on the
-stepping thread as the chunk starts. Deterministic rows call the spec's
-Python code, so they are computed there too, one row a step shared by every
-run. An error in starting a chunk (its rows, ``time_scale``, or a part's
-draw or transform) is raised as it was at the chunk's first step, and
-closing the iteration early stops every part of the chunk ahead. A process
-forked after the worker started has no worker and takes back every part.
+the GIL. The spec's Python code runs only on the stepping thread, when
+the engine reaches a chunk: each step's ``time_scale``, once, and the
+deterministic kinds' rows, one a step shared by every run. So any error of
+a chunk is raised at its first step, and closing the iteration early stops
+every part of the chunk ahead. A process forked after the worker started has no worker and takes
+back every part.
 Each step is copied once into an ``(n, W)`` stage, so the step kernel reads
 its noise contiguously. Memory stays at one chunk budget and one stage
 whatever the horizon.
@@ -145,8 +144,8 @@ class NoiseSpec:
             if self.table is None:
                 raise ValueError("custom noise needs a table")
             tab = np.asarray(self.table, dtype=float)
-            if tab.ndim != 2 or tab.shape[1] != self.n:
-                raise ValueError(f"table must have shape (T, {self.n})")
+            if tab.ndim != 2 or tab.shape[1] != self.n or not np.isfinite(tab).all():
+                raise ValueError(f"table must have shape (T, {self.n}) and finite entries")
             object.__setattr__(self, "table", tab)
 
     @property
@@ -220,11 +219,11 @@ def _correlate(z: np.ndarray, F: np.ndarray) -> np.ndarray:
     return (z.reshape(products) @ F.T).reshape(z.shape)
 
 
-def _step_scales(spec: NoiseSpec, ts: np.ndarray) -> Optional[np.ndarray]:
-    """The ``time_scale`` of each step ``ts`` as a (len(ts), 1, 1) array, or None without one."""
-    if spec.time_scale is None:
-        return None
-    return np.array([float(spec.time_scale(int(t))) for t in ts])[:, None, None]
+def _scaled(spec: NoiseSpec, ts: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g``, the (steps, runs, n) noise of steps ``ts``, times each step's ``time_scale`` in place: its one use."""
+    if spec.time_scale is not None:
+        g *= np.array([float(spec.time_scale(int(t))) for t in ts])[:, None, None]
+    return g
 
 
 def _draw(spec: NoiseSpec, stream: np.random.Generator, out: np.ndarray) -> None:
@@ -232,8 +231,8 @@ def _draw(spec: NoiseSpec, stream: np.random.Generator, out: np.ndarray) -> None
     (stream.standard_normal if spec.kind == GAUSSIAN else stream.random)(out=out)
 
 
-def _transform(spec: NoiseSpec, u: np.ndarray, scales: Optional[np.ndarray]) -> np.ndarray:
-    """Map a (steps, runs, n) block of ``_draw`` values to noise in place; ``scales`` from ``_step_scales``.
+def _transform(spec: NoiseSpec, u: np.ndarray) -> np.ndarray:
+    """Map a (steps, runs, n) block of ``_draw`` values to noise in place, before any ``time_scale``.
 
     This is the one transform: the engine's chunks and ``sample_noise_block``
     both go through it. It calls no Python code of the spec, so the engine
@@ -256,8 +255,6 @@ def _transform(spec: NoiseSpec, u: np.ndarray, scales: Optional[np.ndarray]) -> 
         u *= spec.scale
     else:
         raise AssertionError(spec.kind)
-    if scales is not None:
-        u *= scales
     return u
 
 
@@ -275,8 +272,8 @@ def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]
             raise ValueError(f"{spec.kind} noise needs a random stream")
         g = np.empty((k, 1, spec.n))
         _draw(spec, stream, g)
-        return _transform(spec, g, _step_scales(spec, ts))
-    if spec.kind == ZERO:
+        _transform(spec, g)
+    elif spec.kind == ZERO:
         g = np.zeros((k, 1, spec.n))
     elif spec.kind == DECAYING:
         g = spec.rate ** ts.astype(float)[:, None, None] * np.ones((1, 1, spec.n))
@@ -287,10 +284,7 @@ def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]
             t = int(outside[-1])
             raise TableExhaustedError(t, f"noise table covers t=1..{rows}, asked for t={t}")
         g = spec.table[ts - 1][:, None]
-    scales = _step_scales(spec, ts)
-    if scales is not None:
-        g *= scales
-    return g
+    return _scaled(spec, ts, g)
 
 
 def sample_noise(spec: NoiseSpec, t: int, stream: Optional[np.random.Generator]) -> np.ndarray:
@@ -335,11 +329,11 @@ _WORKER = ThreadPoolExecutor(1, thread_name_prefix="consensuslab-noise")
 
 @dataclass(eq=False)
 class _Chunk:
-    """A started chunk: its noise, ``(future, (block, c0, scales))`` pairs sent to the worker, and held error."""
+    """A started chunk: its steps, the random kinds' block and ``(future, (block, c0))`` pairs sent to the worker."""
 
+    ts: np.ndarray
     block: Optional[np.ndarray] = None
     parts: list = field(default_factory=list)
-    error: Optional[Exception] = None
 
 
 def _stop(parts: list) -> None:
@@ -365,8 +359,8 @@ class NoiseChunks:
     ``buffer_bytes_peak`` (the chunks held at once plus the stage) count
     what the iteration did, whichever thread drew. ``fill_s`` times the
     stepping thread's own draws and ``transform_s`` the rest of its noise
-    work: starting chunks, its own transforms and its waits for the worker.
-    The engine reports them.
+    work: starting chunks, its own transforms, its waits for the worker,
+    ``time_scale`` and the deterministic rows. The engine reports them.
     """
 
     def __init__(self, spec: NoiseSpec, T: int, m: int, master_seed: int):
@@ -390,7 +384,7 @@ class NoiseChunks:
             gens = [np.random.Generator(np.random.Philox(key=key)) for _ in range(2)]
             self._mine, self._worker = [(gen, gen.bit_generator.state) for gen in gens]
 
-    def _part(self, stream: tuple, block: np.ndarray, c0: int, scales: Optional[np.ndarray]) -> float:
+    def _part(self, stream: tuple, block: np.ndarray, c0: int) -> float:
         """Draw steps ``c0 + 1 ..`` into ``block`` (steps, width, n) and transform them; returns the draw's seconds.
 
         ``stream`` is a generator and its state, of the thread that runs the
@@ -404,45 +398,35 @@ class NoiseChunks:
             gen.bit_generator.state = state
             _draw(self.spec, gen, rows)
         drawn = perf_counter() - t0
-        _transform(self.spec, block, scales)
+        _transform(self.spec, block)
         return drawn
 
     def _start(self, c0: int, buf: Optional[np.ndarray]) -> _Chunk:
         """Start the chunk of steps ``c0 + 1 ..``, in ``buf`` for the random kinds.
 
         Random steps are cut into up to ``TRANSFORM_PARTS`` parts of whole
-        steps, each handed to the worker; nothing is drawn here. An error is
-        held in the chunk for ``_finish`` to raise, after the parts handed
-        over are stopped.
+        steps, each handed to the worker; nothing is drawn here, and no
+        Python code of the spec runs (see ``_finish``).
         """
         spec, n, W = self.spec, self.spec.n, self.width
         kk = min(self.chunk_steps, self.T - c0)
-        ts = np.arange(c0 + 1, c0 + kk + 1)
-        t0 = perf_counter()
-        chunk = _Chunk()
-        try:
-            if not spec.is_random:  # (kk, 1, n), shared by every run
-                chunk.block = _rows(spec, ts, None)
-            else:
-                chunk.block = buf[: kk * W * n].reshape(kk, W, n)
-                scales = _step_scales(spec, ts)
-                parts = min(TRANSFORM_PARTS, kk)
-                cuts = [kk * i // parts for i in range(parts + 1)]
-                for a, b in zip(cuts, cuts[1:]):
-                    part = (chunk.block[a:b], c0 + a, None if scales is None else scales[a:b])
-                    chunk.parts.append((_WORKER.submit(self._part, self._worker, *part), part))
-                self.uniforms_drawn += chunk.block.size
-                self.philox_calls += kk
-                self.transform_parts += parts
-        except Exception as exc:
-            _stop(chunk.parts)
-            chunk.error = exc
-        finally:
+        chunk = _Chunk(np.arange(c0 + 1, c0 + kk + 1))
+        if spec.is_random:
+            t0 = perf_counter()
+            chunk.block = buf[: kk * W * n].reshape(kk, W, n)
+            parts = min(TRANSFORM_PARTS, kk)
+            cuts = [kk * i // parts for i in range(parts + 1)]
+            for a, b in zip(cuts, cuts[1:]):
+                part = (chunk.block[a:b], c0 + a)
+                chunk.parts.append((_WORKER.submit(self._part, self._worker, *part), part))
+            self.uniforms_drawn += chunk.block.size
+            self.philox_calls += kk
+            self.transform_parts += parts
             self.transform_s += perf_counter() - t0
         return chunk
 
     def _finish(self, chunk: _Chunk) -> np.ndarray:
-        """The chunk's noise, once every part is drawn and transformed; raises the chunk's held error.
+        """The chunk's noise, scaled by ``time_scale``; a deterministic chunk's ``_rows`` are computed here.
 
         The parts the worker has not started are taken back, last first, and
         run here with this thread's generator, and the rest are waited for.
@@ -451,18 +435,18 @@ class NoiseChunks:
         t0 = perf_counter()
         fill_s = 0.0
         try:
-            if chunk.error is not None:
-                raise chunk.error
             # the worker runs its parts in order, so the unstarted ones are at the end
             while chunk.parts and chunk.parts[-1][0].cancel():
                 fill_s += self._part(self._mine, *chunk.parts.pop()[1])
             for future, _ in chunk.parts:
                 future.result()
+            if chunk.block is None:  # deterministic: (steps, 1, n), shared by every run
+                return _rows(self.spec, chunk.ts, None)
+            return _scaled(self.spec, chunk.ts, chunk.block)
         finally:  # after an error, drop the parts not started and let a running one finish
             _stop(chunk.parts)
             self.fill_s += fill_s
             self.transform_s += perf_counter() - t0 - fill_s
-        return chunk.block
 
     def __iter__(self):
         spec, k, stage = self.spec, self.chunk_steps, self._stage
@@ -478,7 +462,7 @@ class NoiseChunks:
             while ahead is not None:
                 block = self._finish(ahead)
                 ahead = next(started, None)  # started before this chunk's steps
-                ahead_bytes = 0 if ahead is None or ahead.block is None else ahead.block.nbytes  # None: start failed
+                ahead_bytes = 0 if ahead is None or ahead.block is None else ahead.block.nbytes  # last, or deterministic
                 held = self._copies * (block.nbytes + ahead_bytes) + stage.nbytes
                 self.buffer_bytes_peak = max(self.buffer_bytes_peak, held)
                 for rows in block:  # (width, n), or (1, n) shared by every run

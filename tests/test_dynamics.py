@@ -651,12 +651,12 @@ class TestReproducibilityContract:
         transform = noise._transform
         started = []
 
-        def transform_or_fail(spec, u, scales):
+        def transform_or_fail(spec, u):
             started.append(u)
             if len(started) == failing + 1:
                 raise FloatingPointError(f"part {failing} failed")
             time.sleep(0.01)
-            return transform(spec, u, scales)
+            return transform(spec, u)
 
         spec = self._worker_noise(3, "gaussian_dense")
         for executor in (Inline(), Pool(eager=True), Pool(eager=False)):
@@ -686,12 +686,12 @@ class TestReproducibilityContract:
                     raise MemoryError("no draw at step 9")
             draw(spec, stream, out)
 
-        def transform_or_fail(spec, u, scales):
+        def transform_or_fail(spec, u):
             if failing == "transform":
                 calls.append(u)
                 if len(calls) == 2 * 4 + 1:  # a one-step part a step
                     raise FloatingPointError("no transform at step 9")
-            return transform(spec, u, scales)
+            return transform(spec, u)
 
         error = {"draw": MemoryError, "transform": FloatingPointError}[failing]
         spec = self._worker_noise(2, "gaussian_diagonal")
@@ -721,9 +721,9 @@ class TestReproducibilityContract:
 
         transform = noise._transform
 
-        def slow_transform(spec, u, scales):
+        def slow_transform(spec, u):
             time.sleep(0.01)
-            return transform(spec, u, scales)
+            return transform(spec, u)
 
         n, m = 2, 37
         spec = self._worker_noise(n, "gaussian_diagonal")
@@ -799,9 +799,9 @@ class TestReproducibilityContract:
             seen["stream"].append(stream)
             draw(spec, stream, out)
 
-        def traced_transform(spec, u, scales):
+        def traced_transform(spec, u):
             seen["transform"].append(threading.get_ident())
-            return transform(spec, u, scales)
+            return transform(spec, u)
 
         monkeypatch.setattr(noise, "_draw", traced_draw)
         monkeypatch.setattr(noise, "_transform", traced_transform)
@@ -864,10 +864,12 @@ class TestReproducibilityContract:
             self._expect_reference(passes[1], spec, m)
 
     def test_a_short_table_raises_at_the_first_step_of_its_chunk_ahead(self, monkeypatch):
-        # 4-step chunks of a 10-row table: chunk 9..12 is started ahead when the engine takes
-        # step 5 and runs past the table there, but its error waits for step 9
+        # 4-step chunks of a 10-row table: chunk 9..12 runs past the table, and its rows are
+        # computed, and raise, only when the engine reaches step 9
         from consensuslab import noise
 
+        rows, computed = noise._rows, []
+        monkeypatch.setattr(noise, "_rows", lambda spec, ts, stream: computed.append(ts[0]) or rows(spec, ts, stream))
         table = np.arange(20.0).reshape(10, 2)
         spec = NoiseSpec.custom(table)
         monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * 4 * 2)  # deterministic rows are one column, shared
@@ -876,9 +878,10 @@ class TestReproducibilityContract:
         steps = iter(chunks)
         for t in range(1, 9):
             assert np.array_equal(next(steps), table[t - 1][:, None]), t
+        assert computed == [1, 5]
         with pytest.raises(TableExhaustedError, match="asked for t=12$") as raised:
             next(steps)
-        assert raised.value.t == 12
+        assert raised.value.t == 12 and computed == [1, 5, 9]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_process_transforms_every_part_itself(self):

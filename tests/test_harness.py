@@ -261,6 +261,30 @@ class TestCompileBoundary:
         assert e.pointer == ("/model/noise" if part in ("mu", "sigma") else f"/model/{part}")
         assert "finite" in str(e)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("noise, at", [
+        ({"kind": "custom", "table": [[1.0, 0.0]] * 5}, ("table", 2, 1)),
+        ({"kind": "gaussian", "time_scale": {"kind": "constant", "value": 2.0}}, ("time_scale", "value")),
+        ({"kind": "cauchy", "time_scale": {"kind": "geometric", "rate": 0.9}}, ("time_scale", "rate")),
+    ], ids=["custom-table", "time-scale-value", "geometric-rate"])
+    def test_a_non_finite_noise_number_is_refused_at_the_noise(self, noise, at, value, tmp_path, capsys):
+        # each of these once loaded and ran to nonfinite_runs: 1 with numpy RuntimeWarnings
+        noise = copy.deepcopy(noise)
+        node = noise
+        for key in at[:-1]:
+            node = node[key]
+        node[at[-1]] = value
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
+        doc = dict(MINIMAL, model=model, horizon=10, ensemble=2)
+        with pytest.raises(ScenarioFormatError, match="^invalid noise: .*finite") as e:
+            load_scenario(doc)
+        assert e.value.pointer == "/model/noise"
+        (tmp_path / "bad.json").write_text(json.dumps(doc))  # NaN and Infinity, which json reads back
+        assert cli.main(["run", str(tmp_path / "bad.json"), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.rstrip().endswith("(at /model/noise)")
+        node[at[-1]] = 1.0
+        load_scenario(doc)
+
     @pytest.mark.parametrize("row", [[0.5, 0.0, 0.0], [1.5, -0.25, -0.25]], ids=["row-sum", "negative"])
     def test_a_weights_matrix_that_is_not_row_stochastic_is_refused_at_load(self, row):
         doc = copy.deepcopy(load_catalog_scenario("base-3agent").raw)
@@ -299,6 +323,68 @@ class TestCompileBoundary:
         scenario = load_scenario(dict(doc, horizon=1023))  # 2.0**1023 is finite
         with pytest.raises(ScenarioFormatError, match="overflows at t=1024"):
             run_scenario(scenario, out_dir=tmp_path, horizon=1100)
+
+
+class TestItemParameters:
+    """A check or analysis takes the keyword-only parameters of its function, and items are addressed by name."""
+
+    def test_every_check_and_analysis_takes_its_parameters_by_keyword_only(self):
+        import inspect
+
+        for fn in (*harness._CHECKS.values(), *harness._ANALYSES.values()):
+            first, *rest = inspect.signature(fn).parameters.values()
+            assert first.kind is first.POSITIONAL_OR_KEYWORD, fn.__name__
+            assert all(p.kind is p.KEYWORD_ONLY for p in rest), fn.__name__
+            assert harness._params(fn) == tuple(p.name for p in rest)
+
+    @pytest.mark.parametrize("checks, analyses, pointer, message", [
+        ([{"name": "base_rates", "dleta": 0.5}], [], "/checks/0/dleta",
+         "check 'base_rates' takes no parameter 'dleta'; known: ('beta', 'delta')"),
+        ([{"name": "base_rates"}, {"name": "ll1", "tol": 1e-3}], [], "/checks/1/tol",
+         "check 'll1' takes no parameter 'tol'"),
+        ([], [{"name": "moments"}, {"name": "ks", "levl": 0.05}], "/analyses/1/levl",
+         "analysis 'ks' takes no parameter 'levl'; known: ('at', 'coordinate', 'dist', 'scale', 'mu', 'sigma',"),
+        ([], [{"name": "oscillation_final", "at": 3}], "/analyses/0/at", "takes no parameter 'at'; known: ()"),
+        ([{"name": "ll1"}, {"name": "ll1", "T": 50}], [], "/checks/1/name", "check 'll1' is repeated"),
+        ([], [{"name": "ks", "coordinate": 5}, {"name": "ks", "coordinate": 0}], "/analyses/1/name",
+         "analysis 'ks' is repeated"),
+    ], ids=["check-typo", "another-item-s-parameter", "analysis-typo", "no-parameters", "repeated-check",
+            "repeated-analysis"])
+    def test_an_unknown_parameter_or_a_repeated_name_is_refused_at_load(self, checks, analyses, pointer, message,
+                                                                         tmp_path, capsys):
+        # a misspelled parameter was once ignored, and a second item of a name overwrote the
+        # first's analysis row, so the run reported ok: false with no error row
+        model = dict(MINIMAL["model"], family="noisy_feedback", noise={"kind": "rademacher"})
+        doc = dict(MINIMAL, model=model, horizon=20, ensemble=10, checks=checks, analyses=analyses)
+        with pytest.raises(ScenarioFormatError) as e:
+            load_scenario(doc)
+        assert message in str(e.value) and e.value.pointer == pointer
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert cli.main(["run", str(tmp_path / "bad.json"), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"(at {pointer})")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, pointer, message", [
+        (["run", "cauchy-invariant", "--ensemble", "200", "--tol", "ks.levl=0.05"], "/analyses/0/levl",
+         "analysis 'ks' takes no parameter 'levl'"),
+        (["check", "base-3agent", "--tol", "base_rates.dleta=0.5"], "/checks/0/dleta",
+         "check 'base_rates' takes no parameter 'dleta'"),
+        (["run", "base-3agent", "--tol", "base_rates.tol=1e-3"], "/checks/0/tol",
+         "check 'base_rates' takes no parameter 'tol'"),
+    ], ids=["ks-level-typo", "base-rates-delta-typo", "another-item-s-parameter"])
+    def test_an_override_of_a_parameter_the_item_does_not_take_is_refused(self, argv, pointer, message, tmp_path,
+                                                                         capsys, monkeypatch):
+        # the first two once printed ok: true with level 0.01, and exited 0 on the default delta
+        reached = []
+        monkeypatch.setattr(harness, "simulate_ensemble", lambda *args, **kwargs: reached.append("engine"))
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}; known: ") and err.rstrip().endswith(f"(at {pointer})")
+        assert not reached and not any(tmp_path.iterdir())
+        case_id, name_param = argv[1], argv[-1].partition("=")[0]
+        with pytest.raises(ScenarioFormatError, match=f"^{message}") as e:
+            run_scenario(load_catalog_scenario(case_id), out_dir=tmp_path, overrides={name_param: 0.5})
+        assert e.value.pointer == pointer and not any(tmp_path.iterdir())
 
 
 class TestRuntimeFuzz:
@@ -820,7 +906,7 @@ class TestRunScenario:
         import time
 
         moments = harness._ANALYSES["moments"]
-        monkeypatch.setitem(harness._ANALYSES, "moments", lambda ctx, item: time.sleep(0.2) or moments(ctx, item))
+        monkeypatch.setitem(harness._ANALYSES, "moments", lambda ctx, **params: time.sleep(0.2) or moments(ctx, **params))
         noise = {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
         model = dict(MINIMAL["model"], family="noisy_feedback", noise=noise)
         doc = dict(MINIMAL, model=model, horizon=40, ensemble=30,

@@ -100,11 +100,11 @@ class TestAddressing:
         key = np.random.SeedSequence(9).generate_state(2, np.uint64)
         for stream in (chunks._mine, chunks._worker):
             block = np.empty((2, chunks.width, 3))
-            chunks._part(stream, block, c0, None)
+            chunks._part(stream, block, c0)
             for rows, t in zip(block, (c0 + 1, c0 + 2)):
                 gen = np.random.Generator(np.random.Philox(key=key, counter=np.array([0, t, 0, 0], dtype=np.uint64)))
                 draw = gen.standard_normal if kind == "gaussian" else gen.random
-                assert np.array_equal(rows, _transform(spec, draw((1, *rows.shape)), None)[0]), t
+                assert np.array_equal(rows, _transform(spec, draw((1, *rows.shape)))[0]), t
 
     def test_neighbouring_runs_steps_and_agents_are_uncorrelated(self):
         # each of the three axes of the address moves to another Philox counter or block word
@@ -125,7 +125,7 @@ class TestAddressing:
                 "cauchy": NoiseSpec.cauchy(1, scale=2.0)}[kind]
         chunks = NoiseChunks(spec, 1, 20_000, 31)
         g = np.empty((1, chunks.width, 1))
-        chunks._part(chunks._mine, g, t - 1, None)
+        chunks._part(chunks._mine, g, t - 1)
         g = g.ravel()
         if kind == "rademacher":
             assert set(np.unique(g)) == {-1.0, 1.0} and abs(g.mean()) < 5 / np.sqrt(g.size)
@@ -277,7 +277,7 @@ class TestGaussianTransform:
             sigma = np.diag(np.square(factor))
             expected = z * np.array(factor) + np.array(mu)
         spec = NoiseSpec.gaussian(mu, sigma)
-        got = _transform(spec, z.copy(), None)  # no time_scale, so no step scales
+        got = _transform(spec, z.copy())
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
         if factor != "dense" and not np.any(np.signbit(mu)):
@@ -441,6 +441,65 @@ class TestNoiseChunks:
         assert a.philox_calls == b.philox_calls == T
         if executor == "eager_worker":  # every draw on the worker
             assert a.fill_s == b.fill_s == 0.0
+
+
+class TestSpecCodeRunsWhenReached:
+    """The spec's Python code (``time_scale``, deterministic rows) runs as the engine reaches a chunk, on its thread."""
+
+    # 10 steps in 4-step chunks: chunk (1..4) is computed at step 1, (5..8) at step 5, (9, 10) at step 9
+    T, K = 10, 4
+
+    def _chunks(self, spec, monkeypatch) -> NoiseChunks:
+        columns = noise.padded_width(3) if spec.is_random else 1
+        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * self.K * columns * spec.n)
+        chunks = NoiseChunks(spec, self.T, 3, 41)
+        assert chunks.chunk_steps == self.K
+        return chunks
+
+    @pytest.mark.parametrize("kind", ["cauchy", "dense", "custom", "decaying"])
+    def test_time_scale_and_rows_run_on_the_stepping_thread_as_each_chunk_is_reached(self, kind, monkeypatch):
+        # an eager worker draws and transforms a random chunk's parts as they are handed over,
+        # one chunk ahead; the time_scale of a step, and a deterministic step's rows, wait
+        # until the engine takes the first step of its chunk, and run on the stepping thread
+        import threading
+
+        seen = []
+
+        def scale(t):
+            seen.append(("time_scale", threading.get_ident(), t))
+            return 1.0 / t
+
+        def traced_rows(spec, ts, stream):
+            seen.append(("rows", threading.get_ident(), int(ts[0])))
+            return rows(spec, ts, stream)
+
+        rows = noise._rows
+        monkeypatch.setattr(noise, "_rows", traced_rows)
+        executor = Pool(eager=True)
+        monkeypatch.setattr(noise, "_WORKER", executor)
+        table = np.arange(2.0 * self.T).reshape(self.T, 2)
+        base = {**_kinds(2), "custom": NoiseSpec.custom(table), "decaying": NoiseSpec.decaying(2, 0.9)}[kind]
+        spec = NoiseSpec(base.kind, 2, rate=base.rate, mu=base.mu, sigma=base.sigma, scale=base.scale,
+                         table=base.table, time_scale=scale)
+        chunks = self._chunks(spec, monkeypatch)
+        for t, g in enumerate(chunks, 1):
+            reached = min(self.T, -(-t // self.K) * self.K)  # the last step of the chunk holding t
+            assert [s for what, _, s in seen if what == "time_scale"] == list(range(1, reached + 1)), t
+            if not spec.is_random:
+                assert [s for what, _, s in seen if what == "rows"] == list(range(1, reached + 1, self.K)), t
+                expected = (table[t - 1] if kind == "custom" else np.full(2, 0.9**t)) * (1.0 / t)
+                assert np.array_equal(g[:, 0], expected), t
+        assert {thread for _, thread, _ in seen} == {threading.get_ident()}
+        if spec.is_random:  # every part ran on the worker, none was taken back
+            assert len(executor.futures) == chunks.transform_parts == self.T
+            assert not any(f.cancelled() for f in executor.futures)
+            assert executor.futures[0].done() and chunks.fill_s == 0.0
+
+    def test_a_deterministic_pass_holds_one_chunk(self, monkeypatch):
+        # no deterministic chunk is computed ahead: the peak is the chunk stepped and the stage
+        chunks = self._chunks(NoiseSpec.decaying(2, 0.5), monkeypatch)
+        list(chunks)
+        assert chunks.buffer_bytes_peak == 8 * self.K * 2 + 8 * 2
 
 
 class TestEpsilonOscillator:
