@@ -32,16 +32,9 @@ def _parse_overrides(pairs):
     return out
 
 
-def _load(target: str) -> harness.Scenario:
-    if target in harness.catalog():
-        return harness.load_catalog_scenario(target)
-    return harness.load_scenario(target)
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--horizon", type=int, default=None, help="override the horizon T")
-    p.add_argument("--ensemble", type=int, default=None, help="override the ensemble size m")
     p.add_argument("--out-dir", default=None, help="directory for CSV/JSON artifacts")
     p.add_argument("--tol", action="append", metavar="NAME.PARAM=VALUE",
                    help="override a check/analysis parameter, e.g. consensus_time.tol=1e-8")
@@ -55,10 +48,12 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario file or catalog id")
     p_run.add_argument("scenario", help="path to scenario JSON, or a catalog id")
     _add_common(p_run)
+    p_run.add_argument("--ensemble", type=int, default=None, help="override the ensemble size m")
 
     p_check = sub.add_parser("check", help="evaluate only the scenario's condition checks")
     p_check.add_argument("scenario", help="path to scenario JSON, or a catalog id")
     _add_common(p_check)
+    p_check.set_defaults(ensemble=1)  # one run: the checks read the model, not the ensemble
 
     p_rep = sub.add_parser("reproduce", help="run a catalog case and check its expectations")
     p_rep.add_argument("case_id", help="catalog id (see `list`)")
@@ -77,33 +72,19 @@ def main(argv=None) -> int:
                 print(f"{case_id:20s} {harness.catalog_description(case_id)}")
             return 0
 
-        if args.command == "run":
-            scenario = _load(args.scenario)
-            summary = harness.run_scenario(
-                scenario,
-                out_dir=args.out_dir,
-                horizon=args.horizon,
-                ensemble=args.ensemble,
-                master_seed=args.seed,
-                overrides=_parse_overrides(args.tol),
-            )
-            print(json.dumps(summary.to_json(), indent=2))
-            return 0 if summary.ok else 1
-
-        if args.command == "check":
-            scenario = _load(args.scenario)
-            scenario.analyses = []
-            summary = harness.run_scenario(
-                scenario,
-                out_dir=args.out_dir,
-                horizon=args.horizon,
-                ensemble=1,
-                master_seed=args.seed,
-                overrides=_parse_overrides(args.tol),
-            )
-            all_ok = summary.ok and all(row.get("satisfied") for row in summary.checks)
+        if args.command in ("run", "check"):
+            scenario = (harness.load_catalog_scenario(args.scenario) if args.scenario in harness.catalog()
+                        else harness.load_scenario(args.scenario))
+            if args.command == "check":
+                scenario.analyses = []
+            summary = harness.run_scenario(scenario, out_dir=args.out_dir, horizon=args.horizon,
+                                           ensemble=args.ensemble, master_seed=args.seed,
+                                           overrides=_parse_overrides(args.tol))
+            if args.command == "run":
+                print(json.dumps(summary.to_json(), indent=2))
+                return 0 if summary.ok else 1
             print(json.dumps({"checks": summary.checks}, indent=2))
-            return 0 if all_ok else 1
+            return 0 if summary.ok and all(row.get("satisfied") for row in summary.checks) else 1
 
         if args.command == "reproduce":
             summary, passed, detail = harness.reproduce(args.case_id, out_dir=args.out_dir)

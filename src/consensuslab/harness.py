@@ -43,15 +43,12 @@ from .dynamics import (
 )
 from .errors import ScenarioFormatError
 from .matrices import StochasticMatrix, dobrushin, oscillation, product_limit
-from .noise import NoiseSpec, epsilon_oscillator_sequence
-from .schedules import Constant, Table, rho_exp_inverse_square, rho_harmonic
+from .noise import STREAM_PROVENANCE, NoiseSpec, epsilon_oscillator_sequence
+from .schedules import Constant, Table, matrix_at, rho_exp_inverse_square, rho_harmonic
 
 SCHEMA_VERSION = 1
 
-_SCHEDULE_KINDS = ("constant", "table", "epsilon_oscillator")
 _RHO_KINDS = ("model", "constant", "table", "harmonic", "exp_inverse_square")
-_TIME_SCALE_KINDS = ("constant", "inverse_t", "geometric")
-_LEARNING_KINDS = ("linear", "scaled_tanh", "scaled_sign")
 
 
 def _packaged(folder: str, name: str) -> dict:
@@ -89,22 +86,21 @@ def _compile_time_scale(doc: Optional[dict], horizon: int):
         return lambda t: v
     if kind == "inverse_t":
         return lambda t: 1.0 / t
-    if kind == "geometric":
-        r = _real(doc["rate"], "geometric rate")
+    # "geometric": the scenario schema refuses any other kind
+    r = _real(doc["rate"], "geometric rate")
 
-        def overflows(t: int) -> bool:
-            try:
-                r**t
-            except OverflowError:
-                return True
-            return False
+    def overflows(t: int) -> bool:
+        try:
+            r**t
+        except OverflowError:
+            return True
+        return False
 
-        # |r|**t grows with t, so the steps that overflow, if any, are the last ones
-        t = bisect_left(range(1, horizon + 1), True, key=overflows) + 1
-        if t <= horizon:
-            raise ValueError(f"geometric rate {r!r} overflows at t={t}")
-        return lambda t: r**t
-    raise ValueError(f"unknown time_scale kind {kind!r}; known: {_TIME_SCALE_KINDS}")
+    # |r|**t grows with t, so the steps that overflow, if any, are the last ones
+    t = bisect_left(range(1, horizon + 1), True, key=overflows) + 1
+    if t <= horizon:
+        raise ValueError(f"geometric rate {r!r} overflows at t={t}")
+    return lambda t: r**t
 
 
 def _compile_noise(doc: dict, n: int, horizon: int) -> NoiseSpec:
@@ -119,9 +115,7 @@ def _compile_learning_fn(doc: dict) -> LearningFunction:
         return linear_learning(float(doc["slope"]))
     if kind == "scaled_tanh":
         return scaled_tanh_learning(float(doc.get("scale", 0.5)), float(doc.get("bound", 3.0)))
-    if kind == "scaled_sign":
-        return scaled_sign_learning(float(doc["step"]))
-    raise ValueError(f"unknown learning_fn kind {kind!r}; known: {_LEARNING_KINDS}")
+    return scaled_sign_learning(float(doc["step"]))  # "scaled_sign": the scenario schema refuses any other kind
 
 
 def _no_booleans(value, pointer: str) -> None:
@@ -165,9 +159,8 @@ def _compile_rate_schedule(doc: dict, horizon: int):
         return Constant(_finite(doc.get("eps", doc.get("value"))))
     if kind == "table":
         return Table([_finite(v) for v in doc["values"]], t0=0)
-    if kind == "epsilon_oscillator":
-        return Table(epsilon_oscillator_sequence(max(horizon, 1)), t0=0)
-    raise ValueError(f"unknown rate-schedule kind {kind!r}; known: {_SCHEDULE_KINDS}")
+    # "epsilon_oscillator": the scenario schema refuses any other kind
+    return Table(epsilon_oscillator_sequence(max(horizon, 1)), t0=0)
 
 
 @contextmanager
@@ -218,8 +211,8 @@ def load_scenario(source) -> Scenario:
     violations surface as ``ScenarioFormatError`` carrying a JSON pointer
     to the offending field; a missing file, unknown check, analysis, or
     generator names raise it too, the latter listing the known ones, and
-    so do a parameter a check or analysis does not take, a repeated item
-    name and a model that does not compile, each at its pointer.
+    so do a parameter a check or analysis does not take or lacks, a
+    repeated item name and a model that does not compile, each at its pointer.
     """
     if isinstance(source, dict):
         doc = source
@@ -324,6 +317,7 @@ def _check_ll1b(scenario: Scenario, *, T=None, summability_tol=cond.SUMMABILITY_
     spec = scenario.model
     if spec is None or spec.schedule_E is None:
         raise ScenarioFormatError("ll1b needs a model with rate schedules")
+    matrix_at(spec.schedule_A, 0, spec.n)  # the check counts the agents from its first matrix, so it has n rows
     return cond.check_ll1b(spec.schedule_A, spec.schedule_E, _whole(scenario.horizon if T is None else T, "T"),
                            summability_tol=_real(summability_tol, "summability_tol"))
 
@@ -336,6 +330,7 @@ def _check_nonlinear_bounds(scenario: Scenario, *, grid=None, T=None) -> cond.Co
         grid = (np.linspace(*_finite(grid[:2], "grid"), _whole(grid[2], "grid point count")) if len(grid) == 3
                 else _finite(grid, "grid"))
     T = _whole(max(scenario.horizon, 1) if T is None else T, "T")
+    matrix_at(spec.schedule_A, 1, spec.n)  # the check counts the agents from its first matrix, at t = 1
     return cond.check_nonlinear_bounds(spec.learning_fn, spec.schedule_A, T, grid=grid)
 
 
@@ -543,19 +538,20 @@ _ANALYSES: dict[str, Callable] = {
 }
 
 
-def _params(fn: Callable) -> tuple:
-    """The parameters a check or analysis takes: its keyword-only arguments, the one list of them."""
-    return tuple(p.name for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY)
+def _params(fn: Callable, required: bool = False) -> tuple:
+    """The parameters a check or analysis takes: its keyword-only arguments, or only those without a default."""
+    return tuple(p.name for p in inspect.signature(fn).parameters.values()
+                 if p.kind is p.KEYWORD_ONLY and not (required and p.default is not p.empty))
 
 
 def _refuse_bad_items(checks: list, analyses: list) -> None:
-    """Refuse an item that names no check or analysis, repeats a name, or has a field its function does not take."""
+    """Refuse an item that names no check or analysis, repeats a name, or has a parameter too many or too few."""
     for group, what, table, items in (("checks", "check", _CHECKS, checks),
                                       ("analyses", "analysis", _ANALYSES, analyses)):
         names = [item["name"] for item in items]
         for i, (name, item) in enumerate(zip(names, items)):
             if name not in table:
-                raise ScenarioFormatError(f"unknown {what} {name!r}; known: {tuple(table)}", f"/{group}")
+                raise ScenarioFormatError(f"unknown {what} {name!r}; known: {tuple(table)}", f"/{group}/{i}/name")
             if name in names[:i]:  # rows and overrides address an item by its name
                 raise ScenarioFormatError(f"{what} {name!r} is repeated", f"/{group}/{i}/name")
             known = _params(table[name])
@@ -563,6 +559,9 @@ def _refuse_bad_items(checks: list, analyses: list) -> None:
             if unknown:
                 raise ScenarioFormatError(f"{what} {name!r} takes no parameter {unknown[0]!r}; known: {known}",
                                           f"/{group}/{i}/{unknown[0]}")
+            missing = [p for p in _params(table[name], required=True) if p not in item]
+            if missing:
+                raise ScenarioFormatError(f"{what} {name!r} needs parameter {missing[0]!r}", f"/{group}/{i}")
 
 
 def _call(table: dict, first, item: dict):
@@ -708,18 +707,10 @@ def _resolve(
     return replace(scenario, **resolved, checks=checks, analyses=analyses, model=model)
 
 
-def _execute(
-    scenario: Scenario,
-    out_dir=None,
-    *,
-    horizon: Optional[int] = None,
-    ensemble: Optional[int] = None,
-    master_seed: Optional[int] = None,
-    overrides: Optional[dict] = None,
-) -> tuple[RunSummary, RunContext]:
+def _execute(scenario: Scenario, out_dir=None) -> tuple[RunSummary, RunContext]:
+    """Run a resolved scenario: its checks, its simulation, its analyses, and the artifacts."""
     clock = time.perf_counter
     t0 = clock()
-    scenario = _resolve(scenario, horizon, ensemble, master_seed, overrides)
     T = scenario.horizon
 
     ok = True
@@ -790,14 +781,13 @@ def _execute(
     target_dir = Path(out_dir) if out_dir is not None else Path(scenario.outputs_dir or f"out/{scenario.scenario_id}")
     target_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
-    if trajectory is not None:
-        p = target_dir / "trajectory.csv"
-        write_trajectory_csv(p, trajectory)
-        outputs["trajectory_csv"] = str(p)
-    if ens is not None:
-        p = target_dir / "ensemble.csv"
-        write_ensemble_csv(p, ens)
-        outputs["ensemble_csv"] = str(p)
+    # the writers are looked up here, at each run, so a wrapper set on the module by name is the one called
+    for name, write, result in (("trajectory", write_trajectory_csv, trajectory),
+                                ("ensemble", write_ensemble_csv, ens)):
+        if result is not None:
+            p = target_dir / f"{name}.csv"
+            write(p, result)
+            outputs[f"{name}_csv"] = str(p)
     analysis_rows, diagnostics = cond._sanitize(analysis_rows), cond._sanitize(diagnostics)
 
     timing = {"checks_s": checked - t0, "engine": engine_s}
@@ -812,11 +802,7 @@ def _execute(
         analyses=analysis_rows,
         diagnostics=diagnostics,
         timing=timing,
-        seed_provenance={
-            "master_seed": scenario.master_seed,
-            "stream": "philox(key=seed_sequence(master_seed), counter=(0, step, 0, 0))[run * n + component]"
-                      " of standard_normal for gaussian noise, else of random",
-        },
+        seed_provenance={"master_seed": scenario.master_seed, "stream": STREAM_PROVENANCE},
         outputs=outputs,
         ok=ok,
     )
@@ -857,9 +843,7 @@ def run_scenario(
     to ``out_dir``, falling back to the scenario's own directive and then
     to ``out/<id>``.
     """
-    return _execute(
-        scenario, out_dir, horizon=horizon, ensemble=ensemble, master_seed=master_seed, overrides=overrides
-    )[0]
+    return _execute(_resolve(scenario, horizon, ensemble, master_seed, overrides), out_dir)[0]
 
 
 # ---------------------------------------------------------------------------

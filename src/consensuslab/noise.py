@@ -76,13 +76,19 @@ CUSTOM = "custom"
 _KINDS = (ZERO, DECAYING, GAUSSIAN, RADEMACHER, CAUCHY, CUSTOM)
 _RANDOM_KINDS = (GAUSSIAN, RADEMACHER, CAUCHY)
 
+# the engine's addressing of the module docstring, as a run's summary.json states it
+STREAM_PROVENANCE = ("philox(key=seed_sequence(master_seed), counter=(0, step, 0, 0))[run * n + component]"
+                     " of standard_normal for gaussian noise, else of random")
+
 
 def _covariance_factor(sigma: np.ndarray) -> np.ndarray:
-    """Deterministic F with F @ F.T == sigma, tolerant of semidefinite input."""
+    """Deterministic F with F @ F.T == sigma, tolerant of semidefinite input; indefinite input is refused."""
     try:
-        return np.linalg.cholesky(sigma)
+        return np.linalg.cholesky(sigma)  # succeeds only on a positive definite sigma
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(sigma)
+        if w.min() < -1e-9:
+            raise ValueError("covariance must be positive semidefinite") from None
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -125,8 +131,6 @@ class NoiseSpec:
                 raise ValueError("mu and sigma must be finite")
             if np.max(np.abs(sig - sig.T)) > 1e-9:
                 raise ValueError("covariance must be symmetric")
-            if np.linalg.eigvalsh(sig).min() < -1e-9:
-                raise ValueError("covariance must be positive semidefinite")
             object.__setattr__(self, "mu", mu)
             object.__setattr__(self, "sigma", sig)
             F = _covariance_factor(sig)

@@ -19,6 +19,7 @@ from consensuslab import (
     Table,
     contraction_factor,
     ScenarioFormatError,
+    ScheduleError,
     catalog,
     load_catalog_scenario,
     linear_learning,
@@ -35,6 +36,8 @@ from consensuslab import (
 from consensuslab import dynamics, harness
 from consensuslab.dynamics import EnsembleSample, Trajectory
 from consensuslab.harness import catalog_description, write_ensemble_csv, write_trajectory_csv
+from consensuslab.matrices import product_limit
+from consensuslab.stats import clt_target
 
 
 MINIMAL = {
@@ -75,14 +78,16 @@ class TestLoadScenario:
             load_scenario(dict(MINIMAL, horizons=5))
 
     def test_unknown_check_lists_known(self):
-        doc = dict(MINIMAL, checks=[{"name": "no_such_check"}])
-        with pytest.raises(ScenarioFormatError, match="base_rates"):
+        doc = dict(MINIMAL, checks=[{"name": "ll1"}, {"name": "no_such_check"}])
+        with pytest.raises(ScenarioFormatError, match="base_rates") as e:
             load_scenario(doc)
+        assert e.value.pointer == "/checks/1/name"
 
     def test_unknown_analysis_lists_known(self):
         doc = dict(MINIMAL, analyses=[{"name": "no_such_analysis"}])
-        with pytest.raises(ScenarioFormatError, match="consensus_time"):
+        with pytest.raises(ScenarioFormatError, match="consensus_time") as e:
             load_scenario(doc)
+        assert e.value.pointer == "/analyses/0/name"
 
     def test_unknown_rate_schedule_kind(self):
         model = dict(MINIMAL["model"], E={"kind": "random_walk"})
@@ -244,10 +249,26 @@ class TestCompileBoundary:
         ({"E": {"kind": "constant", "eps": [[0.4], [0.2, 0.1]]}}, "/model/E", "invalid E"),
         ({"family": "noisy_feedback", "noise": {"kind": "decaying"}}, "/model/noise", "finite rate"),
         ({"noise": {"kind": "zero", "time_scale": {"kind": "geometric"}}}, "/model/noise", "missing field 'rate'"),
-    ], ids=["matrix-entry", "ragged-eps", "decaying-without-rate", "geometric-without-rate"])
+        ({"A": {"kind": "epsilon_oscillator"}}, "/model/A",
+         "unknown weights-schedule kind 'epsilon_oscillator'; known for A: ('constant', 'table')"),
+        ({"E": {"kind": "constant"}}, "/model/E", "constant rate schedule needs 'eps'"),
+    ], ids=["matrix-entry", "ragged-eps", "decaying-without-rate", "geometric-without-rate", "oscillating-weights",
+            "constant-rates-without-eps"])
     def test_a_bad_part_points_at_it(self, fields, pointer, message):
         e = _load_error(**fields)
         assert e.pointer == pointer and message in str(e)
+
+    @pytest.mark.parametrize("fields, pointer", [
+        ({"E": {"kind": "random_walk"}}, "/model/E/kind"),
+        ({"family": "noisy_feedback", "noise": {"kind": "rademacher", "time_scale": {"kind": "harmonic"}}},
+         "/model/noise/time_scale/kind"),
+        ({"family": "nonlinear", "learning_fn": {"kind": "relu"}}, "/model/learning_fn/kind"),
+    ], ids=["E", "time_scale", "learning_fn"])
+    def test_an_unknown_kind_is_refused_by_the_schema_alone(self, fields, pointer, monkeypatch):
+        # the compilers keep no list of kinds: the schema refuses the document before any part compiles
+        monkeypatch.setattr(harness, "_compile_model", lambda *args: pytest.fail("compiled an unknown kind"))
+        e = _load_error(**fields)
+        assert e.pointer == pointer and str(e).startswith("schema violation: ") and "is not one of" in str(e)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("part", ["A", "E", "mu", "sigma"])
@@ -356,6 +377,33 @@ class TestItemParameters:
         # first's analysis row, so the run reported ok: false with no error row
         model = dict(MINIMAL["model"], family="noisy_feedback", noise={"kind": "rademacher"})
         doc = dict(MINIMAL, model=model, horizon=20, ensemble=10, checks=checks, analyses=analyses)
+        with pytest.raises(ScenarioFormatError) as e:
+            load_scenario(doc)
+        assert message in str(e.value) and e.value.pointer == pointer
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert cli.main(["run", str(tmp_path / "bad.json"), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"(at {pointer})")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_required_parameters_are_those_without_a_default(self):
+        required = {(name, p) for table in (harness._CHECKS, harness._ANALYSES)
+                    for name, fn in table.items() for p in harness._params(fn, required=True)}
+        assert required == {("consensus_time", "tol"), ("periodicity", "max_period"), ("periodicity", "tol"),
+                            ("drift", "times"), ("mean_error_checkpoints", "times")}
+
+    @pytest.mark.parametrize("checks, analyses, pointer, message", [
+        ([], [{"name": "consensus_time"}], "/analyses/0", "analysis 'consensus_time' needs parameter 'tol'"),
+        ([], [{"name": "moments"}, {"name": "periodicity", "tol": 1e-9}], "/analyses/1",
+         "analysis 'periodicity' needs parameter 'max_period'"),
+        ([], [{"name": "periodicity", "max_period": 4}], "/analyses/0", "analysis 'periodicity' needs parameter 'tol'"),
+        ([], [{"name": "drift"}], "/analyses/0", "analysis 'drift' needs parameter 'times'"),
+        ([], [{"name": "mean_error_checkpoints"}], "/analyses/0",
+         "analysis 'mean_error_checkpoints' needs parameter 'times'"),
+    ], ids=["consensus_time.tol", "periodicity.max_period", "periodicity.tol", "drift.times",
+            "mean_error_checkpoints.times"])
+    def test_a_missing_parameter_is_refused_at_load(self, checks, analyses, pointer, message, tmp_path, capsys):
+        # the run once simulated the whole model before the row read "missing 1 required keyword-only argument"
+        doc = dict(MINIMAL, horizon=20, ensemble=10, checks=checks, analyses=analyses)
         with pytest.raises(ScenarioFormatError) as e:
             load_scenario(doc)
         assert message in str(e.value) and e.value.pointer == pointer
@@ -952,6 +1000,29 @@ class TestRunScenario:
         assert not row["satisfied"]
         assert row["witness"]["T"] == 200 and row["witness"]["min_diagonal"] == 0.1
 
+    @pytest.mark.parametrize("check, t, make_spec", [
+        ("ll1b", 0, lambda schedule: ModelSpec.base(schedule, 0.3, 1.0, np.zeros(3))),
+        ("nonlinear_bounds", 1, lambda schedule: ModelSpec.nonlinear(schedule, linear_learning(0.3), np.zeros(3))),
+    ], ids=["ll1b", "nonlinear_bounds"])
+    def test_a_check_counts_the_model_s_agents(self, check, t, make_spec):
+        # a 2x2 schedule in a 3-agent model once read satisfied: true, counting the agents from the matrix
+        scenario = load_catalog_scenario("base-3agent")
+        scenario.model = make_spec(lambda t: np.array([[0.6, 0.4], [0.3, 0.7]]))
+        with pytest.raises(ScheduleError) as e:
+            harness._call(harness._CHECKS, scenario, {"name": check})
+        assert f"{type(e.value).__name__}: {e.value}" == (
+            f"ScheduleError: weights schedule produced an invalid matrix at t={t}: shape (2, 2), expected (3, 3)")
+
+    def test_clt_check_under_rademacher_noise_takes_the_identity_covariance(self, tmp_path):
+        doc = copy.deepcopy(load_catalog_scenario("average-line").raw)
+        doc["analyses"].append({"name": "clt_check"})
+        summary, ctx = harness._execute(load_scenario(doc), tmp_path)
+        row = summary.analyses["clt_check"]
+        assert summary.ok and row["product_converged"] and row["within_tol"]
+        _, _, e, b, _ = harness._model_at_t1(ctx.scenario)
+        c, _ = product_limit(b, t_max=4 * ctx.scenario.horizon)
+        assert row["target_cov"] == clt_target(c, e, np.eye(2)).covariance.tolist()
+
     def test_a_degenerate_ks_reference_is_an_error(self, tmp_path):
         # deterministic noise makes every run the same point, here with a sample deviation of
         # exactly 0: no normal law fits it, and a zero-width reference is no law at all
@@ -1242,6 +1313,13 @@ class TestCLI:
 
     def test_check_passing_condition_exits_zero(self, tmp_path):
         assert cli.main(["check", "base-3agent", "--out-dir", str(tmp_path)]) == 0
+
+    def test_check_takes_no_ensemble_flag(self, tmp_path, capsys):
+        # a check reads the model, so it runs one run and offers no flag to change that
+        with pytest.raises(SystemExit) as e:
+            cli.main(["check", "base-3agent", "--ensemble", "5", "--out-dir", str(tmp_path)])
+        assert e.value.code == 2 and "unrecognized arguments: --ensemble 5" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_reproduce_pass(self, tmp_path, capsys):
         assert cli.main(["reproduce", "signum-periodic", "--out-dir", str(tmp_path)]) == 0

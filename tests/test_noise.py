@@ -46,6 +46,16 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError, match="semidefinite"):
             NoiseSpec.gaussian([0, 0], [[1.0, 2.0], [2.0, 1.0]])
 
+    @pytest.mark.parametrize("gap, accepted", [(1e-12, True), (1e-8, False)], ids=["inside", "outside"])
+    def test_a_singular_covariance_takes_a_tolerance_on_its_least_eigenvalue(self, gap, accepted):
+        # Cholesky refuses both; the least eigenvalue is about -gap / 2, against the tolerance -1e-9
+        sigma = [[1.0, 1.0], [1.0, 1.0 - gap]]
+        if accepted:
+            assert NoiseSpec.gaussian([0, 0], sigma).sigma.tolist() == sigma
+        else:
+            with pytest.raises(ValueError, match="covariance must be positive semidefinite"):
+                NoiseSpec.gaussian([0, 0], sigma)
+
     def test_semidefinite_covariance_accepted(self):
         spec = NoiseSpec.gaussian([0, 0], [[1.0, 1.0], [1.0, 1.0]])
         g = sample_noise_block(spec, 100, substream(0, 0))
