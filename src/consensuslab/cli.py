@@ -93,10 +93,7 @@ def main(argv=None) -> int:
 
         if args.command == "stats":
             path = Path(args.csv_path)
-            if not path.exists():
-                print(f"no such file: {path}", file=sys.stderr)
-                return 2
-            with open(path, newline="") as fh:
+            with open(path, newline="") as fh:  # a missing file is an OSError, exit code 2
                 rows = list(csv.reader(fh))
             if len(rows) < 2:
                 raise ValueError(f"{path}: expected a header and at least one row")
@@ -131,10 +128,7 @@ def main(argv=None) -> int:
             print(json.dumps(report, indent=2))
             return 0
 
-    except ConsensusLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ConsensusLabError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

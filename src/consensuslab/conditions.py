@@ -74,8 +74,7 @@ def check_base_rates(A, eps, beta=None, delta: Optional[float] = None) -> Condit
             "rho": contraction_factor(a, e),
         }
         if not ok.all():
-            i = int(np.argmin(ok))
-            witness["first_violation"] = i
+            witness["first_violation"] = int(np.argmin(ok))
             witness["violations"] = np.nonzero(~ok)[0]
         return ConditionReport("base_rates", bool(ok.all()), witness)
 
@@ -113,14 +112,10 @@ def check_average_rates(A, eps, strict: bool = True) -> ConditionReport:
     d = np.diagonal(a)
     n = a.shape[0]
     hi = (n / (n - 1.0)) * d if n > 1 else np.full_like(d, np.inf)
-    if strict:
-        ok = (e > 0.0) & (e < hi)
-    else:
-        ok = (e >= 0.0) & (e <= hi)
+    ok = (e > 0.0) & (e < hi) if strict else (e >= 0.0) & (e <= hi)
     witness = {"upper_bounds": hi, "eps": e, "strict": strict}
     if not ok.all():
-        i = int(np.argmin(ok))
-        witness["first_violation"] = i
+        witness["first_violation"] = int(np.argmin(ok))
         witness["violations"] = np.nonzero(~ok)[0]
     return ConditionReport("average_rates", bool(ok.all()), witness)
 
@@ -201,10 +196,7 @@ def check_ll1(
     sup = float(s.max())
     arg = int(s.argmax())
     tail = s[s.size // 2 :]
-    if tail.size >= 2:
-        slope = float(np.polyfit(np.arange(tail.size, dtype=float), tail, 1)[0])
-    else:
-        slope = 0.0
+    slope = float(np.polyfit(np.arange(tail.size, dtype=float), tail, 1)[0]) if tail.size >= 2 else 0.0
     satisfied = sup < sup_bound and sup < growth_frac * r.size
     return ConditionReport(
         "ll1",
@@ -258,11 +250,6 @@ def check_ll1b(
     )
 
 
-def default_grid(lo: float = -10.0, hi: float = 10.0, points: int = 1001) -> np.ndarray:
-    """Sampling grid used to audit declared derivative bounds."""
-    return np.linspace(lo, hi, points)
-
-
 def check_nonlinear_bounds(f, schedule_A, T: int, grid=None) -> ConditionReport:
     """Derivative-pinching condition for nonlinear learning.
 
@@ -281,7 +268,7 @@ def check_nonlinear_bounds(f, schedule_A, T: int, grid=None) -> ConditionReport:
         raise InconsistentDeclarationError(
             "learning function declares no derivative bounds; the pinching condition cannot apply"
         )
-    g = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    g = np.linspace(-10.0, 10.0, 1001) if grid is None else np.asarray(grid, dtype=float)
     if g.size == 0:
         raise ValueError("empty sampling grid")
     slack = 1e-12

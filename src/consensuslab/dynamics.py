@@ -197,39 +197,29 @@ class ModelSpec:
             except ScheduleError as exc:
                 raise ValueError(str(exc)) from exc
 
-    # Convenience constructors mirror how scenarios are usually written.
+    # Convenience constructors mirror how scenarios are usually written; ``__post_init__`` converts the fields.
 
     @classmethod
     def base(cls, A, eps, sigma_bar: float, x0) -> "ModelSpec":
-        x0 = np.asarray(x0, dtype=float)
-        return cls(ModelFamily.BASE, x0.shape[0], as_schedule(A), x0,
-                   schedule_E=as_schedule(eps), sigma_bar=sigma_bar)
+        return cls(ModelFamily.BASE, np.shape(x0)[0], A, x0, schedule_E=eps, sigma_bar=sigma_bar)
 
     @classmethod
     def noisy(cls, A, eps, sigma_bar: float, noise: NoiseSpec, x0) -> "ModelSpec":
-        x0 = np.asarray(x0, dtype=float)
-        return cls(ModelFamily.NOISY_FEEDBACK, x0.shape[0], as_schedule(A), x0,
-                   schedule_E=as_schedule(eps), sigma_bar=sigma_bar, noise=noise)
+        return cls(ModelFamily.NOISY_FEEDBACK, np.shape(x0)[0], A, x0, schedule_E=eps, sigma_bar=sigma_bar, noise=noise)
 
     @classmethod
     def pure_noise(cls, A, eps, noise: NoiseSpec, x0) -> "ModelSpec":
-        x0 = np.asarray(x0, dtype=float)
-        return cls(ModelFamily.PURE_NOISE_FEEDBACK, x0.shape[0], as_schedule(A), x0,
-                   schedule_E=as_schedule(eps), noise=noise)
+        return cls(ModelFamily.PURE_NOISE_FEEDBACK, np.shape(x0)[0], A, x0, schedule_E=eps, noise=noise)
 
     @classmethod
     def nonlinear(cls, A, learning_fn, x0, sigma_bar: Optional[float] = None,
                   noise: Optional[NoiseSpec] = None) -> "ModelSpec":
-        x0 = np.asarray(x0, dtype=float)
-        return cls(ModelFamily.NONLINEAR, x0.shape[0], as_schedule(A), x0,
-                   sigma_bar=sigma_bar, noise=noise, learning_fn=learning_fn,
-                   include_target=sigma_bar is not None)
+        return cls(ModelFamily.NONLINEAR, np.shape(x0)[0], A, x0, sigma_bar=sigma_bar, noise=noise,
+                   learning_fn=learning_fn, include_target=sigma_bar is not None)
 
     @classmethod
     def average(cls, A, eps, noise: NoiseSpec, x0) -> "ModelSpec":
-        x0 = np.asarray(x0, dtype=float)
-        return cls(ModelFamily.AVERAGE, x0.shape[0], as_schedule(A), x0,
-                   schedule_E=as_schedule(eps), noise=noise)
+        return cls(ModelFamily.AVERAGE, np.shape(x0)[0], A, x0, schedule_E=eps, noise=noise)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,7 @@ class StructureError(ConsensusLabError, ValueError):
 
 
 class ScenarioFormatError(ConsensusLabError, ValueError):
-    """A scenario document failed schema validation or compilation.
+    """A scenario or summary document failed schema validation, or a scenario failed compilation.
 
     ``pointer`` holds a JSON-pointer-style path to the offending field when
     one is known.

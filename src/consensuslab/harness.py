@@ -18,11 +18,11 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
+from numbers import Number
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-import jsonschema
 import orjson
 
 from . import conditions as cond
@@ -54,10 +54,6 @@ _RHO_KINDS = ("model", "constant", "table", "harmonic", "exp_inverse_square")
 def _packaged(folder: str, name: str) -> dict:
     """A JSON document shipped in the package's ``folder``."""
     return json.loads((resources.files("consensuslab") / folder / name).read_text())
-
-
-_SCENARIO_SCHEMA = _packaged("schemas", "scenario.schema.json")
-_SUMMARY_SCHEMA = _packaged("schemas", "summary.schema.json")
 
 
 @dataclass(eq=False)
@@ -195,12 +191,107 @@ def _compile_model(doc: Optional[dict], horizon: int) -> Optional[ModelSpec]:
                          include_target=sigma_bar is not None, **fields)
 
 
+# The packaged schemas are JSON Schema (Draft 7). ``_walk`` implements the keywords they use, each in the one form
+# they use it: a single ``type``, one ``items`` schema, ``additionalProperties`` false or a schema, ``oneOf``
+# branches of distinct types and ``$ref`` to a definition. ``_checked`` refuses any other when a schema is read.
+_TYPES = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, Number),
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+_BOUNDS = {"minimum": (lambda v, a: v < a, "less than the minimum"),
+           "maximum": (lambda v, a: v > a, "greater than the maximum"),
+           "exclusiveMinimum": (lambda v, a: v <= a, "less than or equal to the minimum")}
+_KEYWORDS = {"$schema", "$id", "title", "definitions", "type", "enum", "const", "required", "properties",
+             "additionalProperties", "items", "minItems", "minLength", "oneOf", *_BOUNDS}
+
+
+def _checked(schema: dict, root: dict) -> dict:
+    """``schema`` with each ``$ref`` replaced by the definition it names; a keyword or form ``_walk`` lacks raises."""
+    name = str(schema.get("$ref")).removeprefix("#/definitions/")
+    if schema.keys() == {"$ref"} and name != schema["$ref"] and name in root.get("definitions", {}):
+        return _checked(root["definitions"][name], root)
+    types = [str(branch.get("type")) for branch in schema.get("oneOf", [{"type": "null"}, {"type": "object"}])]
+    extra = schema.get("additionalProperties", False)
+    if (not _KEYWORDS.issuperset(schema) or str(schema.get("type", "null")) not in _TYPES
+            or len(types) < 2 or len(_TYPES.keys() & types) < len(types) or {"integer", "number"} <= set(types)
+            or not isinstance(schema.get("items", {}), dict) or extra is not False and not isinstance(extra, dict)):
+        raise ValueError(f"a keyword or form the schema validator does not implement: {schema}")
+    return {k: {key: _checked(sub, root) for key, sub in a.items()} if k == "properties"
+            else [_checked(branch, root) for branch in a] if k == "oneOf"
+            else _checked(a, root) if k in ("items", "additionalProperties") and a is not False else a
+            for k, a in schema.items()}
+
+
+def _walk(value, schema: dict, path: tuple, out: list) -> None:
+    """Append to ``out`` each violation of ``schema`` by ``value`` at ``path``, worded and ordered as a Draft 7
+    validator reports it: ``(path, message, keyword, whether value has schema's type, context)``. A ``oneOf``
+    violation's context holds the violations of the branch of the value's type, if there is one.
+    """
+    def fail(message: str, keyword: str, context: list = ()) -> None:
+        out.append((path, message, keyword, "type" in schema and _TYPES[schema["type"]](value), context))
+
+    for keyword, arg in schema.items():
+        if keyword == "type" and not _TYPES[arg](value):
+            fail(f"{value!r} is not of type {arg!r}", keyword)
+        elif keyword == "enum" and not any(isinstance(value, bool) == isinstance(x, bool) and value == x for x in arg):
+            fail(f"{value!r} is not one of {arg!r}", keyword)
+        elif keyword == "const" and not (isinstance(value, bool) == isinstance(arg, bool) and value == arg):
+            fail(f"{arg!r} was expected", keyword)  # True == 1, but not in JSON
+        elif keyword == "oneOf":
+            branches, context = [b for b in arg if _TYPES[b["type"]](value)], []
+            for branch in branches:
+                _walk(value, branch, path, context)
+            if context or not branches:
+                fail(f"{value!r} is not valid under any of the given schemas", keyword, context)
+        elif keyword == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                _walk(item, arg, (*path, i), out)
+        elif keyword == "minItems" and isinstance(value, list) or keyword == "minLength" and isinstance(value, str):
+            if len(value) < arg:
+                fail(f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}", keyword)
+        elif keyword in _BOUNDS and _TYPES["number"](value) and _BOUNDS[keyword][0](value, arg):
+            fail(f"{value!r} is {_BOUNDS[keyword][1]} of {arg!r}", keyword)
+        elif keyword == "required" and isinstance(value, dict):
+            for name in [name for name in arg if name not in value]:
+                fail(f"{name!r} is a required property", keyword)
+        elif keyword == "properties" and isinstance(value, dict):
+            for name in [name for name in arg if name in value]:
+                _walk(value[name], arg[name], (*path, name), out)
+        elif keyword == "additionalProperties" and isinstance(value, dict):
+            extra = [name for name in value if name not in schema.get("properties", ())]
+            for name in extra if arg is not False else ():
+                _walk(value[name], arg, (*path, name), out)
+            if arg is False and extra:
+                names = ", ".join(map(repr, sorted(extra, key=str)))
+                fail(f"Additional properties are not allowed ({names} {'was' if len(extra) == 1 else 'were'} "
+                     "unexpected)", keyword)
+
+
 def _validate(value, schema: dict, at: tuple = ()) -> None:
-    """Raise a ``ScenarioFormatError`` at the pointer of the first violation, ``at`` its prefix."""
-    e = jsonschema.exceptions.best_match(jsonschema.Draft7Validator(schema).iter_errors(value))
-    if e is not None:
-        pointer = "/" + "/".join(str(x) for x in (*at, *e.absolute_path))
-        raise ScenarioFormatError(f"schema violation: {e.message}", pointer)
+    """Raise a ``ScenarioFormatError`` at the violation a Draft 7 validator's ``best_match`` picks, ``at`` the
+    pointer's prefix: the shallowest, the last path of those, then a keyword other than ``oneOf``, then a value
+    of its schema's type; past a ``oneOf`` violation, the deepest of its context unless two of them tie.
+    """
+    rank = lambda violation: (-len(violation[0]), violation[0], violation[2] != "oneOf", not violation[3])
+    found = []
+    _walk(value, schema, (), found)
+    if found:
+        best = max(found, key=rank)
+        while best[4]:
+            first, *second = sorted(best[4], key=rank)[:2]
+            if second and rank(first) == rank(second[0]):
+                break
+            best = first
+        raise ScenarioFormatError(f"schema violation: {best[1]}", "/" + "/".join(map(str, (*at, *best[0]))))
+
+
+_SCENARIO_SCHEMA, _SUMMARY_SCHEMA = (_checked(doc, doc) for doc in (
+    _packaged("schemas", "scenario.schema.json"), _packaged("schemas", "summary.schema.json")))
 
 
 def load_scenario(source) -> Scenario:
@@ -594,8 +685,8 @@ class RunSummary:
 
 
 def validate_summary(doc: dict) -> None:
-    """Check a summary document against the packaged schema."""
-    jsonschema.Draft7Validator(_SUMMARY_SCHEMA).validate(doc)
+    """Check a summary document against the packaged schema; a violation raises ``ScenarioFormatError``."""
+    _validate(doc, _SUMMARY_SCHEMA)
 
 
 # Most values formatted at once, so memory stays small at any width or run

@@ -141,15 +141,7 @@ def contraction_factor(A: MatrixLike, eps) -> float:
 
 
 def _max_row_pair_l1(a: np.ndarray) -> float:
-    n = a.shape[0]
-    if n == 1:
-        return 0.0
-    worst = 0.0
-    for i in range(n - 1):
-        d = float(np.abs(a[i + 1 :] - a[i]).sum(axis=1).max())
-        if d > worst:
-            worst = d
-    return worst
+    return max([0.0] + [float(np.abs(a[i + 1 :] - a[i]).sum(axis=1).max()) for i in range(a.shape[0] - 1)])
 
 
 def dobrushin(mat: MatrixLike) -> float:

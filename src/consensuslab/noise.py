@@ -166,8 +166,7 @@ class NoiseSpec:
 
     @classmethod
     def gaussian(cls, mu, sigma, time_scale=None) -> "NoiseSpec":
-        mu = np.asarray(mu, dtype=float)
-        return cls(GAUSSIAN, mu.shape[0], mu=mu, sigma=sigma, time_scale=time_scale)
+        return cls(GAUSSIAN, np.shape(mu)[0], mu=mu, sigma=sigma, time_scale=time_scale)
 
     @classmethod
     def rademacher(cls, n: int, time_scale=None) -> "NoiseSpec":
@@ -179,8 +178,7 @@ class NoiseSpec:
 
     @classmethod
     def custom(cls, table) -> "NoiseSpec":
-        tab = np.asarray(table, dtype=float)
-        return cls(CUSTOM, tab.shape[1], table=tab)
+        return cls(CUSTOM, np.shape(table)[1], table=table)
 
 
 def substream(master_seed: int, run: int) -> np.random.Generator:

@@ -60,9 +60,7 @@ class Table:
 
 def as_schedule(value):
     """Wrap a bare value in a Constant schedule; pass callables through."""
-    if callable(value):
-        return value
-    return Constant(value)
+    return value if callable(value) else Constant(value)
 
 
 def _query(schedule, t: int, what: str):

@@ -249,9 +249,7 @@ def rank_one_score(cov, sym_tol: float = 1e-9) -> float:
         lam1, lam2 = mid + rad, mid - rad
     else:
         lam2, lam1 = np.linalg.eigvalsh(c)[-2:]
-    if lam1 <= 0.0:
-        return 0.0
-    return float(min(max(lam2, 0.0) / lam1, 1.0))
+    return 0.0 if lam1 <= 0.0 else float(min(max(lam2, 0.0) / lam1, 1.0))
 
 
 TrajectoryLike = Union[np.ndarray, object]
