@@ -264,10 +264,12 @@ class EnsembleSample:
     ``noise_buffer_bytes_peak`` as ``noise.NoiseChunks`` counts them.
     ``timing`` holds its seconds per layer: ``fill_s`` (the Philox draws
     the stepping thread made itself), ``transform_s`` (the rest of its
-    noise work: starting chunks, its own transforms or the deterministic
-    disturbances, and its waits for the worker thread),
+    noise work: starting chunks, its own transforms, each with its part's
+    transposed write into the chunk, or the deterministic disturbances,
+    and its waits for the worker thread),
     ``observe_s`` (recording run 0, the error means and the snapshots) and
-    ``step_s`` (the rest: the step kernel and its set-up).
+    ``step_s`` (the rest: the step kernel and its set-up; it copies no
+    noise, since each step reads its chunk's slot where it lies).
     """
 
     terminal_states: np.ndarray
@@ -449,7 +451,7 @@ def simulate_ensemble(
     for bit. Requested ``snapshot_times`` record full (m, n) state blocks
     along the way; the snapshot at ``T`` is the terminal block itself. The
     noise comes from ``noise.NoiseChunks``, whose memory is one chunk
-    budget and one stage whatever ``T`` is. Every run goes through one
+    budget and one part whatever ``T`` is. Every run goes through one
     pass of all ``T`` steps, so a schedule is queried once a step. The
     state block has the noise's width, a multiple of ``noise.WIDTH_PAD``,
     so that ``M @ X`` rounds every run's column the same way at any ``m``;

@@ -37,9 +37,13 @@ deterministic kinds' rows, one a step shared by every run. So any error of
 a chunk is raised at its first step, and closing the iteration early stops
 every part of the chunk ahead. A process forked after the worker started has no worker and takes
 back every part.
-Each step is copied once into an ``(n, W)`` stage, so the step kernel reads
-its noise contiguously. Memory stays at one chunk budget and one stage
-whatever the horizon.
+A chunk is held in the step kernel's layout, ``(steps, n, W)``: a part
+draws and transforms its steps run-major in a scratch, then writes them
+transposed into the chunk, adding the Gaussian mean in that write. The
+worker's scratch holds one part; a part taken back is drawn in the other
+chunk buffer, stepped already and not refilled before this chunk is
+finished. The engine steps the ``(n, W)`` slots where they lie, so memory
+stays at one chunk budget and one part whatever the horizon.
 
 ``substream(master_seed, r)`` and ``sample_noise_block`` draw one run's
 noise from its own ``SeedSequence`` spawn through the same draws and
@@ -222,7 +226,7 @@ def _correlate(z: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _scaled(spec: NoiseSpec, ts: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``g``, the (steps, runs, n) noise of steps ``ts``, times each step's ``time_scale`` in place: its one use."""
+    """``g``, the noise of steps ``ts`` along its first axis, times each step's ``time_scale`` in place: its one use."""
     if spec.time_scale is not None:
         g *= np.array([float(spec.time_scale(int(t))) for t in ts])[:, None, None]
     return g
@@ -233,20 +237,25 @@ def _draw(spec: NoiseSpec, stream: np.random.Generator, out: np.ndarray) -> None
     (stream.standard_normal if spec.kind == GAUSSIAN else stream.random)(out=out)
 
 
-def _transform(spec: NoiseSpec, u: np.ndarray) -> np.ndarray:
-    """Map a (steps, runs, n) block of ``_draw`` values to noise in place, before any ``time_scale``.
+def _transform(spec: NoiseSpec, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Map a (steps, runs, n) block of ``_draw`` values to noise, before any ``time_scale``; returns the noise.
 
-    This is the one transform: the engine's chunks and ``sample_noise_block``
-    both go through it. It calls no Python code of the spec, so the engine
-    may run it on its worker thread (see ``NoiseChunks``).
+    The noise is written into ``u``, or transposed into ``out`` (steps, n,
+    runs) when given, ``u`` then left as scratch. This is the one
+    transform: the engine's parts and ``sample_noise_block`` both go
+    through it. It calls no Python code of the spec, so the engine may run
+    it on its worker thread (see ``NoiseChunks``).
     """
     if spec.kind == GAUSSIAN:  # mu + F z, the mean added even where it is zero: 0.0 + -0.0 is +0.0
+        g = u
         if spec._factor is not None:
             if spec._factor.ndim == 1:
                 u *= spec._factor
             else:
-                u[...] = _correlate(u, spec._factor)
-        u += spec.mu
+                g = _correlate(u, spec._factor)
+        if out is None:
+            return np.add(g, spec.mu, out=u)
+        return np.add(g.transpose(0, 2, 1), spec.mu[:, None], out=out)
     elif spec.kind == RADEMACHER:
         u -= 0.5  # exact, and nonnegative exactly where u >= 1/2
         np.copysign(1.0, u, out=u)
@@ -257,7 +266,10 @@ def _transform(spec: NoiseSpec, u: np.ndarray) -> np.ndarray:
         u *= spec.scale
     else:
         raise AssertionError(spec.kind)
-    return u
+    if out is None:
+        return u
+    np.copyto(out, u.transpose(0, 2, 1))
+    return out
 
 
 def _rows(spec: NoiseSpec, ts: np.ndarray, stream: Optional[np.random.Generator]) -> np.ndarray:
@@ -331,10 +343,11 @@ _WORKER = ThreadPoolExecutor(1, thread_name_prefix="consensuslab-noise")
 
 @dataclass(eq=False)
 class _Chunk:
-    """A started chunk: its steps, the random kinds' block and ``(future, (block, c0))`` pairs sent to the worker."""
+    """A started chunk: its steps, the random kinds' block and spare buffer, and ``(future, (slots, c0))`` parts."""
 
     ts: np.ndarray
     block: Optional[np.ndarray] = None
+    spare: Optional[np.ndarray] = None
     parts: list = field(default_factory=list)
 
 
@@ -349,20 +362,23 @@ class NoiseChunks:
     The module docstring sets out the addressing and the geometry: the
     pad, the chunks of whole steps and the chunk started ahead. Iterating
     yields one array per step, broadcastable against the engine's
-    (n, width) block of states, ``width = padded_width(m)``: an
-    (n, width) array for the random kinds, whose columns past ``m`` are the
-    pad runs, and an (n, 1) column shared by every run otherwise. An array
-    is valid until the next one is taken, because it is the stage, refilled
-    in place.
+    (n, width) block of states, ``width = padded_width(m)``: a C-contiguous
+    (n, width) slot of the chunk buffer for the random kinds, whose columns
+    past ``m`` are the pad runs, and an (n, 1) column shared by every run
+    otherwise. A slot keeps its values until the first step of the next
+    chunk is taken: its buffer is then the spare one, and later holds the
+    chunk after next.
 
     ``chunk_steps`` is the steps of a chunk, at most T. ``uniforms_drawn``
     (the values drawn, ``width * n`` per random step), ``philox_calls``
     (one per random step), ``transform_parts`` (one per part) and
-    ``buffer_bytes_peak`` (the chunks held at once plus the stage) count
-    what the iteration did, whichever thread drew. ``fill_s`` times the
-    stepping thread's own draws and ``transform_s`` the rest of its noise
-    work: starting chunks, its own transforms, its waits for the worker,
-    ``time_scale`` and the deterministic rows. The engine reports them.
+    ``buffer_bytes_peak`` (the chunks held at once plus the worker's
+    scratch of one part, twice that for a dense covariance factor, whose
+    product is a second part-sized array) count what the iteration did,
+    whichever thread drew. ``fill_s`` times the stepping thread's own
+    draws and ``transform_s`` the rest of its noise work: starting chunks,
+    its own transforms, its waits for the worker, ``time_scale`` and the
+    deterministic rows. The engine reports them.
     """
 
     def __init__(self, spec: NoiseSpec, T: int, m: int, master_seed: int):
@@ -370,10 +386,12 @@ class NoiseChunks:
         self.T = T
         self.width = padded_width(m)
         columns = self.width if spec.is_random else 1
-        self.chunk_steps = min(T, max(1, CHUNK_VALUES // 2 // (columns * spec.n)))
-        self._stage = np.empty((spec.n, columns))
+        self.chunk_steps = k = min(T, max(1, CHUNK_VALUES // 2 // (columns * spec.n)))
+        # The worker's scratch of a chunk's longest part, shared: the worker runs one part at a time. A
+        # heap block made before the state blocks gave many_runs 0.8 MB less peak RSS than a mapping (2 vCPUs).
+        self._scratch = np.empty(-(-k // min(TRANSFORM_PARTS, k)) * columns * spec.n) if spec.is_random and k else None
         dense = spec.kind == GAUSSIAN and spec._factor is not None and spec._factor.ndim == 2
-        self._copies = 2 if dense else 1  # the dense covariance product writes a second chunk-sized array
+        self._copies = 2 if dense else 1  # the dense covariance product writes a second part-sized array
         self.uniforms_drawn = 0
         self.philox_calls = 0
         self.buffer_bytes_peak = 0
@@ -386,41 +404,42 @@ class NoiseChunks:
             gens = [np.random.Generator(np.random.Philox(key=key)) for _ in range(2)]
             self._mine, self._worker = [(gen, gen.bit_generator.state) for gen in gens]
 
-    def _part(self, stream: tuple, block: np.ndarray, c0: int) -> float:
-        """Draw steps ``c0 + 1 ..`` into ``block`` (steps, width, n) and transform them; returns the draw's seconds.
+    def _part(self, stream: tuple, scratch: np.ndarray, slots: np.ndarray, c0: int) -> float:
+        """Draw steps ``c0 + 1 ..`` into ``scratch`` and transform them into ``slots``; returns the draw's seconds.
 
-        ``stream`` is a generator and its state, of the thread that runs the
-        part. Step ``t`` is one call from the counter ``(0, t, 0, 0)`` with
-        nothing buffered, whatever the step before it drew.
+        ``stream`` (a generator and its state) and the flat ``scratch`` are
+        the running thread's; ``slots`` is (steps, n, width). Step ``t`` is
+        one call from the counter ``(0, t, 0, 0)`` with nothing buffered.
         """
         gen, state = stream
+        u = scratch[: slots.size].reshape(len(slots), self.width, self.spec.n)
         t0 = perf_counter()
-        for t, rows in enumerate(block, c0 + 1):
+        for t, rows in enumerate(u, c0 + 1):
             state["state"]["counter"][1] = t
             gen.bit_generator.state = state
             _draw(self.spec, gen, rows)
         drawn = perf_counter() - t0
-        _transform(self.spec, block)
+        _transform(self.spec, u, slots)
         return drawn
 
-    def _start(self, c0: int, buf: Optional[np.ndarray]) -> _Chunk:
-        """Start the chunk of steps ``c0 + 1 ..``, in ``buf`` for the random kinds.
+    def _start(self, c0: int, buf: Optional[np.ndarray], spare: Optional[np.ndarray]) -> _Chunk:
+        """Start the chunk of steps ``c0 + 1 ..``, in ``buf`` for the random kinds, ``spare`` the other buffer.
 
         Random steps are cut into up to ``TRANSFORM_PARTS`` parts of whole
-        steps, each handed to the worker; nothing is drawn here, and no
-        Python code of the spec runs (see ``_finish``).
+        steps, each handed to the worker with its scratch; nothing is drawn
+        here, and no Python code of the spec runs (see ``_finish``).
         """
         spec, n, W = self.spec, self.spec.n, self.width
         kk = min(self.chunk_steps, self.T - c0)
         chunk = _Chunk(np.arange(c0 + 1, c0 + kk + 1))
         if spec.is_random:
             t0 = perf_counter()
-            chunk.block = buf[: kk * W * n].reshape(kk, W, n)
+            chunk.block, chunk.spare = buf[: kk * n * W].reshape(kk, n, W), spare
             parts = min(TRANSFORM_PARTS, kk)
             cuts = [kk * i // parts for i in range(parts + 1)]
             for a, b in zip(cuts, cuts[1:]):
                 part = (chunk.block[a:b], c0 + a)
-                chunk.parts.append((_WORKER.submit(self._part, self._worker, *part), part))
+                chunk.parts.append((_WORKER.submit(self._part, self._worker, self._scratch, *part), part))
             self.uniforms_drawn += chunk.block.size
             self.philox_calls += kk
             self.transform_parts += parts
@@ -428,22 +447,23 @@ class NoiseChunks:
         return chunk
 
     def _finish(self, chunk: _Chunk) -> np.ndarray:
-        """The chunk's noise, scaled by ``time_scale``; a deterministic chunk's ``_rows`` are computed here.
+        """The chunk's (steps, n, width) noise, scaled by ``time_scale``; a deterministic chunk's rows are made here.
 
         The parts the worker has not started are taken back, last first, and
-        run here with this thread's generator, and the rest are waited for.
-        No part is still being written when this returns or raises.
+        run here with this thread's generator, drawn in the chunk's spare
+        buffer, and the rest are waited for. No part is still being written
+        when this returns or raises.
         """
         t0 = perf_counter()
         fill_s = 0.0
         try:
             # the worker runs its parts in order, so the unstarted ones are at the end
             while chunk.parts and chunk.parts[-1][0].cancel():
-                fill_s += self._part(self._mine, *chunk.parts.pop()[1])
+                fill_s += self._part(self._mine, chunk.spare, *chunk.parts.pop()[1])
             for future, _ in chunk.parts:
                 future.result()
-            if chunk.block is None:  # deterministic: (steps, 1, n), shared by every run
-                return _rows(self.spec, chunk.ts, None)
+            if chunk.block is None:  # deterministic: (steps, n, 1), shared by every run
+                return _rows(self.spec, chunk.ts, None).transpose(0, 2, 1)
             return _scaled(self.spec, chunk.ts, chunk.block)
         finally:  # after an error, drop the parts not started and let a running one finish
             _stop(chunk.parts)
@@ -451,13 +471,14 @@ class NoiseChunks:
             self.transform_s += perf_counter() - t0 - fill_s
 
     def __iter__(self):
-        spec, k, stage = self.spec, self.chunk_steps, self._stage
+        spec, k = self.spec, self.chunk_steps
         # A mapping of its own goes back to the OS when freed; a heap block would stay as a
         # hole that smaller allocations split, making peak RSS vary from run to run.
         buffers = [np.frombuffer(mmap.mmap(-1, 8 * k * self.width * spec.n, flags=mmap.MAP_PRIVATE))
                    if spec.is_random and k else None for _ in range(2)]
-        # chunk i in buffer i % 2
-        started = (self._start(c0, buffers[i % 2]) for i, c0 in enumerate(range(0, self.T, max(1, k))))
+        scratch_bytes = 0 if self._scratch is None else self._copies * self._scratch.nbytes
+        # chunk i in buffer i % 2, the other one spare
+        started = (self._start(c0, buffers[i % 2], buffers[1 - i % 2]) for i, c0 in enumerate(range(0, self.T, k or 1)))
         ahead = None
         try:
             ahead = next(started, None)
@@ -465,11 +486,8 @@ class NoiseChunks:
                 block = self._finish(ahead)
                 ahead = next(started, None)  # started before this chunk's steps
                 ahead_bytes = 0 if ahead is None or ahead.block is None else ahead.block.nbytes  # last, or deterministic
-                held = self._copies * (block.nbytes + ahead_bytes) + stage.nbytes
-                self.buffer_bytes_peak = max(self.buffer_bytes_peak, held)
-                for rows in block:  # (width, n), or (1, n) shared by every run
-                    stage[...] = rows.T
-                    yield stage
+                self.buffer_bytes_peak = max(self.buffer_bytes_peak, block.nbytes + ahead_bytes + scratch_bytes)
+                yield from block  # (n, width) slots, or (n, 1) columns shared by every run
         finally:  # closed early: no part of the chunk started ahead may still be written
             if ahead is not None:
                 _stop(ahead.parts)

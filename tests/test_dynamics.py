@@ -651,12 +651,12 @@ class TestReproducibilityContract:
         transform = noise._transform
         started = []
 
-        def transform_or_fail(spec, u):
+        def transform_or_fail(spec, u, out=None):
             started.append(u)
             if len(started) == failing + 1:
                 raise FloatingPointError(f"part {failing} failed")
             time.sleep(0.01)
-            return transform(spec, u)
+            return transform(spec, u, out)
 
         spec = self._worker_noise(3, "gaussian_dense")
         for executor in (Inline(), Pool(eager=True), Pool(eager=False)):
@@ -686,12 +686,12 @@ class TestReproducibilityContract:
                     raise MemoryError("no draw at step 9")
             draw(spec, stream, out)
 
-        def transform_or_fail(spec, u):
+        def transform_or_fail(spec, u, out=None):
             if failing == "transform":
                 calls.append(u)
                 if len(calls) == 2 * 4 + 1:  # a one-step part a step
                     raise FloatingPointError("no transform at step 9")
-            return transform(spec, u)
+            return transform(spec, u, out)
 
         error = {"draw": MemoryError, "transform": FloatingPointError}[failing]
         spec = self._worker_noise(2, "gaussian_diagonal")
@@ -721,9 +721,9 @@ class TestReproducibilityContract:
 
         transform = noise._transform
 
-        def slow_transform(spec, u):
+        def slow_transform(spec, u, out=None):
             time.sleep(0.01)
-            return transform(spec, u)
+            return transform(spec, u, out)
 
         n, m = 2, 37
         spec = self._worker_noise(n, "gaussian_diagonal")
@@ -777,10 +777,12 @@ class TestReproducibilityContract:
                 if isinstance(executor, Pool) and executor.eager:  # every part ran on the worker
                     assert len(executor.futures) == chunks.transform_parts
                     assert not any(f.cancelled() for f in executor.futures)
-                # the chunk stepped and the one ahead, each at most half the forced budget, and the stage
-                chunk = 8 * chunks.width * chunks.chunk_steps * n * chunks._copies
+                # the chunk stepped and the one ahead, each at most half the forced budget, and the
+                # worker's scratch of the longest part (with its product, for a dense factor)
+                chunk = 8 * chunks.width * chunks.chunk_steps * n
                 ahead = 0 if k is None else chunk
-                assert chunks.buffer_bytes_peak == chunk + ahead + 8 * n * chunks.width
+                part = 8 * chunks.width * n * -(-chunks.chunk_steps // min(noise.TRANSFORM_PARTS, chunks.chunk_steps))
+                assert chunks.buffer_bytes_peak == chunk + ahead + part * chunks._copies
         assert all(np.array_equal(rows, passes[0]) for rows in passes)
         self._expect_reference(passes[0], spec, m)
 
@@ -799,9 +801,9 @@ class TestReproducibilityContract:
             seen["stream"].append(stream)
             draw(spec, stream, out)
 
-        def traced_transform(spec, u):
+        def traced_transform(spec, u, out=None):
             seen["transform"].append(threading.get_ident())
-            return transform(spec, u)
+            return transform(spec, u, out)
 
         monkeypatch.setattr(noise, "_draw", traced_draw)
         monkeypatch.setattr(noise, "_transform", traced_transform)
@@ -943,9 +945,9 @@ class TestReproducibilityContract:
 
 def test_many_runs_memory_is_the_results_and_five_blocks_of_states():
     # many_runs' shape: the traced peak is the terminal block, the one earlier snapshot and
-    # at most five more blocks of every run's states (the state block, its spare, the stage
-    # and two step temporaries). The noise chunks live in their own mappings, which
-    # noise_buffer_bytes_peak bounds
+    # at most five more blocks of every run's states (the state block, its spare, the noise
+    # worker's scratch of a one-step part and two step temporaries). The noise chunks live in
+    # their own mappings; noise_buffer_bytes_peak bounds them with the scratch
     import tracemalloc
 
     n, m, T = 2, 50_000, 20
@@ -966,7 +968,8 @@ def test_many_runs_memory_is_the_results_and_five_blocks_of_states():
 @pytest.mark.parametrize("chunk_steps", [None, 7])
 def test_noise_memory_is_bounded_by_a_chunk(chunk_steps, monkeypatch):
     # a whole-horizon noise block would take 8*T*n*m bytes (64 MB here); the pass holds the
-    # chunk it steps and the one the worker transforms ahead of it, whatever their size
+    # chunk it steps, the one the worker transforms ahead of it and the worker's scratch of
+    # one part, whatever their size
     import tracemalloc
 
     from consensuslab import noise
@@ -984,7 +987,8 @@ def test_noise_memory_is_bounded_by_a_chunk(chunk_steps, monkeypatch):
         tracemalloc.stop()
     assert ens.engine["chunk_steps"] == (65 if chunk_steps is None else chunk_steps)
     assert peak < 8 * T * n * m / 4
-    assert ens.engine["noise_buffer_bytes_peak"] <= 8 * noise.CHUNK_VALUES + 8 * n * m
+    part = 8 * n * m * -(-ens.engine["chunk_steps"] // noise.TRANSFORM_PARTS)
+    assert ens.engine["noise_buffer_bytes_peak"] <= 8 * noise.CHUNK_VALUES + part
 
 
 def test_a_varying_rate_schedule_is_queried_once_a_step():

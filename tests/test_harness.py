@@ -691,11 +691,12 @@ class TestRunScenario:
         del model["sigma_bar"]
         doc = dict(MINIMAL, model=model, horizon=30, ensemble=5)
         summary = run_scenario(load_scenario(doc), out_dir=tmp_path)
-        # one 30-step chunk, one Philox call a step, filled in 8 parts of whole steps, and a
-        # stage of one step, both 8 runs wide (5 runs and 3 pad runs, which draw their noise too)
+        # one 30-step chunk, one Philox call a step, filled in 8 parts of whole steps, and the
+        # worker's scratch of the longest part, 4 steps, both 8 runs wide (5 runs and 3 pad
+        # runs, which draw their noise too)
         assert summary.diagnostics["engine"] == {
             "runs": 5, "steps": 30, "uniforms_drawn": 30 * 2 * 8, "philox_calls": 30,
-            "transform_parts": 8, "chunk_steps": 30, "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 2 * 8,
+            "transform_parts": 8, "chunk_steps": 30, "noise_buffer_bytes_peak": 8 * 30 * 2 * 8 + 8 * 4 * 2 * 8,
         }
         with open(tmp_path / "summary.json") as fh:
             assert json.load(fh)["diagnostics"]["engine"] == summary.diagnostics["engine"]

@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 import reference_noise
@@ -109,12 +111,12 @@ class TestAddressing:
         chunks = NoiseChunks(spec, 1, 5, 9)
         key = np.random.SeedSequence(9).generate_state(2, np.uint64)
         for stream in (chunks._mine, chunks._worker):
-            block = np.empty((2, chunks.width, 3))
-            chunks._part(stream, block, c0)
-            for rows, t in zip(block, (c0 + 1, c0 + 2)):
+            slots = np.empty((2, 3, chunks.width))  # a part writes its steps in the engine's (n, width) layout
+            chunks._part(stream, np.empty(slots.size), slots, c0)
+            for rows, t in zip(slots, (c0 + 1, c0 + 2)):
                 gen = np.random.Generator(np.random.Philox(key=key, counter=np.array([0, t, 0, 0], dtype=np.uint64)))
                 draw = gen.standard_normal if kind == "gaussian" else gen.random
-                assert np.array_equal(rows, _transform(spec, draw((1, *rows.shape)))[0]), t
+                assert np.array_equal(rows, _transform(spec, draw((1, *rows.T.shape)))[0].T), t
 
     def test_neighbouring_runs_steps_and_agents_are_uncorrelated(self):
         # each of the three axes of the address moves to another Philox counter or block word
@@ -134,8 +136,8 @@ class TestAddressing:
         spec = {"gaussian": NoiseSpec.gaussian([0.0], [[1.0]]), "rademacher": NoiseSpec.rademacher(1),
                 "cauchy": NoiseSpec.cauchy(1, scale=2.0)}[kind]
         chunks = NoiseChunks(spec, 1, 20_000, 31)
-        g = np.empty((1, chunks.width, 1))
-        chunks._part(chunks._mine, g, t - 1)
+        g = np.empty((1, 1, chunks.width))
+        chunks._part(chunks._mine, np.empty(g.size), g, t - 1)
         g = g.ravel()
         if kind == "rademacher":
             assert set(np.unique(g)) == {-1.0, 1.0} and abs(g.mean()) < 5 / np.sqrt(g.size)
@@ -311,7 +313,7 @@ class TestNoiseChunks:
         assert (engine["chunk_steps"], engine["philox_calls"]) == (2, 20)
         assert engine["uniforms_drawn"] == 20 * 2 * 50_000
         assert engine["transform_parts"] == 10 * 2  # a part a step, two steps a chunk
-        # the chunk stepped and the one started ahead, and the stage of one step
+        # the chunk stepped and the one started ahead, and the worker's scratch of a one-step part
         assert engine["noise_buffer_bytes_peak"] == 2 * 8 * 2 * 2 * 50_000 + 8 * 2 * 50_000 == 4_000_000
         assert engine["noise_buffer_bytes_peak"] <= 8 * (noise.CHUNK_VALUES + 2 * 50_000)
 
@@ -382,16 +384,17 @@ class TestNoiseChunks:
         assert type(ens.engine["chunk_steps"]) is int
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 16])
-    def test_buffer_peak_counts_the_chunks_and_the_stage(self, n, monkeypatch):
-        # 5 runs padded to 8; one 12-step chunk, then 5-step chunks, the second started ahead
-        step, stage = 8 * 8 * n, 8 * n * 8
+    def test_buffer_peak_counts_the_chunks_and_one_part(self, n, monkeypatch):
+        # 5 runs padded to 8; one 12-step chunk in 8 parts of up to 2 steps, then 5-step
+        # chunks in one-step parts, the second started ahead; the worker's scratch holds a part
+        step = 8 * 8 * n
         chunks = NoiseChunks(NoiseSpec.cauchy(n), 12, 5, 9)
         list(chunks)
-        assert chunks.buffer_bytes_peak == 12 * step + stage
+        assert chunks.buffer_bytes_peak == 12 * step + 2 * step
         monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * 5 * 8 * n)
         chunks = NoiseChunks(NoiseSpec.cauchy(n), 12, 5, 9)
         list(chunks)
-        assert chunks.chunk_steps == 5 and chunks.buffer_bytes_peak == 2 * 5 * step + stage
+        assert chunks.chunk_steps == 5 and chunks.buffer_bytes_peak == 2 * 5 * step + step
 
     def test_a_step_over_the_budget_is_a_chunk_of_its_own(self, monkeypatch):
         monkeypatch.setattr(noise, "CHUNK_VALUES", 2)
@@ -452,6 +455,131 @@ class TestNoiseChunks:
         if executor == "eager_worker":  # every draw on the worker
             assert a.fill_s == b.fill_s == 0.0
 
+    @pytest.mark.parametrize("executor", ["worker", "taken_back", "racing_worker"])
+    def test_two_iterations_of_one_object_share_its_worker_scratch(self, executor, monkeypatch):
+        # the worker's scratch belongs to the object, and the one worker runs one part at a time,
+        # so two iterations stepped in turn, with the interpreter lock changing hands as often as
+        # it can, each give every run its own noise
+        import sys
+
+        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * 4 * 16 * 3)
+        if executor != "worker":
+            monkeypatch.setattr(noise, "_WORKER", Inline() if executor == "taken_back" else Pool(False))
+        spec, T, m = _kinds(3)["cauchy"], 9, 11
+        chunks = NoiseChunks(spec, T, m, 5)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            steps = [(ga.copy(), gb.copy()) for ga, gb in zip(chunks, chunks)]
+        finally:
+            sys.setswitchinterval(switch)
+        for side in (0, 1):
+            rows = np.stack([pair[side] for pair in steps]).transpose(2, 0, 1)
+            for r in range(m):
+                assert np.array_equal(rows[r], reference_noise.run_noise(spec, T, 5, r)), (side, r)
+        assert chunks.philox_calls == 2 * T
+
+
+class TestChunkLayout:
+    """A random chunk is held in the step kernel's (steps, n, width) layout, and its slots are stepped as they lie."""
+
+    @staticmethod
+    def _buffer(g: np.ndarray) -> np.ndarray:
+        """The array ``g`` is a view into: for a chunk slot, a chunk buffer over its own mapping."""
+        while isinstance(g.base, np.ndarray):
+            g = g.base
+        return g
+
+    @pytest.mark.parametrize("kind", ["gaussian", "dense", "rademacher", "cauchy"])
+    def test_every_random_step_is_a_contiguous_slot_of_its_chunk_buffer(self, kind, monkeypatch):
+        # 10 steps of 11 runs padded to 16 in 4-step chunks: step t is a view into the buffer of
+        # its chunk i, buffer i % 2, and never into the other one or the worker's scratch
+        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * 4 * 16 * 3)
+        spec = _kinds(3)[kind]
+        chunks = NoiseChunks(spec, 10, 11, 5)
+        steps = [(g, g.copy()) for g in chunks]
+        made = [self._buffer(steps[0][0]), self._buffer(steps[4][0])]
+        assert all(isinstance(b.base.obj, mmap.mmap) and b.size == 4 * 16 * 3 for b in made)
+        assert chunks._scratch.size == 16 * 3  # 4-step chunks in one-step parts
+        for t, (g, _) in enumerate(steps):
+            assert g.shape == (3, 16) and g.flags.c_contiguous and not g.flags.owndata, t
+            assert np.shares_memory(g, made[t // 4 % 2]) and not np.shares_memory(g, made[1 - t // 4 % 2]), t
+            assert not np.shares_memory(g, chunks._scratch), t
+        rows = np.stack([value for _, value in steps]).transpose(2, 0, 1)
+        assert np.array_equal(rows, _run_rows(NoiseChunks(spec, 10, 11, 5)))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "dense", "cauchy"])
+    def test_the_engine_steps_the_chunk_slots(self, kind, monkeypatch):
+        # the step kernel receives each step's noise as the chunk holds it, with no copy between
+        from consensuslab import dynamics
+
+        received, step = [], dynamics._step
+
+        def traced_step(M, X, e, f, sigma_bar, g, *args, **kwargs):
+            received.append(g)
+            return step(M, X, e, f, sigma_bar, g, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_step", traced_step)
+        monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * 3 * 40 * 3)
+        spec = ModelSpec.noisy(np.full((3, 3), 1 / 3), [0.5, 0.4, 0.3], 1.0, _kinds(3)[kind], np.zeros(3))
+        ens = simulate_ensemble(spec, 8, 37, 4)
+        assert ens.engine["chunk_steps"] == 3 and len(received) == 8
+        made = [self._buffer(received[0]), self._buffer(received[3])]
+        assert all(isinstance(b.base.obj, mmap.mmap) and b.size == 3 * 3 * 40 for b in made) and made[0] is not made[1]
+        for t, g in enumerate(received):
+            assert g.shape == (3, 40) and g.flags.c_contiguous and np.shares_memory(g, made[t // 3 % 2]), t
+
+    def test_the_worker_is_one_thread(self):
+        # the worker draws every part in the one scratch of a pass, so it must run parts one at a time
+        from concurrent.futures import ThreadPoolExecutor
+
+        assert isinstance(noise._WORKER, ThreadPoolExecutor) and noise._WORKER._max_workers == 1
+
+    @pytest.mark.parametrize("factor", ["unit", "diagonal", "dense"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+    def test_the_mean_added_in_the_transposed_write_gives_the_reference_bytes(self, n, factor, monkeypatch):
+        # run 0 draws -0.0 for component 0 at every step, whose mean is +0.0: the noise there is
+        # +0.0 (a dense product may sum signed zeros either way); every other byte is the
+        # in-place transform's, and the reference's but for a dense product's rounding
+        mu = np.arange(n) * np.where(np.arange(n) % 2, -0.75, 0.75)  # +0.0, -0.75, 1.5, -2.25, ...
+        g = np.random.default_rng(n).normal(size=(n, n))
+        sigma = {"unit": np.eye(n), "diagonal": np.diag(np.linspace(0.5, 2.0, n) ** 2),
+                 "dense": g @ g.T + np.eye(n)}[factor]
+        spec = NoiseSpec.gaussian(mu, sigma)
+        T, m, W, seed = 7, 11, 16, 23
+        draw, draws = noise._draw, reference_noise.draws
+
+        def signed_zero_draw(spec, stream, out):
+            draw(spec, stream, out)
+            out[0, 0] = -0.0
+
+        def signed_zero_draws(spec, master_seed, run, t):
+            u = draws(spec, master_seed, run, t)
+            u[:1] = -0.0 if run == 0 else u[:1]
+            return u
+
+        monkeypatch.setattr(noise, "_draw", signed_zero_draw)
+        monkeypatch.setattr(reference_noise, "draws", signed_zero_draws)
+        u = np.array([[signed_zero_draws(spec, seed, r, t) for r in range(W)] for t in range(1, T + 1)])
+        in_place = _transform(spec, u).transpose(1, 0, 2)  # (W, T, n), as _run_rows gives
+        for k in (1, 3):
+            for executor in (Inline(), Pool(eager=True), Pool(eager=False)):
+                monkeypatch.setattr(noise, "_WORKER", executor)
+                monkeypatch.setattr(noise, "CHUNK_VALUES", 2 * k * W * n)
+                chunks = NoiseChunks(spec, T, m, seed)
+                assert (chunks.width, chunks.chunk_steps) == (W, k)
+                rows = _run_rows(chunks)
+                assert np.array_equal(rows, in_place) and np.array_equal(np.signbit(rows), np.signbit(in_place))
+                for r in range(m):
+                    expected = reference_noise.run_noise(spec, T, seed, r)
+                    if reference_noise.dense(spec):
+                        np.testing.assert_allclose(rows[r], expected, rtol=0, atol=1e-12)
+                    else:
+                        assert np.array_equal(rows[r], expected), r
+                        assert np.array_equal(np.signbit(rows[r]), np.signbit(expected)), r
+                if not reference_noise.dense(spec):
+                    assert np.all(rows[0, :, 0] == 0.0) and not np.signbit(rows[0, :, 0]).any()
+
 
 class TestSpecCodeRunsWhenReached:
     """The spec's Python code (``time_scale``, deterministic rows) runs as the engine reaches a chunk, on its thread."""
@@ -506,10 +634,10 @@ class TestSpecCodeRunsWhenReached:
             assert executor.futures[0].done() and chunks.fill_s == 0.0
 
     def test_a_deterministic_pass_holds_one_chunk(self, monkeypatch):
-        # no deterministic chunk is computed ahead: the peak is the chunk stepped and the stage
+        # no deterministic chunk is computed ahead, and no part draws: the peak is the chunk stepped
         chunks = self._chunks(NoiseSpec.decaying(2, 0.5), monkeypatch)
         list(chunks)
-        assert chunks.buffer_bytes_peak == 8 * self.K * 2 + 8 * 2
+        assert chunks.buffer_bytes_peak == 8 * self.K * 2
 
 
 class TestEpsilonOscillator:
